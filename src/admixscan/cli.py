@@ -37,11 +37,6 @@ from .studies import multilocus_study, null_study, power_study, _wrap_draws
 log = logging.getLogger(__name__)
 
 
-def _default_workers():
-    env = os.environ.get("ADMIXSCAN_WORKERS", "").strip()
-    return int(env) if env else None
-
-
 def _add_common(parser):
     parser.add_argument("--out-dir", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
@@ -56,7 +51,6 @@ def _add_trait_args(parser):
         help="comma-separated covariate column names (default: all)",
     )
     parser.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    parser.add_argument("--workers", type=int, default=_default_workers())
 
 
 def build_parser():
@@ -115,7 +109,6 @@ def build_parser():
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--max-cardinality", type=int, default=2)
-    p.add_argument("--workers", type=int, default=_default_workers())
     _add_common(p)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -131,10 +124,18 @@ def _outdir(args):
     return out
 
 
+_PATH_ARGS = ("panel", "genotypes", "draws", "phenotype", "out_dir")
+
+
 def _manifest_config(args, skip=("command", "verbose", "func")):
-    return {
+    """Resolved configuration; paths are absolute so a replay works anywhere."""
+    config = {
         k: v for k, v in vars(args).items() if k not in skip and v is not None
     }
+    for key in _PATH_ARGS:
+        if key in config:
+            config[key] = os.path.abspath(config[key])
+    return config
 
 
 def _load_trait_for_draws(args, draws):
@@ -175,7 +176,7 @@ def cmd_scan(args):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait, _ = _load_trait_for_draws(args, draws)
-    result = stage1_scan(draws, trait, delta=args.delta, workers=args.workers)
+    result = stage1_scan(draws, trait, delta=args.delta)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     fileio.write_manifest(out / "manifest.json", "scan", _manifest_config(args))
     return 0
@@ -185,14 +186,13 @@ def cmd_map(args):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait, _ = _load_trait_for_draws(args, draws)
-    stage1 = stage1_scan(draws, trait, delta=args.delta, workers=args.workers)
+    stage1 = stage1_scan(draws, trait, delta=args.delta)
     result = stage2_joint(
         stage1,
         draws,
         trait,
         max_cardinality=args.max_cardinality,
         subset_cap=args.subset_cap,
-        workers=args.workers,
     )
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     fileio.write_stage2_table(
@@ -222,7 +222,6 @@ def _simulate_null(args, out):
         args.alpha,
         args.delta,
         args.seed,
-        workers=args.workers,
     )
     fileio.write_rows_table(res.rows, out / "replicates.tsv")
     fileio.write_rows_table(
@@ -278,7 +277,6 @@ def _simulate_multilocus(args, out):
         args.delta,
         args.seed,
         max_cardinality=args.max_cardinality,
-        workers=args.workers,
     )
     fileio.write_rows_table(res.rows, out / "replicates.tsv")
     fileio.write_rows_table(

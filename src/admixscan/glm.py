@@ -3,9 +3,9 @@
 Traits regress on centered local-ancestry columns plus optional covariates,
 with an intercept always included.  Continuous traits use exact least
 squares; binary and count traits use iteratively reweighted least squares
-with canonical links and dispersion fixed at one.  Every fit also runs the
-matching null model (ancestry coefficients pinned to zero, covariates
-retained) so likelihoods are comparable downstream.
+with canonical links and dispersion fixed at one.  A fit returns what the
+Bayes factor reads: the ancestry coefficients and their estimated
+covariance.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ TRAIT_KINDS = ("continuous", "binary", "count")
 
 _IRLS_MAX_ITER = 100
 _IRLS_TOL = 1e-10          # relative log-likelihood change
-_SEPARATION_LIMIT = 15.0   # |coefficient| on the link scale flagging separation
+_SEPARATION_LIMIT = 15.0   # |ancestry coefficient| flagging separation
 
 
 @dataclass
@@ -110,8 +110,6 @@ class FitResult:
     intercept: float
     sigma_beta_hat: np.ndarray    # estimated covariance of beta_hat, (p, p)
     sigma2_hat: float             # residual variance (continuous) or 1.0
-    loglik_alt: float
-    loglik_null: float
     converged: bool
     n_used: int
     flag: str | None = None
@@ -134,11 +132,6 @@ def _inv_spd(a):
     return sol
 
 
-def _gaussian_loglik(rss, n):
-    s2 = max(rss / n, 1e-300)
-    return -0.5 * n * (np.log(2.0 * np.pi * s2) + 1.0)
-
-
 def _ols(y, z):
     n, k = z.shape
     ztz = z.T @ z
@@ -148,52 +141,42 @@ def _ols(y, z):
     return coef, rss, ztz
 
 
+def _link_terms(y, eta, kind):
+    """Mean, IRLS weight and log-likelihood under the canonical link."""
+    if kind == "binary":
+        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+        w = np.maximum(mu * (1.0 - mu), 1e-10)
+        return mu, w, float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
+    mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
+    return mu, mu, float(y @ np.log(mu) - mu.sum() - gammaln(y + 1.0).sum())
+
+
 def _irls(y, z, kind):
-    n, k = z.shape
-    coef = np.zeros(k)
+    coef = np.zeros(z.shape[1])
     loglik = -np.inf
     converged = False
-    info = None
     for _ in range(_IRLS_MAX_ITER):
         eta = z @ coef
-        if kind == "binary":
-            mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-            w = np.maximum(mu * (1.0 - mu), 1e-10)
-            new_loglik = float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
-        else:
-            mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
-            w = mu
-            new_loglik = float(y @ np.log(mu) - mu.sum() - gammaln(y + 1.0).sum())
+        mu, w, new_loglik = _link_terms(y, eta, kind)
         adj = eta + (y - mu) / w
         wz = z * w[:, None]
-        info = z.T @ wz
-        coef, _ = _solve_spd(info, wz.T @ adj)
+        coef, _ = _solve_spd(z.T @ wz, wz.T @ adj)
         if np.isfinite(loglik) and abs(new_loglik - loglik) <= _IRLS_TOL * max(
             1.0, abs(loglik)
         ):
-            loglik = new_loglik
             converged = True
             break
         loglik = new_loglik
     # refresh the information at the final coefficients
-    eta = z @ coef
-    if kind == "binary":
-        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        w = np.maximum(mu * (1.0 - mu), 1e-10)
-        loglik = float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
-    else:
-        mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
-        w = mu
-        loglik = float(y @ np.log(mu) - mu.sum() - gammaln(y + 1.0).sum())
-    info = z.T @ (z * w[:, None])
-    return coef, loglik, info, converged
+    _, w, _ = _link_terms(y, z @ coef, kind)
+    return coef, z.T @ (z * w[:, None]), converged
 
 
 def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
     """Fit the trait on centered ancestries plus covariates.
 
-    Binary fits showing separation (a coefficient beyond
-    ``_SEPARATION_LIMIT`` on the logit scale) or failing to converge come
+    Binary and count fits showing separation (an ancestry coefficient beyond
+    ``_SEPARATION_LIMIT`` on the link scale) or failing to converge come
     back flagged rather than raising, so a scan can skip the locus and keep
     going.
     """
@@ -208,7 +191,6 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
             f"{n} subjects cannot identify {p + q + 1} coefficients"
         )
     z = np.column_stack([np.ones(n), design.s, trait.covariates])
-    z_null = np.column_stack([np.ones(n), trait.covariates])
     sl = slice(1, 1 + p)
 
     if trait.kind == "continuous":
@@ -216,36 +198,30 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
         dof = n - (1 + p + q)
         sigma2 = rss / dof
         cov = sigma2 * _inv_spd(ztz)
-        _, rss0, _ = _ols(y, z_null)
         return FitResult(
             beta_hat=coef[sl],
             alpha_hat=coef[1 + p:],
             intercept=float(coef[0]),
             sigma_beta_hat=cov[sl, sl],
             sigma2_hat=float(sigma2),
-            loglik_alt=_gaussian_loglik(rss, n),
-            loglik_null=_gaussian_loglik(rss0, n),
             converged=True,
             n_used=n,
         )
 
-    coef, loglik, info, converged = _irls(y, z, trait.kind)
+    coef, info, converged = _irls(y, z, trait.kind)
     flag = None
     if not converged:
         flag = "irls did not converge"
-    elif np.max(np.abs(coef)) > _SEPARATION_LIMIT:
+    elif np.max(np.abs(coef[sl])) > _SEPARATION_LIMIT:
         flag = "separation"
         converged = False
     cov = _inv_spd(info)
-    _, loglik0, _, null_ok = _irls(y, z_null, trait.kind)
     return FitResult(
         beta_hat=coef[sl],
         alpha_hat=coef[1 + p:],
         intercept=float(coef[0]),
         sigma_beta_hat=cov[sl, sl],
         sigma2_hat=1.0,
-        loglik_alt=loglik,
-        loglik_null=loglik0 if null_ok else float("nan"),
         converged=converged,
         n_used=n,
         flag=flag,

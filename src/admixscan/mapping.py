@@ -3,14 +3,13 @@
 Stage 1 fits one locus at a time, averages the Bayes factor over the
 retained imputations, and selects loci whose averaged log10 Bayes factor
 clears the threshold.  Stage 2 refits every subset of the selected loci
-jointly and ranks the subsets.  Both stages are embarrassingly parallel
-and reduce deterministically, so results do not depend on worker count.
+jointly and ranks the subsets.  Both stages score one locus set at a
+time, in a fixed order, so repeated runs give identical results.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +74,7 @@ def _bf_over_imputations(draws, trait, columns):
     return average_bf(values), sum(1 for v in values if v.flag is None)
 
 
-def _map_tasks(worker, tasks, workers):
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
-def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA, workers=None) -> ScanResult:
+def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA) -> ScanResult:
     """Marginal scan: one Bayes factor per locus, averaged over imputations."""
     if draws.n_subjects != trait.n_subjects:
         raise ValueError(
@@ -101,7 +93,7 @@ def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA, workers=None) -> S
             flag=avg.flag,
         )
 
-    stage1 = _map_tasks(scan_one, range(draws.n_loci), workers)
+    stage1 = [scan_one(j) for j in range(draws.n_loci)]
     skipped = [r.locus_id for r in stage1 if r.flag is not None]
     return ScanResult(
         stage1=stage1,
@@ -116,8 +108,7 @@ def _count_subsets(n, max_cardinality):
 
 
 def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
-                 max_cardinality=None, subset_cap=DEFAULT_SUBSET_CAP,
-                 workers=None) -> ScanResult:
+                 max_cardinality=None, subset_cap=DEFAULT_SUBSET_CAP) -> ScanResult:
     """Joint refits over all subsets of the stage-1 selections, ranked.
 
     With exactly one selected locus there is nothing to combine and the
@@ -158,11 +149,10 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
         for combo in itertools.combinations(sorted(selected), k)
     ]
 
-    def scan_subset(combo):
-        avg, _ = _bf_over_imputations(draws, trait, list(combo))
-        return combo, avg
-
-    scored = _map_tasks(scan_subset, subsets, workers)
+    scored = [
+        (combo, _bf_over_imputations(draws, trait, list(combo))[0])
+        for combo in subsets
+    ]
     usable = [(combo, avg) for combo, avg in scored if avg.flag is None]
     dropped = [
         {"subset": list(combo), "flag": avg.flag}

@@ -14,9 +14,10 @@ where W is the Wald quadratic form of the fit.  Note sigma2 cancels out of
 T once Sigma_beta_hat already is the estimated covariance of beta_hat; the
 fit supplies exactly that, so W = beta' Sigma_beta_hat^-1 beta.
 
-The dispersion tau is set empirically, by maximising the Bayes factor over
-a wide bracket; data consistent with the null drive the maximiser to the
-lower bracket edge, which is returned as-is and yields BF <= 1.
+The dispersion tau is set empirically: the Bayes factor's maximiser over
+tau is the root of a quadratic (see :func:`estimate_tau_eb`), clamped to a
+wide bracket.  Data consistent with the null (W <= p) put the maximiser at
+the lower bracket edge, which is returned as-is and yields BF <= 1.
 """
 from __future__ import annotations
 
@@ -28,8 +29,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.special import logsumexp
 
 TAU_BRACKET = (1e-8, 1e4)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LOG10_TOL = 4e-9   # ~1e-8 relative tolerance on tau
 
 
 @dataclass
@@ -113,70 +112,68 @@ def log_bf(wald, p, n_tau):
     return math.log1p(t / p) - (p / 2.0 + 1.0) * math.log1p(n_tau) + t / 2.0
 
 
-def estimate_tau_eb(fit, n_subjects, bracket=TAU_BRACKET):
-    """Empirical dispersion: maximise the Bayes factor over a wide bracket.
+def _tau_from_wald(wald, p, n_subjects, bracket=TAU_BRACKET):
+    # With x = n*tau, d log BF / dx = 0 reduces to A x^2 - B x - C = 0 with
+    # A = (p+2)(W+p) > 0, B = W^2 - 2p(p+2), C = (p+2)(W-p).  For W > p it
+    # has exactly one positive root, where log BF turns from rising to
+    # falling; for W <= p log BF falls for every x > 0.
+    if wald <= p:
+        return bracket[0]
+    a = (p + 2.0) * (wald + p)
+    b = wald * wald - 2.0 * p * (p + 2.0)
+    c = (p + 2.0) * (wald - p)
+    n_tau = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return min(max(n_tau / n_subjects, bracket[0]), bracket[1])
 
-    Golden-section search on log10(tau); when the objective peaks at the
-    lower edge (null-consistent data) the exact lower bound is returned.
+
+def estimate_tau_eb(fit, n_subjects, bracket=TAU_BRACKET):
+    """Empirical dispersion: the tau in ``bracket`` maximising the Bayes factor.
+
+    Closed form: the stationary point of log BF in ``n*tau`` is the positive
+    root of a quadratic, clamped to the bracket.  Null-consistent data
+    (W <= p) return the exact lower bound.
     """
     if not fit.converged:
         raise ValueError("cannot estimate tau from a flagged fit")
-    w = wald_statistic(fit)
-    p = fit.p
-    lo, hi = math.log10(bracket[0]), math.log10(bracket[1])
-
-    def objective(log10_tau):
-        return log_bf(w, p, n_subjects * 10.0 ** log10_tau)
-
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (b - a) > _LOG10_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(d)
-    best = 0.5 * (a + b)
-    if objective(lo) >= objective(best):
-        return bracket[0]
-    return 10.0 ** best
+    return _tau_from_wald(wald_statistic(fit), fit.p, n_subjects, bracket)
 
 
-def bayes_factor(fit, tau_hat, n_subjects) -> BfValue:
-    """Closed-form Bayes factor at the supplied dispersion."""
-    p = fit.p
+def _usable_wald(fit):
+    """Wald statistic of a usable fit; ValueError saying why a fit is not."""
     if not fit.converged:
-        return BfValue.flagged(fit.flag or "fit not converged", p=p)
-    try:
-        w = wald_statistic(fit)
-    except ValueError as exc:
-        return BfValue.flagged(str(exc), p=p)
+        raise ValueError(fit.flag or "fit not converged")
+    w = wald_statistic(fit)
     if not np.isfinite(w):
-        return BfValue.flagged("non-finite quadratic statistic", p=p)
+        raise ValueError("non-finite quadratic statistic")
+    return w
+
+
+def _bf_value(wald, p, n_subjects, tau_hat) -> BfValue:
     n_tau = n_subjects * tau_hat
-    t = n_tau / (1.0 + n_tau) * w
     return BfValue(
-        log10_bf=log_bf(w, p, n_tau) / math.log(10.0),
-        t_stat=t,
+        log10_bf=log_bf(wald, p, n_tau) / math.log(10.0),
+        t_stat=n_tau / (1.0 + n_tau) * wald,
         tau_hat=float(tau_hat),
         p=p,
     )
 
 
-def bf_for_fit(fit, n_subjects) -> BfValue:
-    """Estimate the dispersion empirically, then evaluate the Bayes factor."""
-    if not fit.converged:
-        return BfValue.flagged(fit.flag or "fit not converged", p=fit.p)
+def bayes_factor(fit, tau_hat, n_subjects) -> BfValue:
+    """Closed-form Bayes factor at the supplied dispersion."""
     try:
-        tau_hat = estimate_tau_eb(fit, n_subjects)
+        w = _usable_wald(fit)
     except ValueError as exc:
         return BfValue.flagged(str(exc), p=fit.p)
-    return bayes_factor(fit, tau_hat, n_subjects)
+    return _bf_value(w, fit.p, n_subjects, tau_hat)
+
+
+def bf_for_fit(fit, n_subjects) -> BfValue:
+    """Estimate the dispersion empirically, then evaluate the Bayes factor."""
+    try:
+        w = _usable_wald(fit)
+    except ValueError as exc:
+        return BfValue.flagged(str(exc), p=fit.p)
+    return _bf_value(w, fit.p, n_subjects, _tau_from_wald(w, fit.p, n_subjects))
 
 
 def average_bf(values, weights=None) -> BfValue:

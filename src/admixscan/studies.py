@@ -46,7 +46,7 @@ class NullStudyResult:
 
 
 def null_study(n_subjects, n_loci, n_replicates, trait_kind, alpha, delta,
-               seed, workers=None) -> NullStudyResult:
+               seed) -> NullStudyResult:
     """Per-locus false-selection rates under the no-association model."""
     rng = np.random.default_rng(seed)
     rates = np.empty(n_replicates)
@@ -57,7 +57,7 @@ def null_study(n_subjects, n_loci, n_replicates, trait_kind, alpha, delta,
         trait = simulate_traits(
             np.empty((n_subjects, 0)), trait_kind, alpha, 0.0, np.empty(0), rng
         )
-        result = stage1_scan(_wrap_draws(s), trait, delta=delta, workers=workers)
+        result = stage1_scan(_wrap_draws(s), trait, delta=delta)
         hits = sum(r.selected for r in result.stage1)
         rates[rep] = hits / n_loci
         rows.append({"replicate": rep, "hits": hits, "rate": rates[rep]})
@@ -110,7 +110,7 @@ class MultilocusStudyResult:
 
 
 def multilocus_study(n_subjects, n_replicates, trait_kind, c, delta, seed,
-                     max_cardinality=3, workers=None) -> MultilocusStudyResult:
+                     max_cardinality=3) -> MultilocusStudyResult:
     """Two-causal-locus benchmark scored by region, before and after stage 2."""
     rng = np.random.default_rng(seed)
     sel_region = rep_region = 0
@@ -126,11 +126,10 @@ def multilocus_study(n_subjects, n_replicates, trait_kind, c, delta, seed,
         )
         draws = _wrap_draws(chromo.s)
         result = stage2_joint(
-            stage1_scan(draws, trait, delta=delta, workers=workers),
+            stage1_scan(draws, trait, delta=delta),
             draws,
             trait,
             max_cardinality=max_cardinality,
-            workers=workers,
         )
         in_region = np.isin(chromo.regions, ("REG1", "REG2"))
         in_reg3 = chromo.regions == "REG3"

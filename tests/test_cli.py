@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,21 +133,20 @@ class TestDeterminism:
             tmp / "c" / "draws.adx"
         )
 
-    def test_worker_count_does_not_change_scan(self, dataset):
+    def test_repeated_scan_byte_identical(self, dataset):
         tmp, paths = dataset
         main(impute_args(paths, tmp / "imp"))
-        for out, workers in (("w1", "1"), ("w3", "3")):
+        for out in ("s1", "s2"):
             assert main(
                 [
                     "scan",
                     "--draws", str(tmp / "imp" / "draws.adx"),
                     "--phenotype", str(paths["pheno"]),
                     "--out-dir", str(tmp / out),
-                    "--workers", workers,
                 ]
             ) == 0
-        assert read_bytes(tmp / "w1" / "stage1.tsv") == read_bytes(
-            tmp / "w3" / "stage1.tsv"
+        assert read_bytes(tmp / "s1" / "stage1.tsv") == read_bytes(
+            tmp / "s2" / "stage1.tsv"
         )
 
     def test_rerun_from_manifest_reproduces_outputs(self, dataset):
@@ -159,6 +159,31 @@ class TestDeterminism:
         assert read_bytes(tmp / "imp" / "draws.adx") == read_bytes(
             tmp / "imp2" / "draws.adx"
         )
+
+    def test_rerun_from_another_directory(self, dataset, monkeypatch):
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        (tmp / "a").mkdir()
+        (tmp / "b").mkdir()
+        monkeypatch.chdir(tmp / "a")
+        assert main(
+            [
+                "scan",
+                "--draws", "../imp/draws.adx",
+                "--phenotype", "../pheno.tsv",
+                "--out-dir", "scan",
+            ]
+        ) == 0
+        monkeypatch.chdir(tmp / "b")
+        assert main(
+            ["rerun", "../a/scan/manifest.json", "--out-dir", "replay"]
+        ) == 0
+        assert read_bytes(tmp / "b" / "replay" / "stage1.tsv") == read_bytes(
+            tmp / "a" / "scan" / "stage1.tsv"
+        )
+        record = json.loads((tmp / "a" / "scan" / "manifest.json").read_text())
+        for key in ("draws", "phenotype", "out_dir"):
+            assert Path(record["config"][key]).is_absolute()
 
 
 class TestSimulateCommand:

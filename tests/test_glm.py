@@ -161,6 +161,26 @@ class TestIrlsFit:
         assert not fit.converged
         assert fit.flag is not None
 
+    def test_large_covariate_coefficient_not_flagged(self, rng):
+        # a covariate with a small spread carries a large coefficient; only
+        # the ancestry coefficients can signal separation, so rescaling the
+        # covariate changes neither the flags nor the Bayes factors
+        n = 1000
+        s_raw = rng.integers(0, 3, size=(n, 3))
+        x = 0.02 * rng.standard_normal(n)
+        y = (rng.random(n) < expit(40.0 * x)).astype(float)
+        bfs = {}
+        for scale in (1.0, 100.0):
+            trait = TraitData(y=y, kind="binary", covariates=scale * x[:, None])
+            for j in range(3):
+                fit = fit_glm(trait, center_ancestries(s_raw[:, [j]]))
+                assert fit.converged and fit.flag is None
+                if scale == 1.0:
+                    assert abs(fit.alpha_hat[0]) > 15.0
+                bfs[scale, j] = bf_for_fit(fit, n).log10_bf
+        for j in range(3):
+            assert bfs[1.0, j] == pytest.approx(bfs[100.0, j], abs=1e-8)
+
     def test_flagged_fit_propagates_to_flagged_bf(self):
         s_raw = np.array([[0]] * 20 + [[2]] * 20)
         y = np.array([0.0] * 20 + [1.0] * 20)

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.optimize import minimize_scalar
+from scipy.special import expit
 
-from admixscan.glm import TraitData, center_ancestries, fit_glm
+from admixscan.glm import FitResult, TraitData, center_ancestries, fit_glm
+from admixscan.hmm import AncestryDraws
+from admixscan.mapping import stage1_scan, stage2_joint
 from admixscan.qnm import (
     BfValue,
     QnmSpec,
@@ -114,16 +118,12 @@ class TestTauEstimate:
         assert tau_grid / spacing <= tau_hat <= tau_grid * spacing
 
     def test_null_consistent_data_returns_lower_bound(self):
-        from admixscan.glm import FitResult
-
         fit = FitResult(
             beta_hat=np.zeros(1),
             alpha_hat=np.empty(0),
             intercept=0.0,
             sigma_beta_hat=np.eye(1) * 0.01,
             sigma2_hat=1.0,
-            loglik_alt=0.0,
-            loglik_null=0.0,
             converged=True,
             n_used=100,
         )
@@ -133,22 +133,124 @@ class TestTauEstimate:
         assert 10 ** bf.log10_bf <= 1.0
 
     def test_flagged_fit_rejected(self):
-        from admixscan.glm import FitResult
-
         fit = FitResult(
             beta_hat=np.zeros(1),
             alpha_hat=np.empty(0),
             intercept=0.0,
             sigma_beta_hat=np.eye(1),
             sigma2_hat=1.0,
-            loglik_alt=0.0,
-            loglik_null=0.0,
             converged=False,
             n_used=10,
             flag="separation",
         )
         with pytest.raises(ValueError):
             estimate_tau_eb(fit, 10)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_closed_form_matches_bounded_search(self, p):
+        # reference: a bounded numerical maximisation over log10(tau) plus
+        # both bracket edges; the closed form may only beat it
+        lo, hi = (math.log10(t) for t in TAU_BRACKET)
+        for w_target in (1e-6, 0.5, p, p + 1e-7, 6.0, 1e4, 1e8, 1e12):
+            fit = FitResult(
+                beta_hat=np.r_[math.sqrt(w_target), np.zeros(p - 1)],
+                alpha_hat=np.empty(0),
+                intercept=0.0,
+                sigma_beta_hat=np.eye(p),
+                sigma2_hat=1.0,
+                converged=True,
+                n_used=20,
+            )
+            w = wald_statistic(fit)
+            for n in (20, 1000, 100000):
+                def log10_bf(log10_tau):
+                    return log_bf(w, p, n * 10.0 ** log10_tau) / math.log(10.0)
+
+                inner = minimize_scalar(lambda u: -log10_bf(u), bounds=(lo, hi),
+                                        method="bounded",
+                                        options={"xatol": 1e-10})
+                ref_u, ref = max(
+                    ((u, log10_bf(u)) for u in (inner.x, lo, hi)),
+                    key=lambda item: item[1],
+                )
+                tau_hat = estimate_tau_eb(fit, n)
+                assert TAU_BRACKET[0] <= tau_hat <= TAU_BRACKET[1]
+                if w <= p:
+                    assert tau_hat == TAU_BRACKET[0]
+                got = log_bf(w, p, n * tau_hat) / math.log(10.0)
+                # at W = 1e8 log10 BF is ~2e7, whose float spacing (~4e-9)
+                # exceeds 1e-10: allow rounding of the value itself
+                assert got >= ref - 1e-10 - 4 * math.ulp(ref), (w, n)
+                if lo < ref_u < hi:
+                    assert got == pytest.approx(ref, abs=1e-8), (w, n)
+
+
+def golden_dataset(kind, n=300, n_loci=5, m=3, seed=2011):
+    """Seeded scan input: m imputations that differ in ~10% of cells."""
+    rng = np.random.default_rng(seed)
+    s = rng.binomial(2, rng.uniform(0.55, 0.9, n_loci), size=(n, n_loci))
+    draws = np.repeat(s[None], m, axis=0)
+    redraw = rng.random(draws.shape) < 0.1
+    draws[redraw] = rng.integers(0, 3, size=int(redraw.sum()))
+    x = rng.standard_normal(n)
+    eta = (0.35 * (s[:, 1] - s[:, 1].mean()) + 0.3 * (s[:, 3] - s[:, 3].mean())
+           + 0.4 * x)
+    if kind == "continuous":
+        y = eta + rng.standard_normal(n)
+    elif kind == "binary":
+        y = (rng.random(n) < expit(eta - 0.2)).astype(float)
+    else:
+        y = rng.poisson(np.exp(0.3 + 0.5 * eta)).astype(float)
+    anc = AncestryDraws(draws=draws.astype(np.int8), sweep_index=np.arange(m),
+                        marker_ids=None)
+    return anc, TraitData(y=y, kind=kind, covariates=x[:, None])
+
+
+# log10 Bayes factors of the golden datasets, recorded when tau was still
+# found by golden-section search and every fit also refit the null model
+GOLDEN_STAGE1 = {
+    "continuous": [0.3684300988408466, 2.5136232563227834, 0.08253262612332969,
+                   0.6086514226704993, -1.64651796470907e-06],
+    "binary": [0.13263120880642454, 0.5818466135878807, 0.005378819203998591,
+               0.6750492166720627, 3.6080474588871444e-05],
+    "count": [0.15282680887092817, 3.854634900232866, 0.0003208648341433719,
+              0.058101172450799224, 4.2372531274429e-06],
+}
+GOLDEN_STAGE2 = [
+    ((1, 3), 2.7497385092456734),
+    ((0, 1, 3), 2.6842426662144465),
+    ((1,), 2.5136232563227834),
+    ((1, 2, 3), 2.502581749218696),
+    ((0, 1), 2.469241531914442),
+    ((0, 1, 2, 3), 2.4420273321006323),
+    ((0, 1, 2), 2.1100193770003),
+    ((1, 2), 2.0913971866253136),
+    ((0, 3), 0.6615663661453773),
+    ((3,), 0.6086514226704993),
+    ((0, 2, 3), 0.5937807448164835),
+    ((2, 3), 0.536322264733274),
+    ((0,), 0.3684300988408466),
+    ((0, 2), 0.22028040765869905),
+    ((2,), 0.08253262612332969),
+]
+
+
+class TestGoldenValues:
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_STAGE1))
+    def test_stage1(self, kind):
+        draws, trait = golden_dataset(kind)
+        result = stage1_scan(draws, trait)
+        assert all(r.flag is None for r in result.stage1)
+        got = [r.log10_bf for r in result.stage1]
+        assert got == pytest.approx(GOLDEN_STAGE1[kind], rel=0, abs=1e-8)
+
+    def test_stage2(self):
+        draws, trait = golden_dataset("continuous")
+        result = stage2_joint(stage1_scan(draws, trait, delta=0.0), draws, trait)
+        assert [e.indices for e in result.stage2] == [c for c, _ in GOLDEN_STAGE2]
+        assert [e.log10_bf for e in result.stage2] == pytest.approx(
+            [v for _, v in GOLDEN_STAGE2], rel=0, abs=1e-8
+        )
 
 
 class TestBayesFactor:
