@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .hmm import AimPanel, AncestryDraws, GenotypeMatrix, MISSING
-from .kernels import active_backend, available_backends, set_backend
+from .kernels import active_backend
 from .sampler import HmmHyperparams, run_mcmc
 
 __all__ = [
@@ -14,7 +14,5 @@ __all__ = [
     "HmmHyperparams",
     "run_mcmc",
     "active_backend",
-    "available_backends",
-    "set_backend",
     "__version__",
 ]

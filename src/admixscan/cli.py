@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fileio, kernels
-from .errors import AdmixscanError
+from . import __version__, fileio
+from .errors import AdmixscanError, DataFormatError
 from .glm import TRAIT_KINDS
 from .mapping import (
     DEFAULT_DELTA,
@@ -53,8 +53,19 @@ def _add_trait_args(parser):
     parser.add_argument("--delta", type=float, default=DEFAULT_DELTA)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+class _ManifestParser(argparse.ArgumentParser):
+    """Parser for a replayed manifest's options.
+
+    A recorded option the command no longer accepts is an input error,
+    reported like any other, not a usage error of the ``rerun`` command line.
+    """
+
+    def error(self, message):
+        raise DataFormatError(message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser):
+    parser = parser_class(
         prog="admixscan",
         description="Local-ancestry imputation and Bayes-factor admixture scan",
     )
@@ -374,7 +385,11 @@ def cmd_rerun(args):
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         argv.extend([flag, str(value)])
-    return main(argv)
+    try:
+        replay = build_parser(_ManifestParser).parse_args(argv)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{args.manifest}: cannot replay: {exc}") from None
+    return _HANDLERS[replay.command](replay)
 
 
 _HANDLERS = {
@@ -393,7 +408,6 @@ def main(argv=None):
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    log.debug("kernel backend: %s", kernels.active_backend())
     try:
         return _HANDLERS[args.command](args)
     except (AdmixscanError, OSError, ValueError) as exc:

@@ -142,22 +142,27 @@ def _ols(y, z):
 
 
 def _link_terms(y, eta, kind):
-    """Mean, IRLS weight and log-likelihood under the canonical link."""
+    """Mean and IRLS weight under the canonical link."""
     if kind == "binary":
         mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        w = np.maximum(mu * (1.0 - mu), 1e-10)
-        return mu, w, float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
+        return mu, np.maximum(mu * (1.0 - mu), 1e-10)
     mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
-    return mu, mu, float(y @ np.log(mu) - mu.sum() - gammaln(y + 1.0).sum())
+    return mu, mu
 
 
 def _irls(y, z, kind):
+    # the count log-likelihood's constant term, sum(log y!), is fixed per fit
+    log_y_fact = gammaln(y + 1.0).sum() if kind == "count" else 0.0
     coef = np.zeros(z.shape[1])
     loglik = -np.inf
     converged = False
     for _ in range(_IRLS_MAX_ITER):
         eta = z @ coef
-        mu, w, new_loglik = _link_terms(y, eta, kind)
+        mu, w = _link_terms(y, eta, kind)
+        if kind == "binary":
+            new_loglik = float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
+        else:
+            new_loglik = float(y @ np.log(mu) - mu.sum() - log_y_fact)
         adj = eta + (y - mu) / w
         wz = z * w[:, None]
         coef, _ = _solve_spd(z.T @ wz, wz.T @ adj)
@@ -168,7 +173,7 @@ def _irls(y, z, kind):
             break
         loglik = new_loglik
     # refresh the information at the final coefficients
-    _, w, _ = _link_terms(y, z @ coef, kind)
+    _, w = _link_terms(y, z @ coef, kind)
     return coef, z.T @ (z * w[:, None]), converged
 
 

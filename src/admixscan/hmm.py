@@ -181,16 +181,16 @@ class AncestryDraws:
         return self.draws.shape[2]
 
 
-def build_observation_matrix(p_a, p_b):
-    """Genotype probabilities given local ancestry.
+def observation_rows(p_a, p_b):
+    """Unvalidated core of :func:`build_observation_matrix`.
 
-    Rows index the ancestry count 0/1/2, columns the observed minor-allele
-    count 0/1/2; each row sums to one.
+    Broadcasts over array arguments: the result has shape ``(3, 3) +
+    broadcast(p_a, p_b).shape``, indexed (ancestry count, genotype, ...).
+    Frequencies of exactly 0 or 1 pass through, which is what lets the
+    sampler report a locus where the forward pass loses all mass.
     """
-    p_a = float(p_a)
-    p_b = float(p_b)
-    if not (0.0 < p_a < 1.0) or not (0.0 < p_b < 1.0):
-        raise ValueError("allele frequencies must lie strictly inside (0, 1)")
+    p_a = np.asarray(p_a, dtype=np.float64)
+    p_b = np.asarray(p_b, dtype=np.float64)
     qa = 1.0 - p_a
     qb = 1.0 - p_b
     return np.array(
@@ -202,12 +202,54 @@ def build_observation_matrix(p_a, p_b):
     )
 
 
+def build_observation_matrix(p_a, p_b):
+    """Genotype probabilities given local ancestry.
+
+    Rows index the ancestry count 0/1/2, columns the observed minor-allele
+    count 0/1/2; each row sums to one.
+    """
+    p_a = float(p_a)
+    p_b = float(p_b)
+    if not (0.0 < p_a < 1.0) or not (0.0 < p_b < 1.0):
+        raise ValueError("allele frequencies must lie strictly inside (0, 1)")
+    return observation_rows(p_a, p_b)
+
+
+def hwe_rows(rho):
+    """Unvalidated core of :func:`initial_state_vector`; shape ``(3,) + rho.shape``."""
+    return np.array([(1.0 - rho) * (1.0 - rho), 2.0 * rho * (1.0 - rho), rho * rho])
+
+
 def initial_state_vector(rho):
     """Hardy-Weinberg ancestry distribution for admixture proportion rho."""
     rho = float(rho)
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [0, 1]")
-    return np.array([(1.0 - rho) ** 2, 2.0 * rho * (1.0 - rho), rho * rho])
+    return hwe_rows(rho)
+
+
+def transition_kernels(rho):
+    """Unvalidated core of :func:`conditional_transition_matrices`.
+
+    Broadcasts over an array of admixture proportions: the result has shape
+    ``(3, 3, 3) + rho.shape``, indexed (recombination count, from-state,
+    to-state, ...).
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    zero = np.zeros_like(rho)
+    one = zero + 1.0
+    hwe = hwe_rows(rho)
+    return np.array(
+        [
+            [[one, zero, zero], [zero, one, zero], [zero, zero, one]],
+            [
+                [1.0 - rho, rho, zero],
+                [0.5 * (1.0 - rho), zero + 0.5, 0.5 * rho],
+                [zero, 1.0 - rho, rho],
+            ],
+            [hwe, hwe, hwe],
+        ]
+    )
 
 
 def conditional_transition_matrices(rho):
@@ -221,15 +263,7 @@ def conditional_transition_matrices(rho):
     rho = float(rho)
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must lie in [0, 1]")
-    q = np.empty((3, 3, 3))
-    q[0] = np.eye(3)
-    q[1] = [
-        [1.0 - rho, rho, 0.0],
-        [0.5 * (1.0 - rho), 0.5, 0.5 * rho],
-        [0.0, 1.0 - rho, rho],
-    ]
-    q[2] = np.tile(initial_state_vector(rho), (3, 1))
-    return q
+    return transition_kernels(rho)
 
 
 def build_transition_matrix(rho, gamma):

@@ -1,397 +1,143 @@
 """Hot inner-loop kernels for the ancestry sampler.
 
-Two backends expose identical signatures:
-
-* ``"numba"`` -- @njit loops, parallel across subjects where profitable
-  (default whenever numba imports);
-* ``"numpy"`` -- vectorised fallback, always available.
-
-Set ``ADMIXSCAN_NUMBA=0`` in the environment to force the numpy backend,
-or call :func:`set_backend` at runtime (the benchmark does).
+One numpy implementation per sweep step.  The emission rows and the
+transition kernels come from :mod:`admixscan.hmm`, the only place they are
+written.
 
 Every sampling kernel takes pre-drawn uniforms instead of a generator, so
-its output is a pure function of its inputs: thread count, scheduling and
-backend choice cannot change which variates are consumed.  A categorical
-draw over weights (w0, w1, w2) with uniform u picks the first category
-whose cumulative normalised weight exceeds u; both backends implement
-exactly that rule.
+its output is a pure function of its inputs.  A categorical draw over
+weights (w0, w1, w2) with uniform u picks the first category whose
+cumulative normalised weight exceeds u.
+
+Ancestry paths are drawn by forward filtering, backward sampling (Scott
+2002, JASA) with states on the leading axis: the forward pass keeps only
+the filtered vectors, shape ``(n_loci, 3, n_subjects)``, and the backward
+weights of state m at locus j are ``filt[j, m] * T[m, s_{j+1}]`` for the
+kernel T of the recombination count on the next interval.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ForwardUnderflowError
-
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range
+from .hmm import observation_rows, transition_kernels
 
 
-# ---------------------------------------------------------------------------
-# numba backend: scalar helpers plus loop kernels
-# ---------------------------------------------------------------------------
+def active_backend():
+    """Name of the kernel implementation, recorded in benchmark runs."""
+    return "numpy"
 
 
-@njit(cache=True, inline="always")
-def _obs_prob(p_a, p_b, state, x):
-    if state == 0:
-        if x == 0:
-            return (1.0 - p_b) * (1.0 - p_b)
-        if x == 1:
-            return 2.0 * p_b * (1.0 - p_b)
-        return p_b * p_b
-    if state == 1:
-        if x == 0:
-            return (1.0 - p_a) * (1.0 - p_b)
-        if x == 1:
-            return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
-        return p_a * p_b
-    if x == 0:
-        return (1.0 - p_a) * (1.0 - p_a)
-    if x == 1:
-        return 2.0 * p_a * (1.0 - p_a)
-    return p_a * p_a
+def _draw3(w, u):
+    """Categorical draws over the three rows of ``w`` (3, n), one per column."""
+    tot = w[0] + w[1] + w[2]
+    c0 = w[0] / tot
+    c1 = c0 + w[1] / tot
+    return (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
 
 
-@njit(cache=True, inline="always")
-def _pick3(w0, w1, w2, u):
-    tot = w0 + w1 + w2
-    c = w0 / tot
-    if u < c:
-        return 0
-    c += w1 / tot
-    if u < c:
-        return 1
-    return 2
+def _has_no_mass(tot):
+    return ~((tot > 0.0) & np.isfinite(tot))
 
 
-@njit(cache=True, parallel=True)
-def _ffbs_numba(x, r, chrom_start, p_a, p_b, rho, u, s_out, err):
+def ffbs_paths(x, r, chrom_start, p_a, p_b, rho, u):
+    """Sample one ancestry path per subject from its joint full conditional.
+
+    ``x`` must be fully imputed (no MISSING entries); ``u`` supplies one
+    uniform per (subject, locus) for the backward draws.  Raises
+    :class:`ForwardUnderflowError` naming the first locus, and the first
+    subject there, whose forward mass vanishes.
+    """
+    x = np.asarray(x)
+    r = np.asarray(r)
     n_sub, n_loc = x.shape
-    for i in prange(n_sub):
-        ri = rho[i]
-        h0 = (1.0 - ri) * (1.0 - ri)
-        h1 = 2.0 * ri * (1.0 - ri)
-        h2 = ri * ri
-        q1 = np.empty((3, 3))
-        q1[0, 0] = 1.0 - ri
-        q1[0, 1] = ri
-        q1[0, 2] = 0.0
-        q1[1, 0] = 0.5 * (1.0 - ri)
-        q1[1, 1] = 0.5
-        q1[1, 2] = 0.5 * ri
-        q1[2, 0] = 0.0
-        q1[2, 1] = 1.0 - ri
-        q1[2, 2] = ri
-
-        pair = np.empty((n_loc, 3, 3))
-        filt = np.empty((n_loc, 3))
-        failed = -1
-        for j in range(n_loc):
-            xv = x[i, j]
-            o0 = _obs_prob(p_a[j], p_b[j], 0, xv)
-            o1 = _obs_prob(p_a[j], p_b[j], 1, xv)
-            o2 = _obs_prob(p_a[j], p_b[j], 2, xv)
-            if chrom_start[j]:
-                f0 = h0 * o0
-                f1 = h1 * o1
-                f2 = h2 * o2
-                tot = f0 + f1 + f2
-                if not (tot > 0.0) or not np.isfinite(tot):
-                    failed = j
-                    break
-                filt[j, 0] = f0 / tot
-                filt[j, 1] = f1 / tot
-                filt[j, 2] = f2 / tot
-            else:
-                rij = r[i, j]
-                tot = 0.0
-                for m in range(3):
-                    fm = filt[j - 1, m]
-                    for n in range(3):
-                        if rij == 0:
-                            t = 1.0 if m == n else 0.0
-                        elif rij == 1:
-                            t = q1[m, n]
-                        else:
-                            t = h0 if n == 0 else (h1 if n == 1 else h2)
-                        on = o0 if n == 0 else (o1 if n == 1 else o2)
-                        v = fm * t * on
-                        pair[j, m, n] = v
-                        tot += v
-                if not (tot > 0.0) or not np.isfinite(tot):
-                    failed = j
-                    break
-                for m in range(3):
-                    for n in range(3):
-                        pair[j, m, n] /= tot
-                for n in range(3):
-                    filt[j, n] = pair[j, 0, n] + pair[j, 1, n] + pair[j, 2, n]
-        if failed >= 0:
-            err[i] = failed
-            continue
-        err[i] = -1
-        for j in range(n_loc - 1, -1, -1):
-            if j == n_loc - 1 or chrom_start[j + 1]:
-                s_out[i, j] = _pick3(filt[j, 0], filt[j, 1], filt[j, 2], u[i, j])
-            else:
-                nn = s_out[i, j + 1]
-                s_out[i, j] = _pick3(
-                    pair[j + 1, 0, nn],
-                    pair[j + 1, 1, nn],
-                    pair[j + 1, 2, nn],
-                    u[i, j],
-                )
-
-
-@njit(cache=True, parallel=True)
-def _recomb_numba(s, chrom_start, gamma, rho, u, r_out, err):
-    n_sub, n_loc = s.shape
-    for i in prange(n_sub):
-        ri = rho[i]
-        h0 = (1.0 - ri) * (1.0 - ri)
-        h1 = 2.0 * ri * (1.0 - ri)
-        h2 = ri * ri
-        q1 = np.empty((3, 3))
-        q1[0, 0] = 1.0 - ri
-        q1[0, 1] = ri
-        q1[0, 2] = 0.0
-        q1[1, 0] = 0.5 * (1.0 - ri)
-        q1[1, 1] = 0.5
-        q1[1, 2] = 0.5 * ri
-        q1[2, 0] = 0.0
-        q1[2, 1] = 1.0 - ri
-        q1[2, 2] = ri
-        err[i] = -1
-        for j in range(n_loc):
-            if chrom_start[j]:
-                r_out[i, j] = 0
-                continue
-            g = gamma[j]
-            m = s[i, j - 1]
-            n = s[i, j]
-            w0 = (1.0 - g) * (1.0 - g) if m == n else 0.0
-            w1 = 2.0 * g * (1.0 - g) * q1[m, n]
-            hw = h0 if n == 0 else (h1 if n == 1 else h2)
-            w2 = g * g * hw
-            tot = w0 + w1 + w2
-            if not (tot > 0.0) or not np.isfinite(tot):
-                err[i] = j
-                break
-            r_out[i, j] = _pick3(w0, w1, w2, u[i, j])
-
-
-@njit(cache=True)
-def _impute_numba(x, missing, s, p_a, p_b, u, out):
-    n_sub, n_loc = x.shape
-    for i in range(n_sub):
-        for j in range(n_loc):
-            if missing[i, j]:
-                st = s[i, j]
-                w0 = _obs_prob(p_a[j], p_b[j], st, 0)
-                w1 = _obs_prob(p_a[j], p_b[j], st, 1)
-                w2 = _obs_prob(p_a[j], p_b[j], st, 2)
-                out[i, j] = _pick3(w0, w1, w2, u[i, j])
-            else:
-                out[i, j] = x[i, j]
-
-
-@njit(cache=True)
-def _geno_counts_numba(s, x, out):
-    n_sub, n_loc = s.shape
-    for i in range(n_sub):
-        for j in range(n_loc):
-            out[j, s[i, j], x[i, j]] += 1
-
-
-@njit(cache=True)
-def _rho_counts_numba(s, r, chrom_start, a_out, b_out):
-    n_sub, n_loc = s.shape
-    for i in range(n_sub):
-        a = 0.0
-        b = 0.0
-        for j in range(n_loc):
-            n = s[i, j]
-            if chrom_start[j]:
-                a += n
-                b += 2 - n
-                continue
-            rij = r[i, j]
-            if rij == 1:
-                m = s[i, j - 1]
-                if (m == 0 and n == 1) or (m == 1 and n == 2) or (m == 2 and n == 2):
-                    a += 1.0
-                elif (m == 0 and n == 0) or (m == 1 and n == 0) or (m == 2 and n == 1):
-                    b += 1.0
-                # the 1 -> 1 transition carries no information on rho
-            elif rij == 2:
-                a += n
-                b += 2 - n
-        a_out[i] = a
-        b_out[i] = b
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-
-def _obs_matrix(p_a, p_b):
-    qa = 1.0 - p_a
-    qb = 1.0 - p_b
-    return np.array(
-        [
-            [qb * qb, 2.0 * p_b * qb, p_b * p_b],
-            [qa * qb, p_a * qb + p_b * qa, p_a * p_b],
-            [qa * qa, 2.0 * p_a * qa, p_a * p_a],
-        ]
-    )
-
-
-def _transition_stacks(rho):
-    """Per-subject single- and double-recombination kernels."""
-    n = rho.shape[0]
-    one = np.empty((n, 3, 3))
-    one[:, 0, 0] = 1.0 - rho
-    one[:, 0, 1] = rho
-    one[:, 0, 2] = 0.0
-    one[:, 1, 0] = 0.5 * (1.0 - rho)
-    one[:, 1, 1] = 0.5
-    one[:, 1, 2] = 0.5 * rho
-    one[:, 2, 0] = 0.0
-    one[:, 2, 1] = 1.0 - rho
-    one[:, 2, 2] = rho
-    hwe = np.stack([(1.0 - rho) ** 2, 2.0 * rho * (1.0 - rho), rho ** 2], axis=1)
-    return one, hwe
-
-
-def _draw3_rows(w, u):
-    tot = w.sum(axis=1)
-    c0 = w[:, 0] / tot
-    c1 = c0 + w[:, 1] / tot
-    return ((u >= c0).astype(np.int8) + (u >= c1).astype(np.int8))
-
-
-def _ffbs_numpy(x, r, chrom_start, p_a, p_b, rho, u, s_out, err):
-    n_sub, n_loc = x.shape
-    one, hwe = _transition_stacks(rho)
-    full = np.empty((n_sub, 3, 3, 3))
-    full[:, 0] = np.eye(3)
-    full[:, 1] = one
-    full[:, 2] = hwe[:, None, :]
     rows = np.arange(n_sub)
+    emit = observation_rows(p_a, p_b)
+    kern = transition_kernels(rho)   # (recombinations, from, to, subject)
+    hwe = kern[2, 0]
 
-    pair = np.empty((n_loc, n_sub, 3, 3))
-    filt = np.empty((n_loc, n_sub, 3))
-    err[:] = -1
+    filt = np.empty((n_loc, 3, n_sub))
     for j in range(n_loc):
-        pj = _obs_matrix(p_a[j], p_b[j])
-        obs = pj[:, x[:, j]].T  # (n_sub, 3): likelihood of x over states
         if chrom_start[j]:
-            f = hwe * obs
-            tot = f.sum(axis=1)
-            bad = ~((tot > 0.0) & np.isfinite(tot))
-            if bad.any():
-                err[bad] = j
-                return
-            filt[j] = f / tot[:, None]
+            f = hwe * emit[:, x[:, j], j]
         else:
-            t = full[rows, r[:, j]]
-            q = filt[j - 1][:, :, None] * t * obs[:, None, :]
-            tot = q.sum(axis=(1, 2))
-            bad = ~((tot > 0.0) & np.isfinite(tot))
-            if bad.any():
-                err[bad] = j
-                return
-            pair[j] = q / tot[:, None, None]
-            filt[j] = pair[j].sum(axis=1)
+            t = kern[r[:, j], :, :, rows]   # (subject, from, to)
+            f = np.einsum("mi,imn->ni", filt[j - 1], t) * emit[:, x[:, j], j]
+        tot = f[0] + f[1] + f[2]
+        bad = _has_no_mass(tot)
+        if bad.any():
+            raise ForwardUnderflowError(int(np.flatnonzero(bad)[0]), j)
+        np.divide(f, tot, out=filt[j])
 
+    s = np.empty((n_sub, n_loc), dtype=np.int8)
     for j in range(n_loc - 1, -1, -1):
-        if j == n_loc - 1 or chrom_start[j + 1]:
-            w = filt[j]
-        else:
-            w = pair[j + 1][rows, :, s_out[:, j + 1]]
-        s_out[:, j] = _draw3_rows(w, u[:, j])
+        w = filt[j]
+        if j + 1 < n_loc and not chrom_start[j + 1]:
+            w = w * kern[r[:, j + 1], :, s[:, j + 1], rows].T
+        s[:, j] = _draw3(w, u[:, j])
+    return s
 
 
-def _recomb_numpy(s, chrom_start, gamma, rho, u, r_out, err):
-    n_sub, n_loc = s.shape
-    one, hwe = _transition_stacks(rho)
+def recombination_counts(s, chrom_start, gamma, rho, u):
+    """Sample per-interval recombination counts given the ancestry path."""
+    s = np.asarray(s)
+    chrom_start = np.asarray(chrom_start, dtype=bool)
+    n_sub = s.shape[0]
+    kern = transition_kernels(rho)
+    col = np.arange(n_sub)[:, None]
     prev = np.empty_like(s)
     prev[:, 1:] = s[:, :-1]
     prev[:, 0] = s[:, 0]
-    cur = s
-    g = gamma[None, :]
-    w0 = (prev == cur) * (1.0 - g) ** 2
-    w1 = 2.0 * g * (1.0 - g) * one[np.arange(n_sub)[:, None], prev, cur]
-    w2 = g ** 2 * hwe[np.arange(n_sub)[:, None], cur]
+    g = np.asarray(gamma, np.float64)[None, :]
+    w0 = (prev == s) * (1.0 - g) ** 2
+    w1 = 2.0 * g * (1.0 - g) * kern[1, prev, s, col]
+    w2 = g ** 2 * kern[2, 0, s, col]
     tot = w0 + w1 + w2
-    err[:] = -1
-    bad = ~((tot > 0.0) & np.isfinite(tot)) & ~chrom_start[None, :]
+    bad = _has_no_mass(tot) & ~chrom_start[None, :]
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        err[i] = j
-        return
+        raise RuntimeError(
+            f"zero recombination mass at subject {i}, locus {j}; "
+            "gamma or rho left the open unit interval"
+        )
     c0 = w0 / tot
     c1 = c0 + w1 / tot
     drawn = (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
     drawn[:, chrom_start] = 0
-    r_out[:] = drawn
+    return drawn
 
 
-def _impute_numpy(x, missing, s, p_a, p_b, u, out):
-    out[:] = x
-    if not missing.any():
-        return
+def impute_genotypes(x, missing, s, p_a, p_b, u):
+    """Fill MISSING genotype cells from the observation row of the state."""
+    out = np.array(x, dtype=np.int8)
     ii, jj = np.nonzero(missing)
-    pa = p_a[jj]
-    pb = p_b[jj]
-    st = s[ii, jj]
-    w = np.empty((ii.shape[0], 3))
-    for geno in range(3):
-        w0 = np.where(
-            st == 0,
-            [(1 - pb) ** 2, 2 * pb * (1 - pb), pb ** 2][geno],
-            0.0,
-        )
-        w1 = np.where(
-            st == 1,
-            [(1 - pa) * (1 - pb), pa * (1 - pb) + pb * (1 - pa), pa * pb][geno],
-            0.0,
-        )
-        w2 = np.where(
-            st == 2,
-            [(1 - pa) ** 2, 2 * pa * (1 - pa), pa ** 2][geno],
-            0.0,
-        )
-        w[:, geno] = w0 + w1 + w2
-    out[ii, jj] = _draw3_rows(w, u[ii, jj])
+    if ii.size:
+        emit = observation_rows(p_a, p_b)
+        w = emit[np.asarray(s)[ii, jj], :, jj].T
+        out[ii, jj] = _draw3(w, np.asarray(u)[ii, jj])
+    return out
 
 
-def _geno_counts_numpy(s, x, out):
+def genotype_state_counts(s, x):
+    """Per-locus contingency counts n[j, ancestry, genotype]."""
+    s = np.asarray(s)
     n_loc = s.shape[1]
-    j = np.broadcast_to(np.arange(n_loc), s.shape)
-    flat = (j.ravel() * 9 + s.ravel().astype(np.int64) * 3 + x.ravel()).astype(np.int64)
-    out += np.bincount(flat, minlength=9 * n_loc).reshape(n_loc, 3, 3)
+    flat = np.arange(n_loc) * 9 + s.astype(np.int64) * 3 + np.asarray(x)
+    return np.bincount(flat.ravel(), minlength=9 * n_loc).reshape(n_loc, 3, 3)
 
 
-def _rho_counts_numpy(s, r, chrom_start, a_out, b_out):
+def ancestry_count_stats(s, r, chrom_start):
+    """Per-subject success/failure counts for the admixture-proportion update.
+
+    Successes count lineages drawn from the high-risk population: the
+    chromosome-start states, the informative single-recombination
+    transitions, and both lineages of double-recombination arrivals.
+    """
+    s = np.asarray(s)
+    r = np.asarray(r)
+    chrom_start = np.asarray(chrom_start, dtype=bool)
     start = chrom_start[None, :]
-    sc = np.where(start, s, 0)
-    a = sc.sum(axis=1).astype(np.float64)
+    a = np.where(start, s, 0).sum(axis=1).astype(np.float64)
     b = (2.0 * chrom_start.sum()) - a
 
     prev = np.empty_like(s)
@@ -407,151 +153,4 @@ def _rho_counts_numpy(s, r, chrom_start, a_out, b_out):
     r2 = (r == 2) & inner
     a += np.where(r2, s, 0).sum(axis=1)
     b += np.where(r2, 2 - s, 0).sum(axis=1)
-    a_out[:] = a
-    b_out[:] = b
-
-
-# ---------------------------------------------------------------------------
-# backend registry and public wrappers
-# ---------------------------------------------------------------------------
-
-_IMPLS = {
-    "numpy": {
-        "ffbs": _ffbs_numpy,
-        "recomb": _recomb_numpy,
-        "impute": _impute_numpy,
-        "geno_counts": _geno_counts_numpy,
-        "rho_counts": _rho_counts_numpy,
-    }
-}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "ffbs": _ffbs_numba,
-        "recomb": _recomb_numba,
-        "impute": _impute_numba,
-        "geno_counts": _geno_counts_numba,
-        "rho_counts": _rho_counts_numba,
-    }
-
-
-def _env_default():
-    flag = os.environ.get("ADMIXSCAN_NUMBA", "").strip().lower()
-    if flag in {"0", "false", "off", "no"}:
-        return "numpy"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_ACTIVE = _env_default()
-
-
-def available_backends():
-    return sorted(_IMPLS)
-
-
-def active_backend():
-    return _ACTIVE
-
-
-def set_backend(name):
-    """Switch kernel backend; returns the previously active name."""
-    global _ACTIVE
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    previous = _ACTIVE
-    _ACTIVE = name
-    return previous
-
-
-def _prep(arr, dtype):
-    return np.ascontiguousarray(arr, dtype=dtype)
-
-
-def ffbs_paths(x, r, chrom_start, p_a, p_b, rho, u):
-    """Sample one ancestry path per subject from its joint full conditional.
-
-    ``x`` must be fully imputed (no MISSING entries); ``u`` supplies one
-    uniform per (subject, locus) for the backward draws.
-    """
-    x = _prep(x, np.int8)
-    n_sub, n_loc = x.shape
-    s = np.empty((n_sub, n_loc), dtype=np.int8)
-    err = np.full(n_sub, -1, dtype=np.int64)
-    _IMPLS[_ACTIVE]["ffbs"](
-        x,
-        _prep(r, np.int8),
-        _prep(chrom_start, np.bool_),
-        _prep(p_a, np.float64),
-        _prep(p_b, np.float64),
-        _prep(rho, np.float64),
-        _prep(u, np.float64),
-        s,
-        err,
-    )
-    if (err >= 0).any():
-        i = int(np.flatnonzero(err >= 0)[0])
-        raise ForwardUnderflowError(i, err[i])
-    return s
-
-
-def recombination_counts(s, chrom_start, gamma, rho, u):
-    """Sample per-interval recombination counts given the ancestry path."""
-    s = _prep(s, np.int8)
-    n_sub, n_loc = s.shape
-    r = np.zeros((n_sub, n_loc), dtype=np.int8)
-    err = np.full(n_sub, -1, dtype=np.int64)
-    _IMPLS[_ACTIVE]["recomb"](
-        s,
-        _prep(chrom_start, np.bool_),
-        _prep(gamma, np.float64),
-        _prep(rho, np.float64),
-        _prep(u, np.float64),
-        r,
-        err,
-    )
-    if (err >= 0).any():
-        i = int(np.flatnonzero(err >= 0)[0])
-        raise RuntimeError(
-            f"zero recombination mass at subject {i}, locus {int(err[i])}; "
-            "gamma or rho left the open unit interval"
-        )
-    return r
-
-
-def impute_genotypes(x, missing, s, p_a, p_b, u):
-    """Fill MISSING genotype cells from the observation row of the state."""
-    x = _prep(x, np.int8)
-    out = np.empty_like(x)
-    _IMPLS[_ACTIVE]["impute"](
-        x,
-        _prep(missing, np.bool_),
-        _prep(s, np.int8),
-        _prep(p_a, np.float64),
-        _prep(p_b, np.float64),
-        _prep(u, np.float64),
-        out,
-    )
-    return out
-
-
-def genotype_state_counts(s, x):
-    """Per-locus contingency counts n[j, ancestry, genotype]."""
-    s = _prep(s, np.int8)
-    out = np.zeros((s.shape[1], 3, 3), dtype=np.int64)
-    _IMPLS[_ACTIVE]["geno_counts"](s, _prep(x, np.int8), out)
-    return out
-
-
-def ancestry_count_stats(s, r, chrom_start):
-    """Per-subject success/failure counts for the admixture-proportion update.
-
-    Successes count lineages drawn from the high-risk population: the
-    chromosome-start states, the informative single-recombination
-    transitions, and both lineages of double-recombination arrivals.
-    """
-    s = _prep(s, np.int8)
-    a = np.empty(s.shape[0], dtype=np.float64)
-    b = np.empty(s.shape[0], dtype=np.float64)
-    _IMPLS[_ACTIVE]["rho_counts"](
-        s, _prep(r, np.int8), _prep(chrom_start, np.bool_), a, b
-    )
     return a, b

@@ -8,8 +8,8 @@ split at ancestry-heterozygous genotype-heterozygous cells), and the two
 frequency-dispersion parameters via random-walk Metropolis whose step size
 is tuned to a 30-45% acceptance rate during burn-in and then frozen.
 
-All randomness flows through one generator in a fixed order, so a run is
-reproducible from its seed no matter how many threads the kernels use.
+All randomness flows through one generator in a fixed order, and the
+kernels consume pre-drawn uniforms, so a run is reproducible from its seed.
 
 Conditional structure worth knowing before editing:
 

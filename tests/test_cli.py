@@ -274,3 +274,23 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DataFormatError"
         assert "'7'" in record["message"]
+
+    def test_rerun_rejects_unknown_manifest_key(self, tmp_path, capsys):
+        # a manifest recorded with an option the command no longer accepts
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "tool": "admixscan",
+            "version": "0.1.0",
+            "command": "scan",
+            "config": {
+                "draws": str(tmp_path / "draws.adx"),
+                "phenotype": str(tmp_path / "pheno.tsv"),
+                "out_dir": str(tmp_path / "out"),
+                "workers": 2,
+            },
+        }))
+        assert main(["rerun", str(manifest)]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert "--workers" in record["message"]
+        assert str(manifest) in record["message"]

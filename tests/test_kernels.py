@@ -1,7 +1,18 @@
+"""The numpy kernels against plain-Python scalar loops.
+
+The loops below are the reference backend: one subject and one locus at a
+time, with the model tables taken from the independent oracles in
+``conftest`` rather than from the package.  Counts, admixture statistics,
+imputation and recombination counts must match exactly; FFBS paths may
+differ only where a uniform falls within rounding of a cumulative weight.
+"""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from admixscan import kernels
+from conftest import hwe_vector, obs_row, trans_prob
 
 
 @pytest.fixture
@@ -16,48 +27,107 @@ def state(rng):
     return s, x, r, start
 
 
-def both_backends(fn):
-    prev = kernels.active_backend()
-    out = {}
-    try:
-        for name in kernels.available_backends():
-            kernels.set_backend(name)
-            out[name] = fn()
-    finally:
-        kernels.set_backend(prev)
+def pick3(w, u):
+    tot = w[0] + w[1] + w[2]
+    c = w[0] / tot
+    if u < c:
+        return 0
+    c += w[1] / tot
+    if u < c:
+        return 1
+    return 2
+
+
+def ref_ffbs(x, r, chrom_start, p_a, p_b, rho, u):
+    n_sub, n_loc = x.shape
+    s = np.empty((n_sub, n_loc), dtype=np.int8)
+    for i in range(n_sub):
+        pair = np.empty((n_loc, 3, 3))
+        filt = np.empty((n_loc, 3))
+        for j in range(n_loc):
+            obs = np.array([obs_row(p_a[j], p_b[j], k)[x[i, j]] for k in range(3)])
+            if chrom_start[j]:
+                f = hwe_vector(rho[i]) * obs
+                filt[j] = f / f.sum()
+                continue
+            for m in range(3):
+                for n in range(3):
+                    pair[j, m, n] = filt[j - 1, m] * trans_prob(rho[i], r[i, j], m, n) * obs[n]
+            pair[j] /= pair[j].sum()
+            filt[j] = pair[j].sum(axis=0)
+        for j in range(n_loc - 1, -1, -1):
+            if j == n_loc - 1 or chrom_start[j + 1]:
+                s[i, j] = pick3(filt[j], u[i, j])
+            else:
+                s[i, j] = pick3(pair[j + 1, :, s[i, j + 1]], u[i, j])
+    return s
+
+
+def ref_recombination_counts(s, chrom_start, gamma, rho, u):
+    n_sub, n_loc = s.shape
+    out = np.zeros((n_sub, n_loc), dtype=np.int8)
+    for i in range(n_sub):
+        for j in range(n_loc):
+            if chrom_start[j]:
+                continue
+            g = gamma[j]
+            m, n = s[i, j - 1], s[i, j]
+            w0 = (1 - g) ** 2 if m == n else 0.0
+            w1 = 2 * g * (1 - g) * trans_prob(rho[i], 1, m, n)
+            w2 = g ** 2 * hwe_vector(rho[i])[n]
+            out[i, j] = pick3((w0, w1, w2), u[i, j])
     return out
 
 
-def test_set_backend_validates_name():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.set_backend("fortran")
+def ref_impute(x, missing, s, p_a, p_b, u):
+    out = x.copy()
+    for i, j in zip(*np.nonzero(missing)):
+        out[i, j] = pick3(obs_row(p_a[j], p_b[j], s[i, j]), u[i, j])
+    return out
 
 
-def test_set_backend_returns_previous():
-    prev = kernels.active_backend()
-    try:
-        old = kernels.set_backend("numpy")
-        assert old == prev
-    finally:
-        kernels.set_backend(prev)
+def ref_genotype_counts(s, x):
+    out = np.zeros((s.shape[1], 3, 3), dtype=np.int64)
+    for i in range(s.shape[0]):
+        for j in range(s.shape[1]):
+            out[j, s[i, j], x[i, j]] += 1
+    return out
+
+
+def ref_rho_counts(s, r, chrom_start):
+    n_sub, n_loc = s.shape
+    a = np.zeros(n_sub)
+    b = np.zeros(n_sub)
+    for i in range(n_sub):
+        for j in range(n_loc):
+            n = s[i, j]
+            if chrom_start[j] or r[i, j] == 2:
+                a[i] += n
+                b[i] += 2 - n
+            elif r[i, j] == 1:
+                m = s[i, j - 1]
+                if (m, n) in ((0, 1), (1, 2), (2, 2)):
+                    a[i] += 1.0
+                elif (m, n) in ((0, 0), (1, 0), (2, 1)):
+                    b[i] += 1.0
+                # the 1 -> 1 transition carries no information on rho
+    return a, b
 
 
 def test_genotype_state_counts_identical_across_backends(state):
     s, x, _, _ = state
-    results = both_backends(lambda: kernels.genotype_state_counts(s, x))
-    values = list(results.values())
-    for other in values[1:]:
-        assert np.array_equal(values[0], other)
-    assert values[0].sum() == s.size
+    counts = kernels.genotype_state_counts(s, x)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, ref_genotype_counts(s, x))
+    assert counts.sum() == s.size
 
 
 def test_rho_count_stats_identical_across_backends(state):
     s, _, r, start = state
-    results = both_backends(lambda: kernels.ancestry_count_stats(s, r, start))
-    values = list(results.values())
-    for a, b in values[1:]:
-        assert np.array_equal(values[0][0], a)
-        assert np.array_equal(values[0][1], b)
+    a, b = kernels.ancestry_count_stats(s, r, start)
+    ref_a, ref_b = ref_rho_counts(s, r, start)
+    assert np.array_equal(a, ref_a)
+    assert np.array_equal(b, ref_b)
 
 
 def test_impute_identical_across_backends(state, rng):
@@ -66,13 +136,10 @@ def test_impute_identical_across_backends(state, rng):
     p_a = rng.uniform(0.6, 0.95, x.shape[1])
     p_b = rng.uniform(0.05, 0.4, x.shape[1])
     u = rng.random(x.shape)
-    results = both_backends(
-        lambda: kernels.impute_genotypes(x, missing, s, p_a, p_b, u)
-    )
-    values = list(results.values())
-    for other in values[1:]:
-        assert np.array_equal(values[0], other)
-    assert np.array_equal(values[0][~missing], x[~missing])
+    out = kernels.impute_genotypes(x, missing, s, p_a, p_b, u)
+    assert np.array_equal(out, ref_impute(x, missing, s, p_a, p_b, u))
+    assert np.array_equal(out[~missing], x[~missing])
+    assert (out[missing] != x[missing]).any()
 
 
 def test_recombination_counts_identical_across_backends(state, rng):
@@ -80,52 +147,57 @@ def test_recombination_counts_identical_across_backends(state, rng):
     gamma = rng.uniform(0.05, 0.6, s.shape[1])
     rho = rng.uniform(0.5, 0.95, s.shape[0])
     u = rng.random(s.shape)
-    results = both_backends(
-        lambda: kernels.recombination_counts(s, start, gamma, rho, u)
-    )
-    values = list(results.values())
-    for other in values[1:]:
-        assert np.array_equal(values[0], other)
-    assert (values[0][:, start] == 0).all()
+    r = kernels.recombination_counts(s, start, gamma, rho, u)
+    assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
+    assert (r[:, start] == 0).all()
+    assert set(np.unique(r[:, ~start])) == {0, 1, 2}
+
+
+def test_recombination_counts_name_the_zero_mass_cell():
+    s = np.array([[0, 2, 2], [0, 0, 2]], dtype=np.int8)
+    start = np.array([True, False, False])
+    # gamma = 0 forbids any change of state, so subject 0 fails at locus 1
+    with pytest.raises(RuntimeError, match="subject 0, locus 1"):
+        kernels.recombination_counts(
+            s, start, np.zeros(3), np.full(2, 0.5), np.full((2, 3), 0.5)
+        )
 
 
 def test_ffbs_forward_normalisation_consistent(rng):
-    # same inputs, same uniforms: backends sample the same paths except at
-    # measure-zero rounding boundaries, so compare exactly here
+    # same inputs, same uniforms: the kernel and the scalar loop sample the
+    # same paths except where rounding moves a cumulative weight across u
     n_sub, n_loc = 200, 9
     x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
     r = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
-    start[0] = True
-    r[:, 0] = 0
+    start[[0, 5]] = True
+    r[:, start] = 0
     p_a = rng.uniform(0.6, 0.95, n_loc)
     p_b = rng.uniform(0.05, 0.4, n_loc)
     rho = rng.uniform(0.5, 0.95, n_sub)
     u = rng.random((n_sub, n_loc))
-    results = both_backends(
-        lambda: kernels.ffbs_paths(x, r, start, p_a, p_b, rho, u)
-    )
-    values = list(results.values())
-    for other in values[1:]:
-        assert (values[0] == other).mean() > 0.999
+    s = kernels.ffbs_paths(x, r, start, p_a, p_b, rho, u)
+    assert (s == ref_ffbs(x, r, start, p_a, p_b, rho, u)).mean() > 0.999
 
 
-def test_env_flag_documented_values():
-    # the selection helper recognises common falsy spellings
-    for flag, expected in (
-        ("0", "numpy"),
-        ("false", "numpy"),
-        ("off", "numpy"),
-        ("", kernels._env_default()),
-    ):
-        import os
-
-        old = os.environ.get("ADMIXSCAN_NUMBA")
-        try:
-            os.environ["ADMIXSCAN_NUMBA"] = flag
-            assert kernels._env_default() == expected or flag == ""
-        finally:
-            if old is None:
-                os.environ.pop("ADMIXSCAN_NUMBA", None)
-            else:
-                os.environ["ADMIXSCAN_NUMBA"] = old
+def test_ffbs_peak_memory_is_the_filtered_vectors(rng):
+    # the forward pass may keep one float per (locus, state, subject) and
+    # nothing of that order besides: no per-locus pair tensor
+    n_sub, n_loc = 200, 2000
+    x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
+    r = rng.choice(3, p=[0.9, 0.09, 0.01], size=(n_sub, n_loc)).astype(np.int8)
+    start = np.zeros(n_loc, dtype=bool)
+    start[::500] = True
+    r[:, start] = 0
+    p_a = rng.uniform(0.55, 0.95, n_loc)
+    p_b = rng.uniform(0.05, 0.45, n_loc)
+    rho = rng.uniform(0.5, 0.95, n_sub)
+    u = rng.random((n_sub, n_loc))
+    filtered_bytes = n_loc * 3 * n_sub * 8
+    tracemalloc.start()
+    try:
+        kernels.ffbs_paths(x, r, start, p_a, p_b, rho, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * filtered_bytes, f"peak {peak} B vs {filtered_bytes} B filtered"
