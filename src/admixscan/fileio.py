@@ -9,6 +9,10 @@ stage-1 table    locus_id  chrom  position  index  log10_bf  selected  n_imputat
 stage-2 table    rank  locus_ids  log10_bf  reported
 ALD matrix       marker_id  <marker ...>
 
+Every table is read through one reader and written through one writer.  On
+input, rows must match the header's width and neither column names nor
+first-column ids may repeat.
+
 Panel positions are Morgans by default; a unit flag converts centimorgan or
 megabase inputs (megabases via a user-supplied cM/Mb factor, recorded in
 the run manifest).
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 import zlib
 
@@ -37,21 +42,65 @@ DRAWS_VERSION = 1
 POSITION_UNITS = ("morgans", "centimorgans", "mb")
 
 _FMT = "%.10g"
+_PANEL_COLUMNS = ["marker_id", "chrom", "position", "p_a0", "p_b0"]
+_GENOTYPE_CODES = {"0": 0, "1": 1, "2": 2, "NA": MISSING}
+_GENOTYPE_TEXT = {code: text for text, code in _GENOTYPE_CODES.items()}
+_STAGE1_COLUMNS = ["locus_id", "chrom", "position", "index", "log10_bf", "selected",
+                   "n_imputations", "flag"]
 
 
 def _fmt(value):
     return _FMT % value
 
 
-def _split_header(line, path, expected_prefix):
-    cols = line.rstrip("\n").split("\t")
-    for k, name in enumerate(expected_prefix):
-        if k >= len(cols) or cols[k] != name:
-            raise DataFormatError(
-                f"{path}:1: expected column {k + 1} to be {name!r}, "
-                f"found {cols[k] if k < len(cols) else 'nothing'!r}"
-            )
-    return cols
+def _read_table(path, prefix, what):
+    """Yield a table's header cells, then ``(lineno, cells)`` per data row.
+
+    The checks every text format shares: a non-empty file, a header that
+    starts with ``prefix`` and names no column twice, blank lines skipped,
+    as many cells in each row as in the header, and no id repeated in the
+    first column.  Errors name the file and the line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = fh.readline()
+            if not header:
+                raise DataFormatError(f"{path}:1: empty {what} file")
+            cols = header.rstrip("\n").split("\t")
+            for k, name in enumerate(prefix):
+                if k >= len(cols) or cols[k] != name:
+                    raise DataFormatError(
+                        f"{path}:1: expected column {k + 1} to be {name!r}, "
+                        f"found {cols[k] if k < len(cols) else 'nothing'!r}"
+                    )
+            if len(set(cols)) < len(cols):
+                name = next(c for k, c in enumerate(cols) if c in cols[:k])
+                raise DataFormatError(f"{path}:1: duplicate column {name!r}")
+            yield cols
+            seen = set()
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.rstrip("\n").split("\t")
+                if len(cells) != len(cols):
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected {len(cols)} columns, found {len(cells)}"
+                    )
+                if cells[0] in seen:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: duplicate {prefix[0]} {cells[0]!r}"
+                    )
+                seen.add(cells[0])
+                yield lineno, cells
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _write_table(path, header, rows):
+    """Write a tab-separated table: the header, then one line per row of cells."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        fh.writelines("\t".join(cells) + "\n" for cells in rows)
 
 
 # --- panel -------------------------------------------------------------------
@@ -60,64 +109,35 @@ def _split_header(line, path, expected_prefix):
 def read_panel(path, position_unit="morgans", cm_per_mb=1.0) -> AimPanel:
     if position_unit not in POSITION_UNITS:
         raise ValueError(f"position_unit must be one of {POSITION_UNITS}")
-    marker_ids, chrom, position, p_a0, p_b0 = [], [], [], [], []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DataFormatError(f"{path}:1: empty panel file")
-        _split_header(header, path, ["marker_id", "chrom", "position", "p_a0", "p_b0"])
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != 5:
+    table = _read_table(path, _PANEL_COLUMNS, "panel")
+    next(table)
+    marker_ids, columns = [], [[], [], [], []]
+    for lineno, cells in table:
+        marker_ids.append(cells[0])
+        for name, value, column in zip(_PANEL_COLUMNS[1:], cells[1:], columns):
+            try:
+                column.append(np.int64(value) if name == "chrom" else float(value))
+            except (ValueError, OverflowError) as exc:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 5 columns, found {len(cells)}"
-                )
-            marker_ids.append(cells[0])
-            for name, value, target in (
-                ("chrom", cells[1], chrom),
-                ("position", cells[2], position),
-                ("p_a0", cells[3], p_a0),
-                ("p_b0", cells[4], p_b0),
-            ):
-                try:
-                    target.append(int(value) if name == "chrom" else float(value))
-                except ValueError as exc:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: column {name!r}: "
-                        f"cannot parse {value!r}"
-                    ) from exc
-    position = np.asarray(position)
+                    f"{path}:{lineno}: column {name!r}: cannot parse {value!r}"
+                ) from exc
+    chrom, position, p_a0, p_b0 = map(np.asarray, columns)
     if position_unit == "centimorgans":
         position = position / 100.0
     elif position_unit == "mb":
         position = position * cm_per_mb / 100.0
-    return AimPanel(
-        marker_ids=marker_ids,
-        chrom=np.asarray(chrom),
-        position=position,
-        p_a0=np.asarray(p_a0),
-        p_b0=np.asarray(p_b0),
-    )
+    try:
+        return AimPanel(marker_ids, chrom, position, p_a0, p_b0)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def write_panel(panel: AimPanel, path):
-    with open(path, "w") as fh:
-        fh.write("marker_id\tchrom\tposition\tp_a0\tp_b0\n")
-        for j in range(panel.n_loci):
-            fh.write(
-                "\t".join(
-                    [
-                        panel.marker_ids[j],
-                        str(int(panel.chrom[j])),
-                        _fmt(panel.position[j]),
-                        _fmt(panel.p_a0[j]),
-                        _fmt(panel.p_b0[j]),
-                    ]
-                )
-                + "\n"
-            )
+    rows = zip(panel.marker_ids, panel.chrom.tolist(), panel.position.tolist(),
+               panel.p_a0.tolist(), panel.p_b0.tolist())
+    _write_table(path, _PANEL_COLUMNS, (
+        [mid, str(c), _fmt(pos), _fmt(a), _fmt(b)] for mid, c, pos, a, b in rows
+    ))
 
 
 # --- genotypes ---------------------------------------------------------------
@@ -125,51 +145,32 @@ def write_panel(panel: AimPanel, path):
 
 def read_genotypes(path):
     """Returns (GenotypeMatrix, marker_ids from the header)."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DataFormatError(f"{path}:1: empty genotype file")
-        cols = _split_header(header, path, ["subject_id"])
-        marker_ids = cols[1:]
-        if not marker_ids:
-            raise DataFormatError(f"{path}:1: no marker columns")
-        subject_ids = []
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(marker_ids) + 1:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(marker_ids) + 1} columns, "
-                    f"found {len(cells)}"
-                )
-            subject_ids.append(cells[0])
-            row = np.empty(len(marker_ids), dtype=np.int8)
-            for k, cell in enumerate(cells[1:]):
-                if cell == "NA":
-                    row[k] = MISSING
-                elif cell in ("0", "1", "2"):
-                    row[k] = int(cell)
-                else:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: marker {marker_ids[k]!r}, subject "
-                        f"{cells[0]!r}: invalid genotype {cell!r}"
-                    )
-            rows.append(row)
+    table = _read_table(path, ["subject_id"], "genotype")
+    marker_ids = next(table)[1:]
+    if not marker_ids:
+        raise DataFormatError(f"{path}:1: no marker columns")
+    subject_ids, rows = [], []
+    for lineno, cells in table:
+        subject_ids.append(cells[0])
+        try:
+            codes = map(_GENOTYPE_CODES.__getitem__, cells[1:])
+            rows.append(np.fromiter(codes, np.int8, len(marker_ids)))
+        except KeyError:
+            k = next(k for k, c in enumerate(cells[1:]) if c not in _GENOTYPE_CODES)
+            raise DataFormatError(
+                f"{path}:{lineno}: marker {marker_ids[k]!r}, subject "
+                f"{cells[0]!r}: invalid genotype {cells[k + 1]!r}"
+            ) from None
     if not rows:
         raise DataFormatError(f"{path}: no subject rows")
     return GenotypeMatrix(x=np.vstack(rows), subject_ids=subject_ids), marker_ids
 
 
 def write_genotypes(genotypes: GenotypeMatrix, marker_ids, path):
-    with open(path, "w") as fh:
-        fh.write("subject_id\t" + "\t".join(marker_ids) + "\n")
-        for i, sid in enumerate(genotypes.subject_ids):
-            cells = [
-                "NA" if v == MISSING else str(int(v)) for v in genotypes.x[i]
-            ]
-            fh.write(sid + "\t" + "\t".join(cells) + "\n")
+    _write_table(path, ["subject_id", *marker_ids], (
+        [sid, *map(_GENOTYPE_TEXT.__getitem__, row.tolist())]
+        for sid, row in zip(genotypes.subject_ids, genotypes.x)
+    ))
 
 
 def align_genotypes_to_panel(genotypes: GenotypeMatrix, marker_ids, panel: AimPanel):
@@ -195,55 +196,47 @@ def align_genotypes_to_panel(genotypes: GenotypeMatrix, marker_ids, panel: AimPa
 
 def read_phenotypes(path, trait_kind, covariates=None):
     """Returns (subject_ids, TraitData) after listwise deletion of NA rows."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise DataFormatError(f"{path}:1: empty phenotype file")
-        cols = _split_header(header, path, ["subject_id", "trait"])
-        available = cols[2:]
-        if covariates is None:
-            covariates = available
-        else:
-            unknown = [c for c in covariates if c not in available]
-            if unknown:
-                raise DataFormatError(
-                    f"{path}: covariate columns not present: {unknown}"
-                )
-        take = [cols.index(c) for c in covariates]
-        subject_ids, y, e = [], [], []
-        dropped = 0
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(cols):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(cols)} columns, "
-                    f"found {len(cells)}"
-                )
-            wanted = [cells[1]] + [cells[k] for k in take]
-            if any(v == "NA" for v in wanted):
-                dropped += 1
-                continue
-            try:
-                values = [float(v) for v in wanted]
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{lineno}: cannot parse numeric value: {exc}"
-                ) from exc
-            subject_ids.append(cells[0])
-            y.append(values[0])
-            e.append(values[1:])
+    table = _read_table(path, ["subject_id", "trait"], "phenotype")
+    cols = next(table)
+    available = cols[2:]
+    if covariates is None:
+        covariates = available
+    else:
+        unknown = [c for c in covariates if c not in available]
+        if unknown:
+            raise DataFormatError(
+                f"{path}: covariate columns not present: {unknown}"
+            )
+    take = [1] + [cols.index(c) for c in covariates]
+    subject_ids, y, e = [], [], []
+    dropped = 0
+    for lineno, cells in table:
+        wanted = [cells[k] for k in take]
+        if "NA" in wanted:
+            dropped += 1
+            continue
+        try:
+            values = [float(v) for v in wanted]
+        except ValueError as exc:
+            raise DataFormatError(
+                f"{path}:{lineno}: cannot parse numeric value: {exc}"
+            ) from exc
+        subject_ids.append(cells[0])
+        y.append(values[0])
+        e.append(values[1:])
     if dropped:
         log.info("dropped %d phenotype rows with missing values", dropped)
     if not subject_ids:
         raise DataFormatError(f"{path}: no complete phenotype rows")
-    trait = TraitData(
-        y=np.asarray(y),
-        kind=trait_kind,
-        covariates=np.asarray(e).reshape(len(y), len(covariates)),
-        covariate_names=list(covariates),
-    )
+    try:
+        trait = TraitData(
+            y=np.asarray(y),
+            kind=trait_kind,
+            covariates=np.asarray(e).reshape(len(y), len(covariates)),
+            covariate_names=list(covariates),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
     return subject_ids, trait, dropped
 
 
@@ -251,13 +244,10 @@ def write_phenotypes(subject_ids, trait: TraitData, path):
     names = trait.covariate_names or [
         f"e{k}" for k in range(trait.n_covariates)
     ]
-    with open(path, "w") as fh:
-        fh.write("\t".join(["subject_id", "trait"] + names) + "\n")
-        for i, sid in enumerate(subject_ids):
-            cells = [sid, _fmt(trait.y[i])] + [
-                _fmt(v) for v in trait.covariates[i]
-            ]
-            fh.write("\t".join(cells) + "\n")
+    rows = zip(subject_ids, trait.y.tolist(), trait.covariates.tolist())
+    _write_table(path, ["subject_id", "trait", *names], (
+        [sid, _fmt(y), *map(_fmt, cov)] for sid, y, cov in rows
+    ))
 
 
 def align_trait_to_draws(draws: AncestryDraws, subject_ids, trait: TraitData):
@@ -355,13 +345,30 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n):
+        start = self.offset
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise DrawsFileError(
+                f"{self.path}: text at byte {start + exc.start} is not UTF-8"
+            ) from None
+
     def str_list(self):
         (count,) = self.unpack("<I")
         items = []
         for _ in range(count):
             (length,) = self.unpack("<H")
-            items.append(self.take(length).decode())
+            items.append(self.text(length))
         return items
+
+    def array(self, dtype, shape):
+        """The next block as an array of 8-byte ``dtype`` values."""
+        raw = self.take(8 * math.prod(shape))
+        try:
+            return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:
+            raise DrawsFileError(f"{self.path}: block of shape {shape}: {exc}") from None
 
 
 def save_draws(draws: AncestryDraws, path):
@@ -420,111 +427,100 @@ def load_draws(path) -> AncestryDraws:
         )
     m, n_sub, n_loc, seed = r.unpack("<QQQq")
     (has_traces,) = r.unpack("<B")
-    sweep_index = np.frombuffer(r.take(8 * m), dtype="<i8").copy()
+    sweep_index = r.array("<i8", (m,))
     subject_ids = r.str_list() or None
     marker_ids = r.str_list() or None
+    for ids, n, what in ((subject_ids, n_sub, "subject"), (marker_ids, n_loc, "marker")):
+        if ids is not None and len(ids) != n:
+            raise DrawsFileError(f"{path}: {len(ids)} {what} ids for {n} {what}s")
     (has_panel_meta,) = r.unpack("<B")
     chrom = position = None
     if has_panel_meta:
-        chrom = np.frombuffer(r.take(8 * n_loc), dtype="<i8").copy()
-        position = np.frombuffer(r.take(8 * n_loc), dtype="<f8").copy()
+        chrom = r.array("<i8", (n_loc,))
+        position = r.array("<f8", (n_loc,))
     (n_packed,) = r.unpack("<Q")
-    draws = _unpack_counts(r.take(n_packed), m * n_sub * n_loc)
+    n_values = m * n_sub * n_loc
+    if n_packed != -(-n_values // 4):
+        raise DrawsFileError(
+            f"{path}: {n_packed} packed bytes for {m} x {n_sub} x {n_loc} draws, "
+            f"expected {-(-n_values // 4)}"
+        )
+    draws = _unpack_counts(r.take(n_packed), n_values)
+    if n_values and draws.max() > 2:
+        k, i, j = np.unravel_index(int(np.argmax(draws > 2)), (m, n_sub, n_loc))
+        raise DrawsFileError(
+            f"{path}: ancestry value 3 in draw {k}, subject {i}, locus {j}"
+        )
     traces = {}
     if has_traces:
         (n_traces,) = r.unpack("<I")
         for _ in range(n_traces):
             (name_len,) = r.unpack("<H")
-            name = r.take(name_len).decode()
+            name = r.text(name_len)
             (ndim,) = r.unpack("<B")
-            shape = r.unpack(f"<{ndim}Q")
-            count = int(np.prod(shape))
-            traces[name] = np.frombuffer(
-                r.take(8 * count), dtype="<f8"
-            ).copy().reshape(shape)
-    return AncestryDraws(
-        draws=draws.reshape(m, n_sub, n_loc),
-        sweep_index=sweep_index,
-        traces=traces,
-        subject_ids=subject_ids,
-        marker_ids=marker_ids,
-        chrom=chrom,
-        position=position,
-        seed=None if seed == -1 else seed,
-    )
+            traces[name] = r.array("<f8", r.unpack(f"<{ndim}Q"))
+    if r.offset != len(payload):
+        raise DrawsFileError(
+            f"{path}: {len(payload) - r.offset} unread bytes after the last block"
+        )
+    try:
+        return AncestryDraws(
+            draws=draws.reshape(m, n_sub, n_loc),
+            sweep_index=sweep_index,
+            traces=traces,
+            subject_ids=subject_ids,
+            marker_ids=marker_ids,
+            chrom=chrom,
+            position=position,
+            seed=None if seed == -1 else seed,
+        )
+    except ValueError as exc:
+        raise DrawsFileError(f"{path}: {exc}") from exc
 
 
 # --- scan output tables ------------------------------------------------------
 
 
 def write_stage1_table(result, draws, path):
-    chrom = draws.chrom if draws.chrom is not None else None
-    position = draws.position if draws.position is not None else None
-    with open(path, "w") as fh:
-        fh.write(
-            "locus_id\tchrom\tposition\tindex\tlog10_bf\tselected\t"
-            "n_imputations\tflag\n"
-        )
-        for row in result.stage1:
-            j = row.index
-            fh.write(
-                "\t".join(
-                    [
-                        row.locus_id,
-                        str(int(chrom[j])) if chrom is not None else "NA",
-                        _fmt(position[j]) if position is not None else "NA",
-                        str(j),
-                        "NA" if np.isnan(row.log10_bf) else _fmt(row.log10_bf),
-                        str(int(row.selected)),
-                        str(row.n_imputations_used),
-                        row.flag or "",
-                    ]
-                )
-                + "\n"
-            )
+    chrom, position = draws.chrom, draws.position
+    _write_table(path, _STAGE1_COLUMNS, (
+        [
+            row.locus_id,
+            "NA" if chrom is None else str(int(chrom[row.index])),
+            "NA" if position is None else _fmt(position[row.index]),
+            str(row.index),
+            "NA" if np.isnan(row.log10_bf) else _fmt(row.log10_bf),
+            str(int(row.selected)),
+            str(row.n_imputations_used),
+            row.flag or "",
+        ]
+        for row in result.stage1
+    ))
 
 
 def write_stage2_table(result, path, reported=None):
     reported_ranks = {e.rank for e in (reported or [])}
-    with open(path, "w") as fh:
-        fh.write("rank\tlocus_ids\tlog10_bf\treported\n")
-        for entry in result.stage2 or []:
-            fh.write(
-                "\t".join(
-                    [
-                        str(entry.rank),
-                        ",".join(entry.locus_ids),
-                        _fmt(entry.log10_bf),
-                        str(int(entry.rank in reported_ranks)),
-                    ]
-                )
-                + "\n"
-            )
+    _write_table(path, ["rank", "locus_ids", "log10_bf", "reported"], (
+        [str(e.rank), ",".join(e.locus_ids), _fmt(e.log10_bf),
+         str(int(e.rank in reported_ranks))]
+        for e in result.stage2 or []
+    ))
 
 
 def write_ald_matrix(corr, marker_ids, path):
     marker_ids = marker_ids or [str(j) for j in range(corr.shape[0])]
-    with open(path, "w") as fh:
-        fh.write("marker_id\t" + "\t".join(marker_ids) + "\n")
-        for j, mid in enumerate(marker_ids):
-            fh.write(mid + "\t" + "\t".join(_fmt(v) for v in corr[j]) + "\n")
+    _write_table(path, ["marker_id", *marker_ids], (
+        [mid, *map(_fmt, row.tolist())] for mid, row in zip(marker_ids, corr)
+    ))
 
 
 def write_rows_table(rows, path):
-    """Write a list of homogeneous dicts as a TSV with sorted-key header."""
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("\n")
-        return
-    keys = list(rows[0])
-    with open(path, "w") as fh:
-        fh.write("\t".join(keys) + "\n")
-        for row in rows:
-            cells = [
-                _fmt(row[k]) if isinstance(row[k], float) else str(row[k])
-                for k in keys
-            ]
-            fh.write("\t".join(cells) + "\n")
+    """Write a list of homogeneous dicts as a TSV headed by the first row's keys."""
+    keys = list(rows[0]) if rows else []
+    _write_table(path, keys, (
+        [_fmt(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys]
+        for row in rows
+    ))
 
 
 # --- run manifest ------------------------------------------------------------

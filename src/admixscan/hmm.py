@@ -68,6 +68,12 @@ class AimPanel:
         self.position = _vector(self.position, "position", n)
         self.p_a0 = _vector(self.p_a0, "p_a0", n)
         self.p_b0 = _vector(self.p_b0, "p_b0", n)
+        for name in ("position", "p_a0", "p_b0"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ValueError(
+                    f"{name} is not finite at marker {self.marker_ids[bad[0]]!r}"
+                )
         for name, arr in (("p_a0", self.p_a0), ("p_b0", self.p_b0)):
             if np.any((arr < 0.0) | (arr > 1.0)):
                 raise ValueError(f"{name} has entries outside [0, 1]")

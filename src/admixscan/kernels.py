@@ -89,10 +89,15 @@ def recombination_counts(s, chrom_start, gamma, rho, u):
     prev[:, 1:] = s[:, :-1]
     prev[:, 0] = s[:, 0]
     g = np.asarray(gamma, np.float64)[None, :]
+    # in place: at most four subject x locus floats live at once
     w0 = (prev == s) * (1.0 - g) ** 2
-    w1 = 2.0 * g * (1.0 - g) * kern[1, prev, s, col]
-    w2 = g ** 2 * kern[2, 0, s, col]
-    tot = w0 + w1 + w2
+    w1 = kern[1, prev, s, col]
+    w1 *= 2.0 * g * (1.0 - g)
+    w2 = kern[2, 0, s, col]
+    w2 *= g ** 2
+    tot = w0 + w1
+    tot += w2
+    del w2
     bad = _has_no_mass(tot) & ~chrom_start[None, :]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -100,9 +105,10 @@ def recombination_counts(s, chrom_start, gamma, rho, u):
             f"zero recombination mass at subject {i}, locus {j}; "
             "gamma or rho left the open unit interval"
         )
-    c0 = w0 / tot
-    c1 = c0 + w1 / tot
-    drawn = (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
+    w0 /= tot
+    w1 /= tot
+    w1 += w0
+    drawn = (u >= w0).astype(np.int8) + (u >= w1).astype(np.int8)
     drawn[:, chrom_start] = 0
     return drawn
 

@@ -109,11 +109,9 @@ def _count_subsets(n, max_cardinality):
 
 def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
                  max_cardinality=None, subset_cap=DEFAULT_SUBSET_CAP) -> ScanResult:
-    """Joint refits over all subsets of the stage-1 selections, ranked.
-
-    With exactly one selected locus there is nothing to combine and the
-    stage-1 entry is passed through unchanged.
-    """
+    """Joint refits over all subsets of the stage-1 selections, ranked."""
+    if max_cardinality is not None and max_cardinality < 1:
+        raise ValueError(f"max_cardinality must be at least 1, got {max_cardinality}")
     selected = stage1_result.selected_indices
     result = ScanResult(
         stage1=stage1_result.stage1,
@@ -121,21 +119,6 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
         m=stage1_result.m,
         diagnostics=dict(stage1_result.diagnostics),
     )
-    if not selected:
-        result.stage2 = []
-        return result
-    if len(selected) == 1:
-        only = next(r for r in result.stage1 if r.index == selected[0])
-        result.stage2 = [
-            SubsetScan(
-                indices=(only.index,),
-                locus_ids=(only.locus_id,),
-                log10_bf=only.log10_bf,
-                rank=1,
-            )
-        ]
-        return result
-
     k_max = len(selected) if max_cardinality is None else min(max_cardinality, len(selected))
     n_subsets = _count_subsets(len(selected), k_max)
     if n_subsets > subset_cap:

@@ -5,9 +5,32 @@ probabilities, exhaustive path enumeration) are written independently of
 the package internals so they can serve as oracles for the sampling code.
 """
 import itertools
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+
+_HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    """Give Hypothesis a temporary home directory for the session.
+
+    Its pytest plugin caches source constants under ``.hypothesis/`` in the
+    working directory while collecting; the fuzz tests store no examples.
+    """
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:
+        return
+    config.stash[_HYPOTHESIS_HOME] = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.stash[_HYPOTHESIS_HOME])
+
+
+def pytest_unconfigure(config):
+    if _HYPOTHESIS_HOME in config.stash:
+        shutil.rmtree(config.stash[_HYPOTHESIS_HOME], ignore_errors=True)
 
 
 def obs_row(p_a, p_b, state):

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,36 @@ class TestPanelRoundTrip:
         with pytest.raises(DataFormatError, match="panel.tsv:2.*position"):
             fileio.read_panel(path)
 
+    def test_chromosome_beyond_int64_names_line_and_column(self, tmp_path):
+        path = tmp_path / "panel.tsv"
+        path.write_text(
+            "marker_id\tchrom\tposition\tp_a0\tp_b0\n"
+            "a\t99999999999999999999\t0\t0.8\t0.2\n"
+        )
+        with pytest.raises(DataFormatError, match="panel.tsv:2: column 'chrom'"):
+            fileio.read_panel(path)
+
+    def test_duplicate_marker_id_names_id_and_line(self, tmp_path):
+        path = tmp_path / "panel.tsv"
+        path.write_text(
+            "marker_id\tchrom\tposition\tp_a0\tp_b0\n"
+            "a\t1\t0\t0.8\t0.2\n"
+            "b\t1\t0.1\t0.7\t0.1\n"
+            "a\t1\t0.2\t0.7\t0.1\n"
+        )
+        with pytest.raises(DataFormatError, match="panel.tsv:4: duplicate marker_id 'a'"):
+            fileio.read_panel(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path = tmp_path / "panel.tsv"
+        path.write_text(
+            "marker_id\tchrom\tposition\tp_a0\tp_b0\n"
+            "a\t1\t0\t0.8\t0.2\n"
+            "b\t1\t0.1\tnan\t0.1\n"
+        )
+        with pytest.raises(DataFormatError, match="p_a0 is not finite at marker 'b'"):
+            fileio.read_panel(path)
+
 
 class TestGenotypeRoundTrip:
     def test_round_trip_with_missing(self, tmp_path, rng):
@@ -99,6 +132,18 @@ class TestGenotypeRoundTrip:
         path = tmp_path / "geno.tsv"
         path.write_text("subject_id\trs0\trs1\nS0\t0\t3\n")
         with pytest.raises(DataFormatError, match="'rs1'.*'S0'.*'3'"):
+            fileio.read_genotypes(path)
+
+    def test_duplicate_subject_names_id_and_line(self, tmp_path):
+        path = tmp_path / "geno.tsv"
+        path.write_text("subject_id\trs0\nS0\t0\nS1\t1\nS0\t2\n")
+        with pytest.raises(DataFormatError, match="geno.tsv:4: duplicate subject_id 'S0'"):
+            fileio.read_genotypes(path)
+
+    def test_duplicate_marker_column_rejected(self, tmp_path):
+        path = tmp_path / "geno.tsv"
+        path.write_text("subject_id\trs0\trs1\trs0\nS0\t0\t1\t2\n")
+        with pytest.raises(DataFormatError, match="geno.tsv:1: duplicate column 'rs0'"):
             fileio.read_genotypes(path)
 
     def test_na_becomes_missing_sentinel(self, tmp_path):
@@ -159,6 +204,13 @@ class TestPhenotypes:
         path.write_text("subject_id\ttrait\tage\nS0\t1\t30\n")
         with pytest.raises(DataFormatError, match="bmi"):
             fileio.read_phenotypes(path, "continuous", covariates=["bmi"])
+
+    def test_duplicate_subject_names_id_and_line(self, tmp_path):
+        # used to keep only the last S0 row once aligned to the draws
+        path = tmp_path / "pheno.tsv"
+        path.write_text("subject_id\ttrait\nS0\t1\nS0\t5\nS1\t2\n")
+        with pytest.raises(DataFormatError, match="pheno.tsv:3: duplicate subject_id 'S0'"):
+            fileio.read_phenotypes(path, "continuous")
 
     def test_align_trait_to_draws_subsets_rows(self, rng):
         draws = make_draws(rng)
@@ -226,9 +278,6 @@ class TestDrawsFile:
             fileio.load_draws(path)
 
     def test_version_mismatch_refused(self, tmp_path, rng):
-        import struct
-        import zlib
-
         path = tmp_path / "draws.adx"
         fileio.save_draws(make_draws(rng), path)
         blob = bytearray(path.read_bytes()[:-4])
@@ -254,6 +303,76 @@ class TestDrawsFile:
         fileio.save_draws(draws, path)
         # packed section dominates: 2 bits per value plus bounded overhead
         assert path.stat().st_size < m * n_sub * n_loc / 4 + 300
+
+
+def rewrite_payload(path, edit):
+    """Apply ``edit`` to a draws file's payload in place and renew its CRC."""
+    payload = bytearray(path.read_bytes()[:-4])
+    edit(payload)
+    path.write_bytes(bytes(payload) + struct.pack("<I", zlib.crc32(payload)))
+
+
+N_SUBJECTS_AT, N_LOCI_AT = 18, 26   # u64 header fields after magic and version
+
+
+class TestInconsistentDrawsFile:
+    """Files whose checksum is valid but whose blocks disagree."""
+
+    @pytest.mark.parametrize("offset,value", [(N_LOCI_AT, 2), (N_SUBJECTS_AT, 7)])
+    def test_packed_byte_count_checked(self, tmp_path, rng, offset, value):
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng, with_meta=False), path)
+        rewrite_payload(path, lambda p: struct.pack_into("<Q", p, offset, value))
+        with pytest.raises(DrawsFileError, match="draws.adx: 23 packed bytes"):
+            fileio.load_draws(path)
+
+    @pytest.mark.parametrize(
+        "offset,value,message",
+        [(N_SUBJECTS_AT, 4, "6 subject ids for 4 subjects"),
+         (N_LOCI_AT, 4, "5 marker ids for 4 markers")],
+    )
+    def test_id_list_length_checked(self, tmp_path, rng, offset, value, message):
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng), path)
+        rewrite_payload(path, lambda p: struct.pack_into("<Q", p, offset, value))
+        with pytest.raises(DrawsFileError, match=f"draws.adx: {message}"):
+            fileio.load_draws(path)
+
+    def test_trailing_bytes_refused(self, tmp_path, rng):
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng), path)
+        rewrite_payload(path, lambda p: p.extend(b"\0\0\0"))
+        with pytest.raises(DrawsFileError, match="draws.adx: 3 unread bytes"):
+            fileio.load_draws(path)
+
+    def test_packed_value_three_refused(self, tmp_path, rng):
+        # 2 x 2 x 3 values fill three packed bytes, the last block of a file
+        # without traces or metadata
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(AncestryDraws(
+            draws=rng.integers(0, 3, size=(2, 2, 3)).astype(np.int8),
+            sweep_index=np.arange(2),
+        ), path)
+
+        def set_value_to_three(payload):
+            payload[-2] |= 0b11 << 4   # value 6 of 12: draw 1, subject 0, locus 0
+
+        rewrite_payload(path, set_value_to_three)
+        with pytest.raises(
+            DrawsFileError, match="draws.adx: ancestry value 3 in draw 1, subject 0, locus 0"
+        ):
+            fileio.load_draws(path)
+
+    def test_undecodable_id_refused(self, tmp_path, rng):
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng), path)
+
+        def break_id(payload):
+            payload[payload.index(b"S3")] = 0xFF
+
+        rewrite_payload(path, break_id)
+        with pytest.raises(DrawsFileError, match="draws.adx: text at byte .* is not UTF-8"):
+            fileio.load_draws(path)
 
 
 class TestManifest:

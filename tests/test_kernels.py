@@ -201,3 +201,23 @@ def test_ffbs_peak_memory_is_the_filtered_vectors(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * filtered_bytes, f"peak {peak} B vs {filtered_bytes} B filtered"
+
+
+def test_recombination_counts_peak_memory(rng):
+    # the three category weights are built and normalised in place: at most
+    # four float64 subject x locus arrays are alive at once
+    n_sub, n_loc = 200, 2000
+    s = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
+    start = np.zeros(n_loc, dtype=bool)
+    start[::500] = True
+    gamma = rng.uniform(1e-4, 0.05, n_loc)
+    rho = rng.uniform(0.5, 0.95, n_sub)
+    u = rng.random((n_sub, n_loc))
+    one_array = n_sub * n_loc * 8
+    tracemalloc.start()
+    try:
+        kernels.recombination_counts(s, start, gamma, rho, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * one_array, f"peak {peak} B vs {one_array} B per array"

@@ -131,6 +131,15 @@ class TestStage2:
         result = stage2_joint(stage1, draws, trait, max_cardinality=1)
         assert all(len(e.indices) == 1 for e in result.stage2)
 
+    def test_max_cardinality_below_one_rejected(self, rng):
+        # with two loci selected, 0 used to enumerate no subset and write an
+        # empty stage-2 table
+        draws, trait = self.two_locus_dataset(rng)
+        stage1 = stage1_scan(draws, trait, delta=2.0)
+        assert len(stage1.selected_indices) >= 2
+        with pytest.raises(ValueError, match="max_cardinality must be at least 1"):
+            stage2_joint(stage1, draws, trait, max_cardinality=0)
+
     def test_dominated_singletons_not_reported(self, rng):
         draws, trait = self.two_locus_dataset(rng)
         stage1 = stage1_scan(draws, trait, delta=0.5)
