@@ -1,7 +1,8 @@
 """Command-line pipeline: impute, scan, map, ald, simulate, rerun.
 
 Every run writes a ``manifest.json`` into its output directory recording
-the resolved configuration; ``admixscan rerun manifest.json`` replays it.
+the resolved configuration and a SHA-256 of each input file;
+``admixscan rerun manifest.json`` replays it, refusing inputs that changed.
 Errors surface as a JSON record on stderr and a nonzero exit code.
 """
 from __future__ import annotations
@@ -12,8 +13,6 @@ import logging
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, fileio
 from .errors import AdmixscanError, DataFormatError
@@ -27,12 +26,8 @@ from .mapping import (
     stage2_joint,
 )
 from .sampler import HmmHyperparams, run_mcmc
-from .simulate import (
-    BINARY_C_VALUES,
-    CONTINUOUS_C_VALUES,
-    SimScenario,
-)
-from .studies import multilocus_study, null_study, power_study, _wrap_draws
+from .simulate import BINARY_C_VALUES, CONTINUOUS_C_VALUES, MULTILOCUS_C
+from .studies import multilocus_study, null_study, power_study
 
 log = logging.getLogger(__name__)
 
@@ -111,15 +106,17 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--trait-kind", choices=("continuous", "binary"),
                    default="continuous")
     p.add_argument("--n-subjects", type=int, default=1000)
-    p.add_argument("--n-loci", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--n-loci", type=int, default=1000, help="loci per replicate (null)")
+    p.add_argument("--alpha", type=float, default=0.0,
+                   help="covariate effect (null, single_locus)")
     p.add_argument("--c-values", default=None,
                    help="comma-separated effect multipliers (single_locus)")
     p.add_argument("--c", type=float, default=None,
                    help="effect multiplier (multilocus)")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--max-cardinality", type=int, default=2)
+    p.add_argument("--max-cardinality", type=int, default=2,
+                   help="largest stage-2 subset (multilocus)")
     _add_common(p)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -135,18 +132,42 @@ def _outdir(args):
     return out
 
 
-_PATH_ARGS = ("panel", "genotypes", "draws", "phenotype", "out_dir")
+_INPUT_ARGS = ("panel", "genotypes", "draws", "phenotype")
 
 
-def _manifest_config(args, skip=("command", "verbose", "func")):
-    """Resolved configuration; paths are absolute so a replay works anywhere."""
+def _write_manifest(out, args, skip=("command", "verbose", "func")):
+    """Record the resolved configuration and a SHA-256 of each input file.
+
+    Paths are absolute so a replay works anywhere; the hashes let
+    ``rerun`` refuse inputs that changed since.
+    """
     config = {
         k: v for k, v in vars(args).items() if k not in skip and v is not None
     }
-    for key in _PATH_ARGS:
+    for key in (*_INPUT_ARGS, "out_dir"):
         if key in config:
             config[key] = os.path.abspath(config[key])
-    return config
+    inputs = {k: fileio.file_sha256(config[k]) for k in _INPUT_ARGS if k in config}
+    fileio.write_manifest(out / "manifest.json", args.command, config, inputs)
+
+
+def _check_inputs(manifest, config, inputs):
+    """Refuse a replay whose recorded input files changed since the run."""
+    for key, recorded in inputs.items():
+        flag = "--" + key.replace("_", "-")
+        if key not in config:
+            raise DataFormatError(f"{manifest}: input {flag} has a hash but no path")
+        try:
+            current = fileio.file_sha256(config[key])
+        except OSError as exc:
+            raise DataFormatError(
+                f"{manifest}: input {flag} {config[key]}: {exc.strerror}"
+            ) from None
+        if current != recorded:
+            raise DataFormatError(
+                f"{manifest}: input {flag} {config[key]} changed since the run "
+                f"(sha256 {current}, recorded {recorded})"
+            )
 
 
 def _load_trait_for_draws(args, draws):
@@ -178,7 +199,7 @@ def cmd_impute(args):
     )
     draws = run_mcmc(genotypes, panel, hyper)
     fileio.save_draws(draws, out / "draws.adx")
-    fileio.write_manifest(out / "manifest.json", "impute", _manifest_config(args))
+    _write_manifest(out, args)
     log.info("wrote %s (%d draws)", out / "draws.adx", draws.m)
     return 0
 
@@ -189,7 +210,7 @@ def cmd_scan(args):
     draws, trait, _ = _load_trait_for_draws(args, draws)
     result = stage1_scan(draws, trait, delta=args.delta)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
-    fileio.write_manifest(out / "manifest.json", "scan", _manifest_config(args))
+    _write_manifest(out, args)
     return 0
 
 
@@ -209,7 +230,7 @@ def cmd_map(args):
     fileio.write_stage2_table(
         result, out / "stage2.tsv", reported=reported_subsets(result)
     )
-    fileio.write_manifest(out / "manifest.json", "map", _manifest_config(args))
+    _write_manifest(out, args)
     return 0
 
 
@@ -220,158 +241,35 @@ def cmd_ald(args):
     fileio.write_ald_matrix(corr, draws.marker_ids, out / "ald.tsv")
     if flagged:
         log.warning("%d constant loci zeroed in the correlation matrix", len(flagged))
-    fileio.write_manifest(out / "manifest.json", "ald", _manifest_config(args))
+    _write_manifest(out, args)
     return 0
 
 
-def _simulate_null(args, out):
-    res = null_study(
-        args.n_subjects,
-        args.n_loci,
-        args.replicates,
-        args.trait_kind,
-        args.alpha,
-        args.delta,
-        args.seed,
-    )
-    fileio.write_rows_table(res.rows, out / "replicates.tsv")
-    fileio.write_rows_table(
-        [
-            {
-                "aggregate_rate": res.aggregate_rate,
-                "median_rate": res.median_rate,
-                "max_rate": float(res.rates.max()),
-                "delta": res.delta,
-            }
-        ],
-        out / "summary.tsv",
-    )
-
-
-def _simulate_single_locus(args, out):
-    if args.c_values:
-        c_values = tuple(float(c) for c in args.c_values.split(","))
-    else:
-        c_values = (
-            CONTINUOUS_C_VALUES
-            if args.trait_kind == "continuous"
-            else BINARY_C_VALUES
-        )
-    res = power_study(
-        args.n_subjects,
-        c_values,
-        args.replicates,
-        args.trait_kind,
-        args.alpha,
-        args.delta,
-        args.seed,
-    )
-    fileio.write_rows_table(res.rows, out / "replicates.tsv")
-    fileio.write_rows_table(
-        [
-            {"c": c, "power": p, "delta": res.delta}
-            for c, p in zip(res.c_values, res.power)
-        ],
-        out / "summary.tsv",
-    )
-
-
-def _simulate_multilocus(args, out):
-    c = args.c if args.c is not None else (
-        0.7 if args.trait_kind == "continuous" else 0.35
-    )
-    res = multilocus_study(
-        args.n_subjects,
-        args.replicates,
-        args.trait_kind,
-        c,
-        args.delta,
-        args.seed,
-        max_cardinality=args.max_cardinality,
-    )
-    fileio.write_rows_table(res.rows, out / "replicates.tsv")
-    fileio.write_rows_table(
-        [
-            {
-                "stage1_region_rate": res.stage1_region_rate,
-                "stage2_region_rate": res.stage2_region_rate,
-                "stage1_reg3_rate": res.stage1_reg3_rate,
-                "stage2_reg3_rate": res.stage2_reg3_rate,
-                "pair_top_rate": res.pair_top_rate,
-                "pair_covered_rate": res.pair_covered_rate,
-            }
-        ],
-        out / "summary.tsv",
-    )
-
-
-def _simulate_example_dataset(args, out):
-    """Emit one replicate's dataset in pipeline formats for reuse."""
-    from .simulate import (
-        build_artificial_chromosome,
-        sample_ancestry_hwe,
-        simulate_traits,
-    )
-
-    rng = np.random.default_rng(args.seed)
-    n = args.n_subjects
-    if args.scenario == "multilocus":
-        chromo = build_artificial_chromosome(n, rng)
-        s = chromo.s
-        causal = list(chromo.causal)
-        trait = simulate_traits(
-            s[:, causal],
-            args.trait_kind,
-            args.alpha if args.alpha else 1.0,
-            args.c if args.c is not None else (
-                0.7 if args.trait_kind == "continuous" else 0.35
-            ),
-            chromo.paap[causal],
-            rng,
-        )
-        marker_ids = [f"L{j:03d}" for j in range(s.shape[1])]
-    else:
-        paap = rng.uniform(0.5, 0.95, size=args.n_loci)
-        s = sample_ancestry_hwe(paap, n, rng)
-        if args.scenario == "single_locus":
-            c = args.c if args.c is not None else 0.4
-            trait = simulate_traits(
-                s[:, [0]], args.trait_kind, args.alpha, c, paap[[0]], rng
-            )
-        else:
-            trait = simulate_traits(
-                np.empty((n, 0)), args.trait_kind, args.alpha, 0.0,
-                np.empty(0), rng
-            )
-        marker_ids = [f"L{j:03d}" for j in range(s.shape[1])]
-    subject_ids = [f"S{i:05d}" for i in range(n)]
-    draws = _wrap_draws(s, marker_ids=marker_ids)
-    draws.subject_ids = subject_ids
-    fileio.save_draws(draws, out / "dataset_draws.adx")
-    fileio.write_phenotypes(subject_ids, trait, out / "dataset_phenotype.tsv")
-
-
 def cmd_simulate(args):
-    out = _outdir(args)
-    scenario = SimScenario(
-        kind=args.scenario,
-        n_subjects=args.n_subjects,
-        n_loci=args.n_loci,
-        alpha=args.alpha,
-        c=args.c if args.c is not None else 0.0,
-        trait_kind=args.trait_kind,
-        n_replicates=args.replicates,
-        seed=args.seed,
-    )
-    (out / "scenario.json").write_text(scenario.to_json() + "\n")
     if args.scenario == "null":
-        _simulate_null(args, out)
+        res = null_study(args.n_subjects, args.n_loci, args.replicates,
+                         args.trait_kind, args.alpha, args.delta, args.seed)
     elif args.scenario == "single_locus":
-        _simulate_single_locus(args, out)
+        if args.c_values:
+            c_values = [float(c) for c in args.c_values.split(",")]
+        elif args.trait_kind == "continuous":
+            c_values = CONTINUOUS_C_VALUES
+        else:
+            c_values = BINARY_C_VALUES
+        res = power_study(args.n_subjects, c_values, args.replicates,
+                          args.trait_kind, args.alpha, args.delta, args.seed)
     else:
-        _simulate_multilocus(args, out)
-    _simulate_example_dataset(args, out)
-    fileio.write_manifest(out / "manifest.json", "simulate", _manifest_config(args))
+        c = MULTILOCUS_C[args.trait_kind] if args.c is None else args.c
+        res = multilocus_study(args.n_subjects, args.replicates, args.trait_kind,
+                               c, args.delta, args.seed,
+                               max_cardinality=args.max_cardinality)
+    out = _outdir(args)
+    fileio.write_rows_table(res.rows, out / "replicates.tsv")
+    fileio.write_rows_table(res.summary, out / "summary.tsv")
+    draws, trait = res.dataset
+    fileio.save_draws(draws, out / "dataset_draws.adx")
+    fileio.write_phenotypes(draws.subject_ids, trait, out / "dataset_phenotype.tsv")
+    _write_manifest(out, args)
     return 0
 
 
@@ -389,6 +287,9 @@ def cmd_rerun(args):
         replay = build_parser(_ManifestParser).parse_args(argv)
     except DataFormatError as exc:
         raise DataFormatError(f"{args.manifest}: cannot replay: {exc}") from None
+    if "inputs" not in record:
+        log.warning("%s records no input hashes; replaying unchecked", args.manifest)
+    _check_inputs(args.manifest, config, record.get("inputs", {}))
     return _HANDLERS[replay.command](replay)
 
 

@@ -23,6 +23,7 @@ traces as raw float blocks, and a trailing CRC32 of everything before it.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -178,8 +179,9 @@ def align_genotypes_to_panel(genotypes: GenotypeMatrix, marker_ids, panel: AimPa
     if list(marker_ids) == list(panel.marker_ids):
         return genotypes
     by_id = {m: k for k, m in enumerate(marker_ids)}
+    in_panel = set(panel.marker_ids)
     missing = [m for m in panel.marker_ids if m not in by_id]
-    extra = [m for m in marker_ids if m not in set(panel.marker_ids)]
+    extra = [m for m in marker_ids if m not in in_panel]
     if missing or extra:
         offenders = (missing + extra)[:10]
         raise AlignmentError(
@@ -260,7 +262,8 @@ def align_trait_to_draws(draws: AncestryDraws, subject_ids, trait: TraitData):
             )
         return draws, trait
     have = {s: k for k, s in enumerate(subject_ids)}
-    extra = [s for s in subject_ids if s not in set(draws.subject_ids)]
+    in_draws = set(draws.subject_ids)
+    extra = [s for s in subject_ids if s not in in_draws]
     if extra:
         raise AlignmentError(
             f"phenotype subjects missing from draws; first offenders: {extra[:10]}"
@@ -372,6 +375,7 @@ class _Reader:
 
 
 def save_draws(draws: AncestryDraws, path):
+    draws.check_ids()
     out = [DRAWS_MAGIC, struct.pack("<H", DRAWS_VERSION)]
     seed = -1 if draws.seed is None else int(draws.seed)
     out.append(
@@ -526,7 +530,17 @@ def write_rows_table(rows, path):
 # --- run manifest ------------------------------------------------------------
 
 
-def write_manifest(path, command, config):
+def file_sha256(path, chunk_bytes=1 << 20):
+    """Hex SHA-256 of a file, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(chunk_bytes), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def write_manifest(path, command, config, inputs=None):
+    """``inputs`` maps each input option to the SHA-256 of the file it read."""
     from . import __version__
 
     record = {
@@ -534,6 +548,7 @@ def write_manifest(path, command, config):
         "version": __version__,
         "command": command,
         "config": config,
+        "inputs": dict(inputs or {}),
     }
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -546,4 +561,6 @@ def read_manifest(path):
     for key in ("tool", "command", "config"):
         if key not in record:
             raise DataFormatError(f"{path}: manifest missing {key!r}")
+    if not isinstance(record.get("inputs", {}), dict):
+        raise DataFormatError(f"{path}: manifest 'inputs' is not a mapping")
     return record

@@ -173,6 +173,16 @@ class AncestryDraws:
         self.sweep_index = np.asarray(self.sweep_index, dtype=np.int64)
         if self.sweep_index.shape != (self.draws.shape[0],):
             raise ValueError("sweep_index length does not match draws")
+        self.check_ids()
+
+    def check_ids(self):
+        """Refuse a subject or marker id that appears twice, naming it."""
+        for ids, what in ((self.subject_ids, "subject"), (self.marker_ids, "marker")):
+            seen = set()
+            for name in ids or ():
+                if name in seen:
+                    raise ValueError(f"duplicate {what} id {name!r}")
+                seen.add(name)
 
     @property
     def m(self):

@@ -176,33 +176,25 @@ def bf_for_fit(fit, n_subjects) -> BfValue:
     return _bf_value(w, fit.p, n_subjects, _tau_from_wald(w, fit.p, n_subjects))
 
 
-def average_bf(values, weights=None) -> BfValue:
+def average_bf(values) -> BfValue:
     """Average Bayes factors (on the BF scale, not log) across imputations.
 
-    Flagged entries drop out and the remaining weights renormalise; the
-    average is computed in log space for stability.
+    Flagged entries drop out and the rest count equally; the average is
+    computed in log space for stability.
     """
     values = list(values)
     if not values:
         raise ValueError("no Bayes factors to average")
-    if weights is None:
-        weights = np.ones(len(values))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(values),) or np.any(weights < 0):
-        raise ValueError("weights must be nonnegative, one per Bayes factor")
-    keep = [i for i, v in enumerate(values) if v.flag is None]
-    if not keep:
+    kept = [v for v in values if v.flag is None]
+    if not kept:
         return BfValue.flagged("all imputations flagged", p=values[0].p)
-    w = weights[keep]
-    if w.sum() <= 0:
-        raise ValueError("active weights sum to zero")
-    ln_bf = np.array([values[i].log10_bf for i in keep]) * math.log(10.0)
-    ln_avg = logsumexp(ln_bf, b=w / w.sum())
+    ln_bf = np.array([v.log10_bf for v in kept]) * math.log(10.0)
+    ln_avg = logsumexp(ln_bf, b=np.full(len(kept), 1.0 / len(kept)))
     return BfValue(
         log10_bf=float(ln_avg / math.log(10.0)),
         t_stat=float("nan"),
         tau_hat=float("nan"),
-        p=values[keep[0]].p,
+        p=kept[0].p,
     )
 
 

@@ -8,8 +8,7 @@ deterministic given a seed.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -17,8 +16,11 @@ from scipy.special import expit, ndtri
 from .glm import TraitData
 from .hmm import MISSING
 
+# Default effect multipliers: the single-locus power grid and the multilocus
+# c, by trait kind.
 CONTINUOUS_C_VALUES = (0.2, 0.25, 0.3, 0.35, 0.4)
 BINARY_C_VALUES = (0.4, 0.5, 0.6, 0.7, 0.8)
+MULTILOCUS_C = {"continuous": 0.7, "binary": 0.35}
 
 # Artificial chromosome layout: two independent segments, a causal locus in
 # the middle of each, flanking loci correlated with it through a damped
@@ -32,37 +34,6 @@ SEGMENT_N_LOCI = 51
 REGION_CORR_THRESHOLD = 0.12
 CAUSAL_PAAP = 0.88
 _SEGMENT_DECAY = ((0.9855, 0.3045), (0.9765, 0.3072))
-
-
-@dataclass
-class SimScenario:
-    """Declarative description of one simulation study."""
-
-    kind: str                      # "null", "single_locus" or "multilocus"
-    n_subjects: int = 1000
-    n_loci: int = 1000
-    alpha: float = 0.0
-    c: float = 0.0
-    trait_kind: str = "continuous"
-    n_replicates: int = 1
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("null", "single_locus", "multilocus"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.trait_kind not in ("continuous", "binary"):
-            raise ValueError("simulated traits are continuous or binary")
-        if self.c < 0:
-            raise ValueError("effect multiplier c must be nonnegative")
-        if self.n_subjects < 1 or self.n_loci < 1 or self.n_replicates < 1:
-            raise ValueError("counts must be positive")
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def sample_ancestry_hwe(paap, n_subjects, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -60,6 +61,11 @@ def impute_args(paths, out, seed="3"):
 
 def read_bytes(path):
     return path.read_bytes()
+
+
+def read_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split("\t"), line.split("\t"))) for line in lines]
 
 
 class TestPipeline:
@@ -200,10 +206,10 @@ class TestSimulateCommand:
             ]
         ) == 0
         out = tmp_path / "sim"
-        for name in ("scenario.json", "replicates.tsv", "summary.tsv",
-                     "manifest.json", "dataset_draws.adx",
-                     "dataset_phenotype.tsv"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset_draws.adx", "dataset_phenotype.tsv", "manifest.json",
+            "replicates.tsv", "summary.tsv",
+        ]
         summary = (out / "summary.tsv").read_text().splitlines()
         assert summary[0].split("\t")[0] == "aggregate_rate"
 
@@ -247,6 +253,72 @@ class TestSimulateCommand:
         ) == 0
 
 
+# (simulate options, scan options) per scenario; each dataset yields hits
+SCENARIOS = {
+    "null": (["--trait-kind", "binary", "--n-subjects", "80", "--n-loci", "30",
+              "--delta", "0", "--seed", "2"],
+             ["--trait-kind", "binary", "--delta", "0"]),
+    "single_locus": (["--n-subjects", "200", "--c-values", "0.4,0.1",
+                      "--seed", "5"], []),
+    "multilocus": (["--n-subjects", "120", "--delta", "1", "--seed", "4"],
+                   ["--delta", "1"]),
+}
+
+
+def simulate(scenario, out):
+    return main(["simulate", "--scenario", scenario, "--replicates", "2",
+                 "--out-dir", str(out), *SCENARIOS[scenario][0]])
+
+
+class TestSimulatedDataset:
+    """The dataset ``simulate`` writes is the study's replicate 0."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_dataset_reproduces_replicate_zero(self, tmp_path, scenario):
+        sim, scan = tmp_path / "sim", tmp_path / "scan"
+        assert simulate(scenario, sim) == 0
+        assert main(["scan", "--draws", str(sim / "dataset_draws.adx"),
+                     "--phenotype", str(sim / "dataset_phenotype.tsv"),
+                     "--out-dir", str(scan), *SCENARIOS[scenario][1]]) == 0
+        first = read_rows(sim / "replicates.tsv")[0]
+        loci = read_rows(scan / "stage1.tsv")
+        selected = sum(int(r["selected"]) for r in loci)
+        if scenario == "single_locus":
+            [locus] = loci
+            assert locus["locus_id"] == "L000"
+            assert float(locus["log10_bf"]) == pytest.approx(
+                float(first["log10_bf"]), abs=1e-6)
+        elif scenario == "null":
+            assert selected == int(first["hits"]) > 0
+        else:
+            assert len(loci) == 102
+            assert selected == int(first["n_selected"]) > 0
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_rerun_byte_identical(self, tmp_path, scenario):
+        assert simulate(scenario, tmp_path / "a") == 0
+        assert main(["rerun", str(tmp_path / "a" / "manifest.json"),
+                     "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("replicates.tsv", "summary.tsv", "dataset_draws.adx",
+                     "dataset_phenotype.tsv"):
+            assert read_bytes(tmp_path / "a" / name) == read_bytes(
+                tmp_path / "b" / name
+            )
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--replicates", "0", "n_replicates must be at least 1, got 0"),
+        ("--c-values", "-0.1", "effect multiplier c must be nonnegative, got -0.1"),
+    ], ids=["replicates", "c_values"])
+    def test_out_of_range_option_rejected(self, tmp_path, capsys, option, value,
+                                          message):
+        code = main(["simulate", "--scenario", "single_locus", option, value,
+                     "--n-subjects", "50", "--out-dir", str(tmp_path / "sim")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "sim").exists()
+
+
 class TestErrorSurface:
     def test_missing_file_yields_json_error(self, tmp_path, capsys):
         code = main(
@@ -274,6 +346,29 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DataFormatError"
         assert "'7'" in record["message"]
+
+    def test_rerun_refuses_changed_input(self, dataset, capsys):
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        assert main(["scan", "--draws", str(tmp / "imp" / "draws.adx"),
+                     "--phenotype", str(paths["pheno"]),
+                     "--out-dir", str(tmp / "scan")]) == 0
+        manifest = tmp / "scan" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        assert record["inputs"] == {
+            key: hashlib.sha256(Path(record["config"][key]).read_bytes()).hexdigest()
+            for key in ("draws", "phenotype")
+        }
+        header, first, *rest = paths["pheno"].read_text().splitlines()
+        cells = first.split("\t")
+        cells[1] += "9"   # one more digit in the first subject's trait
+        paths["pheno"].write_text("\n".join([header, "\t".join(cells), *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out-dir", str(tmp / "replay")]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"input --phenotype {paths['pheno']} changed" in record["message"]
+        assert not (tmp / "replay").exists()
 
     def test_rerun_rejects_unknown_manifest_key(self, tmp_path, capsys):
         # a manifest recorded with an option the command no longer accepts

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -375,6 +376,43 @@ class TestInconsistentDrawsFile:
             fileio.load_draws(path)
 
 
+class TestDuplicateDrawsIds:
+    """Phenotype rows are keyed by subject id, so draws ids must be unique."""
+
+    def test_constructor_names_the_repeated_id(self, rng):
+        with pytest.raises(ValueError, match="duplicate subject id 'S0'"):
+            AncestryDraws(draws=np.zeros((1, 3, 2), dtype=np.int8),
+                          sweep_index=[0], subject_ids=["S0", "S0", "S1"])
+        with pytest.raises(ValueError, match="duplicate marker id 'rs1'"):
+            AncestryDraws(draws=np.zeros((1, 3, 2), dtype=np.int8),
+                          sweep_index=[0], marker_ids=["rs1", "rs1"])
+
+    def test_save_refuses_repeated_subject(self, tmp_path, rng):
+        draws = make_draws(rng)
+        draws.subject_ids[1] = "S0"
+        with pytest.raises(ValueError, match="duplicate subject id 'S0'"):
+            fileio.save_draws(draws, tmp_path / "draws.adx")
+        assert not (tmp_path / "draws.adx").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        (b"S1", b"S0", "duplicate subject id 'S0'"),
+        (b"rs4", b"rs2", "duplicate marker id 'rs2'"),
+    ])
+    def test_load_refuses_repeated_id(self, tmp_path, rng, old, new, message):
+        # with subject ids S0, S0, S1 and phenotypes S0 = 1, S1 = 2 the
+        # alignment used to pair both S0 rows with one phenotype: y = [1, 1, 2]
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng), path)
+
+        def rename(payload):
+            at = payload.index(old)
+            payload[at:at + len(old)] = new
+
+        rewrite_payload(path, rename)
+        with pytest.raises(DrawsFileError, match=f"draws.adx: {message}"):
+            fileio.load_draws(path)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -383,6 +421,22 @@ class TestManifest:
         assert record["command"] == "scan"
         assert record["config"]["delta"] == 2.0
         assert record["tool"] == "admixscan"
+
+    def test_inputs_recorded(self, tmp_path):
+        data = tmp_path / "data.bin"
+        data.write_bytes(bytes(range(256)) * 5000)   # more than one read chunk
+        digest = fileio.file_sha256(data)
+        assert digest == hashlib.sha256(data.read_bytes()).hexdigest()
+        path = tmp_path / "manifest.json"
+        fileio.write_manifest(path, "ald", {"draws": str(data)}, {"draws": digest})
+        assert fileio.read_manifest(path)["inputs"] == {"draws": digest}
+
+    def test_inputs_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"tool": "admixscan", "command": "scan", "config": {}, '
+                        '"inputs": ["draws"]}')
+        with pytest.raises(DataFormatError, match="'inputs' is not a mapping"):
+            fileio.read_manifest(path)
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -140,6 +140,21 @@ class TestStage2:
         with pytest.raises(ValueError, match="max_cardinality must be at least 1"):
             stage2_joint(stage1, draws, trait, max_cardinality=0)
 
+    def test_identical_loci_skip_their_joint_subset(self, rng):
+        # a repeated ancestry column makes the joint fit singular: that subset
+        # is set aside with its flag and the singletons are still ranked
+        s = sample_ancestry_hwe([0.8], 500, rng)
+        trait = simulate_traits(s, "continuous", 0.0, 0.9, [0.8], rng)
+        draws = make_draws(np.repeat(s, 2, axis=1), marker_ids=["a", "b"])
+        stage1 = stage1_scan(draws, trait, delta=2.0)
+        assert stage1.selected_indices == [0, 1]
+        result = stage2_joint(stage1, draws, trait)
+        [skipped] = result.diagnostics["skipped_subsets"]
+        assert skipped["subset"] == [0, 1]
+        assert skipped["flag"] == "all imputations flagged"
+        assert [(e.rank, e.indices) for e in result.stage2] == [(1, (0,)), (2, (1,))]
+        assert result.stage2[0].log10_bf == stage1.stage1[0].log10_bf
+
     def test_dominated_singletons_not_reported(self, rng):
         draws, trait = self.two_locus_dataset(rng)
         stage1 = stage1_scan(draws, trait, delta=0.5)

@@ -308,10 +308,6 @@ class TestAverageBf:
         out = average_bf([self.bf(7.0), self.bf(7.0)])
         assert 10 ** out.log10_bf == pytest.approx(7.0)
 
-    def test_degenerate_weights_pick_first(self):
-        out = average_bf([self.bf(3.0), self.bf(999.0)], weights=[1.0, 0.0])
-        assert 10 ** out.log10_bf == pytest.approx(3.0)
-
     def test_arithmetic_mean_on_bf_scale(self):
         out = average_bf([self.bf(10.0), self.bf(1000.0)])
         assert 10 ** out.log10_bf == pytest.approx(505.0)

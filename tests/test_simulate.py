@@ -8,7 +8,6 @@ from admixscan.simulate import (
     CAUSAL_PAAP,
     CONTINUOUS_C_VALUES,
     SEGMENT_N_LOCI,
-    SimScenario,
     build_artificial_chromosome,
     label_regions,
     sample_ancestry_hwe,
@@ -183,25 +182,3 @@ class TestArtificialChromosome:
         # independent loci: almost everything lands in the background region
         assert (labels == "REG3").sum() > 80
 
-
-class TestScenario:
-    def test_serialisation_round_trip(self):
-        scenario = SimScenario(
-            kind="single_locus",
-            n_subjects=500,
-            n_loci=100,
-            alpha=1.0,
-            c=0.4,
-            trait_kind="binary",
-            n_replicates=50,
-            seed=7,
-        )
-        assert SimScenario.from_json(scenario.to_json()) == scenario
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimScenario(kind="weird")
-        with pytest.raises(ValueError):
-            SimScenario(kind="null", c=-1.0)
-        with pytest.raises(ValueError):
-            SimScenario(kind="null", trait_kind="count")

@@ -1,3 +1,7 @@
+import numpy as np
+import pytest
+
+from admixscan.mapping import stage1_scan
 from admixscan.studies import multilocus_study, null_study, power_study
 
 
@@ -34,3 +38,66 @@ class TestMultilocusStudy:
         assert res.pair_top_rate >= 0.8
         assert res.pair_covered_rate >= res.pair_top_rate
         assert len(res.rows) == 10
+
+
+class TestStudyArguments:
+    def test_validation(self):
+        with pytest.raises(ValueError, match="n_replicates must be at least 1, got 0"):
+            null_study(50, 10, 0, "continuous", 0.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="n_loci must be at least 1"):
+            null_study(50, 0, 2, "continuous", 0.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="nonnegative, got -0.1"):
+            power_study(50, (0.2, -0.1), 2, "continuous", 0.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="number of c values"):
+            power_study(50, (), 2, "continuous", 0.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="nonnegative, got -1.0"):
+            multilocus_study(50, 2, "continuous", -1.0, 2.0, seed=1)
+        with pytest.raises(ValueError, match="continuous or binary"):
+            null_study(50, 10, 2, "count", 0.0, 2.0, seed=1)
+
+
+class TestDataset:
+    """Each study keeps its first replicate, labelled for the file formats."""
+
+    def test_null_dataset_is_first_replicate(self):
+        res = null_study(80, 30, 3, "binary", 1.0, 0.0, seed=2)
+        draws, trait = res.dataset
+        assert draws.subject_ids[:2] == ["S00000", "S00001"]
+        assert draws.marker_ids[-1] == "L029"
+        assert draws.draws.shape == (1, 80, 30)
+        result = stage1_scan(draws, trait, delta=0.0)
+        assert sum(r.selected for r in result.stage1) == res.rows[0]["hits"] > 0
+
+    def test_power_dataset_is_first_c_first_replicate(self):
+        res = power_study(120, (0.6, 0.1), 3, "continuous", 0.0, 1.0, seed=3)
+        draws, trait = res.dataset
+        assert draws.marker_ids == ["L000"]
+        bf = stage1_scan(draws, trait, delta=1.0).stage1[0].log10_bf
+        assert bf == res.rows[0]["log10_bf"]
+        assert res.rows[0]["c"] == 0.6
+
+    def test_multilocus_dataset_and_summary(self):
+        res = multilocus_study(120, 2, "continuous", 0.7, 2.0, seed=4,
+                               max_cardinality=2)
+        draws, trait = res.dataset
+        assert draws.n_loci == 102
+        result = stage1_scan(draws, trait, delta=2.0)
+        assert len(result.selected_indices) == res.rows[0]["n_selected"] > 0
+        [summary] = res.summary
+        assert summary["pair_top_rate"] == res.pair_top_rate
+        assert list(summary) == [
+            "stage1_region_rate", "stage2_region_rate", "stage1_reg3_rate",
+            "stage2_reg3_rate", "pair_top_rate", "pair_covered_rate",
+        ]
+
+    def test_summaries(self):
+        null = null_study(60, 20, 2, "continuous", 0.0, 2.0, seed=5)
+        assert null.summary == [{
+            "aggregate_rate": null.aggregate_rate,
+            "median_rate": null.median_rate,
+            "max_rate": float(np.max(null.rates)),
+            "delta": 2.0,
+        }]
+        power = power_study(60, (0.2, 0.4), 2, "continuous", 0.0, 2.0, seed=5)
+        assert [row["c"] for row in power.summary] == [0.2, 0.4]
+        assert [row["power"] for row in power.summary] == list(power.power)
