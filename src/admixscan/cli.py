@@ -135,8 +135,21 @@ def _outdir(args):
 _INPUT_ARGS = ("panel", "genotypes", "draws", "phenotype")
 
 
-def _write_manifest(out, args, skip=("command", "verbose", "func")):
-    """Record the resolved configuration and a SHA-256 of each input file.
+def _hash_inputs(config):
+    """SHA-256 of each input file named in ``config``, keyed by option.
+
+    Taken before the command reads its inputs, so the manifest records the
+    data the run used.
+    """
+    return {
+        k: fileio.file_sha256(config[k])
+        for k in _INPUT_ARGS
+        if config.get(k) is not None
+    }
+
+
+def _write_manifest(out, args, inputs, skip=("command", "verbose", "func")):
+    """Record the resolved configuration and the input hashes.
 
     Paths are absolute so a replay works anywhere; the hashes let
     ``rerun`` refuse inputs that changed since.
@@ -147,27 +160,32 @@ def _write_manifest(out, args, skip=("command", "verbose", "func")):
     for key in (*_INPUT_ARGS, "out_dir"):
         if key in config:
             config[key] = os.path.abspath(config[key])
-    inputs = {k: fileio.file_sha256(config[k]) for k in _INPUT_ARGS if k in config}
     fileio.write_manifest(out / "manifest.json", args.command, config, inputs)
 
 
-def _check_inputs(manifest, config, inputs):
-    """Refuse a replay whose recorded input files changed since the run."""
-    for key, recorded in inputs.items():
+def _check_inputs(manifest, config, recorded):
+    """Hash a replay's input files; refuse any that differ from the record."""
+    current = {}
+    for key in _INPUT_ARGS:
         flag = "--" + key.replace("_", "-")
+        if key not in config and key not in recorded:
+            continue
         if key not in config:
             raise DataFormatError(f"{manifest}: input {flag} has a hash but no path")
+        if key not in recorded:
+            raise DataFormatError(f"{manifest}: input {flag} has a path but no hash")
         try:
-            current = fileio.file_sha256(config[key])
+            current[key] = fileio.file_sha256(config[key])
         except OSError as exc:
             raise DataFormatError(
                 f"{manifest}: input {flag} {config[key]}: {exc.strerror}"
             ) from None
-        if current != recorded:
+        if current[key] != recorded[key]:
             raise DataFormatError(
                 f"{manifest}: input {flag} {config[key]} changed since the run "
-                f"(sha256 {current}, recorded {recorded})"
+                f"(sha256 {current[key]}, recorded {recorded[key]})"
             )
+    return current
 
 
 def _load_trait_for_draws(args, draws):
@@ -179,7 +197,7 @@ def _load_trait_for_draws(args, draws):
     return draws, trait, dropped
 
 
-def cmd_impute(args):
+def cmd_impute(args, inputs):
     out = _outdir(args)
     panel = fileio.read_panel(
         args.panel, position_unit=args.position_unit, cm_per_mb=args.cm_per_mb
@@ -199,22 +217,22 @@ def cmd_impute(args):
     )
     draws = run_mcmc(genotypes, panel, hyper)
     fileio.save_draws(draws, out / "draws.adx")
-    _write_manifest(out, args)
+    _write_manifest(out, args, inputs)
     log.info("wrote %s (%d draws)", out / "draws.adx", draws.m)
     return 0
 
 
-def cmd_scan(args):
+def cmd_scan(args, inputs):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait, _ = _load_trait_for_draws(args, draws)
     result = stage1_scan(draws, trait, delta=args.delta)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
-    _write_manifest(out, args)
+    _write_manifest(out, args, inputs)
     return 0
 
 
-def cmd_map(args):
+def cmd_map(args, inputs):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait, _ = _load_trait_for_draws(args, draws)
@@ -230,22 +248,22 @@ def cmd_map(args):
     fileio.write_stage2_table(
         result, out / "stage2.tsv", reported=reported_subsets(result)
     )
-    _write_manifest(out, args)
+    _write_manifest(out, args, inputs)
     return 0
 
 
-def cmd_ald(args):
+def cmd_ald(args, inputs):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     corr, flagged = ald_correlation(draws)
     fileio.write_ald_matrix(corr, draws.marker_ids, out / "ald.tsv")
     if flagged:
         log.warning("%d constant loci zeroed in the correlation matrix", len(flagged))
-    _write_manifest(out, args)
+    _write_manifest(out, args, inputs)
     return 0
 
 
-def cmd_simulate(args):
+def cmd_simulate(args, inputs):
     if args.scenario == "null":
         res = null_study(args.n_subjects, args.n_loci, args.replicates,
                          args.trait_kind, args.alpha, args.delta, args.seed)
@@ -269,11 +287,11 @@ def cmd_simulate(args):
     draws, trait = res.dataset
     fileio.save_draws(draws, out / "dataset_draws.adx")
     fileio.write_phenotypes(draws.subject_ids, trait, out / "dataset_phenotype.tsv")
-    _write_manifest(out, args)
+    _write_manifest(out, args, inputs)
     return 0
 
 
-def cmd_rerun(args):
+def cmd_rerun(args, _inputs):
     record = fileio.read_manifest(args.manifest)
     command = record["command"]
     config = dict(record["config"])
@@ -288,9 +306,12 @@ def cmd_rerun(args):
     except DataFormatError as exc:
         raise DataFormatError(f"{args.manifest}: cannot replay: {exc}") from None
     if "inputs" not in record:
-        log.warning("%s records no input hashes; replaying unchecked", args.manifest)
-    _check_inputs(args.manifest, config, record.get("inputs", {}))
-    return _HANDLERS[replay.command](replay)
+        raise DataFormatError(
+            f"{args.manifest}: manifest records no input hashes; "
+            "run the command again to write one that does"
+        )
+    inputs = _check_inputs(args.manifest, config, record["inputs"])
+    return _HANDLERS[replay.command](replay, inputs)
 
 
 _HANDLERS = {
@@ -310,7 +331,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _HANDLERS[args.command](args)
+        return _HANDLERS[args.command](args, _hash_inputs(vars(args)))
     except (AdmixscanError, OSError, ValueError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},

@@ -530,11 +530,14 @@ def write_rows_table(rows, path):
 # --- run manifest ------------------------------------------------------------
 
 
-def file_sha256(path, chunk_bytes=1 << 20):
+_HASH_CHUNK = 1 << 20
+
+
+def file_sha256(path):
     """Hex SHA-256 of a file, read in fixed-size chunks."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(chunk_bytes), b""):
+        for block in iter(lambda: fh.read(_HASH_CHUNK), b""):
             digest.update(block)
     return digest.hexdigest()
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admixscan import fileio
+from admixscan import cli, fileio
 from admixscan.cli import main
 from admixscan.hmm import AimPanel, GenotypeMatrix
 from admixscan.simulate import (
@@ -368,6 +368,48 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DataFormatError"
         assert f"input --phenotype {paths['pheno']} changed" in record["message"]
+        assert not (tmp / "replay").exists()
+
+    def test_manifest_hashes_inputs_before_they_are_read(self, dataset,
+                                                         monkeypatch):
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        original = hashlib.sha256(paths["pheno"].read_bytes()).hexdigest()
+        real_scan = cli.stage1_scan
+
+        def scan_then_edit(*args, **kwargs):
+            # the phenotype file changes after the run has read it
+            with open(paths["pheno"], "a") as fh:
+                fh.write("S999\t1.0\n")
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "stage1_scan", scan_then_edit)
+        assert main(["scan", "--draws", str(tmp / "imp" / "draws.adx"),
+                     "--phenotype", str(paths["pheno"]),
+                     "--out-dir", str(tmp / "scan")]) == 0
+        record = json.loads((tmp / "scan" / "manifest.json").read_text())
+        assert record["inputs"]["phenotype"] == original
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("inputs"), "records no input hashes"),
+        (lambda r: r["inputs"].pop("phenotype"), "--phenotype has a path but no hash"),
+    ], ids=["no-inputs-key", "entry-removed"])
+    def test_rerun_refuses_manifest_without_hashes(self, dataset, capsys,
+                                                   edit, message):
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        assert main(["scan", "--draws", str(tmp / "imp" / "draws.adx"),
+                     "--phenotype", str(paths["pheno"]),
+                     "--out-dir", str(tmp / "scan")]) == 0
+        manifest = tmp / "scan" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        edit(record)
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out-dir", str(tmp / "replay")]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "DataFormatError"
+        assert message in error["message"]
         assert not (tmp / "replay").exists()
 
     def test_rerun_rejects_unknown_manifest_key(self, tmp_path, capsys):
