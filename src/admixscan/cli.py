@@ -106,17 +106,14 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--trait-kind", choices=("continuous", "binary"),
                    default="continuous")
     p.add_argument("--n-subjects", type=int, default=1000)
-    p.add_argument("--n-loci", type=int, default=1000, help="loci per replicate (null)")
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="covariate effect (null, single_locus)")
-    p.add_argument("--c-values", default=None,
-                   help="comma-separated effect multipliers (single_locus)")
-    p.add_argument("--c", type=float, default=None,
-                   help="effect multiplier (multilocus)")
+    p.add_argument("--n-loci", type=int, help="loci per replicate (null: 1000)")
+    p.add_argument("--alpha", type=float, help="covariate effect (null, single_locus: 0)")
+    p.add_argument("--c-values", help="comma-separated effect multipliers (single_locus)")
+    p.add_argument("--c", type=float, help="effect multiplier (multilocus)")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--max-cardinality", type=int, default=2,
-                   help="largest stage-2 subset (multilocus)")
+    p.add_argument("--max-cardinality", type=int,
+                   help="largest stage-2 subset (multilocus: 2)")
     _add_common(p)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -263,23 +260,36 @@ def cmd_ald(args, inputs):
     return 0
 
 
+def _resolve_scenario_options(args):
+    """Default the options ``args.scenario`` reads; refuse any others given."""
+    power_c = CONTINUOUS_C_VALUES if args.trait_kind == "continuous" else BINARY_C_VALUES
+    defaults = {
+        "null": {"n_loci": 1000, "alpha": 0.0},
+        "single_locus": {"alpha": 0.0, "c_values": ",".join(map(repr, power_c))},
+        "multilocus": {"c": MULTILOCUS_C[args.trait_kind], "max_cardinality": 2},
+    }[args.scenario]
+    for name in ("n_loci", "alpha", "c_values", "c", "max_cardinality"):
+        value = getattr(args, name)
+        if name in defaults:
+            setattr(args, name, defaults[name] if value is None else value)
+        elif value is not None:
+            raise ValueError(
+                f"--{name.replace('_', '-')} is not read by --scenario {args.scenario}"
+            )
+
+
 def cmd_simulate(args, inputs):
+    _resolve_scenario_options(args)
     if args.scenario == "null":
         res = null_study(args.n_subjects, args.n_loci, args.replicates,
                          args.trait_kind, args.alpha, args.delta, args.seed)
     elif args.scenario == "single_locus":
-        if args.c_values:
-            c_values = [float(c) for c in args.c_values.split(",")]
-        elif args.trait_kind == "continuous":
-            c_values = CONTINUOUS_C_VALUES
-        else:
-            c_values = BINARY_C_VALUES
+        c_values = [float(c) for c in args.c_values.split(",")]
         res = power_study(args.n_subjects, c_values, args.replicates,
                           args.trait_kind, args.alpha, args.delta, args.seed)
     else:
-        c = MULTILOCUS_C[args.trait_kind] if args.c is None else args.c
         res = multilocus_study(args.n_subjects, args.replicates, args.trait_kind,
-                               c, args.delta, args.seed,
+                               args.c, args.delta, args.seed,
                                max_cardinality=args.max_cardinality)
     out = _outdir(args)
     fileio.write_rows_table(res.rows, out / "replicates.tsv")

@@ -549,6 +549,7 @@ def write_manifest(path, command, config, inputs=None):
     record = {
         "tool": "admixscan",
         "version": __version__,
+        "numpy": np.__version__,
         "command": command,
         "config": config,
         "inputs": dict(inputs or {}),

@@ -2,25 +2,24 @@
 
 Traits regress on centered local-ancestry columns plus optional covariates,
 with an intercept always included.  Continuous traits use exact least
-squares; binary and count traits use iteratively reweighted least squares
-with canonical links and dispersion fixed at one.  A fit returns what the
-Bayes factor reads: the ancestry coefficients and their estimated
-covariance.
+squares; binary and count traits use Newton's method on the score with
+canonical links and dispersion fixed at one.  A fit returns what the Bayes
+factor reads: the ancestry coefficients and their estimated covariance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import expit, gammaln
 
 from .errors import DegenerateDesignError
 
 TRAIT_KINDS = ("continuous", "binary", "count")
 
 _IRLS_MAX_ITER = 100
-_IRLS_TOL = 1e-10          # relative log-likelihood change
+_IRLS_TOL = 1e-10          # relative log-likelihood gain a Newton step predicts
+_MAX_HALVINGS = 50         # step halvings before a Newton direction is given up
 _SEPARATION_LIMIT = 15.0   # |ancestry coefficient| flagging separation
 
 
@@ -46,6 +45,11 @@ class TraitData:
         if self.kind == "count":
             if np.any(self.y < 0) or np.any(self.y != np.round(self.y)):
                 raise ValueError("count trait must hold nonnegative integers")
+        # the fits start at logit(mean) or log(mean), which must be finite
+        if self.kind == "binary" and np.unique(self.y).size < 2:
+            raise ValueError("binary trait has a single class")
+        if self.kind == "count" and not self.y.any():
+            raise ValueError("count trait has no events")
         if self.covariates is None:
             self.covariates = np.empty((self.y.shape[0], 0))
         self.covariates = np.asarray(self.covariates, dtype=np.float64)
@@ -111,7 +115,6 @@ class FitResult:
     sigma_beta_hat: np.ndarray    # estimated covariance of beta_hat, (p, p)
     sigma2_hat: float             # residual variance (continuous) or 1.0
     converged: bool
-    n_used: int
     flag: str | None = None
 
     @property
@@ -119,62 +122,71 @@ class FitResult:
         return self.beta_hat.shape[0]
 
 
-def _solve_spd(a, b):
+def solve_spd(a, b):
+    """Solve ``a x = b`` for a symmetric positive-definite ``a``.
+
+    Raises :class:`DegenerateDesignError` when ``a`` is not positive
+    definite: a singular design, collinear columns, or non-finite entries.
+    """
     try:
-        factor = cho_factor(a)
-    except LinAlgError as exc:
-        raise DegenerateDesignError(f"singular information matrix: {exc}") from exc
-    return cho_solve(factor, b), factor
+        positive_definite = bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        positive_definite = False
+    if not positive_definite:
+        raise DegenerateDesignError(
+            f"{a.shape[0]}x{a.shape[0]} matrix is not positive definite"
+        )
+    return np.linalg.solve(a, b)
 
 
-def _inv_spd(a):
-    sol, _ = _solve_spd(a, np.eye(a.shape[0]))
-    return sol
-
-
-def _ols(y, z):
-    n, k = z.shape
-    ztz = z.T @ z
-    coef, _ = _solve_spd(ztz, z.T @ y)
-    resid = y - z @ coef
-    rss = float(resid @ resid)
-    return coef, rss, ztz
-
-
-def _link_terms(y, eta, kind):
-    """Mean and IRLS weight under the canonical link."""
-    if kind == "binary":
-        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        return mu, np.maximum(mu * (1.0 - mu), 1e-10)
-    mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
-    return mu, mu
+def expit(eta):
+    """Logistic function, computed without overflow for either sign."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _irls(y, z, kind):
+    """Newton's method on the score, from the intercept-only MLE.
+
+    A step that lowers the log-likelihood is halved until it does not.  The
+    fit has converged when a step predicts a gain within the tolerance; that
+    step is taken whole.  Returns the coefficients, the information at them
+    and whether the fit converged.
+    """
     # the count log-likelihood's constant term, sum(log y!), is fixed per fit
-    log_y_fact = gammaln(y + 1.0).sum() if kind == "count" else 0.0
+    log_y_fact = sum(map(math.lgamma, (y + 1.0).tolist())) if kind == "count" else 0.0
+
+    def terms(coef):
+        """Mean, Newton weight and log-likelihood under the canonical link."""
+        eta = z @ coef
+        if kind == "binary":
+            mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+            loglik = y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu)
+            return mu, np.maximum(mu * (1.0 - mu), 1e-10), float(loglik)
+        mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
+        return mu, mu, float(y @ np.log(mu) - mu.sum() - log_y_fact)
+
+    ybar = y.mean()
     coef = np.zeros(z.shape[1])
-    loglik = -np.inf
+    coef[0] = math.log(ybar / (1.0 - ybar)) if kind == "binary" else math.log(ybar)
+    mu, w, loglik = terms(coef)
     converged = False
     for _ in range(_IRLS_MAX_ITER):
-        eta = z @ coef
-        mu, w = _link_terms(y, eta, kind)
-        if kind == "binary":
-            new_loglik = float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
+        score = z.T @ (y - mu)
+        step = solve_spd(z.T @ (z * w[:, None]), score)
+        converged = score @ step <= 2.0 * _IRLS_TOL * max(1.0, abs(loglik))
+        for _ in range(_MAX_HALVINGS):
+            trial = coef + step
+            trial_terms = terms(trial)
+            if converged or trial_terms[2] >= loglik:
+                break
+            step = step / 2.0
         else:
-            new_loglik = float(y @ np.log(mu) - mu.sum() - log_y_fact)
-        adj = eta + (y - mu) / w
-        wz = z * w[:, None]
-        coef, _ = _solve_spd(z.T @ wz, wz.T @ adj)
-        if np.isfinite(loglik) and abs(new_loglik - loglik) <= _IRLS_TOL * max(
-            1.0, abs(loglik)
-        ):
-            converged = True
+            break   # no step along the Newton direction raises the likelihood
+        coef, (mu, w, loglik) = trial, trial_terms
+        if converged:
             break
-        loglik = new_loglik
-    # refresh the information at the final coefficients
-    _, w = _link_terms(y, z @ coef, kind)
-    return coef, z.T @ (z * w[:, None]), converged
+    return coef, z.T @ (z * w[:, None]), bool(converged)
 
 
 def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
@@ -199,18 +211,18 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
     sl = slice(1, 1 + p)
 
     if trait.kind == "continuous":
-        coef, rss, ztz = _ols(y, z)
-        dof = n - (1 + p + q)
-        sigma2 = rss / dof
-        cov = sigma2 * _inv_spd(ztz)
+        ztz = z.T @ z
+        coef = solve_spd(ztz, z.T @ y)
+        resid = y - z @ coef
+        sigma2 = float(resid @ resid) / (n - (1 + p + q))
+        cov = sigma2 * solve_spd(ztz, np.eye(z.shape[1]))
         return FitResult(
             beta_hat=coef[sl],
             alpha_hat=coef[1 + p:],
             intercept=float(coef[0]),
             sigma_beta_hat=cov[sl, sl],
-            sigma2_hat=float(sigma2),
+            sigma2_hat=sigma2,
             converged=True,
-            n_used=n,
         )
 
     coef, info, converged = _irls(y, z, trait.kind)
@@ -220,7 +232,7 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
     elif np.max(np.abs(coef[sl])) > _SEPARATION_LIMIT:
         flag = "separation"
         converged = False
-    cov = _inv_spd(info)
+    cov = solve_spd(info, np.eye(z.shape[1]))
     return FitResult(
         beta_hat=coef[sl],
         alpha_hat=coef[1 + p:],
@@ -228,6 +240,5 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
         sigma_beta_hat=cov[sl, sl],
         sigma2_hat=1.0,
         converged=converged,
-        n_used=n,
         flag=flag,
     )

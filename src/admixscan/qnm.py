@@ -15,18 +15,20 @@ T once Sigma_beta_hat already is the estimated covariance of beta_hat; the
 fit supplies exactly that, so W = beta' Sigma_beta_hat^-1 beta.
 
 The dispersion tau is set empirically: the Bayes factor's maximiser over
-tau is the root of a quadratic (see :func:`estimate_tau_eb`), clamped to a
+tau is the root of a quadratic (see :func:`bf_for_fit`), clamped to a
 wide bracket.  Data consistent with the null (W <= p) put the maximiser at
 the lower bracket edge, which is returned as-is and yields BF <= 1.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.special import logsumexp
+
+from .errors import DegenerateDesignError
+from .glm import solve_spd
 
 TAU_BRACKET = (1e-8, 1e4)
 
@@ -61,7 +63,6 @@ class BfValue:
     """A single Bayes factor on the log10 scale, with its ingredients."""
 
     log10_bf: float
-    t_stat: float
     tau_hat: float
     p: int
     flag: str | None = None
@@ -70,7 +71,6 @@ class BfValue:
     def flagged(cls, reason, p=0):
         return cls(
             log10_bf=float("nan"),
-            t_stat=float("nan"),
             tau_hat=float("nan"),
             p=p,
             flag=reason,
@@ -85,13 +85,9 @@ def qnm_density(beta, spec: QnmSpec):
     p = spec.p
     if pts.shape[1] != p:
         raise ValueError(f"beta has dimension {pts.shape[1]}, spec has {p}")
-    try:
-        factor = cho_factor(spec.scale)
-    except LinAlgError as exc:
-        raise ValueError(f"scale matrix is not positive definite: {exc}") from exc
     v = spec.n_subjects * spec.tau * spec.sigma2
-    quad = np.einsum("ij,ij->i", pts, cho_solve(factor, pts.T).T)
-    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    quad = np.einsum("ij,ij->i", pts, solve_spd(spec.scale, pts.T).T)
+    logdet = np.linalg.slogdet(spec.scale)[1]
     log_norm = -0.5 * (p * np.log(2.0 * np.pi * v) + logdet) - quad / (2.0 * v)
     dens = quad / (v * p) * np.exp(log_norm)
     return float(dens[0]) if single else dens
@@ -99,11 +95,7 @@ def qnm_density(beta, spec: QnmSpec):
 
 def wald_statistic(fit):
     """Quadratic form of the ancestry estimates in their estimated covariance."""
-    try:
-        factor = cho_factor(fit.sigma_beta_hat)
-    except LinAlgError as exc:
-        raise ValueError(f"coefficient covariance not positive definite: {exc}") from exc
-    return float(fit.beta_hat @ cho_solve(factor, fit.beta_hat))
+    return float(fit.beta_hat @ solve_spd(fit.sigma_beta_hat, fit.beta_hat))
 
 
 def log_bf(wald, p, n_tau):
@@ -112,87 +104,61 @@ def log_bf(wald, p, n_tau):
     return math.log1p(t / p) - (p / 2.0 + 1.0) * math.log1p(n_tau) + t / 2.0
 
 
-def _tau_from_wald(wald, p, n_subjects, bracket=TAU_BRACKET):
+def _tau_from_wald(wald, p, n_subjects):
     # With x = n*tau, d log BF / dx = 0 reduces to A x^2 - B x - C = 0 with
     # A = (p+2)(W+p) > 0, B = W^2 - 2p(p+2), C = (p+2)(W-p).  For W > p it
     # has exactly one positive root, where log BF turns from rising to
     # falling; for W <= p log BF falls for every x > 0.
+    lo, hi = TAU_BRACKET
     if wald <= p:
-        return bracket[0]
+        return lo
     a = (p + 2.0) * (wald + p)
     b = wald * wald - 2.0 * p * (p + 2.0)
     c = (p + 2.0) * (wald - p)
     n_tau = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return min(max(n_tau / n_subjects, bracket[0]), bracket[1])
-
-
-def estimate_tau_eb(fit, n_subjects, bracket=TAU_BRACKET):
-    """Empirical dispersion: the tau in ``bracket`` maximising the Bayes factor.
-
-    Closed form: the stationary point of log BF in ``n*tau`` is the positive
-    root of a quadratic, clamped to the bracket.  Null-consistent data
-    (W <= p) return the exact lower bound.
-    """
-    if not fit.converged:
-        raise ValueError("cannot estimate tau from a flagged fit")
-    return _tau_from_wald(wald_statistic(fit), fit.p, n_subjects, bracket)
-
-
-def _usable_wald(fit):
-    """Wald statistic of a usable fit; ValueError saying why a fit is not."""
-    if not fit.converged:
-        raise ValueError(fit.flag or "fit not converged")
-    w = wald_statistic(fit)
-    if not np.isfinite(w):
-        raise ValueError("non-finite quadratic statistic")
-    return w
-
-
-def _bf_value(wald, p, n_subjects, tau_hat) -> BfValue:
-    n_tau = n_subjects * tau_hat
-    return BfValue(
-        log10_bf=log_bf(wald, p, n_tau) / math.log(10.0),
-        t_stat=n_tau / (1.0 + n_tau) * wald,
-        tau_hat=float(tau_hat),
-        p=p,
-    )
-
-
-def bayes_factor(fit, tau_hat, n_subjects) -> BfValue:
-    """Closed-form Bayes factor at the supplied dispersion."""
-    try:
-        w = _usable_wald(fit)
-    except ValueError as exc:
-        return BfValue.flagged(str(exc), p=fit.p)
-    return _bf_value(w, fit.p, n_subjects, tau_hat)
+    return min(max(n_tau / n_subjects, lo), hi)
 
 
 def bf_for_fit(fit, n_subjects) -> BfValue:
-    """Estimate the dispersion empirically, then evaluate the Bayes factor."""
+    """Bayes factor at the tau in ``TAU_BRACKET`` that maximises it.
+
+    A fit that cannot be scored comes back flagged with the reason.
+    """
+    if not fit.converged:
+        return BfValue.flagged(fit.flag or "fit not converged", p=fit.p)
     try:
-        w = _usable_wald(fit)
-    except ValueError as exc:
-        return BfValue.flagged(str(exc), p=fit.p)
-    return _bf_value(w, fit.p, n_subjects, _tau_from_wald(w, fit.p, n_subjects))
+        w = wald_statistic(fit)
+    except DegenerateDesignError as exc:
+        return BfValue.flagged(f"coefficient covariance: {exc}", p=fit.p)
+    if not math.isfinite(w):
+        return BfValue.flagged("non-finite quadratic statistic", p=fit.p)
+    tau_hat = _tau_from_wald(w, fit.p, n_subjects)
+    return BfValue(
+        log10_bf=log_bf(w, fit.p, n_subjects * tau_hat) / math.log(10.0),
+        tau_hat=float(tau_hat),
+        p=fit.p,
+    )
 
 
 def average_bf(values) -> BfValue:
     """Average Bayes factors (on the BF scale, not log) across imputations.
 
     Flagged entries drop out and the rest count equally; the average is
-    computed in log space for stability.
+    computed in log space for stability.  When every entry is flagged the
+    result carries the most common reason.
     """
     values = list(values)
     if not values:
         raise ValueError("no Bayes factors to average")
     kept = [v for v in values if v.flag is None]
     if not kept:
-        return BfValue.flagged("all imputations flagged", p=values[0].p)
+        [(reason, _)] = Counter(v.flag for v in values).most_common(1)
+        return BfValue.flagged(reason, p=values[0].p)
     ln_bf = np.array([v.log10_bf for v in kept]) * math.log(10.0)
-    ln_avg = logsumexp(ln_bf, b=np.full(len(kept), 1.0 / len(kept)))
+    top = ln_bf.max()
+    ln_avg = top + math.log(np.exp(ln_bf - top).mean())
     return BfValue(
         log10_bf=float(ln_avg / math.log(10.0)),
-        t_stat=float("nan"),
         tau_hat=float("nan"),
         p=kept[0].p,
     )
@@ -216,11 +182,7 @@ def spec_from_ancestry(raw_s, tau, sigma2) -> QnmSpec:
     if raw_s.ndim == 1:
         raw_s = raw_s[:, None]
     gram = raw_s.T @ raw_s
-    try:
-        factor = cho_factor(gram)
-    except LinAlgError as exc:
-        raise ValueError(f"ancestry columns are collinear: {exc}") from exc
-    scale = cho_solve(factor, np.eye(gram.shape[0]))
+    scale = solve_spd(gram, np.eye(gram.shape[0]))
     return QnmSpec(tau=tau, sigma2=sigma2, scale=scale,
                    n_subjects=raw_s.shape[0])
 

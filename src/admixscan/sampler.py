@@ -30,10 +30,10 @@ Conditional structure worth knowing before editing:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import kernels
 from .errors import ForwardUnderflowError
@@ -291,12 +291,15 @@ def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
     state.p_b = np.clip(rng.beta(a_b, b_b), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def _beta_loglik(tau, freqs, means):
     return float(
         np.sum(
-            gammaln(tau)
-            - gammaln(tau * means)
-            - gammaln(tau * (1.0 - means))
+            math.lgamma(tau)
+            - _lgamma(tau * means)
+            - _lgamma(tau * (1.0 - means))
             + (tau * means - 1.0) * np.log(freqs)
             + (tau * (1.0 - means) - 1.0) * np.log1p(-freqs)
         )

@@ -9,11 +9,11 @@ deterministic given a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtri
 
-from .glm import TraitData
+from .glm import TraitData, expit
 from .hmm import MISSING
 
 # Default effect multipliers: the single-locus power grid and the multilocus
@@ -50,19 +50,15 @@ def sample_ancestry_hwe(paap, n_subjects, rng):
 def sample_correlated_ancestry(p_a, rho_latent, n_subjects, rng):
     """Ancestry pairs coupled through correlated standard-normal latents.
 
-    Each latent is cut at ``ndtri((1-p_a)^2)`` and ``ndtri(1-p_a^2)`` so the
-    marginals stay exactly Hardy-Weinberg whatever the latent correlation.
+    Each latent is cut at the standard-normal quantiles of ``(1-p_a)^2`` and
+    ``1-p_a^2`` so the marginals stay exactly Hardy-Weinberg whatever the
+    latent correlation.
     """
     if not (0.0 <= rho_latent < 1.0):
         raise ValueError("latent correlation must lie in [0, 1)")
     z1 = rng.standard_normal(n_subjects)
     z2 = rho_latent * z1 + np.sqrt(1.0 - rho_latent ** 2) * rng.standard_normal(n_subjects)
-    c0 = ndtri((1.0 - p_a) ** 2)
-    c1 = ndtri(1.0 - p_a ** 2)
-    out = np.empty((n_subjects, 2), dtype=np.int8)
-    for k, z in enumerate((z1, z2)):
-        out[:, k] = (z > c0).astype(np.int8) + (z > c1).astype(np.int8)
-    return out
+    return _threshold_to_counts(np.column_stack([z1, z2]), [p_a, p_a])
 
 
 def simulate_traits(s_causal, trait_kind, alpha, c, paap_causal, rng) -> TraitData:
@@ -145,8 +141,10 @@ def _segment_latents(n_subjects, n_loci, phi, kappa, rng):
 
 
 def _threshold_to_counts(z, paap):
-    c0 = ndtri((1.0 - paap) ** 2)[None, :]
-    c1 = ndtri(1.0 - paap ** 2)[None, :]
+    """Cut standard-normal latents into Hardy-Weinberg ancestry counts."""
+    inv_cdf = NormalDist().inv_cdf
+    c0 = np.array([inv_cdf((1.0 - p) ** 2) for p in paap])
+    c1 = np.array([inv_cdf(1.0 - p ** 2) for p in paap])
     return (z > c0).astype(np.int8) + (z > c1).astype(np.int8)
 
 

@@ -22,7 +22,7 @@ from admixscan.hmm import (
     build_transition_matrix,
     conditional_transition_matrices,
 )
-from admixscan.qnm import QnmSpec, bayes_factor, estimate_tau_eb, qnm_density
+from admixscan.qnm import QnmSpec, bf_for_fit, qnm_density
 from admixscan.sampler import HmmHyperparams, run_mcmc
 from admixscan.simulate import (
     sample_ancestry_hwe,
@@ -147,8 +147,9 @@ def test_criterion_3_qnm_normalisation_and_bf_consistency():
         y = 0.35 * s_raw[:, 0] + rng.standard_normal(500)
         trait = TraitData(y=y, kind="continuous")
         fit = fit_glm(trait, center_ancestries(s_raw))
-        tau_hat = estimate_tau_eb(fit, 500)
-        closed = 10 ** bayes_factor(fit, tau_hat, 500).log10_bf
+        bf = bf_for_fit(fit, 500)
+        tau_hat = bf.tau_hat
+        closed = 10 ** bf.log10_bf
         beta_hat = fit.beta_hat[0]
         var = fit.sigma_beta_hat[0, 0]
         spec = QnmSpec(

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import admixscan
 from admixscan import cli, fileio
 from admixscan.cli import main
 from admixscan.hmm import AimPanel, GenotypeMatrix
@@ -158,6 +162,12 @@ class TestDeterminism:
     def test_rerun_from_manifest_reproduces_outputs(self, dataset):
         tmp, paths = dataset
         main(impute_args(paths, tmp / "imp"))
+        manifest = tmp / "imp" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        assert record["numpy"] == np.__version__
+        # manifests written before the numpy version was recorded replay too
+        del record["numpy"]
+        manifest.write_text(json.dumps(record))
         assert main(
             ["rerun", str(tmp / "imp" / "manifest.json"),
              "--out-dir", str(tmp / "imp2")]
@@ -236,7 +246,6 @@ class TestSimulateCommand:
                 "simulate",
                 "--scenario", "single_locus",
                 "--n-subjects", "200",
-                "--n-loci", "12",
                 "--replicates", "2",
                 "--c-values", "0.4",
                 "--out-dir", str(tmp_path / "sim"),
@@ -317,6 +326,35 @@ class TestSimulatedDataset:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record == {"error": "ValueError", "message": message}
         assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("scenario,option,value", [
+        ("null", "--c", "0.5"),
+        ("single_locus", "--n-loci", "12"),
+        ("multilocus", "--alpha", "3"),
+    ], ids=["null", "single_locus", "multilocus"])
+    def test_option_the_scenario_does_not_read_rejected(self, tmp_path, capsys,
+                                                        scenario, option, value):
+        # each used to be accepted, recorded in the manifest and ignored
+        code = main(["simulate", "--scenario", scenario, option, value,
+                     "--out-dir", str(tmp_path / "sim")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError",
+                          "message": f"{option} is not read by --scenario {scenario}"}
+        assert not (tmp_path / "sim").exists()
+
+    def test_manifest_records_resolved_scenario_options(self, tmp_path):
+        expected = {
+            "null": {"n_loci": 30, "alpha": 0.0},
+            "single_locus": {"alpha": 0.0, "c_values": "0.4,0.1"},
+            "multilocus": {"c": 0.7, "max_cardinality": 2},
+        }
+        scenario_only = ("n_loci", "alpha", "c_values", "c", "max_cardinality")
+        for scenario, resolved in expected.items():
+            assert simulate(scenario, tmp_path / scenario) == 0
+            config = json.loads(
+                (tmp_path / scenario / "manifest.json").read_text())["config"]
+            assert {k: config[k] for k in scenario_only if k in config} == resolved
 
 
 class TestErrorSurface:
@@ -431,3 +469,14 @@ class TestErrorSurface:
         assert record["error"] == "DataFormatError"
         assert "--workers" in record["message"]
         assert str(manifest) in record["message"]
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = Path(admixscan.__file__).resolve().parents[1]
+    code = ("import admixscan.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

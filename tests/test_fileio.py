@@ -213,6 +213,19 @@ class TestPhenotypes:
         with pytest.raises(DataFormatError, match="pheno.tsv:3: duplicate subject_id 'S0'"):
             fileio.read_phenotypes(path, "continuous")
 
+    @pytest.mark.parametrize("kind,message", [
+        ("binary", "binary trait has a single class"),
+        ("count", "count trait has no events"),
+    ], ids=["binary", "count"])
+    def test_trait_without_variation_names_file_and_kind(self, tmp_path, kind,
+                                                         message):
+        # TraitData refuses it: logit or log of the trait mean starts the fit
+        path = tmp_path / "pheno.tsv"
+        value = "1" if kind == "binary" else "0"
+        path.write_text(f"subject_id\ttrait\nS0\t{value}\nS1\t{value}\nS2\tNA\n")
+        with pytest.raises(DataFormatError, match=f"pheno.tsv: {message}"):
+            fileio.read_phenotypes(path, kind)
+
     def test_align_trait_to_draws_subsets_rows(self, rng):
         draws = make_draws(rng)
         trait = TraitData(

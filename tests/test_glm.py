@@ -204,6 +204,32 @@ class TestCountFit:
         assert fit.beta_hat[0] == pytest.approx(0.3, abs=0.05)
         assert fit.sigma2_hat == 1.0
 
+    def test_fits_converge_across_intercept_and_covariate_scales(self):
+        # y ~ Poisson(exp(b0 + 0.2 s + bc c)) with a N(0, 1) covariate c:
+        # starting from zero without step control, large b0 or bc made the
+        # fit overshoot and come back flagged
+        rng = np.random.default_rng(90)
+        n, beta = 500, 0.2
+        z_scores = []
+        for b0 in (0.0, 3.0, 6.0, 9.0):
+            for bc in (0.5, 1.5, 3.0):
+                for _ in range(10):
+                    s_raw = rng.binomial(2, 0.8, size=(n, 1))
+                    c = rng.standard_normal((n, 1))
+                    eta = b0 + beta * s_raw[:, 0] + bc * c[:, 0]
+                    trait = TraitData(y=rng.poisson(np.exp(eta)).astype(float),
+                                      kind="count", covariates=c)
+                    fit = fit_glm(trait, center_ancestries(s_raw))
+                    assert fit.converged and fit.flag is None, (b0, bc)
+                    se = np.sqrt(fit.sigma_beta_hat[0, 0])
+                    z_scores.append((fit.beta_hat[0] - beta) / se)
+        # 3 SE is crossed by chance in 0.27% of fits (0.32 of these 120),
+        # 4 SE in 0.006%; the z-scores' spread checks the standard errors
+        z_scores = np.array(z_scores)
+        assert np.abs(z_scores).max() < 4.0
+        assert (np.abs(z_scores) > 3.0).sum() <= 1
+        assert 0.8 < z_scores.std() < 1.2
+
 
 class TestTraitValidation:
     def test_binary_values_checked(self):

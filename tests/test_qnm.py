@@ -14,9 +14,8 @@ from admixscan.qnm import (
     QnmSpec,
     TAU_BRACKET,
     average_bf,
-    bayes_factor,
+    bf_for_fit,
     density_grid,
-    estimate_tau_eb,
     hwe_second_moment,
     log_bf,
     qnm_density,
@@ -109,7 +108,7 @@ def synthetic_fit(rng, n=500, beta=0.35, p_a=0.85):
 class TestTauEstimate:
     def test_grid_oracle(self, rng):
         _, fit = synthetic_fit(rng)
-        tau_hat = estimate_tau_eb(fit, 500)
+        tau_hat = bf_for_fit(fit, 500).tau_hat
         w = wald_statistic(fit)
         grid = np.logspace(math.log10(TAU_BRACKET[0]), math.log10(TAU_BRACKET[1]), 10000)
         values = [log_bf(w, 1, 500 * t) for t in grid]
@@ -125,11 +124,9 @@ class TestTauEstimate:
             sigma_beta_hat=np.eye(1) * 0.01,
             sigma2_hat=1.0,
             converged=True,
-            n_used=100,
         )
-        tau_hat = estimate_tau_eb(fit, 100)
-        assert tau_hat == TAU_BRACKET[0]
-        bf = bayes_factor(fit, tau_hat, 100)
+        bf = bf_for_fit(fit, 100)
+        assert bf.tau_hat == TAU_BRACKET[0]
         assert 10 ** bf.log10_bf <= 1.0
 
     def test_flagged_fit_rejected(self):
@@ -140,11 +137,11 @@ class TestTauEstimate:
             sigma_beta_hat=np.eye(1),
             sigma2_hat=1.0,
             converged=False,
-            n_used=10,
             flag="separation",
         )
-        with pytest.raises(ValueError):
-            estimate_tau_eb(fit, 10)
+        bf = bf_for_fit(fit, 10)
+        assert bf.flag == "separation"
+        assert math.isnan(bf.tau_hat) and math.isnan(bf.log10_bf)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_closed_form_matches_bounded_search(self, p):
@@ -159,7 +156,6 @@ class TestTauEstimate:
                 sigma_beta_hat=np.eye(p),
                 sigma2_hat=1.0,
                 converged=True,
-                n_used=20,
             )
             w = wald_statistic(fit)
             for n in (20, 1000, 100000):
@@ -173,7 +169,7 @@ class TestTauEstimate:
                     ((u, log10_bf(u)) for u in (inner.x, lo, hi)),
                     key=lambda item: item[1],
                 )
-                tau_hat = estimate_tau_eb(fit, n)
+                tau_hat = bf_for_fit(fit, n).tau_hat
                 assert TAU_BRACKET[0] <= tau_hat <= TAU_BRACKET[1]
                 if w <= p:
                     assert tau_hat == TAU_BRACKET[0]
@@ -269,8 +265,8 @@ class TestBayesFactor:
         rel_errs = []
         for _ in range(10):
             trait, fit = synthetic_fit(rng, n=500, beta=0.35)
-            tau_hat = estimate_tau_eb(fit, 500)
-            bf = bayes_factor(fit, tau_hat, 500)
+            bf = bf_for_fit(fit, 500)
+            tau_hat = bf.tau_hat
 
             beta_hat = fit.beta_hat[0]
             var = fit.sigma_beta_hat[0, 0]
@@ -302,7 +298,7 @@ class TestBayesFactor:
 
 class TestAverageBf:
     def bf(self, value):
-        return BfValue(log10_bf=math.log10(value), t_stat=1.0, tau_hat=0.1, p=1)
+        return BfValue(log10_bf=math.log10(value), tau_hat=0.1, p=1)
 
     def test_identical_inputs(self):
         out = average_bf([self.bf(7.0), self.bf(7.0)])
@@ -320,7 +316,11 @@ class TestAverageBf:
 
     def test_all_flagged_yields_flagged(self):
         out = average_bf([BfValue.flagged("a", p=1), BfValue.flagged("b", p=1)])
-        assert out.flag is not None
+        assert out.flag == "a"
+
+    def test_all_flagged_keeps_most_common_reason(self):
+        out = average_bf([BfValue.flagged(r, p=1) for r in ("a", "b", "b")])
+        assert out.flag == "b"
 
     def test_single_draw_average_is_exact(self):
         one = self.bf(42.0)
