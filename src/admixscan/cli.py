@@ -19,7 +19,6 @@ from .errors import AdmixscanError, DataFormatError
 from .glm import TRAIT_KINDS
 from .mapping import (
     DEFAULT_DELTA,
-    DEFAULT_SUBSET_CAP,
     ald_correlation,
     reported_subsets,
     stage1_scan,
@@ -92,7 +91,6 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--draws", required=True)
     _add_trait_args(p)
     p.add_argument("--max-cardinality", type=int, default=None)
-    p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
     _add_common(p)
 
     p = sub.add_parser("ald", help="ancestry correlation matrix from draws")
@@ -234,13 +232,7 @@ def cmd_map(args, inputs):
     draws = fileio.load_draws(args.draws)
     draws, trait, _ = _load_trait_for_draws(args, draws)
     stage1 = stage1_scan(draws, trait, delta=args.delta)
-    result = stage2_joint(
-        stage1,
-        draws,
-        trait,
-        max_cardinality=args.max_cardinality,
-        subset_cap=args.subset_cap,
-    )
+    result = stage2_joint(stage1, draws, trait, max_cardinality=args.max_cardinality)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     fileio.write_stage2_table(
         result, out / "stage2.tsv", reported=reported_subsets(result)

@@ -44,6 +44,7 @@ class AimPanel:
     chrom_start
         boolean mask, True where a new chromosome begins; the ancestry chain
         restarts there and the interval has no recombination parameter.
+        Each chromosome's markers must be contiguous.
     d
         genetic distance to the previous marker on the same chromosome
         (Morgans); 0.0 at chromosome starts, where it is unused.
@@ -83,6 +84,16 @@ class AimPanel:
         start = np.empty(n, dtype=bool)
         start[0] = True
         start[1:] = self.chrom[1:] != self.chrom[:-1]
+        seen = set()
+        for j in np.flatnonzero(start):
+            c = int(self.chrom[j])
+            if c in seen:
+                raise ValueError(
+                    f"chromosome {c} resumes at marker {self.marker_ids[j]!r} "
+                    "after another chromosome; a chromosome's markers must be "
+                    "contiguous"
+                )
+            seen.add(c)
         d = np.zeros(n)
         inner = np.flatnonzero(~start)
         d[inner] = self.position[inner] - self.position[inner - 1]
@@ -197,96 +208,76 @@ class AncestryDraws:
         return self.draws.shape[2]
 
 
-def observation_rows(p_a, p_b):
-    """Unvalidated core of :func:`build_observation_matrix`.
+def two_lineages(p, q):
+    """Law of the count of 1s among two independent 0/1 lineages.
 
-    Broadcasts over array arguments: the result has shape ``(3, 3) +
-    broadcast(p_a, p_b).shape``, indexed (ancestry count, genotype, ...).
-    Frequencies of exactly 0 or 1 pass through, which is what lets the
-    sampler report a locus where the forward pass loses all mass.
+    One lineage is 1 with probability ``p``, the other with probability
+    ``q``.  Every three-state distribution of the HMM is this law: the
+    emission rows, the Hardy-Weinberg start vector, the recombination
+    kernels and the marginal transition matrix.  Broadcasts over its
+    arguments: the result has shape ``(3,) + broadcast(p, q).shape``,
+    indexed (count, ...).
     """
-    p_a = np.asarray(p_a, dtype=np.float64)
-    p_b = np.asarray(p_b, dtype=np.float64)
-    qa = 1.0 - p_a
-    qb = 1.0 - p_b
-    return np.array(
-        [
-            [qb * qb, 2.0 * p_b * qb, p_b * p_b],
-            [qa * qb, p_a * qb + p_b * qa, p_a * p_b],
-            [qa * qa, 2.0 * p_a * qa, p_a * p_a],
-        ]
-    )
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    pc = 1.0 - p
+    qc = 1.0 - q
+    return np.array([pc * qc, p * qc + q * pc, p * q])
 
 
-def build_observation_matrix(p_a, p_b):
+def observation_rows(p_a, p_b):
     """Genotype probabilities given local ancestry.
 
-    Rows index the ancestry count 0/1/2, columns the observed minor-allele
-    count 0/1/2; each row sums to one.
+    ``p_a`` and ``p_b`` share one shape; the result has shape ``(3, 3) +
+    p_a.shape``, indexed (ancestry count, genotype, ...), and each row sums
+    to one.  Ancestry count k carries k alleles drawn at ``p_a`` and 2 - k
+    at ``p_b``.  Frequencies of exactly 0 or 1 pass through, which is what
+    lets the sampler report a locus where the forward pass loses all mass.
     """
-    p_a = float(p_a)
-    p_b = float(p_b)
-    if not (0.0 < p_a < 1.0) or not (0.0 < p_b < 1.0):
-        raise ValueError("allele frequencies must lie strictly inside (0, 1)")
-    return observation_rows(p_a, p_b)
+    return two_lineages((p_b, p_a, p_a), (p_b, p_b, p_a)).swapaxes(0, 1)
 
 
 def hwe_rows(rho):
-    """Unvalidated core of :func:`initial_state_vector`; shape ``(3,) + rho.shape``."""
-    return np.array([(1.0 - rho) * (1.0 - rho), 2.0 * rho * (1.0 - rho), rho * rho])
-
-
-def initial_state_vector(rho):
-    """Hardy-Weinberg ancestry distribution for admixture proportion rho."""
-    rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError("rho must lie in [0, 1]")
-    return hwe_rows(rho)
+    """Hardy-Weinberg ancestry distribution; shape ``(3,) + rho.shape``."""
+    return two_lineages(rho, rho)
 
 
 def transition_kernels(rho):
-    """Unvalidated core of :func:`conditional_transition_matrices`.
+    """Ancestry transition kernels given 0, 1 or 2 recombinations.
 
     Broadcasts over an array of admixture proportions: the result has shape
     ``(3, 3, 3) + rho.shape``, indexed (recombination count, from-state,
-    to-state, ...).
+    to-state, ...).  With no recombination the ancestry is copied.  With
+    one, a lineage is kept (high-risk with probability from-state / 2) and
+    the other is redrawn from rho; with two, both are redrawn, which is the
+    Hardy-Weinberg row.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    zero = np.zeros_like(rho)
-    one = zero + 1.0
-    hwe = hwe_rows(rho)
-    return np.array(
-        [
-            [[one, zero, zero], [zero, one, zero], [zero, zero, one]],
-            [
-                [1.0 - rho, rho, zero],
-                [0.5 * (1.0 - rho), zero + 0.5, 0.5 * rho],
-                [zero, 1.0 - rho, rho],
-            ],
-            [hwe, hwe, hwe],
-        ]
-    )
-
-
-def conditional_transition_matrices(rho):
-    """Stack of ancestry transition kernels given 0, 1 or 2 recombinations.
-
-    Returns an array of shape (3, 3, 3): the leading axis is the
-    recombination count on the interval, then (from-state, to-state).  With
-    no recombination the ancestry is copied; with one, a single lineage is
-    redrawn from the admixture proportion; with two, both are.
-    """
-    rho = float(rho)
-    if not (0.0 <= rho <= 1.0):
-        raise ValueError("rho must lie in [0, 1]")
-    return transition_kernels(rho)
+    # P(high-risk) of each lineage.  Rows 0-2: the lineage kept from
+    # from-state 0, 1, 2, and a redrawn one; row 3: two redrawn lineages.
+    # Spelled out at full shape: broadcasting rho here costs more than it saves.
+    hi = np.empty((2, 4) + rho.shape)
+    hi[0, 0] = 0.0
+    hi[0, 1] = 0.5
+    hi[0, 2] = 1.0
+    hi[0, 3] = rho
+    hi[1] = rho
+    rows = two_lineages(hi[0], hi[1])    # (to-state, row, ...)
+    kern = np.empty((3, 3, 3) + rho.shape)
+    kern[0] = 0.0
+    for k in range(3):
+        kern[0, k, k] = 1.0
+    kern[1] = rows[:, :3].swapaxes(0, 1)
+    kern[2] = rows[:, 3]
+    return kern
 
 
 def build_transition_matrix(rho, gamma):
     """Marginal ancestry transition matrix for one marker interval.
 
     Closed form of the binomial mixture
-    ``sum_r Q^(r) * C(2, r) * gamma^r * (1 - gamma)^(2 - r)``.
+    ``sum_r Q^(r) * C(2, r) * gamma^r * (1 - gamma)^(2 - r)``: each lineage
+    independently recombines with probability gamma and is then redrawn.
     """
     rho = float(rho)
     gamma = float(gamma)
@@ -294,10 +285,6 @@ def build_transition_matrix(rho, gamma):
         raise ValueError("rho and gamma must lie in [0, 1]")
     a = gamma * rho                # a lineage recombines into ancestry A
     b = gamma * (1.0 - rho)        # a lineage recombines into ancestry B
-    return np.array(
-        [
-            [(1.0 - a) ** 2, 2.0 * a * (1.0 - a), a * a],
-            [b * (1.0 - a), (1.0 - b) * (1.0 - a) + a * b, a * (1.0 - b)],
-            [b * b, 2.0 * b * (1.0 - b), (1.0 - b) ** 2],
-        ]
-    )
+    # from-states 0, 1, 2 hold B+B, A+B, A+A: a lineage ends in A w.p. a if
+    # it was B, 1 - b if it was A
+    return two_lineages([a, 1.0 - b, 1.0 - b], [a, a, 1.0 - b]).T

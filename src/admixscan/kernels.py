@@ -1,7 +1,8 @@
 """Hot inner-loop kernels for the ancestry sampler.
 
-One numpy implementation per sweep step.  The emission rows and the
-transition kernels come from :mod:`admixscan.hmm`, the only place they are
+One numpy implementation per sweep step.  The emission rows, the
+transition kernels and the recombination-count prior all come from
+:func:`admixscan.hmm.two_lineages`, the only place a three-state law is
 written.
 
 Every sampling kernel takes pre-drawn uniforms instead of a generator, so
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ForwardUnderflowError
-from .hmm import observation_rows, transition_kernels
+from .hmm import observation_rows, transition_kernels, two_lineages
 
 
 def active_backend():
@@ -88,13 +89,13 @@ def recombination_counts(s, chrom_start, gamma, rho, u):
     prev = np.empty_like(s)
     prev[:, 1:] = s[:, :-1]
     prev[:, 0] = s[:, 0]
-    g = np.asarray(gamma, np.float64)[None, :]
+    prior = two_lineages(gamma, gamma)   # binomial(2, gamma): 0, 1, 2 recombinations
     # in place: at most four subject x locus floats live at once
-    w0 = (prev == s) * (1.0 - g) ** 2
+    w0 = (prev == s) * prior[0]
     w1 = kern[1, prev, s, col]
-    w1 *= 2.0 * g * (1.0 - g)
+    w1 *= prior[1]
     w2 = kern[2, 0, s, col]
-    w2 *= g ** 2
+    w2 *= prior[2]
     tot = w0 + w1
     tot += w2
     del w2

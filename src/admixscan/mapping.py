@@ -19,7 +19,7 @@ from .glm import TraitData, center_ancestries, fit_glm
 from .qnm import BfValue, average_bf, bf_for_fit
 
 DEFAULT_DELTA = 2.0
-DEFAULT_SUBSET_CAP = 4096
+SUBSET_CAP = 4096     # stage-2 subsets refit at most; more is refused before any fit
 
 
 @dataclass
@@ -108,7 +108,7 @@ def _count_subsets(n, max_cardinality):
 
 
 def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
-                 max_cardinality=None, subset_cap=DEFAULT_SUBSET_CAP) -> ScanResult:
+                 max_cardinality=None) -> ScanResult:
     """Joint refits over all subsets of the stage-1 selections, ranked."""
     if max_cardinality is not None and max_cardinality < 1:
         raise ValueError(f"max_cardinality must be at least 1, got {max_cardinality}")
@@ -121,9 +121,9 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
     )
     k_max = len(selected) if max_cardinality is None else min(max_cardinality, len(selected))
     n_subsets = _count_subsets(len(selected), k_max)
-    if n_subsets > subset_cap:
+    if n_subsets > SUBSET_CAP:
         raise ValueError(
-            f"{n_subsets} candidate subsets exceed the cap of {subset_cap}; "
+            f"{n_subsets} candidate subsets exceed the cap of {SUBSET_CAP}; "
             "raise delta or lower max_cardinality"
         )
     subsets = [
@@ -189,11 +189,10 @@ def ald_correlation(draws):
     pooled = draws.draws.reshape(m * n_sub, n_loc).astype(np.float64)
     sd = pooled.std(axis=0)
     constant = np.flatnonzero(sd == 0.0)
-    safe = pooled.copy()
     if constant.size:
-        # give constant columns unit variance noiselessly; zero them after
-        safe[0, constant] += 1.0
-    corr = np.corrcoef(safe, rowvar=False)
+        # give constant columns nonzero variance; their rows are zeroed below
+        pooled[0, constant] += 1.0
+    corr = np.corrcoef(pooled, rowvar=False)
     corr = np.atleast_2d(corr)
     if constant.size:
         corr[constant, :] = 0.0

@@ -211,26 +211,6 @@ def sample_ancestry_paths(state: HmmState, chrom_start, rng):
     )
 
 
-def ffbs_sample_path(x_row, r_row, p_a, p_b, rho, rng, chrom_start=None):
-    """Draw a single subject's ancestry path; convenience over the kernel."""
-    x_row = np.asarray(x_row, dtype=np.int8)
-    n_loc = x_row.shape[0]
-    if chrom_start is None:
-        chrom_start = np.zeros(n_loc, dtype=bool)
-        chrom_start[0] = True
-    u = rng.random((1, n_loc))
-    s = kernels.ffbs_paths(
-        x_row[None, :],
-        np.asarray(r_row, dtype=np.int8)[None, :],
-        chrom_start,
-        np.asarray(p_a, dtype=np.float64),
-        np.asarray(p_b, dtype=np.float64),
-        np.atleast_1d(np.asarray(rho, dtype=np.float64)),
-        u,
-    )
-    return s[0]
-
-
 def sample_recombination_counts(state: HmmState, chrom_start, rng):
     """Per-interval recombination counts given the ancestry transitions."""
     u = rng.random(state.r.shape)

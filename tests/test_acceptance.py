@@ -20,7 +20,7 @@ from admixscan.hmm import (
     MISSING,
     TAU_RANGE,
     build_transition_matrix,
-    conditional_transition_matrices,
+    transition_kernels,
 )
 from admixscan.qnm import QnmSpec, bf_for_fit, qnm_density
 from admixscan.sampler import HmmHyperparams, run_mcmc
@@ -97,7 +97,7 @@ def test_criterion_2_transition_matrix_identity():
     worst_mix = 0.0
     worst_row = 0.0
     for rho in grid:
-        stack = conditional_transition_matrices(rho)
+        stack = transition_kernels(rho)
         for gamma in grid:
             weights = binom.pmf(np.arange(3), 2, gamma)
             mixture = np.tensordot(weights, stack, axes=1)

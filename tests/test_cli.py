@@ -95,6 +95,7 @@ class TestPipeline:
         assert (tmp / "map" / "stage2.tsv").exists()
         manifest = json.loads((tmp / "map" / "manifest.json").read_text())
         assert manifest["command"] == "map"
+        assert "subset_cap" not in manifest["config"]
 
     def test_scan_with_infinite_threshold_selects_nothing(self, dataset):
         tmp, paths = dataset

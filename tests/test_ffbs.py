@@ -3,7 +3,6 @@ import pytest
 
 from admixscan import kernels
 from admixscan.errors import ForwardUnderflowError
-from admixscan.sampler import ffbs_sample_path
 from conftest import (
     empirical_state_freqs,
     enumerate_path_marginals,
@@ -91,17 +90,3 @@ def test_zero_forward_mass_names_the_locus():
         sample_many([0, 1], [0, 0], [True, False], [0.0, 0.0], [0.0, 0.0], 0.5, 4)
     assert info.value.locus == 1
     assert "locus 1" in str(info.value)
-
-
-def test_single_subject_wrapper_defaults_to_one_chromosome(rng):
-    s = ffbs_sample_path(
-        x_row=[2, 2, 2],
-        r_row=[0, 0, 0],
-        p_a=[0.999, 0.999, 0.999],
-        p_b=[0.001, 0.001, 0.001],
-        rho=0.8,
-        rng=rng,
-    )
-    assert s.shape == (3,)
-    assert (s == 2).all()
-

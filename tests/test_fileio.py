@@ -116,6 +116,19 @@ class TestPanelRoundTrip:
         with pytest.raises(DataFormatError, match="p_a0 is not finite at marker 'b'"):
             fileio.read_panel(path)
 
+    def test_split_chromosome_names_path_chromosome_and_marker(self, tmp_path):
+        path = tmp_path / "panel.tsv"
+        path.write_text(
+            "marker_id\tchrom\tposition\tp_a0\tp_b0\n"
+            "a\t1\t0\t0.8\t0.2\n"
+            "b\t2\t0\t0.7\t0.1\n"
+            "c\t1\t0.1\t0.7\t0.1\n"
+        )
+        with pytest.raises(
+            DataFormatError, match="panel.tsv: chromosome 1 resumes at marker 'c'"
+        ):
+            fileio.read_panel(path)
+
 
 class TestGenotypeRoundTrip:
     def test_round_trip_with_missing(self, tmp_path, rng):

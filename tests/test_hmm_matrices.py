@@ -7,42 +7,69 @@ from admixscan.hmm import (
     FREQ_CLAMP,
     GenotypeMatrix,
     MISSING,
-    build_observation_matrix,
     build_transition_matrix,
-    conditional_transition_matrices,
-    initial_state_vector,
+    hwe_rows,
+    observation_rows,
+    transition_kernels,
+    two_lineages,
 )
+
+
+class TestTwoLineages:
+    def test_matches_enumeration_of_both_lineages(self):
+        grid = np.linspace(0.0, 1.0, 11)
+        for p in grid:
+            for q in grid:
+                law = np.zeros(3)
+                for a in (0, 1):
+                    for b in (0, 1):
+                        law[a + b] += (p if a else 1 - p) * (q if b else 1 - q)
+                assert np.allclose(two_lineages(p, q), law, atol=1e-15)
+
+    def test_broadcasts_with_the_count_axis_first(self):
+        p = np.linspace(0.1, 0.9, 3)[:, None]
+        q = np.linspace(0.2, 0.8, 4)
+        law = two_lineages(p, q)
+        assert law.shape == (3, 3, 4)
+        assert np.array_equal(law[:, 2, 1], two_lineages(p[2, 0], q[1]))
+        assert np.allclose(law.sum(axis=0), 1.0)
 
 
 class TestObservationMatrix:
     def test_degenerate_frequencies_pin_genotype_to_state(self):
         eps = 1e-12
-        p = build_observation_matrix(1 - eps, eps)
+        p = observation_rows(1 - eps, eps)
         assert np.allclose(p, np.eye(3), atol=1e-11)
 
     def test_equal_frequencies_make_rows_identical(self):
-        p = build_observation_matrix(0.5, 0.5)
+        p = observation_rows(0.5, 0.5)
         for row in p:
             assert np.allclose(row, [0.25, 0.5, 0.25])
 
     def test_hand_computed_homozygous_row(self):
-        p = build_observation_matrix(0.8, 0.2)
+        p = observation_rows(0.8, 0.2)
         assert np.allclose(p[2], [0.04, 0.32, 0.64])
 
     def test_heterozygous_row_hand_arithmetic(self):
-        p = build_observation_matrix(0.8, 0.2)
+        p = observation_rows(0.8, 0.2)
         assert np.allclose(p[1], [0.16, 0.68, 0.16])
-
-    @pytest.mark.parametrize("pa,pb", [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.5)])
-    def test_out_of_domain_raises(self, pa, pb):
-        with pytest.raises(ValueError):
-            build_observation_matrix(pa, pb)
 
     def test_rows_stochastic_on_grid(self):
         grid = np.linspace(0.01, 0.99, 21)
-        for pa in grid:
-            for pb in grid:
-                assert np.allclose(build_observation_matrix(pa, pb).sum(axis=1), 1.0)
+        p_a, p_b = np.meshgrid(grid, grid)
+        assert np.allclose(observation_rows(p_a, p_b).sum(axis=1), 1.0)
+
+    def test_broadcasts_over_loci(self):
+        p_a = np.array([[0.9, 0.8, 0.7], [0.6, 0.95, 0.5]])
+        p_b = np.array([[0.1, 0.2, 0.3], [0.4, 0.05, 0.5]])
+        rows = observation_rows(p_a, p_b)
+        assert rows.shape == (3, 3, 2, 3)
+        assert observation_rows(0.8, 0.2).shape == (3, 3)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(
+                    rows[:, :, i, j], observation_rows(p_a[i, j], p_b[i, j])
+                )
 
 
 class TestInitialStateVector:
@@ -56,11 +83,29 @@ class TestInitialStateVector:
         ],
     )
     def test_values(self, rho, expected):
-        assert np.allclose(initial_state_vector(rho), expected)
+        assert np.allclose(hwe_rows(rho), expected)
 
     def test_sums_to_one(self):
         for rho in np.linspace(0, 1, 17):
-            assert initial_state_vector(rho).sum() == pytest.approx(1.0)
+            assert hwe_rows(rho).sum() == pytest.approx(1.0)
+
+    def test_broadcasts_over_subjects(self):
+        rho = np.linspace(0.0, 1.0, 7)
+        rows = hwe_rows(rho)
+        assert rows.shape == (3, 7)
+        for i, r in enumerate(rho):
+            assert np.array_equal(rows[:, i], hwe_rows(r))
+
+
+def one_recombination_table(rho):
+    """The one-recombination kernel written out by hand: the oracle."""
+    return np.array(
+        [
+            [1.0 - rho, rho, 0.0],
+            [0.5 * (1.0 - rho), 0.5, 0.5 * rho],
+            [0.0, 1.0 - rho, rho],
+        ]
+    )
 
 
 class TestTransitionMatrix:
@@ -70,12 +115,12 @@ class TestTransitionMatrix:
     def test_gamma_one_forgets_the_past(self):
         q = build_transition_matrix(0.3, 1.0)
         for row in q:
-            assert np.allclose(row, initial_state_vector(0.3))
+            assert np.allclose(row, hwe_rows(0.3))
 
     def test_mixture_oracle_row(self):
         # direct mixture over recombination counts at rho=0.8, gamma=0.1
         rho, gamma = 0.8, 0.1
-        stack = conditional_transition_matrices(rho)
+        stack = transition_kernels(rho)
         weights = binom.pmf(np.arange(3), 2, gamma)
         mixture = np.tensordot(weights, stack, axes=1)
         assert np.allclose(mixture[0], [0.8464, 0.1472, 0.0064])
@@ -85,7 +130,7 @@ class TestTransitionMatrix:
         grid = np.linspace(0.0, 1.0, 101)
         worst = 0.0
         for rho in grid:
-            stack = conditional_transition_matrices(rho)
+            stack = transition_kernels(rho)
             for gamma in grid:
                 weights = binom.pmf(np.arange(3), 2, gamma)
                 mixture = np.tensordot(weights, stack, axes=1)
@@ -96,8 +141,12 @@ class TestTransitionMatrix:
 
     def test_conditional_kernels_are_stochastic(self):
         for rho in np.linspace(0, 1, 11):
-            stack = conditional_transition_matrices(rho)
+            stack = transition_kernels(rho)
             assert np.allclose(stack.sum(axis=2), 1.0)
+
+    def test_one_recombination_kernel_matches_hand_table(self):
+        for rho in np.linspace(0.0, 1.0, 101):
+            assert np.array_equal(transition_kernels(rho)[1], one_recombination_table(rho))
 
 
 class TestAimPanel:
@@ -125,6 +174,18 @@ class TestAimPanel:
     def test_decreasing_position_rejected(self):
         with pytest.raises(ValueError, match="decreases"):
             self.make_panel(position=[0.0, 0.1, 0.2, 0.1], chrom=[1, 1, 1, 1])
+
+    def test_chromosome_split_across_the_panel_rejected(self):
+        # chromosome 1 resumes after chromosome 2: the chain would restart
+        # there and lose the linkage across the split
+        with pytest.raises(ValueError, match="chromosome 1 resumes at marker 'e'"):
+            self.make_panel(
+                marker_ids=["a", "b", "c", "d", "e"],
+                chrom=[1, 1, 2, 2, 1],
+                position=[0.0, 0.1, 0.0, 0.05, 0.2],
+                p_a0=[0.8, 0.7, 0.9, 0.6, 0.7],
+                p_b0=[0.2, 0.1, 0.3, 0.2, 0.3],
+            )
 
     def test_frequency_out_of_range_rejected(self):
         with pytest.raises(ValueError):

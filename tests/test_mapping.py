@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from admixscan import mapping
 from admixscan.glm import TraitData
 from admixscan.hmm import AncestryDraws
 from admixscan.mapping import (
+    LocusScan,
+    ScanResult,
     ald_correlation,
     reported_subsets,
     stage1_scan,
@@ -119,11 +124,24 @@ class TestStage2:
         reported = reported_subsets(result)
         assert reported[0].indices == (0, 1)
 
-    def test_subset_cap_enforced(self, rng):
-        draws, trait = self.two_locus_dataset(rng)
-        stage1 = stage1_scan(draws, trait, delta=2.0)
-        with pytest.raises(ValueError, match="raise delta"):
-            stage2_joint(stage1, draws, trait, subset_cap=1)
+    def test_subset_cap_enforced(self, rng, monkeypatch):
+        # 13 selected loci make 2**13 - 1 = 8191 subsets, over SUBSET_CAP;
+        # the refusal comes before any fit
+        s = sample_ancestry_hwe(np.full(13, 0.8), 50, rng)
+        trait = simulate_traits(np.empty((50, 0)), "continuous", 0.0, 0.0,
+                                np.empty(0), rng)
+        stage1 = ScanResult(
+            stage1=[LocusScan(str(j), j, 5.0, True, 1) for j in range(13)],
+            delta=2.0,
+            m=1,
+        )
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("stage 2 fitted a subset before refusing")
+
+        monkeypatch.setattr(mapping, "fit_glm", no_fit)
+        with pytest.raises(ValueError, match="8191 candidate subsets exceed the cap of 4096"):
+            stage2_joint(stage1, make_draws(s), trait)
 
     def test_max_cardinality_limits_enumeration(self, rng):
         draws, trait = self.two_locus_dataset(rng)
@@ -211,3 +229,20 @@ class TestAldCorrelation:
         )
         with pytest.raises(ValueError, match="two pooled rows"):
             ald_correlation(draws)
+
+    def test_peak_memory_is_two_pooled_copies(self, rng):
+        # the pooled float64 matrix and the centred copy np.cov makes; the
+        # constant locus takes the in-place path
+        m, n_sub, n_loc = 10, 1000, 200
+        raw = rng.integers(0, 3, size=(m, n_sub, n_loc)).astype(np.int8)
+        raw[:, :, 7] = 1
+        draws = AncestryDraws(draws=raw, sweep_index=np.arange(m))
+        pooled_bytes = m * n_sub * n_loc * 8
+        tracemalloc.start()
+        try:
+            corr, flagged = ald_correlation(draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flagged == [7]
+        assert peak < 2.5 * pooled_bytes, f"peak {peak} B vs {pooled_bytes} B pooled"
