@@ -33,7 +33,6 @@ log = logging.getLogger(__name__)
 
 def _add_common(parser):
     parser.add_argument("--out-dir", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_trait_args(parser):
@@ -81,6 +80,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--n-draws", type=int, default=200)
     p.add_argument("--thin", type=int, default=10)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("scan", help="stage-1 per-locus Bayes-factor scan")
     p.add_argument("--draws", required=True)
@@ -113,6 +113,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--max-cardinality", type=int,
                    help="largest stage-2 subset (multilocus: 2)")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("rerun", help="replay a run from its manifest")
     p.add_argument("manifest")

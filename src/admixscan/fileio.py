@@ -110,6 +110,8 @@ def _write_table(path, header, rows):
 def read_panel(path, position_unit="morgans", cm_per_mb=1.0) -> AimPanel:
     if position_unit not in POSITION_UNITS:
         raise ValueError(f"position_unit must be one of {POSITION_UNITS}")
+    if not (math.isfinite(cm_per_mb) and cm_per_mb > 0.0):
+        raise ValueError(f"--cm-per-mb must be finite and positive, got {cm_per_mb!r}")
     table = _read_table(path, _PANEL_COLUMNS, "panel")
     next(table)
     marker_ids, columns = [], [[], [], [], []]

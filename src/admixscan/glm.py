@@ -126,17 +126,17 @@ def solve_spd(a, b):
     """Solve ``a x = b`` for a symmetric positive-definite ``a``.
 
     Raises :class:`DegenerateDesignError` when ``a`` is not positive
-    definite: a singular design, collinear columns, or non-finite entries.
+    definite: a singular design, collinear columns, or non-finite entries,
+    also when the Cholesky factor passes on a rounding-level pivot.
     """
     try:
-        positive_definite = bool(np.isfinite(np.linalg.cholesky(a)).all())
+        if np.isfinite(np.linalg.cholesky(a)).all():
+            return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        positive_definite = False
-    if not positive_definite:
-        raise DegenerateDesignError(
-            f"{a.shape[0]}x{a.shape[0]} matrix is not positive definite"
-        )
-    return np.linalg.solve(a, b)
+        pass
+    raise DegenerateDesignError(
+        f"{a.shape[0]}x{a.shape[0]} matrix is not positive definite"
+    )
 
 
 def expit(eta):

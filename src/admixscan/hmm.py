@@ -16,7 +16,7 @@ import numpy as np
 
 MISSING = -1          # sentinel for unobserved genotypes in int8 arrays
 FREQ_CLAMP = 1e-4     # reference allele frequencies kept inside [eps, 1-eps]
-GAMMA_CLAMP = 1e-6    # recombination prior means kept off exact 0/1
+GAMMA_CLAMP = 1e-6    # prior means inside a chromosome kept off exact 0/1
 TAU_RANGE = (50.0, 1000.0)   # support of the dispersion parameters tau_a/tau_b
 
 
@@ -43,8 +43,8 @@ class AimPanel:
 
     chrom_start
         boolean mask, True where a new chromosome begins; the ancestry chain
-        restarts there and the interval has no recombination parameter.
-        Each chromosome's markers must be contiguous.
+        restarts there, which is an interval on which both lineages
+        recombine.  Each chromosome's markers must be contiguous.
     d
         genetic distance to the previous marker on the same chromosome
         (Morgans); 0.0 at chromosome starts, where it is unused.
@@ -111,9 +111,9 @@ class AimPanel:
         return len(self.marker_ids)
 
     def gamma0(self, lam):
-        """Prior mean recombination probabilities, 1 - exp(-lam * d)."""
-        g = 1.0 - np.exp(-lam * self.d)
-        return np.clip(g, GAMMA_CLAMP, 1.0 - GAMMA_CLAMP)
+        """Prior mean recombination probabilities: 1 - exp(-lam * d), 1 at starts."""
+        g = np.clip(1.0 - np.exp(-lam * self.d), GAMMA_CLAMP, 1.0 - GAMMA_CLAMP)
+        return np.where(self.chrom_start, 1.0, g)
 
 
 @dataclass

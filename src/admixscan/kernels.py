@@ -14,7 +14,8 @@ Ancestry paths are drawn by forward filtering, backward sampling (Scott
 2002, JASA) with states on the leading axis: the forward pass keeps only
 the filtered vectors, shape ``(n_loci, 3, n_subjects)``, and the backward
 weights of state m at locus j are ``filt[j, m] * T[m, s_{j+1}]`` for the
-kernel T of the recombination count on the next interval.
+kernel T of the recombination count on the next interval.  A chromosome
+start is an interval with two recombinations, so no kernel special-cases it.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def _has_no_mass(tot):
     return ~((tot > 0.0) & np.isfinite(tot))
 
 
-def ffbs_paths(x, r, chrom_start, p_a, p_b, rho, u):
+def ffbs_paths(x, r, p_a, p_b, rho, u):
     """Sample one ancestry path per subject from its joint full conditional.
 
     ``x`` must be fully imputed (no MISSING entries); ``u`` supplies one
@@ -55,40 +56,37 @@ def ffbs_paths(x, r, chrom_start, p_a, p_b, rho, u):
     rows = np.arange(n_sub)
     emit = observation_rows(p_a, p_b)
     kern = transition_kernels(rho)   # (recombinations, from, to, subject)
-    hwe = kern[2, 0]
 
     filt = np.empty((n_loc, 3, n_sub))
+    prev = kern[2, 0]   # the Hardy-Weinberg row, which every kernel keeps
     for j in range(n_loc):
-        if chrom_start[j]:
-            f = hwe * emit[:, x[:, j], j]
-        else:
-            t = kern[r[:, j], :, :, rows]   # (subject, from, to)
-            f = np.einsum("mi,imn->ni", filt[j - 1], t) * emit[:, x[:, j], j]
+        t = kern[r[:, j], :, :, rows]   # (subject, from, to)
+        f = np.einsum("mi,imn->ni", prev, t) * emit[:, x[:, j], j]
         tot = f[0] + f[1] + f[2]
         bad = _has_no_mass(tot)
         if bad.any():
             raise ForwardUnderflowError(int(np.flatnonzero(bad)[0]), j)
-        np.divide(f, tot, out=filt[j])
+        prev = np.divide(f, tot, out=filt[j])
 
     s = np.empty((n_sub, n_loc), dtype=np.int8)
-    for j in range(n_loc - 1, -1, -1):
-        w = filt[j]
-        if j + 1 < n_loc and not chrom_start[j + 1]:
-            w = w * kern[r[:, j + 1], :, s[:, j + 1], rows].T
+    s[:, -1] = _draw3(filt[-1], u[:, -1])
+    for j in range(n_loc - 2, -1, -1):
+        w = filt[j] * kern[r[:, j + 1], :, s[:, j + 1], rows].T
         s[:, j] = _draw3(w, u[:, j])
     return s
 
 
-def recombination_counts(s, chrom_start, gamma, rho, u):
-    """Sample per-interval recombination counts given the ancestry path."""
+def recombination_counts(s, gamma, rho, u):
+    """Sample per-interval recombination counts given the ancestry path.
+
+    Where ``gamma`` is 1, as at a chromosome start, the count is 2.
+    """
     s = np.asarray(s)
-    chrom_start = np.asarray(chrom_start, dtype=bool)
     n_sub = s.shape[0]
     kern = transition_kernels(rho)
     col = np.arange(n_sub)[:, None]
-    prev = np.empty_like(s)
-    prev[:, 1:] = s[:, :-1]
-    prev[:, 0] = s[:, 0]
+    # locus 0 wraps round; it is a start, where gamma is 1 and only w2 counts
+    prev = np.roll(s, 1, axis=1)
     prior = two_lineages(gamma, gamma)   # binomial(2, gamma): 0, 1, 2 recombinations
     # in place: at most four subject x locus floats live at once
     w0 = (prev == s) * prior[0]
@@ -99,7 +97,7 @@ def recombination_counts(s, chrom_start, gamma, rho, u):
     tot = w0 + w1
     tot += w2
     del w2
-    bad = _has_no_mass(tot) & ~chrom_start[None, :]
+    bad = _has_no_mass(tot)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise RuntimeError(
@@ -109,9 +107,7 @@ def recombination_counts(s, chrom_start, gamma, rho, u):
     w0 /= tot
     w1 /= tot
     w1 += w0
-    drawn = (u >= w0).astype(np.int8) + (u >= w1).astype(np.int8)
-    drawn[:, chrom_start] = 0
-    return drawn
+    return (u >= w0).astype(np.int8) + (u >= w1).astype(np.int8)
 
 
 def impute_genotypes(x, missing, s, p_a, p_b, u):
@@ -133,31 +129,20 @@ def genotype_state_counts(s, x):
     return np.bincount(flat.ravel(), minlength=9 * n_loc).reshape(n_loc, 3, 3)
 
 
-def ancestry_count_stats(s, r, chrom_start):
+def ancestry_count_stats(s, r):
     """Per-subject success/failure counts for the admixture-proportion update.
 
     Successes count lineages drawn from the high-risk population: the
-    chromosome-start states, the informative single-recombination
-    transitions, and both lineages of double-recombination arrivals.
+    informative single-recombination transitions, and both lineages of
+    double-recombination arrivals, chromosome starts among them.
     """
     s = np.asarray(s)
     r = np.asarray(r)
-    chrom_start = np.asarray(chrom_start, dtype=bool)
-    start = chrom_start[None, :]
-    a = np.where(start, s, 0).sum(axis=1).astype(np.float64)
-    b = (2.0 * chrom_start.sum()) - a
-
-    prev = np.empty_like(s)
-    prev[:, 1:] = s[:, :-1]
-    prev[:, 0] = s[:, 0]
-    inner = ~start
-    r1 = (r == 1) & inner
+    prev = np.roll(s, 1, axis=1)   # locus 0 is a start, where r is 2
+    r1 = r == 1
     succ1 = ((prev == 0) & (s == 1)) | ((prev == 1) & (s == 2)) | ((prev == 2) & (s == 2))
     fail1 = ((prev == 0) & (s == 0)) | ((prev == 1) & (s == 0)) | ((prev == 2) & (s == 1))
-    a += (r1 & succ1).sum(axis=1)
-    b += (r1 & fail1).sum(axis=1)
-
-    r2 = (r == 2) & inner
-    a += np.where(r2, s, 0).sum(axis=1)
-    b += np.where(r2, 2 - s, 0).sum(axis=1)
-    return a, b
+    r2 = r == 2
+    a = (r1 & succ1).sum(axis=1) + np.where(r2, s, 0).sum(axis=1)
+    b = (r1 & fail1).sum(axis=1) + np.where(r2, 2 - s, 0).sum(axis=1)
+    return a.astype(np.float64), b.astype(np.float64)

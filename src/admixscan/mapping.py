@@ -74,12 +74,28 @@ def _bf_over_imputations(draws, trait, columns):
     return average_bf(values), sum(1 for v in values if v.flag is None)
 
 
+def _check_covariate_rank(trait: TraitData):
+    """Name the first covariate that is constant or collinear with those before it."""
+    z = np.column_stack([np.ones(trait.n_subjects), trait.covariates])
+    # a column within rounding of the span of the columns before it
+    pivots = np.abs(np.diag(np.linalg.qr(z, mode="r")))
+    tol = max(z.shape) * np.finfo(np.float64).eps * np.linalg.norm(z, axis=0)
+    bad = [*np.flatnonzero(pivots <= tol[:pivots.size]), *range(pivots.size, z.shape[1])]
+    if bad:
+        j = int(bad[0]) - 1
+        name = repr(trait.covariate_names[j]) if trait.covariate_names else j + 1
+        raise DegenerateDesignError(
+            f"covariate {name} is constant or collinear with the covariates before it"
+        )
+
+
 def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA) -> ScanResult:
     """Marginal scan: one Bayes factor per locus, averaged over imputations."""
     if draws.n_subjects != trait.n_subjects:
         raise ValueError(
             f"draws cover {draws.n_subjects} subjects, trait has {trait.n_subjects}"
         )
+    _check_covariate_rank(trait)
 
     def scan_one(j):
         avg, n_used = _bf_over_imputations(draws, trait, [j])
@@ -186,16 +202,14 @@ def ald_correlation(draws):
     m, n_sub, n_loc = draws.draws.shape
     if m * n_sub < 2:
         raise ValueError("need at least two pooled rows to correlate")
+    # one float64 copy of the pooled draws, centred in place
     pooled = draws.draws.reshape(m * n_sub, n_loc).astype(np.float64)
-    sd = pooled.std(axis=0)
+    pooled -= pooled.mean(axis=0)
+    corr = pooled.T @ pooled
+    sd = np.sqrt(np.diag(corr))
     constant = np.flatnonzero(sd == 0.0)
-    if constant.size:
-        # give constant columns nonzero variance; their rows are zeroed below
-        pooled[0, constant] += 1.0
-    corr = np.corrcoef(pooled, rowvar=False)
-    corr = np.atleast_2d(corr)
-    if constant.size:
-        corr[constant, :] = 0.0
-        corr[:, constant] = 0.0
+    sd[constant] = 1.0   # a centred constant column is exactly zero
+    corr /= np.outer(sd, sd)
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
     return corr, list(constant)

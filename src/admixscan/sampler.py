@@ -1,7 +1,7 @@
 """Blocked Gibbs sampler for the admixture HMM.
 
 One sweep updates, in order: imputed genotypes, ancestry paths (forward
-filtering backward sampling, one block per subject and chromosome),
+filtering backward sampling, one block per subject),
 per-interval recombination counts, recombination probabilities, subject
 admixture proportions, reference allele frequencies (with a latent phase
 split at ancestry-heterozygous genotype-heterozygous cells), and the two
@@ -13,15 +13,14 @@ kernels consume pre-drawn uniforms, so a run is reproducible from its seed.
 
 Conditional structure worth knowing before editing:
 
-* The chain restarts at every chromosome start from the Hardy-Weinberg
-  vector of the subject's current admixture proportion.  Start loci carry
-  no recombination count and no recombination probability; their slots in
-  ``r`` and ``gamma`` are kept only so arrays stay rectangular.
-* Because the start vector depends on the admixture proportion, the
-  proportion's Beta full conditional counts the chromosome-start ancestry
-  alleles alongside the informative single- and double-recombination
-  transitions.  Dropping the start term leaves a sampler whose stationary
-  law is not the posterior (the forward/Gibbs agreement test catches it).
+* A chromosome start is an interval on which both lineages recombine:
+  ``gamma`` stays 1 there and ``r`` is 2, so the Hardy-Weinberg restart is
+  the two-recombination kernel and no kernel reads where chromosomes begin.
+* Because that redraw depends on the admixture proportion, the proportion's
+  Beta full conditional counts both lineages of every two-recombination
+  arrival, starts included, alongside the informative single-recombination
+  transitions.  Dropping the starts leaves a sampler whose stationary law is
+  not the posterior (the forward/Gibbs agreement test catches it).
 * The allele-frequency full conditionals likewise count every lineage the
   path assigns: homozygous-ancestry cells, the split latent count at
   (ancestry 1, genotype 1) cells, and the unambiguous (1, 0) / (1, 2)
@@ -43,6 +42,7 @@ from .hmm import (
     AimPanel,
     AncestryDraws,
     GenotypeMatrix,
+    hwe_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -109,16 +109,19 @@ class HmmState:
     tau_a: float
     tau_b: float
 
-    def validate_ranges(self, chrom_start=None):
+    def validate_ranges(self, chrom_start):
         """Raise if any support invariant is violated."""
+        start = np.asarray(chrom_start, dtype=bool)
         if np.any((self.s < 0) | (self.s > 2)):
             raise ValueError("ancestry state outside {0, 1, 2}")
         if np.any((self.r < 0) | (self.r > 2)):
             raise ValueError("recombination count outside {0, 1, 2}")
         if np.any((self.x_imp < 0) | (self.x_imp > 2)):
             raise ValueError("imputed genotype outside {0, 1, 2}")
+        if np.any(self.gamma[start] != 1.0) or np.any(self.r[:, start] != 2):
+            raise ValueError("a chromosome start needs gamma = 1 and two recombinations")
         for name, arr in (("p_a", self.p_a), ("p_b", self.p_b),
-                          ("gamma", self.gamma), ("rho", self.rho)):
+                          ("gamma", self.gamma[~start]), ("rho", self.rho)):
             if np.any((arr <= 0.0) | (arr >= 1.0)):
                 raise ValueError(f"{name} left the open unit interval")
         lo, hi = TAU_RANGE
@@ -168,13 +171,10 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
                   derived: DerivedPriors, rng) -> HmmState:
     n_sub, n_loc = genotypes.x.shape
     u = rng.random((n_sub, n_loc))
-    t0 = ((1.0 - derived.rho0) ** 2)[:, None]
-    t1 = (1.0 - derived.rho0 ** 2)[:, None]
-    s = ((u >= t0).astype(np.int8) + (u >= t1).astype(np.int8))
+    s = kernels._draw3(hwe_rows(derived.rho0)[:, :, None], u)
     # draw initial recombination counts from their prior: starting from
     # all-zero would force the first sampled paths constant per chromosome
     r = rng.binomial(2, derived.gamma0[None, :], size=(n_sub, n_loc)).astype(np.int8)
-    r[:, ~derived.gamma_mask] = 0
     x_imp = genotypes.x.copy()
     x_imp[derived.missing_mask] = 0  # replaced by the first imputation step
     return HmmState(
@@ -203,27 +203,23 @@ def impute_missing_genotypes(state: HmmState, missing_mask, rng):
     )
 
 
-def sample_ancestry_paths(state: HmmState, chrom_start, rng):
+def sample_ancestry_paths(state: HmmState, rng):
     """FFBS block update of every subject's ancestry path."""
     u = rng.random(state.s.shape)
     state.s = kernels.ffbs_paths(
-        state.x_imp, state.r, chrom_start, state.p_a, state.p_b, state.rho, u
+        state.x_imp, state.r, state.p_a, state.p_b, state.rho, u
     )
 
 
-def sample_recombination_counts(state: HmmState, chrom_start, rng):
+def sample_recombination_counts(state: HmmState, rng):
     """Per-interval recombination counts given the ancestry transitions."""
     u = rng.random(state.r.shape)
-    state.r = kernels.recombination_counts(
-        state.s, chrom_start, state.gamma, state.rho, u
-    )
+    state.r = kernels.recombination_counts(state.s, state.gamma, state.rho, u)
 
 
 def update_gamma(state: HmmState, derived: DerivedPriors, n_subjects, rng):
     """Conjugate Beta update of recombination probabilities, per interval."""
     mask = derived.gamma_mask
-    if not mask.any():
-        return
     r_sum = state.r.sum(axis=0, dtype=np.float64)
     a = derived.tau_gamma * derived.gamma0 + r_sum
     b = derived.tau_gamma * (1.0 - derived.gamma0) + 2.0 * n_subjects - r_sum
@@ -231,9 +227,9 @@ def update_gamma(state: HmmState, derived: DerivedPriors, n_subjects, rng):
     state.gamma[mask] = np.clip(draws, _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-def update_rho(state: HmmState, derived: DerivedPriors, chrom_start, rng):
+def update_rho(state: HmmState, derived: DerivedPriors, rng):
     """Conjugate Beta update of per-subject admixture proportions."""
-    a_extra, b_extra = kernels.ancestry_count_stats(state.s, state.r, chrom_start)
+    a_extra, b_extra = kernels.ancestry_count_stats(state.s, state.r)
     a = derived.tau_rho * derived.rho0 + a_extra
     b = derived.tau_rho * (1.0 - derived.rho0) + b_extra
     state.rho = np.clip(rng.beta(a, b), _PROB_EPS, 1.0 - _PROB_EPS)
@@ -341,7 +337,6 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     state = initial_state(genotypes, panel, derived, rng)
 
     n_sub, n_loc = genotypes.x.shape
-    chrom_start = panel.chrom_start
     m = hyper.n_draws // hyper.thin
     draws = np.empty((m, n_sub, n_loc), dtype=np.int8)
     sweep_index = np.empty(m, dtype=np.int64)
@@ -361,7 +356,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     for t in range(total):
         try:
             impute_missing_genotypes(state, derived.missing_mask, rng)
-            sample_ancestry_paths(state, chrom_start, rng)
+            sample_ancestry_paths(state, rng)
         except ForwardUnderflowError as exc:
             raise ForwardUnderflowError(
                 exc.subject,
@@ -369,9 +364,9 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
                 f"sweep {t}: zero forward mass at subject {exc.subject}, "
                 f"locus {exc.locus}",
             ) from exc
-        sample_recombination_counts(state, chrom_start, rng)
+        sample_recombination_counts(state, rng)
         update_gamma(state, derived, n_sub, rng)
-        update_rho(state, derived, chrom_start, rng)
+        update_rho(state, derived, rng)
         update_allele_freqs(state, panel, rng)
         a, b = update_tau_mh(state, panel, rng, sigma_a, sigma_b)
         acc_a += a

@@ -55,7 +55,7 @@ def test_criterion_1_ffbs_exactness():
     cases = [
         # (x, r, chromosome starts)
         (np.array([0, 1, 2, 1, 0], dtype=np.int8),
-         np.array([0, 1, 2, 0, 1], dtype=np.int8),
+         np.array([0, 1, 2, 2, 1], dtype=np.int8),
          np.array([True, False, False, True, False])),
         (np.array([2, 1, 0, 1, 2, 1], dtype=np.int8),
          np.array([0, 2, 1, 1, 0, 2], dtype=np.int8),
@@ -72,7 +72,6 @@ def test_criterion_1_ffbs_exactness():
         s = kernels.ffbs_paths(
             np.tile(x, (n_draws, 1)),
             np.tile(r, (n_draws, 1)),
-            starts,
             p_a,
             p_b,
             np.full(n_draws, rho),

@@ -11,6 +11,7 @@ import pytest
 import admixscan
 from admixscan import cli, fileio
 from admixscan.cli import main
+from admixscan.glm import TraitData
 from admixscan.hmm import AimPanel, GenotypeMatrix
 from admixscan.simulate import (
     sample_genotypes_from_ancestry,
@@ -449,6 +450,55 @@ class TestErrorSurface:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "DataFormatError"
         assert message in error["message"]
+        assert not (tmp / "replay").exists()
+
+    @pytest.mark.parametrize("columns, names", [
+        (lambda e: [np.ones_like(e)], ["site"]),
+        (lambda e: [e, e], ["e", "e_copy"]),
+    ], ids=["constant", "duplicate"])
+    def test_unfittable_covariate_fails_by_name(self, dataset, capsys, columns,
+                                                names):
+        # such a design used to flag every locus "not positive definite" or
+        # escape as a bare LinAlgError, as rounding fell
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        ids, trait, _ = fileio.read_phenotypes(paths["pheno"], "continuous")
+        bad = TraitData(y=trait.y, kind="continuous",
+                        covariates=np.column_stack(columns(trait.covariates[:, 0])),
+                        covariate_names=names)
+        fileio.write_phenotypes(ids, bad, tmp / "bad.tsv")
+        capsys.readouterr()
+        assert main(["scan", "--draws", str(tmp / "imp" / "draws.adx"),
+                     "--phenotype", str(tmp / "bad.tsv"),
+                     "--out-dir", str(tmp / "scan")]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DegenerateDesignError"
+        assert f"covariate {names[-1]!r} is constant or collinear" in record["message"]
+        assert not (tmp / "scan" / "stage1.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "map", "ald"])
+    def test_seed_is_not_an_option_of_commands_that_draw_nothing(
+            self, dataset, capsys, command):
+        tmp, paths = dataset
+        main(impute_args(paths, tmp / "imp"))
+        argv = [command, "--draws", str(tmp / "imp" / "draws.adx"),
+                "--out-dir", str(tmp / command)]
+        if command != "ald":
+            argv += ["--phenotype", str(paths["pheno"])]
+        with pytest.raises(SystemExit):
+            main([*argv, "--seed", "1"])
+        # a manifest written when the option was accepted is refused by name
+        assert main(argv) == 0
+        manifest = tmp / command / "manifest.json"
+        record = json.loads(manifest.read_text())
+        assert "seed" not in record["config"]
+        record["config"]["seed"] = 0
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out-dir", str(tmp / "replay")]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "DataFormatError"
+        assert "--seed" in error["message"]
         assert not (tmp / "replay").exists()
 
     def test_rerun_rejects_unknown_manifest_key(self, tmp_path, capsys):

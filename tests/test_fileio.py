@@ -71,6 +71,18 @@ class TestPanelRoundTrip:
         panel = fileio.read_panel(path, position_unit="mb", cm_per_mb=1.3)
         assert panel.d[1] == pytest.approx(0.13)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cm_per_mb_must_be_finite_and_positive(self, tmp_path, value):
+        # 0 used to collapse every position, -1 and nan were blamed on the file
+        path = tmp_path / "panel.tsv"
+        path.write_text(
+            "marker_id\tchrom\tposition\tp_a0\tp_b0\n"
+            "m1\t1\t0\t0.8\t0.2\n"
+            "m2\t1\t10\t0.7\t0.1\n"
+        )
+        with pytest.raises(ValueError, match="--cm-per-mb"):
+            fileio.read_panel(path, position_unit="mb", cm_per_mb=value)
+
     def test_bad_header_reported_with_position(self, tmp_path):
         path = tmp_path / "panel.tsv"
         path.write_text("marker\tchrom\tposition\tp_a0\tp_b0\n")

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from admixscan.errors import DegenerateDesignError
-from admixscan.glm import TraitData, center_ancestries, fit_glm
+from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd
 from admixscan.qnm import bf_for_fit, wald_statistic
 
 
@@ -24,6 +24,14 @@ class TestCentering:
     def test_non_ancestry_values_rejected(self):
         with pytest.raises(ValueError):
             center_ancestries(np.array([[0], [3]]))
+
+
+class TestSolveSpd:
+    def test_singular_solve_past_cholesky_is_a_degenerate_design(self):
+        # singular, yet its Cholesky factor passes on a rounding-level
+        # pivot; the solve then meets an exact zero
+        with pytest.raises(DegenerateDesignError, match="not positive definite"):
+            solve_spd(np.full((2, 2), 2.0), np.eye(2))
 
 
 def toy_continuous(rng, n=200, beta=0.5, alpha=1.0, sigma=1.0):

@@ -23,7 +23,7 @@ def state(rng):
     r = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
     start[[0, 7]] = True
-    r[:, start] = 0
+    r[:, start] = 2
     return s, x, r, start
 
 
@@ -69,6 +69,7 @@ def ref_recombination_counts(s, chrom_start, gamma, rho, u):
     for i in range(n_sub):
         for j in range(n_loc):
             if chrom_start[j]:
+                out[i, j] = 2
                 continue
             g = gamma[j]
             m, n = s[i, j - 1], s[i, j]
@@ -124,7 +125,7 @@ def test_genotype_state_counts_identical_across_backends(state):
 
 def test_rho_count_stats_identical_across_backends(state):
     s, _, r, start = state
-    a, b = kernels.ancestry_count_stats(s, r, start)
+    a, b = kernels.ancestry_count_stats(s, r)
     ref_a, ref_b = ref_rho_counts(s, r, start)
     assert np.array_equal(a, ref_a)
     assert np.array_equal(b, ref_b)
@@ -145,21 +146,21 @@ def test_impute_identical_across_backends(state, rng):
 def test_recombination_counts_identical_across_backends(state, rng):
     s, _, _, start = state
     gamma = rng.uniform(0.05, 0.6, s.shape[1])
+    gamma[start] = 1.0
     rho = rng.uniform(0.5, 0.95, s.shape[0])
     u = rng.random(s.shape)
-    r = kernels.recombination_counts(s, start, gamma, rho, u)
+    r = kernels.recombination_counts(s, gamma, rho, u)
     assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
-    assert (r[:, start] == 0).all()
+    assert (r[:, start] == 2).all()
     assert set(np.unique(r[:, ~start])) == {0, 1, 2}
 
 
 def test_recombination_counts_name_the_zero_mass_cell():
     s = np.array([[0, 2, 2], [0, 0, 2]], dtype=np.int8)
-    start = np.array([True, False, False])
     # gamma = 0 forbids any change of state, so subject 0 fails at locus 1
     with pytest.raises(RuntimeError, match="subject 0, locus 1"):
         kernels.recombination_counts(
-            s, start, np.zeros(3), np.full(2, 0.5), np.full((2, 3), 0.5)
+            s, np.array([1.0, 0.0, 0.0]), np.full(2, 0.5), np.full((2, 3), 0.5)
         )
 
 
@@ -171,12 +172,12 @@ def test_ffbs_forward_normalisation_consistent(rng):
     r = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
     start[[0, 5]] = True
-    r[:, start] = 0
+    r[:, start] = 2
     p_a = rng.uniform(0.6, 0.95, n_loc)
     p_b = rng.uniform(0.05, 0.4, n_loc)
     rho = rng.uniform(0.5, 0.95, n_sub)
     u = rng.random((n_sub, n_loc))
-    s = kernels.ffbs_paths(x, r, start, p_a, p_b, rho, u)
+    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
     assert (s == ref_ffbs(x, r, start, p_a, p_b, rho, u)).mean() > 0.999
 
 
@@ -188,7 +189,7 @@ def test_ffbs_peak_memory_is_the_filtered_vectors(rng):
     r = rng.choice(3, p=[0.9, 0.09, 0.01], size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
     start[::500] = True
-    r[:, start] = 0
+    r[:, start] = 2
     p_a = rng.uniform(0.55, 0.95, n_loc)
     p_b = rng.uniform(0.05, 0.45, n_loc)
     rho = rng.uniform(0.5, 0.95, n_sub)
@@ -196,7 +197,7 @@ def test_ffbs_peak_memory_is_the_filtered_vectors(rng):
     filtered_bytes = n_loc * 3 * n_sub * 8
     tracemalloc.start()
     try:
-        kernels.ffbs_paths(x, r, start, p_a, p_b, rho, u)
+        kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -211,12 +212,13 @@ def test_recombination_counts_peak_memory(rng):
     start = np.zeros(n_loc, dtype=bool)
     start[::500] = True
     gamma = rng.uniform(1e-4, 0.05, n_loc)
+    gamma[start] = 1.0
     rho = rng.uniform(0.5, 0.95, n_sub)
     u = rng.random((n_sub, n_loc))
     one_array = n_sub * n_loc * 8
     tracemalloc.start()
     try:
-        kernels.recombination_counts(s, start, gamma, rho, u)
+        kernels.recombination_counts(s, gamma, rho, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -52,7 +52,6 @@ def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
     s = kernels.ffbs_paths(
         np.ones((n, 1), dtype=np.int8),
         np.zeros((n, 1), dtype=np.int8),
-        np.array([True]),
         np.array([0.9]),
         np.array([0.1]),
         np.full(n, 0.8),
@@ -97,8 +96,10 @@ def test_missing_genotypes_imputed_within_support():
     draws = run_mcmc(g, panel, hyper)
     assert draws.m == 10
     assert set(np.unique(draws.draws)).issubset({0, 1, 2})
-    for key in ("gamma", "rho", "p_a", "p_b"):
-        values = draws.traces[key]
+    # a chromosome start is an interval on which both lineages recombine
+    assert (draws.traces["gamma"][:, panel.chrom_start] == 1.0).all()
+    inner = draws.traces["gamma"][:, ~panel.chrom_start]
+    for values in (inner, draws.traces["rho"], draws.traces["p_a"], draws.traces["p_b"]):
         assert (values > 0.0).all() and (values < 1.0).all()
     for key in ("tau_a", "tau_b"):
         assert (draws.traces[key] >= 50.0).all()

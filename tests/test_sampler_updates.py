@@ -13,6 +13,8 @@ from admixscan.sampler import (
     impute_missing_genotypes,
     initial_state,
     mh_step_tau,
+    sample_ancestry_paths,
+    sample_recombination_counts,
     update_allele_freqs,
     update_gamma,
     update_rho,
@@ -83,18 +85,16 @@ class TestRecombinationCounts:
     def test_double_jump_requires_two_events(self, rng):
         # a 0 -> 2 transition has zero probability under 0 or 1 recombination
         s = np.array([[0, 2]], dtype=np.int8)
-        start = np.array([True, False])
         u = rng.random((1, 2))
-        r = kernels.recombination_counts(s, start, np.full(2, 0.3), np.array([0.5]), u)
+        r = kernels.recombination_counts(s, np.array([1.0, 0.3]), np.array([0.5]), u)
         assert r[0, 1] == 2
 
     def test_gamma_near_one_forces_two_events(self, rng):
         n = 2000
         s = np.ones((n, 2), dtype=np.int8)
-        start = np.array([True, False])
         u = rng.random((n, 2))
         r = kernels.recombination_counts(
-            s, start, np.full(2, 1.0 - 1e-12), np.full(n, 0.5), u
+            s, np.array([1.0, 1.0 - 1e-12]), np.full(n, 0.5), u
         )
         assert (r[:, 1] == 2).all()
 
@@ -103,9 +103,8 @@ class TestRecombinationCounts:
         m = sval = 0
         gamma, rho = 0.5, 0.5
         s = np.zeros((n, 2), dtype=np.int8)
-        start = np.array([True, False])
         u = rng.random((n, 2))
-        r = kernels.recombination_counts(s, start, np.full(2, gamma), np.full(n, rho), u)
+        r = kernels.recombination_counts(s, np.array([1.0, gamma]), np.full(n, rho), u)
         w = np.array(
             [
                 trans_prob(rho, k, m, sval) * binom.pmf(k, 2, gamma)
@@ -116,14 +115,13 @@ class TestRecombinationCounts:
         emp = [(r[:, 1] == k).mean() for k in range(3)]
         assert np.allclose(emp, w, atol=0.01)
 
-    def test_chromosome_start_interval_left_at_zero(self, rng):
+    def test_chromosome_start_interval_carries_two_recombinations(self, rng):
         s = np.array([[1, 2, 0, 1]], dtype=np.int8)
-        start = np.array([True, False, True, False])
         u = rng.random((1, 4))
         r = kernels.recombination_counts(
-            s, start, np.full(4, 0.9), np.array([0.5]), u
+            s, np.array([1.0, 0.9, 1.0, 0.9]), np.array([0.5]), u
         )
-        assert r[0, 0] == 0 and r[0, 2] == 0
+        assert r[0, 0] == 2 and r[0, 2] == 2
 
 
 class TestGammaUpdate:
@@ -189,23 +187,20 @@ class TestRhoUpdate:
         # all arrivals in state 2 contribute 2 successes per locus,
         # including the chromosome start: success total tau*rho0 + 2J
         n_sub, n_loc = 1, 6
-        start = np.array([True] + [False] * (n_loc - 1))
         s = np.full((n_sub, n_loc), 2, dtype=np.int8)
         r = np.full((n_sub, n_loc), 2, dtype=np.int8)
-        r[:, 0] = 0
-        a, b = kernels.ancestry_count_stats(s, r, start)
+        a, b = kernels.ancestry_count_stats(s, r)
         assert a[0] == 2 * n_loc
         assert b[0] == 0
 
     def test_count_tabulation_oracle(self, rng):
         # hand-built path exercising every informative transition type
-        start = np.array([True, False, False, False, False, False])
         s = np.array([[1, 2, 2, 1, 0, 0]], dtype=np.int8)
-        r = np.array([[0, 1, 2, 2, 1, 0]], dtype=np.int8)
+        r = np.array([[2, 1, 2, 2, 1, 0]], dtype=np.int8)
         # start state 1: one success, one failure
         # r=1, 1->2: success; r=2 arrive 2: two successes
         # r=2 arrive 1: one of each; r=1, 1->0: failure; r=0: nothing
-        a, b = kernels.ancestry_count_stats(s, r, start)
+        a, b = kernels.ancestry_count_stats(s, r)
         assert (a[0], b[0]) == (5.0, 3.0)
 
         n_sub = 1
@@ -215,17 +210,16 @@ class TestRhoUpdate:
         state.r = r.copy()
         draws = np.empty(100000)
         for k in range(draws.size):
-            update_rho(state, derived, start, rng)
+            update_rho(state, derived, rng)
             draws[k] = state.rho[0]
             state.rho[:] = 0.8  # keep the conditional fixed
         expected = (16.0 * 0.8 + 5.0) / (16.0 + 8.0)
         assert draws.mean() == pytest.approx(expected, abs=0.005)
 
     def test_uninformative_heterozygous_transition_ignored(self):
-        start = np.array([True, False])
         s = np.array([[1, 1]], dtype=np.int8)
-        r = np.array([[0, 1]], dtype=np.int8)
-        a, b = kernels.ancestry_count_stats(s, r, start)
+        r = np.array([[2, 1]], dtype=np.int8)
+        a, b = kernels.ancestry_count_stats(s, r)
         # only the start state contributes: one success, one failure
         assert (a[0], b[0]) == (1.0, 1.0)
 
@@ -350,4 +344,47 @@ class TestDerivedPriors:
         hyper = HmmHyperparams()
         derived = derive_priors(g, panel, hyper)
         state = initial_state(g, panel, derived, rng)
-        state.validate_ranges()
+        state.validate_ranges(panel.chrom_start)
+
+
+class TestChromosomeStartInvariant:
+    """A chromosome start is an interval on which both lineages recombine."""
+
+    def three_chromosomes(self, rng):
+        panel = small_panel(9, chrom=[1] * 3 + [2] * 4 + [3] * 2)
+        x = rng.integers(0, 3, size=(30, 9)).astype(np.int8)
+        x[rng.random(x.shape) < 0.1] = MISSING
+        g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(30)])
+        return panel, g, derive_priors(g, panel, HmmHyperparams(mu0=1e-3))
+
+    def test_initial_state_and_one_sweep_keep_two_recombinations_at_starts(self, rng):
+        panel, g, derived = self.three_chromosomes(rng)
+        start = panel.chrom_start
+        state = initial_state(g, panel, derived, rng)
+        state.validate_ranges(start)
+        impute_missing_genotypes(state, derived.missing_mask, rng)
+        sample_ancestry_paths(state, rng)
+        sample_recombination_counts(state, rng)
+        update_gamma(state, derived, 30, rng)
+        update_rho(state, derived, rng)
+        update_allele_freqs(state, panel, rng)
+        state.validate_ranges(start)
+        assert (state.gamma[start] == 1.0).all()
+        assert (state.r[:, start] == 2).all()
+
+    def test_validate_ranges_refuses_no_recombination_at_a_start(self, rng):
+        panel, _, _ = self.three_chromosomes(rng)
+        state = blank_state(30, 9)
+        state.gamma[panel.chrom_start] = 1.0
+        state.r[:, panel.chrom_start] = 2
+        state.validate_ranges(panel.chrom_start)
+        state.r[4, 3] = 0   # marker 3 starts chromosome 2
+        with pytest.raises(ValueError, match="two recombinations"):
+            state.validate_ranges(panel.chrom_start)
+
+    def test_validate_ranges_refuses_gamma_below_one_at_a_start(self, rng):
+        panel, _, _ = self.three_chromosomes(rng)
+        state = blank_state(30, 9)
+        state.r[:, panel.chrom_start] = 2
+        with pytest.raises(ValueError, match="gamma = 1"):
+            state.validate_ranges(panel.chrom_start)
