@@ -71,14 +71,14 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--genotypes", required=True)
     p.add_argument("--position-unit", choices=fileio.POSITION_UNITS, default="morgans")
     p.add_argument("--cm-per-mb", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=6.0, help="recombinations per Morgan")
-    p.add_argument("--mu0", type=float, default=1e-4)
-    p.add_argument("--rho0", type=float, default=0.8)
-    p.add_argument("--nu0", type=float, default=0.01)
-    p.add_argument("--mh-sigma", type=float, default=50.0)
-    p.add_argument("--burn-in", type=int, default=500)
-    p.add_argument("--n-draws", type=int, default=200)
-    p.add_argument("--thin", type=int, default=10)
+    p.add_argument("--lam", type=float, default=HmmHyperparams.lam,
+                   help="recombinations per Morgan")
+    p.add_argument("--mu0", type=float, default=HmmHyperparams.mu0)
+    p.add_argument("--rho0", type=float, default=HmmHyperparams.rho0)
+    p.add_argument("--nu0", type=float, default=HmmHyperparams.nu0)
+    p.add_argument("--burn-in", type=int, default=HmmHyperparams.burn_in)
+    p.add_argument("--n-draws", type=int, default=HmmHyperparams.n_draws)
+    p.add_argument("--thin", type=int, default=HmmHyperparams.thin)
     _add_common(p)
     p.add_argument("--seed", type=int, default=0)
 
@@ -205,7 +205,6 @@ def cmd_impute(args, inputs):
         mu0=args.mu0,
         rho0=args.rho0,
         nu0=args.nu0,
-        mh_sigma=args.mh_sigma,
         burn_in=args.burn_in,
         n_draws=args.n_draws,
         thin=args.thin,

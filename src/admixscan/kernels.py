@@ -110,14 +110,17 @@ def recombination_counts(s, gamma, rho, u):
     return (u >= w0).astype(np.int8) + (u >= w1).astype(np.int8)
 
 
-def impute_genotypes(x, missing, s, p_a, p_b, u):
-    """Fill MISSING genotype cells from the observation row of the state."""
+def impute_genotypes(x, cells, s, p_a, p_b, u):
+    """Fill the cells ``(rows, cols)`` from the observation row of the state.
+
+    ``u`` holds one uniform per cell, in the order of ``cells``.
+    """
     out = np.array(x, dtype=np.int8)
-    ii, jj = np.nonzero(missing)
+    ii, jj = cells
     if ii.size:
         emit = observation_rows(p_a, p_b)
         w = emit[np.asarray(s)[ii, jj], :, jj].T
-        out[ii, jj] = _draw3(w, np.asarray(u)[ii, jj])
+        out[ii, jj] = _draw3(w, np.asarray(u))
     return out
 
 

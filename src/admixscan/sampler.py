@@ -5,8 +5,9 @@ filtering backward sampling, one block per subject),
 per-interval recombination counts, recombination probabilities, subject
 admixture proportions, reference allele frequencies (with a latent phase
 split at ancestry-heterozygous genotype-heterozygous cells), and the two
-frequency-dispersion parameters via random-walk Metropolis whose step size
-is tuned to a 30-45% acceptance rate during burn-in and then frozen.
+frequency-dispersion parameters by one exact slice step each (Neal 2003,
+Ann. Statist.) over their uniform-prior support (50, 1000), with no step
+size and no tuning.
 
 All randomness flows through one generator in a fixed order, and the
 kernels consume pre-drawn uniforms, so a run is reproducible from its seed.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +49,6 @@ from .hmm import (
 log = logging.getLogger(__name__)
 
 _PROB_EPS = 1e-12          # keep sampled probabilities off exact 0/1
-_TUNE_INTERVAL = 50        # burn-in sweeps between step-size adjustments
-_TUNE_BAND = (0.30, 0.45)  # target Metropolis acceptance-rate band
 
 
 @dataclass
@@ -66,7 +65,6 @@ class HmmHyperparams:
     mu0: float = 1e-4
     rho0: float | np.ndarray = 0.8
     nu0: float = 0.01
-    mh_sigma: float = 50.0
     burn_in: int = 500
     n_draws: int = 200
     thin: int = 10
@@ -77,8 +75,6 @@ class HmmHyperparams:
             raise ValueError("lam must be positive")
         if self.mu0 <= 0 or self.nu0 <= 0:
             raise ValueError("mu0 and nu0 must be positive")
-        if self.mh_sigma <= 0:
-            raise ValueError("mh_sigma must be positive")
         if self.burn_in < 1 or self.n_draws < 1:
             raise ValueError("burn_in and n_draws must be at least 1")
         if self.thin < 1 or self.thin > self.n_draws:
@@ -138,7 +134,7 @@ class DerivedPriors:
     gamma_mask: np.ndarray   # loci whose recombination probability is updated
     rho0: np.ndarray
     tau_rho: float
-    missing_mask: np.ndarray = field(default=None)
+    missing_cells: tuple   # np.nonzero of the missing-genotype mask
 
 
 def derive_priors(genotypes: GenotypeMatrix, panel: AimPanel, hyper: HmmHyperparams):
@@ -163,7 +159,7 @@ def derive_priors(genotypes: GenotypeMatrix, panel: AimPanel, hyper: HmmHyperpar
         gamma_mask=mask,
         rho0=rho0,
         tau_rho=tau_rho,
-        missing_mask=genotypes.missing_mask,
+        missing_cells=np.nonzero(genotypes.missing_mask),
     )
 
 
@@ -176,7 +172,7 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
     # all-zero would force the first sampled paths constant per chromosome
     r = rng.binomial(2, derived.gamma0[None, :], size=(n_sub, n_loc)).astype(np.int8)
     x_imp = genotypes.x.copy()
-    x_imp[derived.missing_mask] = 0  # replaced by the first imputation step
+    x_imp[derived.missing_cells] = 0  # replaced by the first imputation step
     return HmmState(
         s=s,
         r=r,
@@ -193,13 +189,18 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
 # --- individual sweep steps -------------------------------------------------
 
 
-def impute_missing_genotypes(state: HmmState, missing_mask, rng):
-    """Redraw MISSING genotype cells from the current observation rows."""
-    if not missing_mask.any():
+def impute_missing_genotypes(state: HmmState, missing_cells, rng):
+    """Redraw the MISSING genotype cells from the current observation rows.
+
+    ``missing_cells`` is ``np.nonzero`` of the missing mask; one uniform is
+    drawn per cell.
+    """
+    n_missing = missing_cells[0].size
+    if not n_missing:
         return
-    u = rng.random(state.x_imp.shape)
+    u = rng.random(n_missing)
     state.x_imp = kernels.impute_genotypes(
-        state.x_imp, missing_mask, state.s, state.p_a, state.p_b, u
+        state.x_imp, missing_cells, state.s, state.p_a, state.p_b, u
     )
 
 
@@ -267,53 +268,47 @@ def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
     state.p_b = np.clip(rng.beta(a_b, b_b), _PROB_EPS, 1.0 - _PROB_EPS)
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
-
-
 def _beta_loglik(tau, freqs, means):
-    return float(
-        np.sum(
-            math.lgamma(tau)
-            - _lgamma(tau * means)
-            - _lgamma(tau * (1.0 - means))
-            + (tau * means - 1.0) * np.log(freqs)
-            + (tau * (1.0 - means) - 1.0) * np.log1p(-freqs)
-        )
+    """Sum over loci of the Beta(tau*means, tau*(1-means)) log density."""
+    a = tau * means
+    b = tau * (1.0 - means)
+    return (
+        means.size * math.lgamma(tau)
+        - math.fsum(map(math.lgamma, a.tolist()))
+        - math.fsum(map(math.lgamma, b.tolist()))
+        + float((a - 1.0) @ np.log(freqs))
+        + float((b - 1.0) @ np.log1p(-freqs))
     )
 
 
-def mh_step_tau(tau, freqs, means, sigma, rng):
-    """One random-walk Metropolis step for a dispersion parameter.
+def slice_step_tau(tau, freqs, means, rng):
+    """One slice-sampling step for a dispersion parameter (Neal 2003).
 
-    Proposals outside the uniform-prior support are rejected outright; the
-    random stream is consumed identically on both branches.
+    The bracket starts as the whole uniform-prior support and shrinks
+    towards ``tau`` at each rejected proposal.  It always contains ``tau``,
+    whose density clears the level, so the loop ends with probability 1 and
+    needs no step size.
     """
-    prop = tau + rng.normal(0.0, sigma)
-    u = rng.random()
+    level = _beta_loglik(tau, freqs, means) + math.log1p(-rng.random())
     lo, hi = TAU_RANGE
-    if not (lo < prop < hi):
-        return tau, False
-    delta = _beta_loglik(prop, freqs, means) - _beta_loglik(tau, freqs, means)
-    if np.log(u) < delta:
-        return float(prop), True
-    return tau, False
+    while True:
+        prop = rng.uniform(lo, hi)
+        if _beta_loglik(prop, freqs, means) >= level:
+            return prop
+        if prop < tau:
+            lo = prop
+        else:
+            hi = prop
 
 
-def update_tau_mh(state: HmmState, panel: AimPanel, rng, sigma_a, sigma_b):
-    """Metropolis update of both dispersion parameters; returns accept flags."""
-    state.tau_a, acc_a = mh_step_tau(state.tau_a, state.p_a, panel.p_a0, sigma_a, rng)
-    state.tau_b, acc_b = mh_step_tau(state.tau_b, state.p_b, panel.p_b0, sigma_b, rng)
-    return acc_a, acc_b
+def update_tau_mh(state: HmmState, panel: AimPanel, rng):
+    """Slice update of both dispersion parameters.
 
-
-def _tune(sigma, rate):
-    lo, hi = _TUNE_BAND
-    if rate < lo:
-        sigma *= 0.7
-    elif rate > hi:
-        sigma *= 1.4
-    span = TAU_RANGE[1] - TAU_RANGE[0]
-    return float(np.clip(sigma, 1e-2, span / 2.0))
+    The name predates the slice step; ``perfbench/spans.py`` wraps the step
+    under it.
+    """
+    state.tau_a = slice_step_tau(state.tau_a, state.p_a, panel.p_a0, rng)
+    state.tau_b = slice_step_tau(state.tau_b, state.p_b, panel.p_b0, rng)
 
 
 # --- the full sampler -------------------------------------------------------
@@ -349,13 +344,11 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
         "tau_b": np.empty(m),
     }
 
-    sigma_a = sigma_b = hyper.mh_sigma
-    acc_a = acc_b = 0
     kept = 0
     total = hyper.burn_in + hyper.n_draws
     for t in range(total):
         try:
-            impute_missing_genotypes(state, derived.missing_mask, rng)
+            impute_missing_genotypes(state, derived.missing_cells, rng)
             sample_ancestry_paths(state, rng)
         except ForwardUnderflowError as exc:
             raise ForwardUnderflowError(
@@ -368,14 +361,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
         update_gamma(state, derived, n_sub, rng)
         update_rho(state, derived, rng)
         update_allele_freqs(state, panel, rng)
-        a, b = update_tau_mh(state, panel, rng, sigma_a, sigma_b)
-        acc_a += a
-        acc_b += b
-
-        if t < hyper.burn_in and (t + 1) % _TUNE_INTERVAL == 0:
-            sigma_a = _tune(sigma_a, acc_a / _TUNE_INTERVAL)
-            sigma_b = _tune(sigma_b, acc_b / _TUNE_INTERVAL)
-            acc_a = acc_b = 0
+        update_tau_mh(state, panel, rng)
 
         post = t - hyper.burn_in + 1
         if post >= 1 and post % hyper.thin == 0 and kept < m:

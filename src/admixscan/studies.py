@@ -161,7 +161,7 @@ class MultilocusStudyResult:
 
 
 def multilocus_study(n_subjects, n_replicates, trait_kind, c, delta, seed,
-                     max_cardinality=3) -> MultilocusStudyResult:
+                     max_cardinality) -> MultilocusStudyResult:
     """Two-causal-locus benchmark scored by region, before and after stage 2."""
     _check_study_args({"n_subjects": n_subjects, "n_replicates": n_replicates}, (c,))
     rng = np.random.default_rng(seed)

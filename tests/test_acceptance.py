@@ -329,7 +329,6 @@ def test_criterion_7_sampler_correctness():
         n_draws=45000,
         thin=3,
         seed=11,
-        mh_sigma=150.0,
     )
 
     # marginal-conditional (forward) draws from the joint prior

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from admixscan import cli, fileio
 from admixscan.cli import main
 from admixscan.glm import TraitData
 from admixscan.hmm import AimPanel, GenotypeMatrix
+from admixscan.sampler import HmmHyperparams
 from admixscan.simulate import (
     sample_genotypes_from_ancestry,
     simulate_traits,
@@ -501,6 +503,27 @@ class TestErrorSurface:
         assert "--seed" in error["message"]
         assert not (tmp / "replay").exists()
 
+    def test_mh_sigma_is_gone(self, dataset, capsys):
+        # tau takes a slice step, which has no step size to set
+        tmp, paths = dataset
+        argv = impute_args(paths, tmp / "imp")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mh-sigma", "50"])
+        assert exc.value.code == 2
+        # a manifest written when the option was accepted is refused by name
+        assert main(argv) == 0
+        manifest = tmp / "imp" / "manifest.json"
+        record = json.loads(manifest.read_text())
+        assert "mh_sigma" not in record["config"]
+        record["config"]["mh_sigma"] = 50.0
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out-dir", str(tmp / "replay")]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "DataFormatError"
+        assert "--mh-sigma" in error["message"]
+        assert not (tmp / "replay").exists()
+
     def test_rerun_rejects_unknown_manifest_key(self, tmp_path, capsys):
         # a manifest recorded with an option the command no longer accepts
         manifest = tmp_path / "manifest.json"
@@ -520,6 +543,14 @@ class TestErrorSurface:
         assert record["error"] == "DataFormatError"
         assert "--workers" in record["message"]
         assert str(manifest) in record["message"]
+
+
+def test_impute_defaults_are_the_hyperparameter_defaults():
+    args = cli.build_parser().parse_args(
+        ["impute", "--panel", "p.tsv", "--genotypes", "g.tsv", "--out-dir", "o"])
+    for f in dataclasses.fields(HmmHyperparams):
+        if f.name != "seed":
+            assert getattr(args, f.name) == f.default, f.name
 
 
 def test_cli_import_loads_no_scipy():

@@ -137,7 +137,7 @@ def test_impute_identical_across_backends(state, rng):
     p_a = rng.uniform(0.6, 0.95, x.shape[1])
     p_b = rng.uniform(0.05, 0.4, x.shape[1])
     u = rng.random(x.shape)
-    out = kernels.impute_genotypes(x, missing, s, p_a, p_b, u)
+    out = kernels.impute_genotypes(x, np.nonzero(missing), s, p_a, p_b, u[missing])
     assert np.array_equal(out, ref_impute(x, missing, s, p_a, p_b, u))
     assert np.array_equal(out[~missing], x[~missing])
     assert (out[missing] != x[missing]).any()

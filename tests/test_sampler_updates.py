@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from admixscan import kernels
 from admixscan.hmm import AimPanel, GenotypeMatrix, MISSING, TAU_RANGE
@@ -8,13 +10,14 @@ from admixscan.sampler import (
     DerivedPriors,
     HmmHyperparams,
     HmmState,
+    _beta_loglik,
     allele_freq_posterior_params,
     derive_priors,
     impute_missing_genotypes,
     initial_state,
-    mh_step_tau,
     sample_ancestry_paths,
     sample_recombination_counts,
+    slice_step_tau,
     update_allele_freqs,
     update_gamma,
     update_rho,
@@ -55,13 +58,13 @@ class TestImputation:
         state.p_b[:] = 1e-12
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 0] = True
-        impute_missing_genotypes(state, missing, rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rng)
         assert (state.x_imp[:, 0] == 2).all()
         # state 0 with p_b ~ 0 always imputes genotype 0
         state.s[:, 1] = 0
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 1] = True
-        impute_missing_genotypes(state, missing, rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rng)
         assert (state.x_imp[:, 1] == 0).all()
 
     def test_heterozygous_state_empirical_row(self, rng):
@@ -69,7 +72,7 @@ class TestImputation:
         state = blank_state(n, 1)
         state.s[:, 0] = 1
         missing = np.ones((n, 1), dtype=bool)
-        impute_missing_genotypes(state, missing, rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rng)
         freqs = [(state.x_imp[:, 0] == k).mean() for k in range(3)]
         assert np.allclose(freqs, [0.16, 0.68, 0.16], atol=0.01)
 
@@ -77,8 +80,19 @@ class TestImputation:
         state = blank_state(10, 3)
         state.x_imp[:] = 2
         missing = np.zeros((10, 3), dtype=bool)
-        impute_missing_genotypes(state, missing, rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rng)
         assert (state.x_imp == 2).all()
+
+    def test_draws_one_uniform_per_missing_cell(self, rng):
+        state = blank_state(40, 7)
+        state.s[:] = rng.integers(0, 3, state.s.shape)
+        missing = rng.random(state.s.shape) < 0.2
+        observed = state.x_imp[~missing].copy()
+        gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+        impute_missing_genotypes(state, np.nonzero(missing), gen)
+        twin.random(int(missing.sum()))
+        assert gen.random() == twin.random()
+        assert np.array_equal(state.x_imp[~missing], observed)
 
 
 class TestRecombinationCounts:
@@ -132,7 +146,7 @@ class TestGammaUpdate:
             gamma_mask=np.array([False] + [True] * (n_loc - 1)),
             rho0=np.full(n_sub, 0.8),
             tau_rho=15.0,
-            missing_mask=np.zeros((n_sub, n_loc), dtype=bool),
+            missing_cells=np.nonzero(np.zeros((n_sub, n_loc), dtype=bool)),
         )
 
     def test_no_events_gives_prior_with_failure_mass(self, rng):
@@ -180,7 +194,7 @@ class TestRhoUpdate:
             gamma_mask=np.array([False] + [True] * (n_loc - 1)),
             rho0=np.full(n_sub, rho0),
             tau_rho=tau_rho,
-            missing_mask=np.zeros((n_sub, n_loc), dtype=bool),
+            missing_cells=np.nonzero(np.zeros((n_sub, n_loc), dtype=bool)),
         )
 
     def test_double_recombination_everywhere_counts_two_per_locus(self, rng):
@@ -268,42 +282,57 @@ class TestAlleleFreqUpdate:
         assert draws[0] / n == pytest.approx(0.5, abs=0.01)
 
 
-class TestTauMetropolis:
-    def test_out_of_support_proposal_always_rejected(self):
-        freqs = np.full(5, 0.8)
-        means = np.full(5, 0.8)
+class TestTauSlice:
+    @pytest.mark.parametrize("n_loci", [1, 4, 800])
+    def test_log_density_matches_scipy(self, rng, n_loci):
+        means = rng.uniform(0.05, 0.95, n_loci)
+        freqs = rng.beta(200.0 * means, 200.0 * (1.0 - means))
+        for tau in np.linspace(*TAU_RANGE, 25):
+            expected = beta.logpdf(freqs, tau * means, tau * (1.0 - means)).sum()
+            assert _beta_loglik(tau, freqs, means) == pytest.approx(expected, rel=1e-9)
 
-        class BigStep:
-            def normal(self, loc, scale):
-                return 800.0
+    def test_bracket_shrinks_from_the_support_towards_tau(self, rng):
+        # 200 frequencies at concentration 200 make the slice a narrow band
+        # round tau, so the scripted proposals below are rejected first
+        means = np.full(200, 0.8)
+        freqs = rng.beta(200.0 * 0.8, 200.0 * 0.2, size=200)
+        tau = 200.0
+
+        class ScriptedStep:
+            """Proposes at scripted fractions of the bracket, then halves it."""
+
+            def __init__(self):
+                self.fracs = iter([0.99, 0.01, 0.9, 0.05])
+                self.brackets, self.proposals = [], []
 
             def random(self):
-                return 0.0
+                return 0.5
 
-        tau, accepted = mh_step_tau(400.0, freqs, means, 1.0, BigStep())
-        assert tau == 400.0 and not accepted
+            def uniform(self, lo, hi):
+                assert len(self.brackets) < 200, "slice step did not end"
+                self.brackets.append((lo, hi))
+                self.proposals.append(lo + next(self.fracs, 0.5) * (hi - lo))
+                return self.proposals[-1]
 
-    def test_equal_density_proposal_always_accepted(self):
-        freqs = np.full(5, 0.8)
-        means = np.full(5, 0.8)
+        stub = ScriptedStep()
+        out = slice_step_tau(tau, freqs, means, stub)
 
-        class NoStep:
-            def normal(self, loc, scale):
-                return 0.0
-
-            def random(self):
-                return 0.999999
-
-        tau, accepted = mh_step_tau(400.0, freqs, means, 1.0, NoStep())
-        assert accepted and tau == 400.0
+        level = _beta_loglik(tau, freqs, means) + math.log1p(-0.5)
+        clears = [_beta_loglik(p, freqs, means) >= level for p in stub.proposals]
+        assert stub.brackets[0] == TAU_RANGE
+        assert len(stub.brackets) > 4
+        assert all(lo < tau < hi for lo, hi in stub.brackets)
+        for (lo0, hi0), (lo1, hi1) in zip(stub.brackets, stub.brackets[1:]):
+            assert lo0 <= lo1 and hi1 <= hi0 and (lo0, hi0) != (lo1, hi1)
+        assert clears[-1] and not any(clears[:-1])
+        assert out == stub.proposals[-1]
 
     def test_posterior_mode_matches_grid(self, rng):
-        # 50 frequencies drawn at concentration 200: the Metropolis chain
+        # 50 frequencies drawn at concentration 200: the slice chain
         # should land where the gridded posterior does
         tau_true = 200.0
         freqs = rng.beta(tau_true * 0.8, tau_true * 0.2, size=50)
         means = np.full(50, 0.8)
-        from admixscan.sampler import _beta_loglik
 
         grid = np.linspace(TAU_RANGE[0] + 1e-6, TAU_RANGE[1] - 1e-6, 4000)
         logp = np.array([_beta_loglik(t, freqs, means) for t in grid])
@@ -315,7 +344,7 @@ class TestTauMetropolis:
         tau = 500.0
         chain = np.empty(30000)
         for k in range(chain.size):
-            tau, _ = mh_step_tau(tau, freqs, means, 60.0, rng)
+            tau = slice_step_tau(tau, freqs, means, rng)
             chain[k] = tau
         chain = chain[5000:]
         assert 100.0 <= grid_mode <= 400.0
@@ -362,7 +391,7 @@ class TestChromosomeStartInvariant:
         start = panel.chrom_start
         state = initial_state(g, panel, derived, rng)
         state.validate_ranges(start)
-        impute_missing_genotypes(state, derived.missing_mask, rng)
+        impute_missing_genotypes(state, derived.missing_cells, rng)
         sample_ancestry_paths(state, rng)
         sample_recombination_counts(state, rng)
         update_gamma(state, derived, 30, rng)

@@ -51,7 +51,8 @@ class TestStudyArguments:
         with pytest.raises(ValueError, match="number of c values"):
             power_study(50, (), 2, "continuous", 0.0, 2.0, seed=1)
         with pytest.raises(ValueError, match="nonnegative, got -1.0"):
-            multilocus_study(50, 2, "continuous", -1.0, 2.0, seed=1)
+            multilocus_study(50, 2, "continuous", -1.0, 2.0, seed=1,
+                             max_cardinality=2)
         with pytest.raises(ValueError, match="continuous or binary"):
             null_study(50, 10, 2, "count", 0.0, 2.0, seed=1)
 
