@@ -189,8 +189,9 @@ def _load_trait_for_draws(args, draws):
     subject_ids, trait, dropped = fileio.read_phenotypes(
         args.phenotype, args.trait_kind, covariates=names
     )
-    draws, trait = fileio.align_trait_to_draws(draws, subject_ids, trait)
-    return draws, trait, dropped
+    if dropped:
+        log.info("dropped %d phenotype rows with missing values", dropped)
+    return fileio.align_trait_to_draws(draws, subject_ids, trait)
 
 
 def cmd_impute(args, inputs):
@@ -220,7 +221,7 @@ def cmd_impute(args, inputs):
 def cmd_scan(args, inputs):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
-    draws, trait, _ = _load_trait_for_draws(args, draws)
+    draws, trait = _load_trait_for_draws(args, draws)
     result = stage1_scan(draws, trait, delta=args.delta)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     _write_manifest(out, args, inputs)
@@ -230,7 +231,7 @@ def cmd_scan(args, inputs):
 def cmd_map(args, inputs):
     out = _outdir(args)
     draws = fileio.load_draws(args.draws)
-    draws, trait, _ = _load_trait_for_draws(args, draws)
+    draws, trait = _load_trait_for_draws(args, draws)
     stage1 = stage1_scan(draws, trait, delta=args.delta)
     result = stage2_joint(stage1, draws, trait, max_cardinality=args.max_cardinality)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")

@@ -199,7 +199,10 @@ def align_genotypes_to_panel(genotypes: GenotypeMatrix, marker_ids, panel: AimPa
 
 
 def read_phenotypes(path, trait_kind, covariates=None):
-    """Returns (subject_ids, TraitData) after listwise deletion of NA rows."""
+    """Returns (subject_ids, TraitData, dropped) after listwise deletion of NA rows.
+
+    ``dropped`` counts the rows deleted for a missing value.
+    """
     table = _read_table(path, ["subject_id", "trait"], "phenotype")
     cols = next(table)
     available = cols[2:]
@@ -228,8 +231,6 @@ def read_phenotypes(path, trait_kind, covariates=None):
         subject_ids.append(cells[0])
         y.append(values[0])
         e.append(values[1:])
-    if dropped:
-        log.info("dropped %d phenotype rows with missing values", dropped)
     if not subject_ids:
         raise DataFormatError(f"{path}: no complete phenotype rows")
     try:

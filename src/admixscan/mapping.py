@@ -3,8 +3,12 @@
 Stage 1 fits one locus at a time, averages the Bayes factor over the
 retained imputations, and selects loci whose averaged log10 Bayes factor
 clears the threshold.  Stage 2 refits every subset of the selected loci
-jointly and ranks the subsets.  Both stages score one locus set at a
-time, in a fixed order, so repeated runs give identical results.
+jointly and ranks the subsets.
+
+Both stages fit in blocks, in a fixed order: consecutive locus sets of one
+size, every imputation of each, go to the GLM and the Bayes factor as one
+batch of about ``BLOCK_CELLS`` subject x fit cells.  The block size changes
+no result beyond rounding, and repeated runs give identical results.
 """
 from __future__ import annotations
 
@@ -16,10 +20,11 @@ import numpy as np
 
 from .errors import DegenerateDesignError
 from .glm import TraitData, center_ancestries, fit_glm
-from .qnm import BfValue, average_bf, bf_for_fit
+from .qnm import average_bf, bf_for_fit
 
 DEFAULT_DELTA = 2.0
 SUBSET_CAP = 4096     # stage-2 subsets refit at most; more is refused before any fit
+BLOCK_CELLS = 50_000  # subject x fit cells a block: ~4 MiB of working arrays at p = 1
 
 
 @dataclass
@@ -59,19 +64,26 @@ def _locus_label(draws, j):
     return str(j)
 
 
-def _bf_over_imputations(draws, trait, columns):
-    """Averaged Bayes factor for one locus set across all imputations."""
-    values = []
-    for m in range(draws.m):
-        raw = draws.draws[m][:, columns]
-        try:
-            design = center_ancestries(raw, locus_ids=list(columns))
-            fit = fit_glm(trait, design)
-        except DegenerateDesignError as exc:
-            values.append(BfValue.flagged(str(exc), p=len(columns)))
-            continue
-        values.append(bf_for_fit(fit, trait.n_subjects))
-    return average_bf(values), sum(1 for v in values if v.flag is None)
+def _bf_over_imputations(draws, trait, sets):
+    """Averaged Bayes factor of each locus set across all imputations.
+
+    ``sets`` is an (S, k) array of column indices.  Returns per set, in
+    order, the averaged log10 Bayes factor, its flag and the imputations used.
+    """
+    m, n = draws.m, trait.n_subjects
+    per_block = max(1, BLOCK_CELLS // (m * n))
+    scores = []
+    for start in range(0, len(sets), per_block):
+        block = sets[start:start + per_block]
+        # the fit of set i on imputation r is row i * m + r of the batch; its
+        # columns are copied subject-last, the layout the fits sum along
+        raw = draws.draws[:, :, block].transpose(2, 0, 3, 1).reshape(-1, block.shape[1], n)
+        design = center_ancestries(raw.transpose(0, 2, 1),
+                                   locus_ids=np.repeat(block, m, axis=0).tolist())
+        values = bf_for_fit(fit_glm(trait, design), n).reshape(len(block), m)
+        avg, n_used = average_bf(values), (values.flag == None).sum(axis=1)  # noqa: E711
+        scores += zip(avg.log10_bf.tolist(), avg.flag, n_used.tolist())
+    return scores
 
 
 def _check_covariate_rank(trait: TraitData):
@@ -97,19 +109,18 @@ def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA) -> ScanResult:
         )
     _check_covariate_rank(trait)
 
-    def scan_one(j):
-        avg, n_used = _bf_over_imputations(draws, trait, [j])
-        selected = avg.flag is None and avg.log10_bf > delta
-        return LocusScan(
+    scores = _bf_over_imputations(draws, trait, np.arange(draws.n_loci)[:, None])
+    stage1 = [
+        LocusScan(
             locus_id=_locus_label(draws, j),
             index=j,
-            log10_bf=avg.log10_bf,
-            selected=selected,
+            log10_bf=log10_bf,
+            selected=flag is None and log10_bf > delta,
             n_imputations_used=n_used,
-            flag=avg.flag,
+            flag=flag,
         )
-
-    stage1 = [scan_one(j) for j in range(draws.n_loci)]
+        for j, (log10_bf, flag, n_used) in enumerate(scores)
+    ]
     skipped = [r.locus_id for r in stage1 if r.flag is not None]
     return ScanResult(
         stage1=stage1,
@@ -125,7 +136,10 @@ def _count_subsets(n, max_cardinality):
 
 def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
                  max_cardinality=None) -> ScanResult:
-    """Joint refits over all subsets of the stage-1 selections, ranked."""
+    """Joint refits over all subsets of the stage-1 selections, ranked.
+
+    A singleton is its own stage-1 fit, so it keeps its stage-1 Bayes factor.
+    """
     if max_cardinality is not None and max_cardinality < 1:
         raise ValueError(f"max_cardinality must be at least 1, got {max_cardinality}")
     selected = stage1_result.selected_indices
@@ -142,31 +156,27 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
             f"{n_subsets} candidate subsets exceed the cap of {SUBSET_CAP}; "
             "raise delta or lower max_cardinality"
         )
-    subsets = [
-        combo
-        for k in range(1, k_max + 1)
-        for combo in itertools.combinations(sorted(selected), k)
-    ]
-
-    scored = [
-        (combo, _bf_over_imputations(draws, trait, list(combo))[0])
-        for combo in subsets
-    ]
-    usable = [(combo, avg) for combo, avg in scored if avg.flag is None]
+    # a singleton's joint fit is its stage-1 fit: keep that Bayes factor
+    scored = [((r.index,), r.log10_bf, r.flag) for r in stage1_result.stage1 if r.selected]
+    for k in range(2, k_max + 1):
+        subsets = list(itertools.combinations(sorted(selected), k))
+        scores = _bf_over_imputations(draws, trait, np.array(subsets))
+        scored += [(combo, bf, flag) for combo, (bf, flag, _) in zip(subsets, scores)]
+    usable = [(combo, bf) for combo, bf, flag in scored if flag is None]
     dropped = [
-        {"subset": list(combo), "flag": avg.flag}
-        for combo, avg in scored
-        if avg.flag is not None
+        {"subset": list(combo), "flag": flag}
+        for combo, _, flag in scored
+        if flag is not None
     ]
-    usable.sort(key=lambda item: (-item[1].log10_bf, item[0]))
+    usable.sort(key=lambda item: (-item[1], item[0]))
     result.stage2 = [
         SubsetScan(
             indices=combo,
             locus_ids=tuple(_locus_label(draws, j) for j in combo),
-            log10_bf=avg.log10_bf,
+            log10_bf=bf,
             rank=rank,
         )
-        for rank, (combo, avg) in enumerate(usable, start=1)
+        for rank, (combo, bf) in enumerate(usable, start=1)
     ]
     if dropped:
         result.diagnostics["skipped_subsets"] = dropped

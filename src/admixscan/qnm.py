@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError
-from .glm import solve_spd
+from .glm import NOT_PD, solve_spd, solve_spd_stack
 
 TAU_BRACKET = (1e-8, 1e4)
 
@@ -60,12 +59,17 @@ class QnmSpec:
 
 @dataclass
 class BfValue:
-    """A single Bayes factor on the log10 scale, with its ingredients."""
+    """A Bayes factor on the log10 scale, with its ingredients; a batch holds arrays."""
 
     log10_bf: float
     tau_hat: float
     p: int
     flag: str | None = None
+
+    def reshape(self, *shape):
+        """A batch with its fit axis reshaped, e.g. to (sets, imputations)."""
+        return BfValue(self.log10_bf.reshape(shape), self.tau_hat.reshape(shape),
+                       self.p, self.flag.reshape(shape))
 
     @classmethod
     def flagged(cls, reason, p=0):
@@ -99,9 +103,9 @@ def wald_statistic(fit):
 
 
 def log_bf(wald, p, n_tau):
-    """Natural-log Bayes factor for a Wald statistic and scaled dispersion."""
+    """Natural-log Bayes factor for Wald statistics and scaled dispersions."""
     t = n_tau / (1.0 + n_tau) * wald
-    return math.log1p(t / p) - (p / 2.0 + 1.0) * math.log1p(n_tau) + t / 2.0
+    return np.log1p(t / p) - (p / 2.0 + 1.0) * np.log1p(n_tau) + t / 2.0
 
 
 def _tau_from_wald(wald, p, n_subjects):
@@ -110,58 +114,64 @@ def _tau_from_wald(wald, p, n_subjects):
     # has exactly one positive root, where log BF turns from rising to
     # falling; for W <= p log BF falls for every x > 0.
     lo, hi = TAU_BRACKET
-    if wald <= p:
-        return lo
     a = (p + 2.0) * (wald + p)
     b = wald * wald - 2.0 * p * (p + 2.0)
     c = (p + 2.0) * (wald - p)
-    n_tau = (b + math.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
-    return min(max(n_tau / n_subjects, lo), hi)
+    with np.errstate(invalid="ignore"):   # W <= p: no positive root to take
+        n_tau = (b + np.sqrt(b * b + 4.0 * a * c)) / (2.0 * a)
+    return np.where(wald <= p, lo, np.clip(n_tau / n_subjects, lo, hi))
 
 
 def bf_for_fit(fit, n_subjects) -> BfValue:
     """Bayes factor at the tau in ``TAU_BRACKET`` that maximises it.
 
-    A fit that cannot be scored comes back flagged with the reason.
+    Takes one fit or a batch from :func:`glm.fit_glm` and returns one value
+    or a batch.  A fit that cannot be scored comes back flagged with the
+    reason.
     """
-    if not fit.converged:
-        return BfValue.flagged(fit.flag or "fit not converged", p=fit.p)
-    try:
-        w = wald_statistic(fit)
-    except DegenerateDesignError as exc:
-        return BfValue.flagged(f"coefficient covariance: {exc}", p=fit.p)
-    if not math.isfinite(w):
-        return BfValue.flagged("non-finite quadratic statistic", p=fit.p)
-    tau_hat = _tau_from_wald(w, fit.p, n_subjects)
-    return BfValue(
-        log10_bf=log_bf(w, fit.p, n_subjects * tau_hat) / math.log(10.0),
-        tau_hat=float(tau_hat),
-        p=fit.p,
-    )
+    single = np.ndim(fit.converged) == 0
+    p = fit.p
+    beta = fit.beta_hat.reshape(-1, p)
+    ok = np.flatnonzero(fit.converged)
+    flag = np.array([fit.flag] if single else fit.flag, dtype=object)
+    flag[(flag == None) & ~np.atleast_1d(fit.converged)] = "fit not converged"  # noqa: E711
+    x, solved = solve_spd_stack(fit.sigma_beta_hat.reshape(-1, p, p)[ok], beta[ok])
+    wald = np.einsum("bp,bp->b", beta[ok], x)
+    flag[ok[~solved]] = "coefficient covariance: " + NOT_PD.format(p)
+    flag[ok[solved & ~np.isfinite(wald)]] = "non-finite quadratic statistic"
+    good = np.isfinite(wald)
+    tau_hat, log10_bf = np.full((2, len(flag)), np.nan)
+    tau_hat[ok[good]] = _tau_from_wald(wald[good], p, n_subjects)
+    log10_bf[ok[good]] = log_bf(wald[good], p, n_subjects * tau_hat[ok[good]]) / math.log(10.0)
+    if single:
+        return BfValue(float(log10_bf[0]), float(tau_hat[0]), p, flag[0])
+    return BfValue(log10_bf, tau_hat, p, flag)
 
 
 def average_bf(values) -> BfValue:
     """Average Bayes factors (on the BF scale, not log) across imputations.
 
-    Flagged entries drop out and the rest count equally; the average is
-    computed in log space for stability.  When every entry is flagged the
-    result carries the most common reason.
+    ``values`` is a list of single values, or a batch of shape (sets,
+    imputations) averaged per set.  Flagged entries drop out and the rest
+    count equally; the average is computed in log space for stability.  When
+    every entry is flagged the result carries the most common reason.
     """
-    values = list(values)
-    if not values:
-        raise ValueError("no Bayes factors to average")
-    kept = [v for v in values if v.flag is None]
-    if not kept:
-        [(reason, _)] = Counter(v.flag for v in values).most_common(1)
-        return BfValue.flagged(reason, p=values[0].p)
-    ln_bf = np.array([v.log10_bf for v in kept]) * math.log(10.0)
-    top = ln_bf.max()
-    ln_avg = top + math.log(np.exp(ln_bf - top).mean())
-    return BfValue(
-        log10_bf=float(ln_avg / math.log(10.0)),
-        tau_hat=float("nan"),
-        p=kept[0].p,
-    )
+    if not isinstance(values, BfValue):
+        values = list(values)
+        if not values:
+            raise ValueError("no Bayes factors to average")
+        one = average_bf(BfValue(np.array([[v.log10_bf for v in values]]), None, values[0].p,
+                                 np.array([[v.flag for v in values]], dtype=object)))
+        return BfValue(float(one.log10_bf[0]), float("nan"), one.p, one.flag[0])
+    kept = values.flag == None  # noqa: E711 -- elementwise over the flag array
+    ln_bf = np.where(kept, values.log10_bf * math.log(10.0), -np.inf)
+    top = ln_bf.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):   # rows with nothing kept
+        ln_avg = top[:, 0] + np.log(np.exp(ln_bf - top).sum(axis=1) / kept.sum(axis=1))
+    flag = np.empty(len(kept), dtype=object)
+    for i in np.flatnonzero(~kept.any(axis=1)):
+        [(flag[i], _)] = Counter(values.flag[i]).most_common(1)
+    return BfValue(ln_avg / math.log(10.0), np.full(len(kept), np.nan), values.p, flag)
 
 
 def hwe_second_moment(p_a):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import admixscan
 from admixscan import cli, fileio
 from admixscan.cli import main
 from admixscan.glm import TraitData
-from admixscan.hmm import AimPanel, GenotypeMatrix
+from admixscan.hmm import AimPanel, AncestryDraws, GenotypeMatrix
 from admixscan.sampler import HmmHyperparams
 from admixscan.simulate import (
     sample_genotypes_from_ancestry,
@@ -128,6 +129,31 @@ class TestPipeline:
         first = lines[1].split("\t")
         assert first[0] == "rs00"
         assert float(first[1]) == 1.0
+
+
+@pytest.mark.parametrize("command", ["scan", "map"])
+def test_dropped_phenotype_rows_are_logged(tmp_path, caplog, command):
+    rng = np.random.default_rng(12)
+    ids = [f"S{i:02d}" for i in range(40)]
+    fileio.save_draws(
+        AncestryDraws(draws=rng.integers(0, 3, size=(2, 40, 3)),
+                      sweep_index=np.arange(2), subject_ids=ids,
+                      marker_ids=["a", "b", "c"]),
+        tmp_path / "draws.adx",
+    )
+    y = [f"{v:.6f}" for v in rng.standard_normal(40)]
+    for i in (3, 17, 30):
+        y[i] = "NA"
+    rows = "".join(f"{sid}\t{v}\n" for sid, v in zip(ids, y))
+    (tmp_path / "pheno.tsv").write_text("subject_id\ttrait\n" + rows)
+    caplog.set_level(logging.INFO)
+    assert main([command, "--draws", str(tmp_path / "draws.adx"),
+                 "--phenotype", str(tmp_path / "pheno.tsv"),
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    dropped = [r for r in caplog.records if "phenotype rows" in r.getMessage()]
+    assert [(r.levelno, r.getMessage()) for r in dropped] == [
+        (logging.INFO, "dropped 3 phenotype rows with missing values")]
+    assert len(read_rows(tmp_path / "out" / "stage1.tsv")) == 3
 
 
 class TestDeterminism:

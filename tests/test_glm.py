@@ -251,3 +251,78 @@ class TestTraitValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TraitData(y=np.zeros(3), kind="ordinal")
+
+
+def batch_trait(rng, kind, causal):
+    n = causal.shape[0]
+    cov = rng.standard_normal((n, 2))
+    eta = 1.2 * (causal - causal.mean()) + 0.5 * cov[:, 0]
+    if kind == "continuous":
+        y = eta + rng.standard_normal(n)
+    elif kind == "binary":
+        y = (rng.random(n) < expit(eta)).astype(float)
+    else:
+        y = rng.poisson(np.exp(0.3 + eta)).astype(float)
+    return TraitData(y=y, kind=kind, covariates=cov)
+
+
+class TestBatchedFits:
+    """A batch of designs gives each fit what its design alone gives."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "binary", "count"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_batch_matches_batch_of_one(self, kind, p):
+        rng = np.random.default_rng(40 + p)
+        n, n_fits = 250, 9
+        raw = rng.integers(0, 3, size=(n_fits, n, p))
+        # fit b shares a fraction b / n_fits of its first column with the
+        # causal one, so the fits need different numbers of Newton steps
+        shared = rng.random((n_fits, n)) < np.linspace(0.0, 1.0, n_fits)[:, None]
+        raw[:, :, 0] = np.where(shared, raw[-1, :, 0], raw[:, :, 0])
+        trait = batch_trait(rng, kind, raw[-1, :, 0])
+        batch = fit_glm(trait, center_ancestries(raw, locus_ids=[list(range(p))] * n_fits))
+        bfs = bf_for_fit(batch, n)
+        assert batch.flag == [None] * n_fits
+        assert list(bfs.flag) == [None] * n_fits
+        for b in range(n_fits):
+            one = fit_glm(trait, center_ancestries(raw[b]))
+            assert one.converged and batch.converged[b]
+            np.testing.assert_allclose(batch.beta_hat[b], one.beta_hat, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(batch.sigma_beta_hat[b], one.sigma_beta_hat,
+                                       rtol=0, atol=1e-10)
+            assert abs(bfs.log10_bf[b] - bf_for_fit(one, n).log10_bf) <= 1e-10
+
+    def test_flagged_fits_keep_their_reasons_and_spare_their_neighbours(self):
+        rng = np.random.default_rng(7)
+        n = 300
+        cov = rng.standard_normal((n, 1))
+        y = (rng.random(n) < expit(0.5 * cov[:, 0])).astype(float)
+        trait = TraitData(y=y, kind="binary", covariates=cov)
+        ordinary = rng.integers(0, 3, size=(3, n, 2))
+        constant = ordinary[0].copy()
+        constant[:, 1] = 1
+        duplicate = ordinary[1].copy()
+        duplicate[:, 1] = duplicate[:, 0]
+        separated = ordinary[2].copy()
+        separated[:, 0] = 2 * y
+        raw = np.stack([ordinary[0], constant, ordinary[1], duplicate, separated, ordinary[2]])
+        ids = [[10 + 2 * b, 11 + 2 * b] for b in range(6)]
+        bfs = bf_for_fit(fit_glm(trait, center_ancestries(raw, locus_ids=ids)), n)
+        assert list(bfs.flag) == [
+            None,
+            "ancestry column 13 is constant",
+            None,
+            "4x4 matrix is not positive definite",
+            "separation",
+            None,
+        ]
+        assert np.isnan(bfs.log10_bf[[1, 3, 4]]).all()
+        # the texts a design fitted alone gives
+        with pytest.raises(DegenerateDesignError, match=r"^ancestry column 13 is constant$"):
+            center_ancestries(constant, locus_ids=[12, 13])
+        assert fit_glm(trait, center_ancestries(duplicate)).flag == (
+            "4x4 matrix is not positive definite")
+        assert fit_glm(trait, center_ancestries(separated)).flag == "separation"
+        # the ordinary fits score as they do in a batch of their own
+        alone = bf_for_fit(fit_glm(trait, center_ancestries(ordinary, locus_ids=ids[:3])), n)
+        np.testing.assert_allclose(bfs.log10_bf[[0, 2, 5]], alone.log10_bf, rtol=0, atol=1e-10)

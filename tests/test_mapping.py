@@ -184,6 +184,63 @@ class TestStage2:
             covered.update(entry.indices)
 
 
+class TestBlocks:
+    """Stage 1 and stage 2 fit in blocks; the block size changes no result."""
+
+    def scan(self, kind):
+        rng = np.random.default_rng(21)
+        n, m, n_loci = 200, 3, 8
+        s = np.stack([sample_ancestry_hwe(np.full(n_loci, 0.7), n, rng) for _ in range(m)])
+        trait = simulate_traits(s[0][:, [4]], kind, 0.5, 1.0, [0.7], rng)
+        s[1, :, 2] = 1                    # locus 2 is constant in imputation 1 only
+        s[:, :, 5] = s[:, :, 4]           # loci 4 and 5 make a singular pair
+        s[:, :, 7] = 2 * (trait.y > trait.y.mean())   # locus 7 separates the cases
+        draws = AncestryDraws(draws=s, sweep_index=np.arange(m))
+        stage1 = stage1_scan(draws, trait, delta=-np.inf)
+        return stage2_joint(stage1, draws, trait, max_cardinality=2)
+
+    @pytest.mark.parametrize("kind", ["continuous", "binary"])
+    def test_block_size_changes_no_result(self, kind, monkeypatch):
+        monkeypatch.setattr(mapping, "BLOCK_CELLS", 1)      # one locus set a block
+        small = self.scan(kind)
+        monkeypatch.setattr(mapping, "BLOCK_CELLS", 10 ** 9)   # one block
+        large = self.scan(kind)
+        for a, b in zip(small.stage1, large.stage1, strict=True):
+            assert (a.flag, a.n_imputations_used, a.selected) == (
+                b.flag, b.n_imputations_used, b.selected)
+            assert a.log10_bf == pytest.approx(b.log10_bf, abs=1e-12, nan_ok=True)
+        assert small.stage1[2].flag is None and small.stage1[2].n_imputations_used == 2
+        if kind == "binary":
+            assert small.stage1[7].flag == "separation"
+        joint = {e.indices: e.log10_bf for e in large.stage2}
+        assert {e.indices for e in small.stage2} == set(joint)
+        for e in small.stage2:
+            assert e.log10_bf == pytest.approx(joint[e.indices], abs=1e-12)
+        assert small.diagnostics["skipped_subsets"] == large.diagnostics["skipped_subsets"]
+        assert {"subset": [4, 5], "flag": "4x4 matrix is not positive definite"} in (
+            small.diagnostics["skipped_subsets"])
+
+    def test_stage1_peak_memory_does_not_grow_with_loci(self):
+        # stage 1 holds one block of fits at a time, so its traced peak is
+        # set by BLOCK_CELLS (3.6 MiB measured at 50 fits of 1000 subjects),
+        # whatever the number of loci
+        rng = np.random.default_rng(4)
+        n, m = 1000, 10
+        bound = 12 * 8 * mapping.BLOCK_CELLS      # twelve float64 arrays of a block
+        trait = TraitData(y=(rng.random(n) < 0.4).astype(float), kind="binary",
+                          covariates=rng.standard_normal((n, 2)))
+        for n_loci in (50, 400):
+            raw = rng.integers(0, 3, size=(m, n, n_loci)).astype(np.int8)
+            draws = AncestryDraws(draws=raw, sweep_index=np.arange(m))
+            tracemalloc.start()
+            try:
+                stage1_scan(draws, trait)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, f"{n_loci} loci: peak {peak} B vs {bound} B"
+
+
 class TestAldCorrelation:
     def test_diagonal_exactly_one(self, rng):
         s = sample_ancestry_hwe([0.8, 0.6, 0.7], 500, rng)
