@@ -242,6 +242,10 @@ def hwe_rows(rho):
     return two_lineages(rho, rho)
 
 
+_KEPT_HIGH_RISK = np.array([0.0, 0.5, 1.0])   # the kept lineage, by from-state
+_IDENTITY = np.eye(3)
+
+
 def transition_kernels(rho):
     """Ancestry transition kernels given 0, 1 or 2 recombinations.
 
@@ -253,20 +257,17 @@ def transition_kernels(rho):
     Hardy-Weinberg row.
     """
     rho = np.asarray(rho, dtype=np.float64)
+    column = (3,) + (1,) * rho.ndim
     # P(high-risk) of each lineage.  Rows 0-2: the lineage kept from
     # from-state 0, 1, 2, and a redrawn one; row 3: two redrawn lineages.
     # Spelled out at full shape: broadcasting rho here costs more than it saves.
     hi = np.empty((2, 4) + rho.shape)
-    hi[0, 0] = 0.0
-    hi[0, 1] = 0.5
-    hi[0, 2] = 1.0
+    hi[0, :3] = _KEPT_HIGH_RISK.reshape(column)
     hi[0, 3] = rho
     hi[1] = rho
     rows = two_lineages(hi[0], hi[1])    # (to-state, row, ...)
     kern = np.empty((3, 3, 3) + rho.shape)
-    kern[0] = 0.0
-    for k in range(3):
-        kern[0, k, k] = 1.0
+    kern[0] = _IDENTITY.reshape((3,) + column)
     kern[1] = rows[:, :3].swapaxes(0, 1)
     kern[2] = rows[:, 3]
     return kern

@@ -71,15 +71,6 @@ class BfValue:
         return BfValue(self.log10_bf.reshape(shape), self.tau_hat.reshape(shape),
                        self.p, self.flag.reshape(shape))
 
-    @classmethod
-    def flagged(cls, reason, p=0):
-        return cls(
-            log10_bf=float("nan"),
-            tau_hat=float("nan"),
-            p=p,
-            flag=reason,
-        )
-
 
 def qnm_density(beta, spec: QnmSpec):
     """Evaluate the prior density at one point (p,) or many points (m, p)."""
@@ -95,11 +86,6 @@ def qnm_density(beta, spec: QnmSpec):
     log_norm = -0.5 * (p * np.log(2.0 * np.pi * v) + logdet) - quad / (2.0 * v)
     dens = quad / (v * p) * np.exp(log_norm)
     return float(dens[0]) if single else dens
-
-
-def wald_statistic(fit):
-    """Quadratic form of the ancestry estimates in their estimated covariance."""
-    return float(fit.beta_hat @ solve_spd(fit.sigma_beta_hat, fit.beta_hat))
 
 
 def log_bf(wald, p, n_tau):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from admixscan import kernels
+from admixscan.errors import ForwardUnderflowError
+from admixscan.hmm import observation_rows, transition_kernels
 from conftest import hwe_vector, obs_row, trans_prob
 
 
@@ -61,6 +63,57 @@ def ref_ffbs(x, r, chrom_start, p_a, p_b, rho, u):
             else:
                 s[i, j] = pick3(pair[j + 1, :, s[i, j + 1]], u[i, j])
     return s
+
+
+def per_locus_draw3(w, u):
+    tot = w[0] + w[1] + w[2]
+    c0 = w[0] / tot
+    c1 = c0 + w[1] / tot
+    return (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
+
+
+def per_locus_ffbs(x, r, p_a, p_b, rho, u):
+    """FFBS one locus at a time for every subject, the loop the lanes replaced.
+
+    Same tables and per-cell arithmetic as the kernel; only where a segment
+    starts or ends may rounding differ, which moves no draw here.
+    """
+    n_sub, n_loc = x.shape
+    rows = np.arange(n_sub)
+    emit = observation_rows(p_a, p_b)
+    kern = transition_kernels(rho)
+    filt = np.empty((n_loc, 3, n_sub))
+    prev = kern[2, 0]
+    for j in range(n_loc):
+        t = kern[r[:, j], :, :, rows]
+        f = np.einsum("mi,imn->ni", prev, t) * emit[:, x[:, j], j]
+        tot = f[0] + f[1] + f[2]
+        bad = ~((tot > 0.0) & np.isfinite(tot))
+        if bad.any():
+            raise ForwardUnderflowError(int(np.flatnonzero(bad)[0]), j)
+        prev = np.divide(f, tot, out=filt[j])
+    s = np.empty((n_sub, n_loc), dtype=np.int8)
+    s[:, -1] = per_locus_draw3(filt[-1], u[:, -1])
+    for j in range(n_loc - 2, -1, -1):
+        w = filt[j] * kern[r[:, j + 1], :, s[:, j + 1], rows].T
+        s[:, j] = per_locus_draw3(w, u[:, j])
+    return s
+
+
+def segmented_chain(rng, n_sub, lengths):
+    """Inputs whose all-r = 2 columns cut the chain into segments of ``lengths``."""
+    n_loc = sum(lengths)
+    x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
+    r = rng.choice(3, p=[0.6, 0.3, 0.1], size=(n_sub, n_loc)).astype(np.int8)
+    heads = np.cumsum([0, *lengths[:-1]])
+    r[:, heads] = 2
+    if n_sub > 1:
+        r[0, np.setdiff1d(np.arange(n_loc), heads)] = 0   # no other column is all 2
+    p_a = rng.uniform(0.55, 0.95, n_loc)
+    p_b = rng.uniform(0.05, 0.45, n_loc)
+    rho = rng.uniform(0.5, 0.95, n_sub)
+    u = rng.random((n_sub, n_loc))
+    return x, r, p_a, p_b, rho, u
 
 
 def ref_recombination_counts(s, chrom_start, gamma, rho, u):
@@ -179,6 +232,51 @@ def test_ffbs_forward_normalisation_consistent(rng):
     u = rng.random((n_sub, n_loc))
     s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
     assert (s == ref_ffbs(x, r, start, p_a, p_b, rho, u)).mean() > 0.999
+
+
+@pytest.mark.parametrize("n_sub, lengths", [
+    (40, [5, 1, 9, 3]),   # ragged segments, ranked 9, 5, 3, 1 in the lanes
+    (40, [12]),           # one segment
+    (1, [5, 1, 9, 3]),    # one subject
+    (40, [4, 4, 4]),      # equal lengths: every step holds all three
+])
+def test_ffbs_matches_the_per_locus_loop(rng, n_sub, lengths):
+    args = segmented_chain(rng, n_sub, lengths)
+    assert np.array_equal(kernels.ffbs_paths(*args), per_locus_ffbs(*args))
+
+
+def test_ffbs_inner_restart_is_not_a_chromosome_start(rng):
+    # one chromosome whose column 6 drew r = 2 for every subject: the chain
+    # forgets its past there, and the kernel cuts it without reading starts
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 30, [20])
+    r[:, 6] = 2
+    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+
+
+def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
+    args = segmented_chain(rng, 50, [7, 2, 11, 11, 4])
+    whole = kernels.ffbs_paths(*args)
+    for cells in (1, 60, 130):   # one step a chunk; ragged chunk edges
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        assert np.array_equal(kernels.ffbs_paths(*args), whole)
+
+
+def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
+    # segments [0, 3) and [3, 10): locus 4 (step 1 of the longer segment)
+    # fails before locus 2 (step 2 of the shorter) in lane order, but locus 2
+    # comes first on the chromosome; subjects 2 and 3 fail there
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 6, [3, 7])
+    for j, bad_subjects in ((2, [3, 2]), (4, [0])):
+        p_a[j] = p_b[j] = 0.0   # genotype 0 is certain, genotype 1 impossible
+        x[:, j] = 0
+        x[bad_subjects, j] = 1
+    with pytest.raises(ForwardUnderflowError) as info:
+        kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    assert (info.value.locus, info.value.subject) == (2, 2)
+    with pytest.raises(ForwardUnderflowError) as ref:
+        per_locus_ffbs(x, r, p_a, p_b, rho, u)
+    assert (ref.value.locus, ref.value.subject) == (2, 2)
 
 
 def test_ffbs_peak_memory_is_the_filtered_vectors(rng):

@@ -220,6 +220,31 @@ class TestBlocks:
         assert {"subset": [4, 5], "flag": "4x4 matrix is not positive definite"} in (
             small.diagnostics["skipped_subsets"])
 
+    def test_block_holds_a_kth_of_the_sets_of_size_k(self, monkeypatch):
+        # a block is sized by subject x fit x design-column cells, so a block
+        # of 3-locus sets holds a third of the fits of a block of single loci
+        rng = np.random.default_rng(8)
+        n, m = 100, 2
+        s = rng.integers(0, 3, size=(m, n, 9)).astype(np.int8)
+        draws = AncestryDraws(draws=s, sweep_index=np.arange(m))
+        trait = TraitData(y=rng.standard_normal(n), kind="continuous")
+        fits = []
+        fit_glm = mapping.fit_glm
+
+        def counting_fit_glm(trait, design):
+            fits.append(design.s.shape[0])
+            return fit_glm(trait, design)
+
+        monkeypatch.setattr(mapping, "BLOCK_CELLS", m * n * 9)
+        monkeypatch.setattr(mapping, "fit_glm", counting_fit_glm)
+        sizes = {}
+        for k in (1, 3):
+            fits.clear()
+            sets = np.array([list(range(i, i + k)) for i in range(0, 9, k)] * 3)
+            mapping._bf_over_imputations(draws, trait, sets)
+            sizes[k] = fits[0]
+        assert sizes == {1: 9 * m, 3: 3 * m}
+
     def test_stage1_peak_memory_does_not_grow_with_loci(self):
         # stage 1 holds one block of fits at a time, so its traced peak is
         # set by BLOCK_CELLS (3.6 MiB measured at 50 fits of 1000 subjects),

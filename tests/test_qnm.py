@@ -21,9 +21,9 @@ from admixscan.qnm import (
     qnm_density,
     spec_for_frequency,
     spec_from_ancestry,
-    wald_statistic,
 )
 from admixscan.simulate import sample_ancestry_hwe, sample_correlated_ancestry
+from qnm_helpers import flagged_bf, wald_statistic
 
 
 class TestDensity:
@@ -291,7 +291,7 @@ class TestBayesFactor:
         assert max(rel_errs) < 0.05
 
     def test_flagged_propagation(self):
-        flagged = BfValue.flagged("separation", p=1)
+        flagged = flagged_bf("separation", p=1)
         assert flagged.flag == "separation"
         assert math.isnan(flagged.log10_bf)
 
@@ -310,16 +310,16 @@ class TestAverageBf:
 
     def test_flagged_entries_excluded_with_renormalisation(self):
         out = average_bf(
-            [self.bf(10.0), BfValue.flagged("skip", p=1), self.bf(1000.0)]
+            [self.bf(10.0), flagged_bf("skip", p=1), self.bf(1000.0)]
         )
         assert 10 ** out.log10_bf == pytest.approx(505.0)
 
     def test_all_flagged_yields_flagged(self):
-        out = average_bf([BfValue.flagged("a", p=1), BfValue.flagged("b", p=1)])
+        out = average_bf([flagged_bf("a", p=1), flagged_bf("b", p=1)])
         assert out.flag == "a"
 
     def test_all_flagged_keeps_most_common_reason(self):
-        out = average_bf([BfValue.flagged(r, p=1) for r in ("a", "b", "b")])
+        out = average_bf([flagged_bf(r, p=1) for r in ("a", "b", "b")])
         assert out.flag == "b"
 
     def test_single_draw_average_is_exact(self):
