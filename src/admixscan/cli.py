@@ -25,8 +25,6 @@ from .mapping import (
     stage2_joint,
 )
 from .sampler import HmmHyperparams, run_mcmc
-from .simulate import BINARY_C_VALUES, CONTINUOUS_C_VALUES, MULTILOCUS_C
-from .studies import multilocus_study, null_study, power_study
 
 log = logging.getLogger(__name__)
 
@@ -255,6 +253,8 @@ def cmd_ald(args, inputs):
 
 def _resolve_scenario_options(args):
     """Default the options ``args.scenario`` reads; refuse any others given."""
+    from .simulate import BINARY_C_VALUES, CONTINUOUS_C_VALUES, MULTILOCUS_C
+
     power_c = CONTINUOUS_C_VALUES if args.trait_kind == "continuous" else BINARY_C_VALUES
     defaults = {
         "null": {"n_loci": 1000, "alpha": 0.0},
@@ -272,6 +272,9 @@ def _resolve_scenario_options(args):
 
 
 def cmd_simulate(args, inputs):
+    # scan, map and impute never read the study generators: import them here
+    from .studies import multilocus_study, null_study, power_study
+
     _resolve_scenario_options(args)
     if args.scenario == "null":
         res = null_study(args.n_subjects, args.n_loci, args.replicates,

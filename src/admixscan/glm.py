@@ -10,6 +10,16 @@ A design holds one fit's ancestry columns, ``(n, p)``, or a batch of B fits
 sharing the trait and covariates, ``(B, n, p)``; one design is a batch of
 one.  Each fit converges and halves its steps on its own: the rest of its
 batch touches it only through the rounding of sums over subjects.
+
+An iteration makes few passes over the batch's fit x subject cells.  The
+logistic mean, weight and log-likelihood come from one exponential a cell,
+``e = exp(-|eta|)``: ``mu = max(e, eta >= 0) / (1 + e)``,
+``w = e / (1 + e)^2`` and ``loglik = y.eta - sum(max(eta, 0) + log1p(e))``.
+The information is three products over subjects: ``w`` against the row
+products of ``[1, covariates]``, then ``w * s`` against the covariates and
+against ``s``.  Every fit starts from the intercept-only fit, so its terms
+are one row evaluated once, and the running fits' arrays are gathered again
+only when some fit stops.
 """
 from __future__ import annotations
 
@@ -159,19 +169,14 @@ def solve_spd_stack(a, b):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def expit(eta):
-    """Logistic function, computed without overflow for either sign."""
-    e = np.exp(-np.abs(eta))
-    # 1 where eta >= 0, else e (e <= 1): np.where, without its slow scalar path
-    return np.maximum(e, eta >= 0) / (1.0 + e)
-
-
 # A fit's design is [1, covariates, s]: ``base`` holds the shared columns as
 # rows, (r, n); ``s`` the fits' own columns subject-last, (B, p, n).
 def _eta(coef, base, s):
     """Linear predictor per fit, (B, n)."""
     r = len(base)
-    return coef[:, :r] @ base + np.einsum("bpn,bp->bn", s, coef[:, r:])
+    eta = coef[:, :r] @ base
+    eta += np.einsum("bpn,bp->bn", s, coef[:, r:])
+    return eta
 
 
 def _sums(v, base, s):
@@ -179,9 +184,22 @@ def _sums(v, base, s):
     return np.concatenate([v @ base.T, np.einsum("bpn,bn->bp", s, v)], axis=1)
 
 
-def _information(w, base, s):
-    """Z' diag(w) Z per fit, one column of it at a time."""
-    return np.stack([_sums(w * z, base, s) for z in [*base, *s.transpose(1, 0, 2)]], axis=2)
+def _row_products(base):
+    """Every product of two shared columns, (n, r * r): the information's shared block reads it."""
+    return (base[:, None] * base[None]).reshape(-1, base.shape[1]).T
+
+
+def _information(w, base, s, products):
+    """Z' diag(w) Z per fit, from three products over subjects."""
+    n_fits, r, p = len(w), len(base), s.shape[1]
+    ws = w[:, None] * s
+    cross = (ws.reshape(-1, s.shape[2]) @ base.T).reshape(n_fits, p, r)
+    info = np.empty((n_fits, r + p, r + p))
+    info[:, :r, :r] = (w @ products).reshape(n_fits, r, r)
+    info[:, r:, :r] = cross
+    info[:, :r, r:] = cross.transpose(0, 2, 1)
+    info[:, r:, r:] = ws @ s.transpose(0, 2, 1)
+    return info
 
 
 def _newton(y, base, s, kind):
@@ -196,47 +214,67 @@ def _newton(y, base, s, kind):
     # the count log-likelihood's constant term, sum(log y!), is fixed per fit
     log_y_fact = sum(map(math.lgamma, (y + 1.0).tolist())) if kind == "count" else 0.0
 
-    def terms(coef, rows):
+    def terms(eta):
         """Mean, Newton weight and log-likelihood under the canonical link."""
-        eta = _eta(coef, base, s[rows])
-        if kind == "binary":
-            mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-            loglik = np.log(mu) @ y + np.log1p(-mu) @ (1.0 - y)
-            return mu, np.maximum(mu * (1.0 - mu), 1e-10), loglik
+        if kind == "binary":   # one exponential a cell, e = exp(-|eta|), and few temporaries
+            e = np.abs(eta)
+            np.exp(np.negative(e, out=e), out=e)
+            d = e + 1.0
+            mu = np.maximum(e, eta >= 0)
+            mu /= d
+            np.clip(mu, 1e-12, 1.0 - 1e-12, out=mu)
+            w = np.divide(e, np.multiply(d, d, out=d), out=d)   # e / (1 + e)^2
+            np.maximum(w, 1e-10, out=w)
+            loglik = eta @ y - np.log1p(e, out=e).sum(axis=1)
+            return mu, w, loglik - np.maximum(eta, 0.0, out=e).sum(axis=1)
         mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
         return mu, mu, np.log(mu) @ y - mu.sum(axis=1) - log_y_fact
 
+    n_fits, n = len(s), len(y)
+    products = _row_products(base)
     ybar = y.mean()
-    coef = np.zeros((len(s), len(base) + s.shape[1]))
-    coef[:, 0] = math.log(ybar / (1.0 - ybar)) if kind == "binary" else math.log(ybar)
-    converged, singular = np.zeros((2, len(s)), dtype=bool)
-    rows = np.arange(len(s))          # the fits still running
-    mu, w, loglik = terms(coef, rows)
+    coef = np.zeros((n_fits, len(base) + s.shape[1]))
+    coef[:, 0] = start = math.log(ybar / (1.0 - ybar)) if kind == "binary" else math.log(ybar)
+    w_end = np.empty((n_fits, n))     # each fit's weights where it stopped
+    converged, singular = np.zeros((2, n_fits), dtype=bool)
+    # the fits still running, with their designs, coefficients and terms; at
+    # the start every fit has one linear predictor, so its terms are one row
+    rows, s_run, c_run = np.arange(n_fits), s, coef.copy()
+    mu, w, loglik = (np.broadcast_to(t, (n_fits, *t.shape[1:]))
+                     for t in terms(np.full((1, n), start)))
     for _ in range(_IRLS_MAX_ITER):
-        score = _sums(y - mu[rows], base, s[rows])
-        step, solved = solve_spd_stack(_information(w[rows], base, s[rows]), score)
+        score = _sums(y - mu, base, s_run)
+        step, solved = solve_spd_stack(_information(w, base, s_run, products), score)
         step[~solved] = 0.0
         conv = solved & (np.einsum("bk,bk->b", score, step)
-                         <= 2.0 * _IRLS_TOL * np.maximum(1.0, np.abs(loglik[rows])))
-        trial = coef[rows] + step
-        t_mu, t_w, t_loglik = terms(trial, rows)
-        worse = solved & ~conv & (t_loglik < loglik[rows])
+                         <= 2.0 * _IRLS_TOL * np.maximum(1.0, np.abs(loglik)))
+        trial = c_run + step
+        t_mu, t_w, t_loglik = terms(_eta(trial, base, s_run))
+        worse = solved & ~conv & (t_loglik < loglik)
         for _ in range(_MAX_HALVINGS - 1):
             if not worse.any():
                 break
             i = np.flatnonzero(worse)
             step[i] /= 2.0
-            trial[i] = coef[rows[i]] + step[i]
-            t_mu[i], t_w[i], t_loglik[i] = terms(trial[i], rows[i])
-            worse[i] = t_loglik[i] < loglik[rows[i]]
+            trial[i] = c_run[i] + step[i]
+            t_mu[i], t_w[i], t_loglik[i] = terms(_eta(trial[i], base, s_run[i]))
+            worse[i] = t_loglik[i] < loglik[i]
         take = solved & ~worse
-        for whole, new in ((coef, trial), (mu, t_mu), (w, t_w), (loglik, t_loglik)):
-            whole[rows[take]] = new[take]
+        if not take.all():           # a fit that takes no step keeps its terms
+            for new, old in ((trial, c_run), (t_mu, mu), (t_w, w), (t_loglik, loglik)):
+                new[~take] = old[~take]
+        c_run, mu, w, loglik = trial, t_mu, t_w, t_loglik
         converged[rows], singular[rows] = conv, ~solved
-        rows = rows[take & ~conv]     # the rest stop
-        if not rows.size:
-            break
-    info = _information(w, base, s)
+        stop = ~take | conv
+        if stop.any():               # only then are the running rows gathered again
+            coef[rows[stop]], w_end[rows[stop]] = c_run[stop], w[stop]
+            keep = ~stop
+            rows, s_run, c_run = rows[keep], s_run[keep], c_run[keep]
+            mu, w, loglik = mu[keep], w[keep], loglik[keep]
+            if not rows.size:
+                break
+    coef[rows], w_end[rows] = c_run, w
+    info = _information(w_end, base, s, products)
     info[singular] = np.nan
     return coef, info, converged
 
@@ -274,7 +312,7 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
     base = np.vstack([np.ones(n), trait.covariates.T])
     sub = np.ascontiguousarray((s if idx.size == n_fits else s[idx]).transpose(0, 2, 1))
     if trait.kind == "continuous":   # the w = 1 case: one exact solve
-        info = _information(np.ones((idx.size, n)), base, sub)
+        info = _information(np.ones((idx.size, n)), base, sub, _row_products(base))
         coef[idx], _ = solve_spd_stack(info, _sums(np.broadcast_to(y, (idx.size, n)), base, sub))
         resid = y - _eta(coef[idx], base, sub)
         sigma2[idx] = np.einsum("bn,bn->b", resid, resid) / (n - k)

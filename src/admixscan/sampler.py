@@ -218,6 +218,11 @@ def sample_recombination_counts(state: HmmState, rng):
     state.r = kernels.recombination_counts(state.s, state.gamma, state.rho, u)
 
 
+def _off_bounds(probs):
+    """``np.clip`` into [_PROB_EPS, 1 - _PROB_EPS] at half its cost on a sweep's few values."""
+    return np.minimum(np.maximum(probs, _PROB_EPS), 1.0 - _PROB_EPS)
+
+
 def update_gamma(state: HmmState, derived: DerivedPriors, n_subjects, rng):
     """Conjugate Beta update of recombination probabilities, per interval."""
     mask = derived.gamma_mask
@@ -225,7 +230,7 @@ def update_gamma(state: HmmState, derived: DerivedPriors, n_subjects, rng):
     a = derived.tau_gamma * derived.gamma0 + r_sum
     b = derived.tau_gamma * (1.0 - derived.gamma0) + 2.0 * n_subjects - r_sum
     draws = rng.beta(a[mask], b[mask])
-    state.gamma[mask] = np.clip(draws, _PROB_EPS, 1.0 - _PROB_EPS)
+    state.gamma[mask] = _off_bounds(draws)
 
 
 def update_rho(state: HmmState, derived: DerivedPriors, rng):
@@ -233,7 +238,7 @@ def update_rho(state: HmmState, derived: DerivedPriors, rng):
     a_extra, b_extra = kernels.ancestry_count_stats(state.s, state.r)
     a = derived.tau_rho * derived.rho0 + a_extra
     b = derived.tau_rho * (1.0 - derived.rho0) + b_extra
-    state.rho = np.clip(rng.beta(a, b), _PROB_EPS, 1.0 - _PROB_EPS)
+    state.rho = _off_bounds(rng.beta(a, b))
 
 
 def allele_freq_posterior_params(counts, n_va, p_a0, p_b0, tau_a, tau_b):
@@ -264,8 +269,8 @@ def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
     (a_a, b_a), (a_b, b_b) = allele_freq_posterior_params(
         counts, n_va, panel.p_a0, panel.p_b0, state.tau_a, state.tau_b
     )
-    state.p_a = np.clip(rng.beta(a_a, b_a), _PROB_EPS, 1.0 - _PROB_EPS)
-    state.p_b = np.clip(rng.beta(a_b, b_b), _PROB_EPS, 1.0 - _PROB_EPS)
+    state.p_a = _off_bounds(rng.beta(a_a, b_a))
+    state.p_b = _off_bounds(rng.beta(a_b, b_b))
 
 
 def _beta_loglik(tau, freqs, means):

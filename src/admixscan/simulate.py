@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .glm import TraitData, expit
+from .glm import TraitData
 from .hmm import MISSING
 
 # Default effect multipliers: the single-locus power grid and the multilocus
@@ -34,6 +34,13 @@ SEGMENT_N_LOCI = 51
 REGION_CORR_THRESHOLD = 0.12
 CAUSAL_PAAP = 0.88
 _SEGMENT_DECAY = ((0.9855, 0.3045), (0.9765, 0.3072))
+
+
+def expit(eta):
+    """Logistic function, computed without overflow for either sign."""
+    e = np.exp(-np.abs(eta))
+    # 1 where eta >= 0, else e (e <= 1): np.where, without its slow scalar path
+    return np.maximum(e, eta >= 0) / (1.0 + e)
 
 
 def sample_ancestry_hwe(paap, n_subjects, rng):

@@ -588,3 +588,16 @@ def test_cli_import_loads_no_scipy():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_study_generators():
+    # scan, map and impute never read simulate or studies; only the
+    # simulate command imports them
+    src = Path(admixscan.__file__).resolve().parents[1]
+    code = ("import admixscan.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('admixscan.simulate', 'admixscan.studies')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

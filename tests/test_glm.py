@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from admixscan import glm
 from admixscan.errors import DegenerateDesignError
-from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd
+from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd, solve_spd_stack
 from admixscan.qnm import bf_for_fit
 from qnm_helpers import wald_statistic
 
@@ -293,6 +296,15 @@ class TestBatchedFits:
                                        rtol=0, atol=1e-10)
             assert abs(bfs.log10_bf[b] - bf_for_fit(one, n).log10_bf) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["binary", "count"])
+    def test_batch_with_every_fit_flagged_fits_none(self, kind):
+        rng = np.random.default_rng(3)
+        y = (rng.random(50) < 0.5).astype(float) + (kind == "count")
+        fit = fit_glm(TraitData(y=y, kind=kind),
+                      center_ancestries(np.ones((3, 50, 1), dtype=int), locus_ids=[[7]] * 3))
+        assert fit.flag == ["ancestry column 7 is constant"] * 3
+        assert np.isnan(fit.beta_hat).all() and not fit.converged.any()
+
     def test_flagged_fits_keep_their_reasons_and_spare_their_neighbours(self):
         rng = np.random.default_rng(7)
         n = 300
@@ -327,3 +339,143 @@ class TestBatchedFits:
         # the ordinary fits score as they do in a batch of their own
         alone = bf_for_fit(fit_glm(trait, center_ancestries(ordinary, locus_ids=ids[:3])), n)
         np.testing.assert_allclose(bfs.log10_bf[[0, 2, 5]], alone.log10_bf, rtol=0, atol=1e-10)
+
+
+def per_fit_newton(y, base, s, kind):
+    """Newton's method with the information built one column at a time.
+
+    The loop the batched ``glm._newton`` replaced: the binary terms go
+    through ``log(mu)`` and ``log1p(-mu)``, every iteration copies the
+    running fits' designs and terms, and the information is summed one
+    column per coefficient.  Start, iterates, convergence test, step
+    halving and clip bounds are the package's.  Besides the coefficients,
+    the information and which fits converged, it returns per fit the
+    iterations run and whether a step was halved.
+    """
+    r = len(base)
+
+    def eta_of(coef, s):
+        return coef[:, :r] @ base + np.einsum("bpn,bp->bn", s, coef[:, r:])
+
+    def sums(v, s):
+        return np.concatenate([v @ base.T, np.einsum("bpn,bn->bp", s, v)], axis=1)
+
+    def information(w, s):
+        return np.stack([sums(w * z, s) for z in [*base, *s.transpose(1, 0, 2)]], axis=2)
+
+    log_y_fact = sum(map(math.lgamma, (y + 1.0).tolist())) if kind == "count" else 0.0
+
+    def terms(coef, rows):
+        eta = eta_of(coef, s[rows])
+        if kind == "binary":
+            mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+            loglik = np.log(mu) @ y + np.log1p(-mu) @ (1.0 - y)
+            return mu, np.maximum(mu * (1.0 - mu), 1e-10), loglik
+        mu = np.clip(np.exp(np.clip(eta, -500, 30)), 1e-12, None)
+        return mu, mu, np.log(mu) @ y - mu.sum(axis=1) - log_y_fact
+
+    ybar = y.mean()
+    coef = np.zeros((len(s), r + s.shape[1]))
+    coef[:, 0] = math.log(ybar / (1.0 - ybar)) if kind == "binary" else math.log(ybar)
+    converged, singular, halved = np.zeros((3, len(s)), dtype=bool)
+    iterations = np.zeros(len(s), dtype=int)
+    rows = np.arange(len(s))
+    mu, w, loglik = terms(coef, rows)
+    for _ in range(glm._IRLS_MAX_ITER):
+        iterations[rows] += 1
+        score = sums(y - mu[rows], s[rows])
+        step, solved = solve_spd_stack(information(w[rows], s[rows]), score)
+        step[~solved] = 0.0
+        conv = solved & (np.einsum("bk,bk->b", score, step)
+                         <= 2.0 * glm._IRLS_TOL * np.maximum(1.0, np.abs(loglik[rows])))
+        trial = coef[rows] + step
+        t_mu, t_w, t_loglik = terms(trial, rows)
+        worse = solved & ~conv & (t_loglik < loglik[rows])
+        for _ in range(glm._MAX_HALVINGS - 1):
+            if not worse.any():
+                break
+            i = np.flatnonzero(worse)
+            halved[rows[i]] = True
+            step[i] /= 2.0
+            trial[i] = coef[rows[i]] + step[i]
+            t_mu[i], t_w[i], t_loglik[i] = terms(trial[i], rows[i])
+            worse[i] = t_loglik[i] < loglik[rows[i]]
+        take = solved & ~worse
+        for whole, new in ((coef, trial), (mu, t_mu), (w, t_w), (loglik, t_loglik)):
+            whole[rows[take]] = new[take]
+        converged[rows], singular[rows] = conv, ~solved
+        rows = rows[take & ~conv]
+        if not rows.size:
+            break
+    info = information(w, s)
+    info[singular] = np.nan
+    return coef, info, converged, iterations, halved
+
+
+def newton_batch(kind, p, seed, n=300):
+    """Trait, shared rows and a (7, p, n) batch of designs for ``glm._newton``.
+
+    Fits 0-3 take a growing share of the causal column, so they stop at
+    different iterations; fit 4 follows the trait through a heavy-tailed
+    column, so its first steps overshoot and are halved; fit 5 separates
+    the trait; fit 6 is singular.
+    """
+    rng = np.random.default_rng(seed)
+    cov = rng.standard_normal((n, 2))
+    raw = rng.integers(0, 3, size=(7, n, p)).astype(float)
+    causal = raw[3, :, 0]
+    shared = rng.random((3, n)) < np.array([[0.0], [0.4], [0.8]])
+    raw[:3, :, 0] = np.where(shared, causal, raw[:3, :, 0])
+    eta = 0.6 * (causal - causal.mean()) + 0.5 * cov[:, 0]
+    if kind == "binary":   # rare cases: the weights grow away from the start
+        y = (rng.random(n) < expit(eta - 4.0)).astype(float)
+        raw[4, :, 0] = rng.lognormal(0.0, 1.0, n) * (1.0 + 5.0 * y)
+        raw[5, :, 0] = y
+    else:
+        y = rng.poisson(np.exp(0.3 + eta)).astype(float)
+        raw[4, :, 0] = y + 0.3 * rng.standard_normal(n)
+        raw[5, :, 0] = y == 0      # no events where the column is 1
+    if p == 1:
+        raw[6] = 0.0
+    else:
+        raw[6, :, 1] = raw[6, :, 0]
+    s = raw - raw.mean(axis=1, keepdims=True)
+    return y, np.vstack([np.ones(n), cov.T]), np.ascontiguousarray(s.transpose(0, 2, 1))
+
+
+def newton_flags(coef, info, converged, r):
+    """Each fit's flag by the rule ``fit_glm`` applies to a Newton result."""
+    separated = (np.abs(coef[:, r:]) > glm._SEPARATION_LIMIT).any(axis=1)
+    return ["singular" if np.isnan(i).any() else None if not c else "separation" if sep else "ok"
+            for i, c, sep in zip(info, converged, separated)]
+
+
+class TestBatchedNewton:
+    """The batched Newton against the loop it replaced, fit by fit."""
+
+    @pytest.mark.parametrize("kind", ["binary", "count"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_per_fit_newton(self, kind, p):
+        y, base, s = newton_batch(kind, p, seed=0)
+        r, k = len(base), len(base) + p
+        coef, info, converged = glm._newton(y, base, s, kind)
+        want_coef, want_info, want_converged, iterations, halved = per_fit_newton(
+            y, base, s, kind)
+        # a halved fit, and the running fits shrink: the singular fit stops
+        # first, the separated one last
+        assert halved[4] and len(set(iterations.tolist())) >= 3
+        trait = TraitData(y=y, kind=kind, covariates=base[1:].T)
+        design = glm.AncestryDesign(s=s.transpose(0, 2, 1), locus_ids=[[*range(p)]] * len(s))
+        assert fit_glm(trait, design).flag == [None] * 5 + [
+            "separation", f"{k}x{k} matrix is not positive definite"]
+        assert np.array_equal(converged, want_converged)
+        assert newton_flags(coef, info, converged, r) == newton_flags(
+            want_coef, want_info, want_converged, r) == ["ok"] * 5 + ["separation", "singular"]
+        # the separated fit ends on weights at their floor, and the singular
+        # one can step along a rounding-level pivot before its solve fails:
+        # rounding decides their coefficients, so only their flags are compared
+        for b in range(5):
+            np.testing.assert_array_less(np.abs(coef[b] - want_coef[b]),
+                                         1e-12 * np.abs(want_coef[b]).max())
+            np.testing.assert_array_less(np.abs(info[b] - want_info[b]),
+                                         1e-12 * np.abs(want_info[b]).max())
