@@ -36,6 +36,7 @@ _IRLS_MAX_ITER = 100
 _IRLS_TOL = 1e-10          # relative log-likelihood gain a Newton step predicts
 _MAX_HALVINGS = 50         # step halvings before a Newton direction is given up
 _SEPARATION_LIMIT = 15.0   # |ancestry coefficient| flagging separation
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -137,28 +138,21 @@ class FitResult:
 NOT_PD = "{0}x{0} matrix is not positive definite"
 
 
-def solve_spd(a, b):
-    """Solve ``a x = b`` for a symmetric positive-definite ``a``.
-
-    Raises :class:`DegenerateDesignError` when ``a`` is not positive
-    definite: a singular design, collinear columns, or non-finite entries,
-    also when the Cholesky factor passes on a rounding-level pivot.
-    """
-    x, solved = solve_spd_stack(a[None], b[None])
-    if not solved[0]:
-        raise DegenerateDesignError(NOT_PD.format(a.shape[0]))
-    return x[0]
-
-
 def solve_spd_stack(a, b):
     """Solve every system of a stack, ``a`` (B, k, k) and ``b`` (B, k) or (B, k, ...).
 
-    Returns the solutions and a mask of the systems solved; a system that
-    :func:`solve_spd` refuses comes back NaN, found one system at a time.
+    Returns the solutions and a mask of the systems solved.  A system whose
+    ``a`` is not positive definite (a singular design, collinear columns,
+    non-finite entries) comes back NaN, found one system at a time.  So does
+    one whose Cholesky factor passes on a pivot within rounding of zero: a
+    squared pivot no larger than ``k * eps`` times its diagonal entry, the
+    rounding of the k-term sum that forms it, as two identical columns give.
     """
     vector = b.ndim == 2
     try:
-        if np.isfinite(np.linalg.cholesky(a)).all():
+        pivots = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2)
+        floor = np.sqrt(a.shape[-1] * _EPS * np.diagonal(a, axis1=1, axis2=2))
+        if (pivots > floor).all():   # False for a NaN or infinite factor too
             x = np.linalg.solve(a, b[..., None] if vector else b)
             return (x[..., 0] if vector else x), np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:

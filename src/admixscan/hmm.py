@@ -213,10 +213,9 @@ def two_lineages(p, q):
 
     One lineage is 1 with probability ``p``, the other with probability
     ``q``.  Every three-state distribution of the HMM is this law: the
-    emission rows, the Hardy-Weinberg start vector, the recombination
-    kernels and the marginal transition matrix.  Broadcasts over its
-    arguments: the result has shape ``(3,) + broadcast(p, q).shape``,
-    indexed (count, ...).
+    emission rows, the Hardy-Weinberg start vector and the recombination
+    kernels.  Broadcasts over its arguments: the result has shape
+    ``(3,) + broadcast(p, q).shape``, indexed (count, ...).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -271,21 +270,3 @@ def transition_kernels(rho):
     kern[1] = rows[:, :3].swapaxes(0, 1)
     kern[2] = rows[:, 3]
     return kern
-
-
-def build_transition_matrix(rho, gamma):
-    """Marginal ancestry transition matrix for one marker interval.
-
-    Closed form of the binomial mixture
-    ``sum_r Q^(r) * C(2, r) * gamma^r * (1 - gamma)^(2 - r)``: each lineage
-    independently recombines with probability gamma and is then redrawn.
-    """
-    rho = float(rho)
-    gamma = float(gamma)
-    if not (0.0 <= rho <= 1.0) or not (0.0 <= gamma <= 1.0):
-        raise ValueError("rho and gamma must lie in [0, 1]")
-    a = gamma * rho                # a lineage recombines into ancestry A
-    b = gamma * (1.0 - rho)        # a lineage recombines into ancestry B
-    # from-states 0, 1, 2 hold B+B, A+B, A+A: a lineage ends in A w.p. a if
-    # it was B, 1 - b if it was A
-    return two_lineages([a, 1.0 - b, 1.0 - b], [a, a, 1.0 - b]).T

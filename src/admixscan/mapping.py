@@ -7,10 +7,9 @@ jointly and ranks the subsets.
 
 Both stages fit in blocks, in a fixed order: consecutive locus sets of one
 size, every imputation of each, go to the GLM and the Bayes factor as one
-batch of about ``BLOCK_CELLS`` subject x fit x design-column cells, so a
-block of k-locus sets holds 1/k as many fits as a block of single loci.
-The block size changes no result beyond rounding, and repeated runs give
-identical results.
+batch of about ``BLOCK_CELLS`` subject x fit cells, so a block holds as many
+fits whatever the set size.  The block size changes no result beyond
+rounding, and repeated runs give identical results.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from .qnm import average_bf, bf_for_fit
 
 DEFAULT_DELTA = 2.0
 SUBSET_CAP = 4096     # stage-2 subsets refit at most; more is refused before any fit
-BLOCK_CELLS = 50_000  # subject x fit x column cells a block: ~4 MiB of working arrays
+BLOCK_CELLS = 50_000  # subject x fit cells a block: ~4 MiB of working arrays per locus of a set
 
 
 @dataclass
@@ -73,7 +72,7 @@ def _bf_over_imputations(draws, trait, sets):
     order, the averaged log10 Bayes factor, its flag and the imputations used.
     """
     m, n = draws.m, trait.n_subjects
-    per_block = max(1, BLOCK_CELLS // (m * n * sets.shape[1]))
+    per_block = max(1, BLOCK_CELLS // (m * n))
     scores = []
     for start in range(0, len(sets), per_block):
         block = sets[start:start + per_block]

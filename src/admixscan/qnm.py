@@ -1,4 +1,4 @@
-"""Quadratic-moment prior density and the closed-form Bayes factor.
+"""Closed-form Bayes factor under the quadratic-moment prior.
 
 The prior on the p ancestry coefficients is a mean-zero Gaussian with
 covariance ``n * tau * sigma2 * Sigma`` multiplied by the normalised
@@ -18,6 +18,10 @@ The dispersion tau is set empirically: the Bayes factor's maximiser over
 tau is the root of a quadratic (see :func:`bf_for_fit`), clamped to a
 wide bracket.  Data consistent with the null (W <= p) put the maximiser at
 the lower bracket edge, which is returned as-is and yields BF <= 1.
+
+No command evaluates the prior density itself; ``tests/qnm_helpers.py``
+holds it, as the reference the tests check the closed form against by
+quadrature.
 """
 from __future__ import annotations
 
@@ -27,34 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import NOT_PD, solve_spd, solve_spd_stack
+from .glm import NOT_PD, solve_spd_stack
 
 TAU_BRACKET = (1e-8, 1e4)
-
-
-@dataclass
-class QnmSpec:
-    """Prior specification: dispersion, variance scale, and scale matrix.
-
-    ``sigma2 * scale`` is the sampling covariance of the coefficient
-    estimator; ``n_subjects`` enters the prior covariance multiplicatively.
-    """
-
-    tau: float
-    sigma2: float
-    scale: np.ndarray
-    n_subjects: int = 1
-
-    def __post_init__(self):
-        self.scale = np.atleast_2d(np.asarray(self.scale, dtype=np.float64))
-        if self.tau <= 0 or self.sigma2 <= 0 or self.n_subjects < 1:
-            raise ValueError("tau, sigma2 must be positive and n_subjects >= 1")
-        if self.scale.shape[0] != self.scale.shape[1]:
-            raise ValueError("scale matrix must be square")
-
-    @property
-    def p(self):
-        return self.scale.shape[0]
 
 
 @dataclass
@@ -70,22 +49,6 @@ class BfValue:
         """A batch with its fit axis reshaped, e.g. to (sets, imputations)."""
         return BfValue(self.log10_bf.reshape(shape), self.tau_hat.reshape(shape),
                        self.p, self.flag.reshape(shape))
-
-
-def qnm_density(beta, spec: QnmSpec):
-    """Evaluate the prior density at one point (p,) or many points (m, p)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    single = beta.ndim == 1
-    pts = np.atleast_2d(beta)
-    p = spec.p
-    if pts.shape[1] != p:
-        raise ValueError(f"beta has dimension {pts.shape[1]}, spec has {p}")
-    v = spec.n_subjects * spec.tau * spec.sigma2
-    quad = np.einsum("ij,ij->i", pts, solve_spd(spec.scale, pts.T).T)
-    logdet = np.linalg.slogdet(spec.scale)[1]
-    log_norm = -0.5 * (p * np.log(2.0 * np.pi * v) + logdet) - quad / (2.0 * v)
-    dens = quad / (v * p) * np.exp(log_norm)
-    return float(dens[0]) if single else dens
 
 
 def log_bf(wald, p, n_tau):
@@ -137,18 +100,11 @@ def bf_for_fit(fit, n_subjects) -> BfValue:
 def average_bf(values) -> BfValue:
     """Average Bayes factors (on the BF scale, not log) across imputations.
 
-    ``values`` is a list of single values, or a batch of shape (sets,
-    imputations) averaged per set.  Flagged entries drop out and the rest
-    count equally; the average is computed in log space for stability.  When
-    every entry is flagged the result carries the most common reason.
+    ``values`` is a batch of shape (sets, imputations), averaged per set.
+    Flagged entries drop out and the rest count equally; the average is
+    computed in log space for stability.  When every entry of a set is
+    flagged the result carries the most common reason.
     """
-    if not isinstance(values, BfValue):
-        values = list(values)
-        if not values:
-            raise ValueError("no Bayes factors to average")
-        one = average_bf(BfValue(np.array([[v.log10_bf for v in values]]), None, values[0].p,
-                                 np.array([[v.flag for v in values]], dtype=object)))
-        return BfValue(float(one.log10_bf[0]), float("nan"), one.p, one.flag[0])
     kept = values.flag == None  # noqa: E711 -- elementwise over the flag array
     ln_bf = np.where(kept, values.log10_bf * math.log(10.0), -np.inf)
     top = ln_bf.max(axis=1, keepdims=True)
@@ -158,46 +114,3 @@ def average_bf(values) -> BfValue:
     for i in np.flatnonzero(~kept.any(axis=1)):
         [(flag[i], _)] = Counter(values.flag[i]).most_common(1)
     return BfValue(ln_avg / math.log(10.0), np.full(len(kept), np.nan), values.p, flag)
-
-
-def hwe_second_moment(p_a):
-    """E[S^2] for an ancestry count under Hardy-Weinberg at frequency p_a."""
-    return 2.0 * p_a * (1.0 + p_a)
-
-
-def spec_for_frequency(p_a, tau, sigma2, n_subjects) -> QnmSpec:
-    """Univariate prior spec whose scale is the expected (S'S)^-1 at p_a."""
-    scale = 1.0 / (n_subjects * hwe_second_moment(p_a))
-    return QnmSpec(tau=tau, sigma2=sigma2, scale=np.array([[scale]]),
-                   n_subjects=n_subjects)
-
-
-def spec_from_ancestry(raw_s, tau, sigma2) -> QnmSpec:
-    """Prior spec built from sampled ancestry columns via (S'S)^-1."""
-    raw_s = np.asarray(raw_s, dtype=np.float64)
-    if raw_s.ndim == 1:
-        raw_s = raw_s[:, None]
-    gram = raw_s.T @ raw_s
-    scale = solve_spd(gram, np.eye(gram.shape[0]))
-    return QnmSpec(tau=tau, sigma2=sigma2, scale=scale,
-                   n_subjects=raw_s.shape[0])
-
-
-def density_grid(p_a_values, tau, sigma2, n_subjects, betas=None):
-    """Tabulate univariate prior surfaces over a beta grid, one per frequency.
-
-    Returns an array with columns (p_a, beta, density), ready to write as a
-    plot table.
-    """
-    rows = []
-    for p_a in p_a_values:
-        spec = spec_for_frequency(p_a, tau, sigma2, n_subjects)
-        v = spec.n_subjects * spec.tau * spec.sigma2 * spec.scale[0, 0]
-        grid = betas
-        if grid is None:
-            half = 6.0 * math.sqrt(v)
-            grid = np.linspace(-half, half, 201)
-        dens = qnm_density(np.asarray(grid, dtype=np.float64)[:, None], spec)
-        for b, f in zip(grid, dens):
-            rows.append((float(p_a), float(b), float(f)))
-    return np.array(rows)

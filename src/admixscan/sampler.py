@@ -105,25 +105,6 @@ class HmmState:
     tau_a: float
     tau_b: float
 
-    def validate_ranges(self, chrom_start):
-        """Raise if any support invariant is violated."""
-        start = np.asarray(chrom_start, dtype=bool)
-        if np.any((self.s < 0) | (self.s > 2)):
-            raise ValueError("ancestry state outside {0, 1, 2}")
-        if np.any((self.r < 0) | (self.r > 2)):
-            raise ValueError("recombination count outside {0, 1, 2}")
-        if np.any((self.x_imp < 0) | (self.x_imp > 2)):
-            raise ValueError("imputed genotype outside {0, 1, 2}")
-        if np.any(self.gamma[start] != 1.0) or np.any(self.r[:, start] != 2):
-            raise ValueError("a chromosome start needs gamma = 1 and two recombinations")
-        for name, arr in (("p_a", self.p_a), ("p_b", self.p_b),
-                          ("gamma", self.gamma[~start]), ("rho", self.rho)):
-            if np.any((arr <= 0.0) | (arr >= 1.0)):
-                raise ValueError(f"{name} left the open unit interval")
-        lo, hi = TAU_RANGE
-        if not (lo <= self.tau_a <= hi and lo <= self.tau_b <= hi):
-            raise ValueError("tau outside its support")
-
 
 @dataclass
 class DerivedPriors:

@@ -1,9 +1,9 @@
 """Synthetic-data generators for the simulation studies.
 
 Covers the null model, the single-locus alternative (effect size = c times
-the locus's high-risk ancestry proportion), the two-locus artificial
-chromosome with correlated ancestry blocks, and the latent-Gaussian
-construction used to make correlated ancestry pairs.  All generators are
+the locus's high-risk ancestry proportion) and the two-locus artificial
+chromosome, whose correlated ancestry blocks come from cutting
+standard-normal latents at Hardy-Weinberg quantiles.  All generators are
 deterministic given a seed.
 """
 from __future__ import annotations
@@ -52,20 +52,6 @@ def sample_ancestry_hwe(paap, n_subjects, rng):
     t0 = (1.0 - paap) ** 2
     t1 = 1.0 - paap ** 2
     return ((u >= t0).astype(np.int8) + (u >= t1).astype(np.int8))
-
-
-def sample_correlated_ancestry(p_a, rho_latent, n_subjects, rng):
-    """Ancestry pairs coupled through correlated standard-normal latents.
-
-    Each latent is cut at the standard-normal quantiles of ``(1-p_a)^2`` and
-    ``1-p_a^2`` so the marginals stay exactly Hardy-Weinberg whatever the
-    latent correlation.
-    """
-    if not (0.0 <= rho_latent < 1.0):
-        raise ValueError("latent correlation must lie in [0, 1)")
-    z1 = rng.standard_normal(n_subjects)
-    z2 = rho_latent * z1 + np.sqrt(1.0 - rho_latent ** 2) * rng.standard_normal(n_subjects)
-    return _threshold_to_counts(np.column_stack([z1, z2]), [p_a, p_a])
 
 
 def simulate_traits(s_causal, trait_kind, alpha, c, paap_causal, rng) -> TraitData:

@@ -3,6 +3,8 @@
 The model-definition helpers here (observation rows, conditional transition
 probabilities, exhaustive path enumeration) are written independently of
 the package internals so they can serve as oracles for the sampling code.
+The marginal transition matrix, the correlated-pair generator and the
+sampler-state invariant check are references no command runs.
 """
 import itertools
 import shutil
@@ -10,6 +12,9 @@ import tempfile
 
 import numpy as np
 import pytest
+
+from admixscan.hmm import TAU_RANGE, two_lineages
+from admixscan.simulate import _threshold_to_counts
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
 
@@ -112,6 +117,58 @@ def empirical_state_freqs(samples):
     """(n_draws, n_loci) integer states -> (n_loci, 3) frequencies."""
     samples = np.asarray(samples)
     return np.stack([(samples == k).mean(axis=0) for k in range(3)], axis=1)
+
+
+def build_transition_matrix(rho, gamma):
+    """Marginal ancestry transition matrix for one marker interval.
+
+    Closed form of the binomial mixture
+    ``sum_r Q^(r) * C(2, r) * gamma^r * (1 - gamma)^(2 - r)``: each lineage
+    independently recombines with probability gamma and is then redrawn.
+    """
+    rho = float(rho)
+    gamma = float(gamma)
+    if not (0.0 <= rho <= 1.0) or not (0.0 <= gamma <= 1.0):
+        raise ValueError("rho and gamma must lie in [0, 1]")
+    a = gamma * rho                # a lineage recombines into ancestry A
+    b = gamma * (1.0 - rho)        # a lineage recombines into ancestry B
+    # from-states 0, 1, 2 hold B+B, A+B, A+A: a lineage ends in A w.p. a if
+    # it was B, 1 - b if it was A
+    return two_lineages([a, 1.0 - b, 1.0 - b], [a, a, 1.0 - b]).T
+
+
+def sample_correlated_ancestry(p_a, rho_latent, n_subjects, rng):
+    """Ancestry pairs coupled through correlated standard-normal latents.
+
+    Each latent is cut at the standard-normal quantiles of ``(1-p_a)^2`` and
+    ``1-p_a^2`` so the marginals stay exactly Hardy-Weinberg whatever the
+    latent correlation.
+    """
+    if not (0.0 <= rho_latent < 1.0):
+        raise ValueError("latent correlation must lie in [0, 1)")
+    z1 = rng.standard_normal(n_subjects)
+    z2 = rho_latent * z1 + np.sqrt(1.0 - rho_latent ** 2) * rng.standard_normal(n_subjects)
+    return _threshold_to_counts(np.column_stack([z1, z2]), [p_a, p_a])
+
+
+def validate_ranges(state, chrom_start):
+    """Raise if any support invariant of a sampler state is violated."""
+    start = np.asarray(chrom_start, dtype=bool)
+    if np.any((state.s < 0) | (state.s > 2)):
+        raise ValueError("ancestry state outside {0, 1, 2}")
+    if np.any((state.r < 0) | (state.r > 2)):
+        raise ValueError("recombination count outside {0, 1, 2}")
+    if np.any((state.x_imp < 0) | (state.x_imp > 2)):
+        raise ValueError("imputed genotype outside {0, 1, 2}")
+    if np.any(state.gamma[start] != 1.0) or np.any(state.r[:, start] != 2):
+        raise ValueError("a chromosome start needs gamma = 1 and two recombinations")
+    for name, arr in (("p_a", state.p_a), ("p_b", state.p_b),
+                      ("gamma", state.gamma[~start]), ("rho", state.rho)):
+        if np.any((arr <= 0.0) | (arr >= 1.0)):
+            raise ValueError(f"{name} left the open unit interval")
+    lo, hi = TAU_RANGE
+    if not (lo <= state.tau_a <= hi and lo <= state.tau_b <= hi):
+        raise ValueError("tau outside its support")
 
 
 @pytest.fixture

@@ -19,10 +19,9 @@ from admixscan.hmm import (
     GenotypeMatrix,
     MISSING,
     TAU_RANGE,
-    build_transition_matrix,
     transition_kernels,
 )
-from admixscan.qnm import QnmSpec, bf_for_fit, qnm_density
+from admixscan.qnm import bf_for_fit
 from admixscan.sampler import HmmHyperparams, run_mcmc
 from admixscan.simulate import (
     sample_ancestry_hwe,
@@ -31,11 +30,13 @@ from admixscan.simulate import (
 )
 from admixscan.studies import multilocus_study, null_study, power_study
 from conftest import (
+    build_transition_matrix,
     empirical_state_freqs,
     enumerate_path_marginals,
     simulate_chain_ancestry,
     tv_distance,
 )
+from qnm_helpers import QnmSpec, qnm_density
 
 
 def report(number, name, ok, detail, elapsed, budget):

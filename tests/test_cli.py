@@ -580,10 +580,15 @@ def test_impute_defaults_are_the_hyperparameter_defaults():
 
 
 def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves the tests alone
+    # numpy is the only runtime dependency; scipy, hypothesis and the
+    # references under tests/ serve the tests alone, so importing every
+    # module of the package loads none of them
     src = Path(admixscan.__file__).resolve().parents[1]
-    code = ("import admixscan.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import importlib, pkgutil, sys, admixscan\n"
+            "for m in pkgutil.walk_packages(admixscan.__path__, 'admixscan.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "test_only = {'scipy', 'hypothesis', 'tests', 'conftest', 'qnm_helpers'}\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in test_only))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})

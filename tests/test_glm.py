@@ -6,9 +6,9 @@ from scipy.special import expit
 
 from admixscan import glm
 from admixscan.errors import DegenerateDesignError
-from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd, solve_spd_stack
+from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd_stack
 from admixscan.qnm import bf_for_fit
-from qnm_helpers import wald_statistic
+from qnm_helpers import solve_spd, wald_statistic
 
 
 class TestCentering:
@@ -32,10 +32,28 @@ class TestCentering:
 
 class TestSolveSpd:
     def test_singular_solve_past_cholesky_is_a_degenerate_design(self):
-        # singular, yet its Cholesky factor passes on a rounding-level
-        # pivot; the solve then meets an exact zero
+        # singular, yet its Cholesky factor passes with a zero last pivot,
+        # which the pivot floor refuses
         with pytest.raises(DegenerateDesignError, match="not positive definite"):
             solve_spd(np.full((2, 2), 2.0), np.eye(2))
+
+    @pytest.mark.parametrize("kind", ["continuous", "binary", "count"])
+    def test_identical_ancestry_columns_flag_every_fit(self, kind):
+        # two identical columns leave a Cholesky pivot of a few ulps, which
+        # the factorisation and the solve both pass unless it is refused
+        rng = np.random.default_rng(2026)
+        for _ in range(200):
+            n, p, q = int(rng.integers(100, 1001)), int(rng.integers(2, 4)), int(rng.integers(0, 3))
+            raw = rng.binomial(2, rng.uniform(0.2, 0.9, p), size=(n, p))
+            raw[:, 1] = raw[:, 0]
+            eta = 0.3 * (raw[:, 0] - raw[:, 0].mean())
+            y = {"continuous": eta + rng.standard_normal(n),
+                 "binary": (rng.random(n) < expit(eta)).astype(float),
+                 "count": rng.poisson(np.exp(eta)).astype(float)}[kind]
+            trait = TraitData(y=y, kind=kind, covariates=rng.standard_normal((n, q)))
+            fit = fit_glm(trait, center_ancestries(raw))
+            assert fit.flag == glm.NOT_PD.format(1 + q + p), (n, p, q)
+            assert math.isnan(bf_for_fit(fit, n).log10_bf)
 
 
 def toy_continuous(rng, n=200, beta=0.5, alpha=1.0, sigma=1.0):

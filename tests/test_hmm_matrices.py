@@ -7,12 +7,12 @@ from admixscan.hmm import (
     FREQ_CLAMP,
     GenotypeMatrix,
     MISSING,
-    build_transition_matrix,
     hwe_rows,
     observation_rows,
     transition_kernels,
     two_lineages,
 )
+from conftest import build_transition_matrix
 
 
 class TestTwoLineages:

@@ -16,9 +16,9 @@ from admixscan.mapping import (
 )
 from admixscan.simulate import (
     sample_ancestry_hwe,
-    sample_correlated_ancestry,
     simulate_traits,
 )
+from conftest import sample_correlated_ancestry
 
 
 def make_draws(s, m=1, marker_ids=None):
@@ -220,9 +220,9 @@ class TestBlocks:
         assert {"subset": [4, 5], "flag": "4x4 matrix is not positive definite"} in (
             small.diagnostics["skipped_subsets"])
 
-    def test_block_holds_a_kth_of_the_sets_of_size_k(self, monkeypatch):
-        # a block is sized by subject x fit x design-column cells, so a block
-        # of 3-locus sets holds a third of the fits of a block of single loci
+    def test_block_holds_as_many_fits_at_every_set_size(self, monkeypatch):
+        # a block is sized by subject x fit cells, so a block of 3-locus sets
+        # holds as many fits as a block of single loci
         rng = np.random.default_rng(8)
         n, m = 100, 2
         s = rng.integers(0, 3, size=(m, n, 9)).astype(np.int8)
@@ -235,15 +235,16 @@ class TestBlocks:
             fits.append(design.s.shape[0])
             return fit_glm(trait, design)
 
-        monkeypatch.setattr(mapping, "BLOCK_CELLS", m * n * 9)
+        monkeypatch.setattr(mapping, "BLOCK_CELLS", m * n * 4)
         monkeypatch.setattr(mapping, "fit_glm", counting_fit_glm)
         sizes = {}
         for k in (1, 3):
             fits.clear()
             sets = np.array([list(range(i, i + k)) for i in range(0, 9, k)] * 3)
             mapping._bf_over_imputations(draws, trait, sets)
-            sizes[k] = fits[0]
-        assert sizes == {1: 9 * m, 3: 3 * m}
+            sizes[k] = list(fits)
+        assert sizes[1][0] == sizes[3][0] == 4 * m
+        assert sum(sizes[1]) == 27 * m and sum(sizes[3]) == 9 * m
 
     def test_stage1_peak_memory_does_not_grow_with_loci(self):
         # stage 1 holds one block of fits at a time, so its traced peak is

@@ -9,21 +9,19 @@ from scipy.special import expit
 from admixscan.glm import FitResult, TraitData, center_ancestries, fit_glm
 from admixscan.hmm import AncestryDraws
 from admixscan.mapping import stage1_scan, stage2_joint
-from admixscan.qnm import (
-    BfValue,
+from admixscan.qnm import BfValue, TAU_BRACKET, average_bf, bf_for_fit, log_bf
+from admixscan.simulate import sample_ancestry_hwe
+from conftest import sample_correlated_ancestry
+from qnm_helpers import (
     QnmSpec,
-    TAU_BRACKET,
-    average_bf,
-    bf_for_fit,
     density_grid,
+    flagged_bf,
     hwe_second_moment,
-    log_bf,
     qnm_density,
     spec_for_frequency,
     spec_from_ancestry,
+    wald_statistic,
 )
-from admixscan.simulate import sample_ancestry_hwe, sample_correlated_ancestry
-from qnm_helpers import flagged_bf, wald_statistic
 
 
 class TestDensity:
@@ -297,35 +295,35 @@ class TestBayesFactor:
 
 
 class TestAverageBf:
-    def bf(self, value):
-        return BfValue(log10_bf=math.log10(value), tau_hat=0.1, p=1)
+    def batch(self, *entries):
+        """One set's imputations as a (1, m) batch: a Bayes factor, or a flag's reason."""
+        flag = np.array([[e if isinstance(e, str) else None for e in entries]], dtype=object)
+        log10_bf = np.array([[math.nan if isinstance(e, str) else math.log10(e) for e in entries]])
+        return BfValue(log10_bf=log10_bf, tau_hat=np.full(log10_bf.shape, 0.1), p=1, flag=flag)
 
     def test_identical_inputs(self):
-        out = average_bf([self.bf(7.0), self.bf(7.0)])
-        assert 10 ** out.log10_bf == pytest.approx(7.0)
+        out = average_bf(self.batch(7.0, 7.0))
+        assert 10 ** out.log10_bf[0] == pytest.approx(7.0)
 
     def test_arithmetic_mean_on_bf_scale(self):
-        out = average_bf([self.bf(10.0), self.bf(1000.0)])
-        assert 10 ** out.log10_bf == pytest.approx(505.0)
+        out = average_bf(self.batch(10.0, 1000.0))
+        assert 10 ** out.log10_bf[0] == pytest.approx(505.0)
 
     def test_flagged_entries_excluded_with_renormalisation(self):
-        out = average_bf(
-            [self.bf(10.0), flagged_bf("skip", p=1), self.bf(1000.0)]
-        )
-        assert 10 ** out.log10_bf == pytest.approx(505.0)
+        out = average_bf(self.batch(10.0, "skip", 1000.0))
+        assert 10 ** out.log10_bf[0] == pytest.approx(505.0)
 
     def test_all_flagged_yields_flagged(self):
-        out = average_bf([flagged_bf("a", p=1), flagged_bf("b", p=1)])
-        assert out.flag == "a"
+        out = average_bf(self.batch("a", "b"))
+        assert out.flag[0] == "a"
 
     def test_all_flagged_keeps_most_common_reason(self):
-        out = average_bf([flagged_bf(r, p=1) for r in ("a", "b", "b")])
-        assert out.flag == "b"
+        out = average_bf(self.batch("a", "b", "b"))
+        assert out.flag[0] == "b"
 
     def test_single_draw_average_is_exact(self):
-        one = self.bf(42.0)
-        out = average_bf([one])
-        assert out.log10_bf == pytest.approx(one.log10_bf)
+        out = average_bf(self.batch(42.0))
+        assert out.log10_bf[0] == pytest.approx(math.log10(42.0))
 
 
 class TestScaleHelpers:

@@ -22,7 +22,7 @@ from admixscan.sampler import (
     update_gamma,
     update_rho,
 )
-from conftest import trans_prob
+from conftest import trans_prob, validate_ranges
 
 
 def small_panel(n_loci=4, chrom=None):
@@ -373,7 +373,7 @@ class TestDerivedPriors:
         hyper = HmmHyperparams()
         derived = derive_priors(g, panel, hyper)
         state = initial_state(g, panel, derived, rng)
-        state.validate_ranges(panel.chrom_start)
+        validate_ranges(state, panel.chrom_start)
 
 
 class TestChromosomeStartInvariant:
@@ -390,14 +390,14 @@ class TestChromosomeStartInvariant:
         panel, g, derived = self.three_chromosomes(rng)
         start = panel.chrom_start
         state = initial_state(g, panel, derived, rng)
-        state.validate_ranges(start)
+        validate_ranges(state, start)
         impute_missing_genotypes(state, derived.missing_cells, rng)
         sample_ancestry_paths(state, rng)
         sample_recombination_counts(state, rng)
         update_gamma(state, derived, 30, rng)
         update_rho(state, derived, rng)
         update_allele_freqs(state, panel, rng)
-        state.validate_ranges(start)
+        validate_ranges(state, start)
         assert (state.gamma[start] == 1.0).all()
         assert (state.r[:, start] == 2).all()
 
@@ -406,14 +406,14 @@ class TestChromosomeStartInvariant:
         state = blank_state(30, 9)
         state.gamma[panel.chrom_start] = 1.0
         state.r[:, panel.chrom_start] = 2
-        state.validate_ranges(panel.chrom_start)
+        validate_ranges(state, panel.chrom_start)
         state.r[4, 3] = 0   # marker 3 starts chromosome 2
         with pytest.raises(ValueError, match="two recombinations"):
-            state.validate_ranges(panel.chrom_start)
+            validate_ranges(state, panel.chrom_start)
 
     def test_validate_ranges_refuses_gamma_below_one_at_a_start(self, rng):
         panel, _, _ = self.three_chromosomes(rng)
         state = blank_state(30, 9)
         state.r[:, panel.chrom_start] = 2
         with pytest.raises(ValueError, match="gamma = 1"):
-            state.validate_ranges(panel.chrom_start)
+            validate_ranges(state, panel.chrom_start)

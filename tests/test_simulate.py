@@ -11,10 +11,10 @@ from admixscan.simulate import (
     build_artificial_chromosome,
     label_regions,
     sample_ancestry_hwe,
-    sample_correlated_ancestry,
     sample_genotypes_from_ancestry,
     simulate_traits,
 )
+from conftest import sample_correlated_ancestry
 
 
 class TestHweSampling:
