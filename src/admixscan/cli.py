@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, fileio
@@ -39,7 +40,7 @@ def _add_trait_args(parser):
     parser.add_argument(
         "--covariates",
         default=None,
-        help="comma-separated covariate column names (default: all)",
+        help='comma-separated covariate column names (default: all; "" for none)',
     )
     parser.add_argument("--delta", type=float, default=DEFAULT_DELTA)
 
@@ -183,7 +184,9 @@ def _check_inputs(manifest, config, recorded):
 
 
 def _load_trait_for_draws(args, draws):
-    names = args.covariates.split(",") if args.covariates else None
+    names = args.covariates   # absent: every column; empty: none
+    if names is not None:
+        names = names.split(",") if names else []
     subject_ids, trait, dropped = fileio.read_phenotypes(
         args.phenotype, args.trait_kind, covariates=names
     )
@@ -199,16 +202,7 @@ def cmd_impute(args, inputs):
     )
     genotypes, marker_ids = fileio.read_genotypes(args.genotypes)
     genotypes = fileio.align_genotypes_to_panel(genotypes, marker_ids, panel)
-    hyper = HmmHyperparams(
-        lam=args.lam,
-        mu0=args.mu0,
-        rho0=args.rho0,
-        nu0=args.nu0,
-        burn_in=args.burn_in,
-        n_draws=args.n_draws,
-        thin=args.thin,
-        seed=args.seed,
-    )
+    hyper = HmmHyperparams(**{f.name: getattr(args, f.name) for f in fields(HmmHyperparams)})
     draws = run_mcmc(genotypes, panel, hyper)
     fileio.save_draws(draws, out / "draws.adx")
     _write_manifest(out, args, inputs)

@@ -29,6 +29,7 @@ import logging
 import math
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -189,10 +190,7 @@ def align_genotypes_to_panel(genotypes: GenotypeMatrix, marker_ids, panel: AimPa
         raise AlignmentError(
             f"genotype markers do not match the panel; first offenders: {offenders}"
         )
-    order = [by_id[m] for m in panel.marker_ids]
-    return GenotypeMatrix(
-        x=genotypes.x[:, order], subject_ids=genotypes.subject_ids
-    )
+    return replace(genotypes, x=genotypes.x[:, [by_id[m] for m in panel.marker_ids]])
 
 
 # --- phenotypes --------------------------------------------------------------
@@ -281,23 +279,11 @@ def align_trait_to_draws(draws: AncestryDraws, subject_ids, trait: TraitData):
             draws.n_subjects,
         )
     order = [have[draws.subject_ids[i]] for i in keep]
-    subset = AncestryDraws(
-        draws=draws.draws[:, keep, :],
-        sweep_index=draws.sweep_index,
-        traces=draws.traces,
-        subject_ids=[draws.subject_ids[i] for i in keep],
-        marker_ids=draws.marker_ids,
-        chrom=draws.chrom,
-        position=draws.position,
-        seed=draws.seed,
+    return (
+        replace(draws, draws=draws.draws[:, keep, :],
+                subject_ids=[draws.subject_ids[i] for i in keep]),
+        replace(trait, y=trait.y[order], covariates=trait.covariates[order]),
     )
-    trait_sub = TraitData(
-        y=trait.y[order],
-        kind=trait.kind,
-        covariates=trait.covariates[order],
-        covariate_names=trait.covariate_names,
-    )
-    return subset, trait_sub
 
 
 # --- packed draws file -------------------------------------------------------

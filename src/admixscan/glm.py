@@ -292,13 +292,13 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
         raise ValueError("trait and ancestry design are not row-aligned")
     r = 1 + trait.n_covariates
     k = r + p
-    flags = list(design.flags or [None] * n_fits)
+    flags = np.array(design.flags or [None] * n_fits, dtype=object)
     if n <= k:
         problem = f"{n} subjects cannot identify {k} coefficients"
         if single:
             raise DegenerateDesignError(problem)
-        flags = [f or problem for f in flags]
-    idx = np.flatnonzero([f is None for f in flags])
+        flags[flags == None] = problem  # noqa: E711
+    idx = np.flatnonzero(flags == None)  # noqa: E711
     coef = np.full((n_fits, k), np.nan)
     cov = np.full((n_fits, k, k), np.nan)
     sigma2 = np.ones(n_fits)
@@ -318,16 +318,13 @@ def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
     inv, inverted = solve_spd_stack(info, np.broadcast_to(np.eye(k), info.shape))
     cov[idx] = sigma2[idx, None, None] * inv
     converged[idx] = conv & ~separated & inverted
-    for i, c, sep, ok in zip(idx, conv, separated, inverted):
-        if not ok:
-            flags[i] = NOT_PD.format(k)
-        elif not c:
-            flags[i] = "irls did not converge"
-        elif sep:
-            flags[i] = "separation"
+    # later assignments win: not PD over no convergence over separation
+    flags[idx[separated]] = "separation"
+    flags[idx[~conv]] = "irls did not converge"
+    flags[idx[~inverted]] = NOT_PD.format(k)
     fit = FitResult(beta_hat=coef[:, r:], alpha_hat=coef[:, 1:r], intercept=coef[:, 0],
                     sigma_beta_hat=cov[:, r:, r:], sigma2_hat=sigma2,
-                    converged=converged, flag=flags)
+                    converged=converged, flag=flags.tolist())
     if single:   # the batch of one, unwrapped
         return FitResult(**{f.name: getattr(fit, f.name)[0] for f in fields(fit)})
     return fit

@@ -260,10 +260,8 @@ def impute_genotypes(x, cells, s, p_a, p_b, u):
     """
     out = np.array(x, dtype=np.int8)
     ii, jj = cells
-    if ii.size:
-        emit = observation_rows(p_a, p_b)
-        w = emit[np.asarray(s)[ii, jj], :, jj].T
-        out[ii, jj] = _draw3(w, np.asarray(u))
+    w = observation_rows(p_a, p_b)[np.asarray(s)[ii, jj], :, jj].T
+    out[ii, jj] = _draw3(w, np.asarray(u))
     return out
 
 

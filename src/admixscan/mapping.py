@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,12 +144,7 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
     if max_cardinality is not None and max_cardinality < 1:
         raise ValueError(f"max_cardinality must be at least 1, got {max_cardinality}")
     selected = stage1_result.selected_indices
-    result = ScanResult(
-        stage1=stage1_result.stage1,
-        delta=stage1_result.delta,
-        m=stage1_result.m,
-        diagnostics=dict(stage1_result.diagnostics),
-    )
+    result = replace(stage1_result, diagnostics=dict(stage1_result.diagnostics))
     k_max = len(selected) if max_cardinality is None else min(max_cardinality, len(selected))
     n_subsets = _count_subsets(len(selected), k_max)
     if n_subsets > SUBSET_CAP:

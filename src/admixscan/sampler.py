@@ -49,6 +49,8 @@ from .hmm import (
 log = logging.getLogger(__name__)
 
 _PROB_EPS = 1e-12          # keep sampled probabilities off exact 0/1
+# the HmmState attributes recorded per retained draw, as AncestryDraws.traces
+TRACED = ("gamma", "rho", "p_a", "p_b", "tau_a", "tau_b")
 
 
 @dataclass
@@ -321,14 +323,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     m = hyper.n_draws // hyper.thin
     draws = np.empty((m, n_sub, n_loc), dtype=np.int8)
     sweep_index = np.empty(m, dtype=np.int64)
-    traces = {
-        "gamma": np.empty((m, n_loc)),
-        "rho": np.empty((m, n_sub)),
-        "p_a": np.empty((m, n_loc)),
-        "p_b": np.empty((m, n_loc)),
-        "tau_a": np.empty(m),
-        "tau_b": np.empty(m),
-    }
+    traces = {name: np.empty((m, *np.shape(getattr(state, name)))) for name in TRACED}
 
     kept = 0
     total = hyper.burn_in + hyper.n_draws
@@ -353,12 +348,8 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
         if post >= 1 and post % hyper.thin == 0 and kept < m:
             draws[kept] = state.s
             sweep_index[kept] = t
-            traces["gamma"][kept] = state.gamma
-            traces["rho"][kept] = state.rho
-            traces["p_a"][kept] = state.p_a
-            traces["p_b"][kept] = state.p_b
-            traces["tau_a"][kept] = state.tau_a
-            traces["tau_b"][kept] = state.tau_b
+            for name in TRACED:
+                traces[name][kept] = getattr(state, name)
             kept += 1
         if (t + 1) % 500 == 0:
             log.debug("sweep %d/%d (%d draws kept)", t + 1, total, kept)

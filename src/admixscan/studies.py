@@ -10,7 +10,7 @@ dataset ``admixscan simulate`` writes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -155,9 +155,7 @@ class MultilocusStudyResult:
 
     @property
     def summary(self):
-        return [{name: getattr(self, name) for name in (
-            "stage1_region_rate", "stage2_region_rate", "stage1_reg3_rate",
-            "stage2_reg3_rate", "pair_top_rate", "pair_covered_rate")}]
+        return [{f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_rate")}]
 
 
 def multilocus_study(n_subjects, n_replicates, trait_kind, c, delta, seed,

@@ -156,6 +156,89 @@ def test_dropped_phenotype_rows_are_logged(tmp_path, caplog, command):
     assert len(read_rows(tmp_path / "out" / "stage1.tsv")) == 3
 
 
+def save_random_draws(path, rng, n_sub, n_loc=3):
+    ids = [f"S{i:02d}" for i in range(n_sub)]
+    draws = AncestryDraws(draws=rng.integers(0, 3, size=(2, n_sub, n_loc)),
+                          sweep_index=np.arange(2), subject_ids=ids,
+                          marker_ids=[f"m{j}" for j in range(n_loc)])
+    fileio.save_draws(draws, path)
+    return draws
+
+
+def test_empty_covariates_option_selects_no_covariate(tmp_path):
+    # an empty --covariates used to be read as absent, so every column was fitted
+    rng = np.random.default_rng(13)
+    draws = save_random_draws(tmp_path / "draws.adx", rng, 40)
+    y, e1 = rng.standard_normal((2, 40))
+    fileio.write_phenotypes(draws.subject_ids, TraitData(
+        y=y, kind="continuous", covariates=e1[:, None], covariate_names=["e1"]),
+        tmp_path / "with_e1.tsv")
+    fileio.write_phenotypes(draws.subject_ids, TraitData(y=y, kind="continuous"),
+                            tmp_path / "without_e1.tsv")
+
+    def scan(pheno, out, *extra):
+        assert main(["scan", "--draws", str(tmp_path / "draws.adx"),
+                     "--phenotype", str(tmp_path / pheno),
+                     "--out-dir", str(tmp_path / out), *extra]) == 0
+        return read_bytes(tmp_path / out / "stage1.tsv")
+
+    no_covariate = scan("without_e1.tsv", "none")
+    assert scan("with_e1.tsv", "empty", "--covariates", "") == no_covariate
+    assert scan("with_e1.tsv", "all") != no_covariate
+    # a manifest recording the empty option replays without covariates
+    manifest = tmp_path / "empty" / "manifest.json"
+    assert json.loads(manifest.read_text())["config"]["covariates"] == ""
+    assert main(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")]) == 0
+    assert read_bytes(tmp_path / "replay" / "stage1.tsv") == no_covariate
+
+
+class TestCountTrait:
+    @pytest.fixture
+    def count_inputs(self, tmp_path):
+        rng = np.random.default_rng(21)
+        draws = save_random_draws(tmp_path / "draws.adx", rng, 150, n_loc=4)
+        e1 = rng.standard_normal(150)
+        y = rng.poisson(np.exp(0.2 + 0.6 * draws.draws[0, :, 1] + 0.3 * e1))
+        fileio.write_phenotypes(draws.subject_ids, TraitData(
+            y=y, kind="count", covariates=e1[:, None], covariate_names=["e1"]),
+            tmp_path / "pheno.tsv")
+        return tmp_path
+
+    @pytest.mark.parametrize("command,tables", [
+        ("scan", ["stage1.tsv"]),
+        ("map", ["stage1.tsv", "stage2.tsv"]),
+    ])
+    def test_tables_written_and_replayed_byte_for_byte(self, count_inputs,
+                                                       command, tables):
+        tmp = count_inputs
+        assert main([command, "--draws", str(tmp / "draws.adx"),
+                     "--phenotype", str(tmp / "pheno.tsv"), "--trait-kind", "count",
+                     "--out-dir", str(tmp / "run")]) == 0
+        rows = read_rows(tmp / "run" / "stage1.tsv")
+        assert [r["locus_id"] for r in rows] == ["m0", "m1", "m2", "m3"]
+        assert all(r["flag"] == "" for r in rows)
+        assert rows[1]["selected"] == "1"
+        if command == "map":
+            assert "m1" in read_rows(tmp / "run" / "stage2.tsv")[0]["locus_ids"]
+        assert main(["rerun", str(tmp / "run" / "manifest.json"),
+                     "--out-dir", str(tmp / "replay")]) == 0
+        for name in tables:
+            assert read_bytes(tmp / "replay" / name) == read_bytes(tmp / "run" / name)
+
+    def test_non_integer_count_names_the_file(self, count_inputs, capsys):
+        tmp = count_inputs
+        bad = tmp / "bad.tsv"
+        bad.write_text("subject_id\ttrait\nS00\t2\nS01\t1.5\n")
+        assert main(["scan", "--draws", str(tmp / "draws.adx"),
+                     "--phenotype", str(bad), "--trait-kind", "count",
+                     "--out-dir", str(tmp / "run")]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert record["message"] == (
+            f"{bad}: count trait must hold nonnegative integers")
+        assert not (tmp / "run" / "stage1.tsv").exists()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, dataset):
         tmp, paths = dataset
@@ -572,11 +655,35 @@ class TestErrorSurface:
 
 
 def test_impute_defaults_are_the_hyperparameter_defaults():
-    args = cli.build_parser().parse_args(
-        ["impute", "--panel", "p.tsv", "--genotypes", "g.tsv", "--out-dir", "o"])
+    # every field is an impute option; seed alone has a default of its own
+    parser = cli.build_parser()
+    base = ["impute", "--panel", "p.tsv", "--genotypes", "g.tsv", "--out-dir", "o"]
+    args = parser.parse_args(base)
     for f in dataclasses.fields(HmmHyperparams):
-        if f.name != "seed":
-            assert getattr(args, f.name) == f.default, f.name
+        assert getattr(args, f.name) == (0 if f.name == "seed" else f.default), f.name
+        given = parser.parse_args([*base, "--" + f.name.replace("_", "-"), "3"])
+        assert getattr(given, f.name) == 3, f.name
+
+
+def test_impute_hands_every_option_to_the_sampler(dataset, monkeypatch):
+    tmp, paths = dataset
+    given = {"lam": 5.0, "mu0": 2e-4, "rho0": 0.7, "nu0": 0.02,
+             "burn_in": 7, "n_draws": 9, "thin": 3, "seed": 11}
+    assert set(given) == {f.name for f in dataclasses.fields(HmmHyperparams)}
+    seen = []
+
+    def fake_run_mcmc(genotypes, panel, hyper):
+        seen.append(hyper)
+        return AncestryDraws(draws=np.zeros((1, genotypes.n_subjects, panel.n_loci)),
+                             sweep_index=[0])
+
+    monkeypatch.setattr(cli, "run_mcmc", fake_run_mcmc)
+    argv = ["impute", "--panel", str(paths["panel"]), "--genotypes", str(paths["geno"]),
+            "--out-dir", str(tmp / "imp")]
+    for name, value in given.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    assert main(argv) == 0
+    assert seen == [HmmHyperparams(**given)]
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 import zlib
@@ -38,6 +39,15 @@ def make_draws(rng, m=3, n_sub=6, n_loc=5, with_meta=True):
         position=np.linspace(0, 0.1, n_loc) if with_meta else None,
         seed=42 if with_meta else None,
     )
+
+
+def same_value(a, b):
+    """Equality for record fields: arrays by value, dicts key by key."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 class TestPanelRoundTrip:
@@ -189,6 +199,7 @@ class TestGenotypeRoundTrip:
             panel,
         )
         assert np.array_equal(aligned.x, x)
+        assert aligned.subject_ids == g.subject_ids
 
     def test_marker_mismatch_lists_offenders(self, rng):
         panel = make_panel()
@@ -263,6 +274,22 @@ class TestPhenotypes:
         assert sub.subject_ids == ["S0", "S1", "S3", "S4"]
         assert np.allclose(tr.y, [3.0, 1.0, 2.0, 0.0])
         assert np.array_equal(sub.draws[:, 0, :], draws.draws[:, 0, :])
+
+    def test_alignment_keeps_every_field_it_does_not_subset(self, rng):
+        # walks the records' own field lists, so a field added later is
+        # checked here without editing the test
+        draws = make_draws(rng)
+        covariates = np.arange(8.0).reshape(4, 2)
+        trait = TraitData(y=np.arange(4.0), kind="count", covariates=covariates,
+                          covariate_names=["age", "site"])
+        sub, tr = fileio.align_trait_to_draws(draws, ["S4", "S1", "S3", "S0"], trait)
+        for old, new, changed in ((draws, sub, {"draws", "subject_ids"}),
+                                  (trait, tr, {"y", "covariates"})):
+            for f in dataclasses.fields(old):
+                if f.name not in changed:
+                    assert same_value(getattr(new, f.name), getattr(old, f.name)), f.name
+        assert sub.draws.shape == (3, 4, 5)
+        assert np.array_equal(tr.covariates, covariates[[3, 1, 2, 0]])
 
     def test_unknown_phenotype_subject_rejected(self, rng):
         draws = make_draws(rng)

@@ -196,6 +196,16 @@ def test_impute_identical_across_backends(state, rng):
     assert (out[missing] != x[missing]).any()
 
 
+def test_impute_with_no_missing_cell_returns_an_equal_copy(state, rng):
+    s, x, _, _ = state
+    none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+    p = rng.uniform(0.05, 0.95, (2, x.shape[1]))
+    out = kernels.impute_genotypes(x, none, s, p[0], p[1], np.empty(0))
+    assert out is not x
+    assert out.dtype == np.int8
+    assert np.array_equal(out, x)
+
+
 def test_recombination_counts_identical_across_backends(state, rng):
     s, _, _, start = state
     gamma = rng.uniform(0.05, 0.6, s.shape[1])

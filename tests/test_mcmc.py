@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from admixscan import sampler
 from admixscan.hmm import AimPanel, GenotypeMatrix
-from admixscan.sampler import HmmHyperparams, run_mcmc
+from admixscan.sampler import TRACED, HmmHyperparams, HmmState, run_mcmc
 from admixscan.simulate import sample_ancestry_hwe, sample_genotypes_from_ancestry
 from conftest import hwe_vector, obs_row, simulate_chain_ancestry
 
@@ -104,6 +107,29 @@ def test_missing_genotypes_imputed_within_support():
     for key in ("tau_a", "tau_b"):
         assert (draws.traces[key] >= 50.0).all()
         assert (draws.traces[key] <= 1000.0).all()
+
+
+def test_traces_record_the_state_after_each_retained_sweep(monkeypatch):
+    assert set(TRACED) <= {f.name for f in dataclasses.fields(HmmState)}
+    after_sweep = []
+    last_step = sampler.update_tau_mh
+
+    def recording_last_step(state, panel, rng):
+        last_step(state, panel, rng)
+        after_sweep.append({name: np.copy(getattr(state, name)) for name in TRACED})
+
+    monkeypatch.setattr(sampler, "update_tau_mh", recording_last_step)
+    rng = np.random.default_rng(23)
+    panel = chain_panel(6, chrom=[1, 1, 1, 2, 2, 2])
+    s = sample_ancestry_hwe(np.full(6, 0.7), 8, rng)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate=0.1)
+    g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(8)])
+    draws = run_mcmc(g, panel, HmmHyperparams(burn_in=5, n_draws=6, thin=2, seed=3))
+    assert len(after_sweep) == 11
+    assert tuple(draws.traces) == TRACED
+    for k, t in enumerate(draws.sweep_index):
+        for name in TRACED:
+            assert np.array_equal(draws.traces[name][k], after_sweep[t][name]), name
 
 
 def test_dimension_mismatch_rejected():
