@@ -226,6 +226,10 @@ def read_phenotypes(path, trait_kind, covariates=None):
             raise DataFormatError(
                 f"{path}:{lineno}: cannot parse numeric value: {exc}"
             ) from exc
+        bad = [k for k, v in enumerate(values) if not math.isfinite(v)]
+        if bad:   # "NA" is the only missing token
+            raise DataFormatError(f"{path}:{lineno}: column {cols[take[bad[0]]]!r}, subject "
+                                  f"{cells[0]!r}: non-finite value {wanted[bad[0]]!r}")
         subject_ids.append(cells[0])
         y.append(values[0])
         e.append(values[1:])

@@ -6,10 +6,12 @@ squares; binary and count traits use Newton's method on the score with
 canonical links and dispersion fixed at one.  A fit returns what the Bayes
 factor reads: the ancestry coefficients and their estimated covariance.
 
-A design holds one fit's ancestry columns, ``(n, p)``, or a batch of B fits
-sharing the trait and covariates, ``(B, n, p)``; one design is a batch of
-one.  Each fit converges and halves its steps on its own: the rest of its
-batch touches it only through the rounding of sums over subjects.
+A design is a batch of B fits sharing the trait and covariates, ``(B, p,
+n)``: fits, then ancestry columns, then subjects last, the axis every sum
+runs along.  Each fit converges and halves its steps on its own: the rest
+of its batch touches it only through the rounding of sums over subjects.
+Only :func:`fit_glm` also takes one ``(n, p)`` design, because the
+benchmark's independent oracle fits one locus set at a time through it.
 
 An iteration makes few passes over the batch's fit x subject cells.  The
 logistic mean, weight and log-likelihood come from one exponential a cell,
@@ -27,8 +29,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .errors import DegenerateDesignError
 
 TRAIT_KINDS = ("continuous", "binary", "count")
 
@@ -85,50 +85,41 @@ class TraitData:
 
 @dataclass
 class AncestryDesign:
-    """Column-centered ancestry values for the loci under test; a batch flags each fit."""
+    """Column-centered ancestry values, ``(B, p, n)``, with each fit's locus ids and flag."""
 
     s: np.ndarray
     locus_ids: list
     flags: list | None = None
 
 
-def center_ancestries(raw, locus_ids=None) -> AncestryDesign:
-    """Center raw ancestry counts column-wise, per fit for a ``(B, n, p)`` batch.
+def center_ancestries(raw, locus_ids) -> AncestryDesign:
+    """Center a ``(B, p, n)`` batch of raw ancestry counts over subjects, per fit.
 
-    A constant column cannot be centered into a usable regressor: one design
-    raises :class:`DegenerateDesignError` naming the locus, a batch (with a
-    list of locus ids per fit) flags that fit.
+    ``locus_ids`` holds each fit's list of ids.  A constant column cannot be
+    centered into a usable regressor: its fit is flagged with the locus.
     """
     raw = np.asarray(raw)
-    if raw.ndim == 1:
-        raw = raw[:, None]
-    single = raw.ndim == 2
     if np.any((raw < 0) | (raw > 2)) or np.any(raw != np.round(raw)):
         raise ValueError("raw ancestry values must be integers in {0, 1, 2}")
-    if locus_ids is None:
-        locus_ids = [*range(raw.shape[-1])] if single else [[*range(raw.shape[-1])]] * len(raw)
-    batch, ids = (raw[None], [locus_ids]) if single else (raw, locus_ids)
-    constant = batch.max(axis=1) == batch.min(axis=1)
-    flags = [f"ancestry column {ids[b][np.argmax(c)]!r} is constant" if c.any() else None
+    constant = raw.max(axis=2) == raw.min(axis=2)
+    flags = [f"ancestry column {locus_ids[b][np.argmax(c)]!r} is constant" if c.any() else None
              for b, c in enumerate(constant)]
-    if single and flags[0]:
-        raise DegenerateDesignError(flags[0])
-    s = raw.astype(np.float64)
-    s -= s.mean(axis=-2, keepdims=True)
+    s = raw.astype(np.float64, order="C")
+    s -= s.mean(axis=2, keepdims=True)
     return AncestryDesign(s=s, locus_ids=list(locus_ids), flags=flags)
 
 
 @dataclass
 class FitResult:
-    """One fit, or a batch with a leading fit axis on every field."""
+    """A batch of fits: every field has a leading fit axis, and ``flag`` is a list."""
 
-    beta_hat: np.ndarray          # ancestry coefficients, length p
-    alpha_hat: np.ndarray         # covariate coefficients, length q
-    intercept: float
-    sigma_beta_hat: np.ndarray    # estimated covariance of beta_hat, (p, p)
-    sigma2_hat: float             # residual variance (continuous) or 1.0
-    converged: bool
-    flag: str | None = None       # a batch holds a list of flags
+    beta_hat: np.ndarray          # ancestry coefficients, (B, p)
+    alpha_hat: np.ndarray         # covariate coefficients, (B, q)
+    intercept: np.ndarray         # (B,)
+    sigma_beta_hat: np.ndarray    # estimated covariance of beta_hat, (B, p, p)
+    sigma2_hat: np.ndarray        # residual variance (continuous) or 1.0, (B,)
+    converged: np.ndarray         # (B,) bool
+    flag: list                    # each fit's reason for not scoring it, or None
 
     @property
     def p(self):
@@ -274,37 +265,36 @@ def _newton(y, base, s, kind):
 
 
 def fit_glm(trait: TraitData, design: AncestryDesign) -> FitResult:
-    """Fit the trait on centered ancestries plus covariates, one design or a batch.
+    """Fit the trait on each design of a ``(B, p, n)`` batch, plus covariates.
 
-    A batch ``(B, n, p)`` gives one :class:`FitResult` with a leading fit
-    axis and a list of flags; a fit its design flags is not fitted.  Too few
-    subjects raise :class:`DegenerateDesignError` for one design and flag a
-    batch.  Singular fits, binary and count fits showing separation (an
-    ancestry coefficient beyond ``_SEPARATION_LIMIT`` on the link scale) and
-    fits failing to converge come back flagged rather than raising, so a
-    scan can skip the locus and keep going.
+    Gives one :class:`FitResult` with a leading fit axis and a list of
+    flags; a fit its design flags is not fitted.  Too few subjects, singular
+    fits, binary and count fits showing separation (an ancestry coefficient
+    beyond ``_SEPARATION_LIMIT`` on the link scale) and fits failing to
+    converge come back flagged rather than raising, so a scan can skip the
+    locus and keep going.
+
+    The benchmark's independent oracle passes one ``(n, p)`` design; it is
+    fitted as a batch of one, and its result comes back unwrapped.
     """
     y = trait.y
-    single = design.s.ndim == 2
-    s = design.s[None] if single else design.s
-    n_fits, n, p = s.shape
+    single = design.s.ndim == 2   # the oracle's (n, p) design, as a batch of one
+    s = np.ascontiguousarray(design.s.T)[None] if single else design.s
+    n_fits, p, n = s.shape
     if n != trait.n_subjects:
         raise ValueError("trait and ancestry design are not row-aligned")
     r = 1 + trait.n_covariates
     k = r + p
     flags = np.array(design.flags or [None] * n_fits, dtype=object)
     if n <= k:
-        problem = f"{n} subjects cannot identify {k} coefficients"
-        if single:
-            raise DegenerateDesignError(problem)
-        flags[flags == None] = problem  # noqa: E711
+        flags[flags == None] = f"{n} subjects cannot identify {k} coefficients"  # noqa: E711
     idx = np.flatnonzero(flags == None)  # noqa: E711
     coef = np.full((n_fits, k), np.nan)
     cov = np.full((n_fits, k, k), np.nan)
     sigma2 = np.ones(n_fits)
     converged = np.zeros(n_fits, dtype=bool)
     base = np.vstack([np.ones(n), trait.covariates.T])
-    sub = np.ascontiguousarray((s if idx.size == n_fits else s[idx]).transpose(0, 2, 1))
+    sub = s if idx.size == n_fits else s[idx]
     if trait.kind == "continuous":   # the w = 1 case: one exact solve
         info = _information(np.ones((idx.size, n)), base, sub, _row_products(base))
         coef[idx], _ = solve_spd_stack(info, _sums(np.broadcast_to(y, (idx.size, n)), base, sub))

@@ -79,8 +79,7 @@ def _bf_over_imputations(draws, trait, sets):
         # the fit of set i on imputation r is row i * m + r of the batch; its
         # columns are copied subject-last, the layout the fits sum along
         raw = draws.draws[:, :, block].transpose(2, 0, 3, 1).reshape(-1, block.shape[1], n)
-        design = center_ancestries(raw.transpose(0, 2, 1),
-                                   locus_ids=np.repeat(block, m, axis=0).tolist())
+        design = center_ancestries(raw, np.repeat(block, m, axis=0).tolist())
         values = bf_for_fit(fit_glm(trait, design), n).reshape(len(block), m)
         avg, n_used = average_bf(values), (values.flag == None).sum(axis=1)  # noqa: E711
         scores += zip(avg.log10_bf.tolist(), avg.flag, n_used.tolist())
@@ -104,6 +103,8 @@ def _check_covariate_rank(trait: TraitData):
 
 def stage1_scan(draws, trait: TraitData, delta=DEFAULT_DELTA) -> ScanResult:
     """Marginal scan: one Bayes factor per locus, averaged over imputations."""
+    if not math.isfinite(delta):   # NaN or inf would select no locus, -inf every one
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if draws.n_subjects != trait.n_subjects:
         raise ValueError(
             f"draws cover {draws.n_subjects} subjects, trait has {trait.n_subjects}"

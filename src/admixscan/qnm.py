@@ -38,15 +38,15 @@ TAU_BRACKET = (1e-8, 1e4)
 
 @dataclass
 class BfValue:
-    """A Bayes factor on the log10 scale, with its ingredients; a batch holds arrays."""
+    """A batch of log10 Bayes factors: every field but the shared ``p`` is an array over fits."""
 
-    log10_bf: float
-    tau_hat: float
+    log10_bf: np.ndarray
+    tau_hat: np.ndarray
     p: int
-    flag: str | None = None
+    flag: np.ndarray    # objects: each fit's reason for not scoring it, or None
 
     def reshape(self, *shape):
-        """A batch with its fit axis reshaped, e.g. to (sets, imputations)."""
+        """The batch with its fit axis reshaped, e.g. to (sets, imputations)."""
         return BfValue(self.log10_bf.reshape(shape), self.tau_hat.reshape(shape),
                        self.p, self.flag.reshape(shape))
 
@@ -72,28 +72,23 @@ def _tau_from_wald(wald, p, n_subjects):
 
 
 def bf_for_fit(fit, n_subjects) -> BfValue:
-    """Bayes factor at the tau in ``TAU_BRACKET`` that maximises it.
+    """Bayes factor of each fit of a batch, at the tau in ``TAU_BRACKET`` that maximises it.
 
-    Takes one fit or a batch from :func:`glm.fit_glm` and returns one value
-    or a batch.  A fit that cannot be scored comes back flagged with the
-    reason.
+    Takes a batch from :func:`glm.fit_glm` and returns a batch.  A fit that
+    cannot be scored comes back flagged with the reason.
     """
-    single = np.ndim(fit.converged) == 0
     p = fit.p
-    beta = fit.beta_hat.reshape(-1, p)
     ok = np.flatnonzero(fit.converged)
-    flag = np.array([fit.flag] if single else fit.flag, dtype=object)
-    flag[(flag == None) & ~np.atleast_1d(fit.converged)] = "fit not converged"  # noqa: E711
-    x, solved = solve_spd_stack(fit.sigma_beta_hat.reshape(-1, p, p)[ok], beta[ok])
-    wald = np.einsum("bp,bp->b", beta[ok], x)
+    flag = np.array(fit.flag, dtype=object)
+    flag[(flag == None) & ~fit.converged] = "fit not converged"  # noqa: E711
+    x, solved = solve_spd_stack(fit.sigma_beta_hat[ok], fit.beta_hat[ok])
+    wald = np.einsum("bp,bp->b", fit.beta_hat[ok], x)
     flag[ok[~solved]] = "coefficient covariance: " + NOT_PD.format(p)
     flag[ok[solved & ~np.isfinite(wald)]] = "non-finite quadratic statistic"
     good = np.isfinite(wald)
     tau_hat, log10_bf = np.full((2, len(flag)), np.nan)
     tau_hat[ok[good]] = _tau_from_wald(wald[good], p, n_subjects)
     log10_bf[ok[good]] = log_bf(wald[good], p, n_subjects * tau_hat[ok[good]]) / math.log(10.0)
-    if single:
-        return BfValue(float(log10_bf[0]), float(tau_hat[0]), p, flag[0])
     return BfValue(log10_bf, tau_hat, p, flag)
 
 

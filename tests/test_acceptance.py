@@ -13,7 +13,7 @@ from scipy.stats import binom, norm
 
 from admixscan import fileio, kernels
 from admixscan.cli import main as cli_main
-from admixscan.glm import TraitData, center_ancestries, fit_glm
+from admixscan.glm import TraitData
 from admixscan.hmm import (
     AimPanel,
     GenotypeMatrix,
@@ -21,7 +21,6 @@ from admixscan.hmm import (
     TAU_RANGE,
     transition_kernels,
 )
-from admixscan.qnm import bf_for_fit
 from admixscan.sampler import HmmHyperparams, run_mcmc
 from admixscan.simulate import (
     sample_ancestry_hwe,
@@ -37,6 +36,7 @@ from conftest import (
     tv_distance,
 )
 from qnm_helpers import QnmSpec, qnm_density
+from single_design import bf_one, fit_one
 
 
 def report(number, name, ok, detail, elapsed, budget):
@@ -146,8 +146,8 @@ def test_criterion_3_qnm_normalisation_and_bf_consistency():
         s_raw = sample_ancestry_hwe([0.85], 500, rng)
         y = 0.35 * s_raw[:, 0] + rng.standard_normal(500)
         trait = TraitData(y=y, kind="continuous")
-        fit = fit_glm(trait, center_ancestries(s_raw))
-        bf = bf_for_fit(fit, 500)
+        fit = fit_one(trait, s_raw)
+        bf = bf_one(fit, 500)
         tau_hat = bf.tau_hat
         closed = 10 ** bf.log10_bf
         beta_hat = fit.beta_hat[0]

@@ -101,7 +101,7 @@ class TestPipeline:
         assert manifest["command"] == "map"
         assert "subset_cap" not in manifest["config"]
 
-    def test_scan_with_infinite_threshold_selects_nothing(self, dataset):
+    def test_scan_with_largest_finite_threshold_selects_nothing(self, dataset):
         tmp, paths = dataset
         main(impute_args(paths, tmp / "imp"))
         assert main(
@@ -110,7 +110,7 @@ class TestPipeline:
                 "--draws", str(tmp / "imp" / "draws.adx"),
                 "--phenotype", str(paths["pheno"]),
                 "--out-dir", str(tmp / "scan"),
-                "--delta", "inf",
+                "--delta", repr(sys.float_info.max),
             ]
         ) == 0
         lines = (tmp / "scan" / "stage1.tsv").read_text().splitlines()[1:]
@@ -190,6 +190,30 @@ def test_empty_covariates_option_selects_no_covariate(tmp_path):
     assert json.loads(manifest.read_text())["config"]["covariates"] == ""
     assert main(["rerun", str(manifest), "--out-dir", str(tmp_path / "replay")]) == 0
     assert read_bytes(tmp_path / "replay" / "stage1.tsv") == no_covariate
+
+
+@pytest.mark.parametrize("command,delta", [
+    ("scan", "nan"), ("scan", "inf"), ("map", "inf"), ("map", "-inf"), ("simulate", "nan"),
+])
+def test_non_finite_delta_refused(tmp_path, capsys, command, delta):
+    # each used to exit 0: scan selecting no locus, map writing an empty
+    # stage2.tsv (or refitting every subset at -inf), simulate reporting rate 0
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "null", "--n-subjects", "50", "--n-loci", "5",
+                "--replicates", "1"]
+    else:
+        rng = np.random.default_rng(5)
+        draws = save_random_draws(tmp_path / "draws.adx", rng, 40)
+        fileio.write_phenotypes(draws.subject_ids, TraitData(
+            y=rng.standard_normal(40), kind="continuous"), tmp_path / "pheno.tsv")
+        argv = [command, "--draws", str(tmp_path / "draws.adx"),
+                "--phenotype", str(tmp_path / "pheno.tsv")]
+    assert main([*argv, f"--delta={delta}", "--out-dir", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": f"delta must be finite, got {float(delta)!r}"}
+    assert not [p for p in out.glob("*") if p.suffix in (".tsv", ".adx")]
 
 
 class TestCountTrait:

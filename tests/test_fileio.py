@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 import zlib
 
@@ -261,6 +262,18 @@ class TestPhenotypes:
         path.write_text(f"subject_id\ttrait\nS0\t{value}\nS1\t{value}\nS2\tNA\n")
         with pytest.raises(DataFormatError, match=f"pheno.tsv: {message}"):
             fileio.read_phenotypes(path, kind)
+
+    @pytest.mark.parametrize("rows,where", [
+        ("S0\t1\t30\nS1\tinf\t40\n", ":3: column 'trait', subject 'S1': non-finite value 'inf'"),
+        ("S0\t1\tnan\nS1\t2\t40\n", ":2: column 'age', subject 'S0': non-finite value 'nan'"),
+    ], ids=["inf_trait", "nan_covariate"])
+    def test_non_finite_cell_names_line_column_and_subject(self, tmp_path, rows, where):
+        # used to say only "trait contains non-finite values"; NA stays the
+        # only missing token, so a nan cell is refused rather than dropped
+        path = tmp_path / "pheno.tsv"
+        path.write_text("subject_id\ttrait\tage\n" + rows)
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path) + where)}$"):
+            fileio.read_phenotypes(path, "continuous")
 
     def test_align_trait_to_draws_subsets_rows(self, rng):
         draws = make_draws(rng)

@@ -9,25 +9,27 @@ from admixscan.errors import DegenerateDesignError
 from admixscan.glm import TraitData, center_ancestries, fit_glm, solve_spd_stack
 from admixscan.qnm import bf_for_fit
 from qnm_helpers import solve_spd, wald_statistic
+from single_design import bf_one, center_one, fit_one
 
 
 class TestCentering:
     def test_two_point_column(self):
-        design = center_ancestries(np.array([[0], [2]]))
-        assert np.allclose(design.s[:, 0], [-1.0, 1.0])
+        design = center_one(np.array([[0], [2]]))
+        assert np.allclose(design.s[0, 0], [-1.0, 1.0])
 
     def test_constant_column_rejected(self):
-        with pytest.raises(DegenerateDesignError, match="constant"):
-            center_ancestries(np.array([[1], [1], [1]]), locus_ids=["rs9"])
+        # the fit is flagged with the locus, not raised
+        design = center_one(np.array([[1], [1], [1]]), locus_ids=["rs9"])
+        assert design.flags == ["ancestry column 'rs9' is constant"]
 
     def test_mean_subtraction(self):
-        design = center_ancestries(np.array([[0], [1], [2], [1]]))
-        assert np.allclose(design.s[:, 0], [-1.0, 0.0, 1.0, 0.0])
+        design = center_one(np.array([[0], [1], [2], [1]]))
+        assert np.allclose(design.s[0, 0], [-1.0, 0.0, 1.0, 0.0])
         assert abs(design.s.mean()) < 1e-10
 
     def test_non_ancestry_values_rejected(self):
         with pytest.raises(ValueError):
-            center_ancestries(np.array([[0], [3]]))
+            center_one(np.array([[0], [3]]))
 
 
 class TestSolveSpd:
@@ -51,9 +53,9 @@ class TestSolveSpd:
                  "binary": (rng.random(n) < expit(eta)).astype(float),
                  "count": rng.poisson(np.exp(eta)).astype(float)}[kind]
             trait = TraitData(y=y, kind=kind, covariates=rng.standard_normal((n, q)))
-            fit = fit_glm(trait, center_ancestries(raw))
+            fit = fit_one(trait, raw)
             assert fit.flag == glm.NOT_PD.format(1 + q + p), (n, p, q)
-            assert math.isnan(bf_for_fit(fit, n).log10_bf)
+            assert math.isnan(bf_one(fit, n).log10_bf)
 
 
 def toy_continuous(rng, n=200, beta=0.5, alpha=1.0, sigma=1.0):
@@ -61,16 +63,14 @@ def toy_continuous(rng, n=200, beta=0.5, alpha=1.0, sigma=1.0):
     e = rng.standard_normal((n, 1))
     y = beta * s_raw[:, 0] + alpha * e[:, 0] + sigma * rng.standard_normal(n)
     trait = TraitData(y=y, kind="continuous", covariates=e)
-    design = center_ancestries(s_raw)
-    return trait, design
+    return trait, s_raw
 
 
 class TestContinuousFit:
     def test_perfect_fit(self):
         s_raw = np.array([[0], [1], [2], [1], [0], [2]])
-        design = center_ancestries(s_raw)
         trait = TraitData(y=2.0 * s_raw[:, 0], kind="continuous")
-        fit = fit_glm(trait, design)
+        fit = fit_one(trait, s_raw)
         assert fit.beta_hat[0] == pytest.approx(2.0)
         assert fit.sigma2_hat == pytest.approx(0.0, abs=1e-20)
 
@@ -80,9 +80,8 @@ class TestContinuousFit:
         e = rng.standard_normal((n, 1))
         y = rng.standard_normal(n) + s_raw[:, 0]
         trait = TraitData(y=y, kind="continuous", covariates=e)
-        design = center_ancestries(s_raw)
-        fit = fit_glm(trait, design)
-        z = np.column_stack([np.ones(n), design.s, e])
+        fit = fit_one(trait, s_raw)
+        z = np.column_stack([np.ones(n), s_raw - s_raw.mean(axis=0), e])
         coef = np.linalg.solve(z.T @ z, z.T @ y)
         assert fit.beta_hat[0] == pytest.approx(coef[1], abs=1e-10)
         assert fit.alpha_hat[0] == pytest.approx(coef[2], abs=1e-10)
@@ -91,25 +90,26 @@ class TestContinuousFit:
         assert fit.sigma2_hat == pytest.approx(rss / (n - 3), rel=1e-10)
 
     def test_residuals_orthogonal_to_design(self, rng):
-        trait, design = toy_continuous(rng)
-        fit = fit_glm(trait, design)
-        z = np.column_stack([np.ones(trait.n_subjects), design.s, trait.covariates])
+        trait, s_raw = toy_continuous(rng)
+        fit = fit_one(trait, s_raw)
+        z = np.column_stack([np.ones(trait.n_subjects), s_raw - s_raw.mean(axis=0),
+                             trait.covariates])
         coef = np.concatenate([[fit.intercept], fit.beta_hat, fit.alpha_hat])
         resid = trait.y - z @ coef
         rel = np.abs(z.T @ resid) / (np.abs(z).sum(axis=0) * np.abs(resid).max() + 1e-30)
         assert rel.max() < 1e-8
 
     def test_affine_equivariance_and_t_invariance(self, rng):
-        trait, design = toy_continuous(rng)
-        fit1 = fit_glm(trait, design)
+        trait, s_raw = toy_continuous(rng)
+        fit1 = fit_one(trait, s_raw)
         k = 3.7
         trait2 = TraitData(y=k * trait.y, kind="continuous", covariates=trait.covariates)
-        fit2 = fit_glm(trait2, design)
+        fit2 = fit_one(trait2, s_raw)
         assert fit2.beta_hat[0] == pytest.approx(k * fit1.beta_hat[0], rel=1e-10)
         assert fit2.sigma2_hat == pytest.approx(k ** 2 * fit1.sigma2_hat, rel=1e-10)
         assert wald_statistic(fit2) == pytest.approx(wald_statistic(fit1), rel=1e-9)
-        bf1 = bf_for_fit(fit1, trait.n_subjects)
-        bf2 = bf_for_fit(fit2, trait.n_subjects)
+        bf1 = bf_one(fit1, trait.n_subjects)
+        bf2 = bf_one(fit2, trait.n_subjects)
         assert bf2.log10_bf == pytest.approx(bf1.log10_bf, rel=1e-6)
         assert bf2.tau_hat == pytest.approx(bf1.tau_hat, rel=1e-4)
 
@@ -117,8 +117,10 @@ class TestContinuousFit:
         s_raw = np.array([[0], [1], [2]])
         trait = TraitData(y=np.zeros(3), kind="continuous",
                           covariates=np.zeros((3, 1)))
-        with pytest.raises(DegenerateDesignError):
-            fit_glm(trait, center_ancestries(s_raw))
+        # the fit is flagged, not raised
+        fit = fit_one(trait, s_raw)
+        assert fit.flag == "3 subjects cannot identify 3 coefficients"
+        assert not fit.converged and np.isnan(fit.beta_hat).all()
 
 
 def toy_binary(rng, n=400, beta=0.8, alpha=0.5):
@@ -128,15 +130,16 @@ def toy_binary(rng, n=400, beta=0.8, alpha=0.5):
     prob = expit(beta * s_c[:, 0] + alpha * e[:, 0])
     y = (rng.random(n) < prob).astype(float)
     trait = TraitData(y=y, kind="binary", covariates=e)
-    return trait, center_ancestries(s_raw)
+    return trait, s_raw
 
 
 class TestIrlsFit:
     def test_score_vanishes_at_optimum(self, rng):
-        trait, design = toy_binary(rng)
-        fit = fit_glm(trait, design)
+        trait, s_raw = toy_binary(rng)
+        fit = fit_one(trait, s_raw)
         assert fit.converged
-        z = np.column_stack([np.ones(trait.n_subjects), design.s, trait.covariates])
+        z = np.column_stack([np.ones(trait.n_subjects), s_raw - s_raw.mean(axis=0),
+                             trait.covariates])
         coef = np.concatenate([[fit.intercept], fit.beta_hat, fit.alpha_hat])
         mu = expit(z @ coef)
         score = z.T @ (trait.y - mu)
@@ -144,9 +147,10 @@ class TestIrlsFit:
         assert (np.abs(score) / np.sqrt(info_diag)).max() < 1e-6
 
     def test_covariance_matches_finite_difference_hessian(self, rng):
-        trait, design = toy_binary(rng, n=150)
-        fit = fit_glm(trait, design)
-        z = np.column_stack([np.ones(trait.n_subjects), design.s, trait.covariates])
+        trait, s_raw = toy_binary(rng, n=150)
+        fit = fit_one(trait, s_raw)
+        z = np.column_stack([np.ones(trait.n_subjects), s_raw - s_raw.mean(axis=0),
+                             trait.covariates])
         coef = np.concatenate([[fit.intercept], fit.beta_hat, fit.alpha_hat])
 
         def loglik(c):
@@ -178,7 +182,7 @@ class TestIrlsFit:
             e = rng.standard_normal((n, 1))
             y = (rng.random(n) < expit(0.5 * e[:, 0])).astype(float)
             trait = TraitData(y=y, kind="binary", covariates=e)
-            fit = fit_glm(trait, center_ancestries(s_raw))
+            fit = fit_one(trait, s_raw)
             z = abs(fit.beta_hat[0]) / np.sqrt(fit.sigma_beta_hat[0, 0])
             good += int(abs(fit.beta_hat[0]) < 0.15 and z < 3.0)
         assert good >= 95
@@ -187,7 +191,7 @@ class TestIrlsFit:
         s_raw = np.array([[0]] * 20 + [[2]] * 20)
         y = np.array([0.0] * 20 + [1.0] * 20)
         trait = TraitData(y=y, kind="binary")
-        fit = fit_glm(trait, center_ancestries(s_raw))
+        fit = fit_one(trait, s_raw)
         assert not fit.converged
         assert fit.flag is not None
 
@@ -203,11 +207,11 @@ class TestIrlsFit:
         for scale in (1.0, 100.0):
             trait = TraitData(y=y, kind="binary", covariates=scale * x[:, None])
             for j in range(3):
-                fit = fit_glm(trait, center_ancestries(s_raw[:, [j]]))
+                fit = fit_one(trait, s_raw[:, [j]])
                 assert fit.converged and fit.flag is None
                 if scale == 1.0:
                     assert abs(fit.alpha_hat[0]) > 15.0
-                bfs[scale, j] = bf_for_fit(fit, n).log10_bf
+                bfs[scale, j] = bf_one(fit, n).log10_bf
         for j in range(3):
             assert bfs[1.0, j] == pytest.approx(bfs[100.0, j], abs=1e-8)
 
@@ -215,8 +219,8 @@ class TestIrlsFit:
         s_raw = np.array([[0]] * 20 + [[2]] * 20)
         y = np.array([0.0] * 20 + [1.0] * 20)
         trait = TraitData(y=y, kind="binary")
-        fit = fit_glm(trait, center_ancestries(s_raw))
-        bf = bf_for_fit(fit, 40)
+        fit = fit_one(trait, s_raw)
+        bf = bf_one(fit, 40)
         assert bf.flag is not None
         assert np.isnan(bf.log10_bf)
 
@@ -229,7 +233,7 @@ class TestCountFit:
         mu = np.exp(0.4 + 0.3 * s_c[:, 0])
         y = rng.poisson(mu).astype(float)
         trait = TraitData(y=y, kind="count")
-        fit = fit_glm(trait, center_ancestries(s_raw))
+        fit = fit_one(trait, s_raw)
         assert fit.converged
         assert fit.beta_hat[0] == pytest.approx(0.3, abs=0.05)
         assert fit.sigma2_hat == 1.0
@@ -249,7 +253,7 @@ class TestCountFit:
                     eta = b0 + beta * s_raw[:, 0] + bc * c[:, 0]
                     trait = TraitData(y=rng.poisson(np.exp(eta)).astype(float),
                                       kind="count", covariates=c)
-                    fit = fit_glm(trait, center_ancestries(s_raw))
+                    fit = fit_one(trait, s_raw)
                     assert fit.converged and fit.flag is None, (b0, bc)
                     se = np.sqrt(fit.sigma_beta_hat[0, 0])
                     z_scores.append((fit.beta_hat[0] - beta) / se)
@@ -302,24 +306,24 @@ class TestBatchedFits:
         shared = rng.random((n_fits, n)) < np.linspace(0.0, 1.0, n_fits)[:, None]
         raw[:, :, 0] = np.where(shared, raw[-1, :, 0], raw[:, :, 0])
         trait = batch_trait(rng, kind, raw[-1, :, 0])
-        batch = fit_glm(trait, center_ancestries(raw, locus_ids=[list(range(p))] * n_fits))
+        batch = fit_glm(trait, center_ancestries(raw.transpose(0, 2, 1), [list(range(p))] * n_fits))
         bfs = bf_for_fit(batch, n)
         assert batch.flag == [None] * n_fits
         assert list(bfs.flag) == [None] * n_fits
         for b in range(n_fits):
-            one = fit_glm(trait, center_ancestries(raw[b]))
+            one = fit_one(trait, raw[b])
             assert one.converged and batch.converged[b]
             np.testing.assert_allclose(batch.beta_hat[b], one.beta_hat, rtol=0, atol=1e-10)
             np.testing.assert_allclose(batch.sigma_beta_hat[b], one.sigma_beta_hat,
                                        rtol=0, atol=1e-10)
-            assert abs(bfs.log10_bf[b] - bf_for_fit(one, n).log10_bf) <= 1e-10
+            assert abs(bfs.log10_bf[b] - bf_one(one, n).log10_bf) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["binary", "count"])
     def test_batch_with_every_fit_flagged_fits_none(self, kind):
         rng = np.random.default_rng(3)
         y = (rng.random(50) < 0.5).astype(float) + (kind == "count")
         fit = fit_glm(TraitData(y=y, kind=kind),
-                      center_ancestries(np.ones((3, 50, 1), dtype=int), locus_ids=[[7]] * 3))
+                      center_ancestries(np.ones((3, 1, 50), dtype=int), [[7]] * 3))
         assert fit.flag == ["ancestry column 7 is constant"] * 3
         assert np.isnan(fit.beta_hat).all() and not fit.converged.any()
 
@@ -338,7 +342,7 @@ class TestBatchedFits:
         separated[:, 0] = 2 * y
         raw = np.stack([ordinary[0], constant, ordinary[1], duplicate, separated, ordinary[2]])
         ids = [[10 + 2 * b, 11 + 2 * b] for b in range(6)]
-        bfs = bf_for_fit(fit_glm(trait, center_ancestries(raw, locus_ids=ids)), n)
+        bfs = bf_for_fit(fit_glm(trait, center_ancestries(raw.transpose(0, 2, 1), ids)), n)
         assert list(bfs.flag) == [
             None,
             "ancestry column 13 is constant",
@@ -349,13 +353,12 @@ class TestBatchedFits:
         ]
         assert np.isnan(bfs.log10_bf[[1, 3, 4]]).all()
         # the texts a design fitted alone gives
-        with pytest.raises(DegenerateDesignError, match=r"^ancestry column 13 is constant$"):
-            center_ancestries(constant, locus_ids=[12, 13])
-        assert fit_glm(trait, center_ancestries(duplicate)).flag == (
-            "4x4 matrix is not positive definite")
-        assert fit_glm(trait, center_ancestries(separated)).flag == "separation"
+        assert center_one(constant, [12, 13]).flags == ["ancestry column 13 is constant"]
+        assert fit_one(trait, duplicate).flag == "4x4 matrix is not positive definite"
+        assert fit_one(trait, separated).flag == "separation"
         # the ordinary fits score as they do in a batch of their own
-        alone = bf_for_fit(fit_glm(trait, center_ancestries(ordinary, locus_ids=ids[:3])), n)
+        alone = fit_glm(trait, center_ancestries(ordinary.transpose(0, 2, 1), ids[:3]))
+        alone = bf_for_fit(alone, n)
         np.testing.assert_allclose(bfs.log10_bf[[0, 2, 5]], alone.log10_bf, rtol=0, atol=1e-10)
 
 
@@ -483,7 +486,7 @@ class TestBatchedNewton:
         # first, the separated one last
         assert halved[4] and len(set(iterations.tolist())) >= 3
         trait = TraitData(y=y, kind=kind, covariates=base[1:].T)
-        design = glm.AncestryDesign(s=s.transpose(0, 2, 1), locus_ids=[[*range(p)]] * len(s))
+        design = glm.AncestryDesign(s=s, locus_ids=[[*range(p)]] * len(s))
         assert fit_glm(trait, design).flag == [None] * 5 + [
             "separation", f"{k}x{k} matrix is not positive definite"]
         assert np.array_equal(converged, want_converged)

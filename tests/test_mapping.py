@@ -37,9 +37,17 @@ def single_locus_dataset(rng, n=300, beta=0.8):
 
 
 class TestStage1:
-    def test_infinite_threshold_selects_nothing(self, rng):
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_threshold_refused(self, rng, monkeypatch, delta):
+        # NaN and inf used to select no locus and -inf every one, silently
         draws, trait = single_locus_dataset(rng)
-        result = stage1_scan(draws, trait, delta=np.inf)
+        monkeypatch.setattr(mapping, "fit_glm", None)   # refused before any fit
+        with pytest.raises(ValueError, match=r"^delta must be finite, got "):
+            stage1_scan(draws, trait, delta=delta)
+
+    def test_largest_finite_threshold_selects_nothing(self, rng):
+        draws, trait = single_locus_dataset(rng)
+        result = stage1_scan(draws, trait, delta=np.finfo(np.float64).max)
         assert result.selected_indices == []
         assert len(result.stage1) == 3
 
@@ -97,7 +105,7 @@ class TestStage2:
 
     def test_empty_selection_gives_empty_stage2(self, rng):
         draws, trait = self.two_locus_dataset(rng)
-        stage1 = stage1_scan(draws, trait, delta=np.inf)
+        stage1 = stage1_scan(draws, trait, delta=np.finfo(np.float64).max)
         result = stage2_joint(stage1, draws, trait)
         assert result.stage2 == []
         assert reported_subsets(result) == []
@@ -196,7 +204,7 @@ class TestBlocks:
         s[:, :, 5] = s[:, :, 4]           # loci 4 and 5 make a singular pair
         s[:, :, 7] = 2 * (trait.y > trait.y.mean())   # locus 7 separates the cases
         draws = AncestryDraws(draws=s, sweep_index=np.arange(m))
-        stage1 = stage1_scan(draws, trait, delta=-np.inf)
+        stage1 = stage1_scan(draws, trait, delta=np.finfo(np.float64).min)
         return stage2_joint(stage1, draws, trait, max_cardinality=2)
 
     @pytest.mark.parametrize("kind", ["continuous", "binary"])

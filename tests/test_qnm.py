@@ -6,10 +6,10 @@ from scipy.integrate import quad, simpson
 from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
-from admixscan.glm import FitResult, TraitData, center_ancestries, fit_glm
+from admixscan.glm import FitResult, TraitData
 from admixscan.hmm import AncestryDraws
 from admixscan.mapping import stage1_scan, stage2_joint
-from admixscan.qnm import BfValue, TAU_BRACKET, average_bf, bf_for_fit, log_bf
+from admixscan.qnm import BfValue, TAU_BRACKET, average_bf, log_bf
 from admixscan.simulate import sample_ancestry_hwe
 from conftest import sample_correlated_ancestry
 from qnm_helpers import (
@@ -22,6 +22,7 @@ from qnm_helpers import (
     spec_from_ancestry,
     wald_statistic,
 )
+from single_design import bf_one, fit_one
 
 
 class TestDensity:
@@ -100,13 +101,13 @@ def synthetic_fit(rng, n=500, beta=0.35, p_a=0.85):
     s_raw = sample_ancestry_hwe([p_a], n, rng)
     y = beta * s_raw[:, 0] + rng.standard_normal(n)
     trait = TraitData(y=y, kind="continuous")
-    return trait, fit_glm(trait, center_ancestries(s_raw))
+    return trait, fit_one(trait, s_raw)
 
 
 class TestTauEstimate:
     def test_grid_oracle(self, rng):
         _, fit = synthetic_fit(rng)
-        tau_hat = bf_for_fit(fit, 500).tau_hat
+        tau_hat = bf_one(fit, 500).tau_hat
         w = wald_statistic(fit)
         grid = np.logspace(math.log10(TAU_BRACKET[0]), math.log10(TAU_BRACKET[1]), 10000)
         values = [log_bf(w, 1, 500 * t) for t in grid]
@@ -122,8 +123,9 @@ class TestTauEstimate:
             sigma_beta_hat=np.eye(1) * 0.01,
             sigma2_hat=1.0,
             converged=True,
+            flag=None,
         )
-        bf = bf_for_fit(fit, 100)
+        bf = bf_one(fit, 100)
         assert bf.tau_hat == TAU_BRACKET[0]
         assert 10 ** bf.log10_bf <= 1.0
 
@@ -137,7 +139,7 @@ class TestTauEstimate:
             converged=False,
             flag="separation",
         )
-        bf = bf_for_fit(fit, 10)
+        bf = bf_one(fit, 10)
         assert bf.flag == "separation"
         assert math.isnan(bf.tau_hat) and math.isnan(bf.log10_bf)
 
@@ -154,6 +156,7 @@ class TestTauEstimate:
                 sigma_beta_hat=np.eye(p),
                 sigma2_hat=1.0,
                 converged=True,
+                flag=None,
             )
             w = wald_statistic(fit)
             for n in (20, 1000, 100000):
@@ -167,7 +170,7 @@ class TestTauEstimate:
                     ((u, log10_bf(u)) for u in (inner.x, lo, hi)),
                     key=lambda item: item[1],
                 )
-                tau_hat = bf_for_fit(fit, n).tau_hat
+                tau_hat = bf_one(fit, n).tau_hat
                 assert TAU_BRACKET[0] <= tau_hat <= TAU_BRACKET[1]
                 if w <= p:
                     assert tau_hat == TAU_BRACKET[0]
@@ -263,7 +266,7 @@ class TestBayesFactor:
         rel_errs = []
         for _ in range(10):
             trait, fit = synthetic_fit(rng, n=500, beta=0.35)
-            bf = bf_for_fit(fit, 500)
+            bf = bf_one(fit, 500)
             tau_hat = bf.tau_hat
 
             beta_hat = fit.beta_hat[0]
