@@ -122,6 +122,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
 
 
 def _outdir(args):
+    """Make ``--out-dir``; each command calls it only once its results are in hand."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -196,7 +197,6 @@ def _load_trait_for_draws(args, draws):
 
 
 def cmd_impute(args, inputs):
-    out = _outdir(args)
     panel = fileio.read_panel(
         args.panel, position_unit=args.position_unit, cm_per_mb=args.cm_per_mb
     )
@@ -204,6 +204,7 @@ def cmd_impute(args, inputs):
     genotypes = fileio.align_genotypes_to_panel(genotypes, marker_ids, panel)
     hyper = HmmHyperparams(**{f.name: getattr(args, f.name) for f in fields(HmmHyperparams)})
     draws = run_mcmc(genotypes, panel, hyper)
+    out = _outdir(args)
     fileio.save_draws(draws, out / "draws.adx")
     _write_manifest(out, args, inputs)
     log.info("wrote %s (%d draws)", out / "draws.adx", draws.m)
@@ -211,21 +212,21 @@ def cmd_impute(args, inputs):
 
 
 def cmd_scan(args, inputs):
-    out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait = _load_trait_for_draws(args, draws)
     result = stage1_scan(draws, trait, delta=args.delta)
+    out = _outdir(args)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     _write_manifest(out, args, inputs)
     return 0
 
 
 def cmd_map(args, inputs):
-    out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     draws, trait = _load_trait_for_draws(args, draws)
     stage1 = stage1_scan(draws, trait, delta=args.delta)
     result = stage2_joint(stage1, draws, trait, max_cardinality=args.max_cardinality)
+    out = _outdir(args)
     fileio.write_stage1_table(result, draws, out / "stage1.tsv")
     fileio.write_stage2_table(
         result, out / "stage2.tsv", reported=reported_subsets(result)
@@ -235,9 +236,9 @@ def cmd_map(args, inputs):
 
 
 def cmd_ald(args, inputs):
-    out = _outdir(args)
     draws = fileio.load_draws(args.draws)
     corr, flagged = ald_correlation(draws)
+    out = _outdir(args)
     fileio.write_ald_matrix(corr, draws.marker_ids, out / "ald.tsv")
     if flagged:
         log.warning("%d constant loci zeroed in the correlation matrix", len(flagged))

@@ -21,21 +21,40 @@ independent segments from r alone and runs them side by side:
   k.  The lanes alive at a step are then a prefix of those alive at the
   step before, and the loop takes as many steps as the longest segment
   has loci.
-* The filtered vectors are stored packed by step, 24 bytes per
-  subject-locus, and nothing else of that size is kept.
-* Per chunk of steps, the transition entries and the emissions of the
-  observed genotypes are gathered with ``np.take`` from flat tables, one
-  indexed by (subject, recombinations) and one by (locus, genotype).
-* The backward weights of state m are ``filt[m] * T[m, s_next]`` for the
-  kernel T of the next step's recombination count, and ``filt[m]`` alone at
-  a segment's last locus.
+* Kernel work is done only at kernel cells, where r > 0.  With r = 0 the
+  kernel is the identity, and the loop's ``(p0 1 + p1 0) + p2 0`` is p0 bit
+  for bit, so every other cell's forward step is its predecessor's
+  filtered vector times the emission.  Per chunk of steps the transition
+  entries of the kernel cells, and the emissions of every cell's observed
+  genotype, are gathered with ``np.take`` from flat tables, one indexed by
+  (subject, recombinations) and one by (locus, genotype).  A chunk in
+  which more than ``DENSE_SHARE`` of the cells are kernel cells treats
+  every cell as one; an identity product is exact, so only the cost
+  changes.
+* The backward weights of state m before a kernel cell are
+  ``filt[m] * T[m, s_next]``: the forward step's own products
+  ``prev[m] * T[m, n]`` at n = s_next.  The forward pass therefore draws,
+  for each kernel cell and each of its three states, the state of the cell
+  before it, with that cell's uniform, and keeps those 3 bytes in place of
+  the 24 of a filtered vector.  At a segment's last locus it draws from
+  the filtered vector alone.  Besides the drawn path, nothing is kept per
+  cell.
+* The backward pass walks the steps down holding one state per lane.
+  Before a kernel cell it reads the drawn state from the table; before any
+  other cell T = I, so the weights are ``filt * e[s_next]`` and the draw is
+  ``s_next``, which the lane keeps.  A uniform is still drawn for every
+  cell, so the random stream does not depend on r.
 
 Each cell's arithmetic is that of a loop over loci:
 ``(p0 T0n + p1 T1n) + p2 T2n``, times the emission, over ``(f0 + f1) + f2``.
 A segment starts from the Hardy-Weinberg row where that loop carried the
 previous segment's vector through the restart; the two differ in
 rounding only, which moves a draw only if its uniform falls within
-rounding of a cumulative weight.
+rounding of a cumulative weight.  One case is not bit-identical: weights
+``filt * T[:, s_next]`` that are all 0.  The loop divided 0 by 0 there,
+with a warning, and drew 0; here a kept cell stays ``s_next`` and a
+kernel cell draws 2.  It needs the next draw to have picked a state of
+weight 0, which only a uniform within rounding of 1 does.
 
 Recombination counts and the admixture-proportion counts gather from flat
 tables too: per-subject kernel entries indexed by (from, to), and lineage
@@ -49,8 +68,12 @@ from .errors import ForwardUnderflowError
 from .hmm import observation_rows, transition_kernels, two_lineages
 
 # lane cells (one subject of one segment at one step) in a chunk of steps;
-# its gathered transition and emission entries take ~0.4 MiB
-CHUNK_CELLS = 4096
+# its emissions and gather indices take ~0.7 MiB
+CHUNK_CELLS = 16384
+# past this share of kernel cells in a chunk, gathering and scattering them
+# costs more than the identity products it skips: the two break even at
+# 25-35% with 2000 lanes a step, and from ~15% with a few lanes a step
+DENSE_SHARE = 0.25
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
 
 
@@ -60,8 +83,12 @@ def active_backend():
 
 
 def _draw3(w, u):
-    """Categorical draws over the leading axis of ``w`` (3, ...), one per uniform."""
+    """Categorical draws over the leading axis of ``w`` (3, ...), one per uniform.
+
+    Weights that are all 0 draw 2, with no 0 / 0.
+    """
     tot = w[0] + w[1] + w[2]
+    np.maximum(tot, TINY, out=tot)
     c0 = w[0] / tot
     c1 = c0 + w[1] / tot
     draw = (u >= c0).view(np.int8)
@@ -114,61 +141,101 @@ def _chunks(pos, n_sub):
     return list(zip(bounds, bounds[1:] + [n_steps]))
 
 
-def _forward(x, r, fwd, emit, layout):
-    """Filtered vectors of every lane, packed; and whether some lane lost its mass."""
+def _forward(x, r, u, fwd, emit, layout, lost=None):
+    """Filter every lane forward and draw what the backward pass will read.
+
+    Returns, per step, the lanes of its kernel cells and their rows in the
+    draw table (None where the step has none); the draw table, which holds
+    each kernel cell's draws of the cell before it given each state of its
+    own, flat by (kernel cell, state); the draw of every lane at its
+    segment's last locus; and whether some lane lost its mass.
+    Given a list ``lost``, every step is checked and the list receives the
+    smallest (locus, subject) whose mass vanished there.
+    """
     loci, pos, count, chunks, row_start = layout
     n_sub = row_start.size
-    filt = np.empty((3, 1, pos[-1], n_sub))   # (state, -, packed row, subject)
-    prev = fwd[0, :, None, None, 2::3]   # the Hardy-Weinberg row, which every kernel keeps
+    moves = [None] * len(count)
+    tails = np.empty(count[0] * n_sub, dtype=np.int8)
+    # the Hardy-Weinberg row, which every kernel keeps
+    prev = np.concatenate([fwd[0, :, 2::3]] * count[0], axis=1)
+    sub3 = np.arange(0, 3 * n_sub, 3)   # subject i's first column of fwd, 3i
+    tables, done = [], 0
     vanished = False
     for k0, k1 in chunks:
         a = pos[k0]
         rows = loci[a:pos[k1], None]
         flat = rows + row_start
-        trans = fwd.take(r.take(flat) + np.arange(0, 3 * n_sub, 3), axis=2)
+        rc = r.take(flat)
+        cell = rc.ravel().nonzero()[0]   # kernel cells (r > 0), packed order
+        cuts = [(q - a) * n_sub for q in pos[k0:k1 + 1]]
+        if cell.size > DENSE_SHARE * rc.size:   # every cell a kernel cell, identities too
+            cell = slice(None)
+        else:
+            cuts = cell.searchsorted(cuts).tolist()
+        # T(m, n) of each kernel cell, times the filtered vector before it below
+        pt = fwd.take((rc + sub3).ravel()[cell], axis=2)
         obs = emit.take(x.take(flat) + 3 * rows, axis=1)
+        cell_obs = obs.reshape(3, -1)[:, cell]
         for k in range(k0, k1):
             p, g, g_next = pos[k] - a, count[k], count[k + 1]
-            if k:
-                prev = filt[:, :, pos[k - 1]:pos[k - 1] + g]
-            pt = prev * trans[:, :, p:p + g]   # (from, to, lane)
-            f = pt[0] + pt[1]
-            f += pt[2]
-            f *= obs[:, p:p + g]
+            lo, hi = cuts[k - k0], cuts[k - k0 + 1]
+            n_lanes = g * n_sub
+            prev = prev[:, :n_lanes]
+            if lo < hi:
+                lanes = cell[lo:hi] - p * n_sub if hi - lo < n_lanes else slice(n_lanes)
+                kern = pt[:, :, lo:hi]
+                kern *= prev[:, None, lanes]   # (from, to, kernel cell)
+                fk = kern[0] + kern[1]
+                fk += kern[2]
+                fk *= cell_obs[:, lo:hi]
+                moves[k] = lanes, done + lo, done + hi
+            if lo < hi and hi - lo == n_lanes:
+                f = fk
+            else:   # r = 0 is the identity: (p0 1 + p1 0) + p2 0 is p0, bit for bit
+                f = prev * obs[:, p:p + g].reshape(3, n_lanes)
+                if lo < hi:
+                    f[:, lanes] = fk
             tot = f[0] + f[1]
             tot += f[2]
+            if lost is not None and not tot.min(initial=np.inf) > 0.0:
+                lane = np.flatnonzero(~(tot > 0.0))
+                locus = loci[pos[k] + lane // n_sub]
+                first = locus.min()
+                lost.append((first, (lane % n_sub)[locus == first].min()))
             # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning,
             # and stays 0 (NaN stays NaN) to the end of its segment, so the
             # segment's last step shows it (with no subjects there is none)
-            if g_next < g:
-                vanished |= not tot[g_next:].min(initial=np.inf) > 0.0
+            if g_next < g:   # lanes past g_next end their segment here
+                end = slice(g_next * n_sub, n_lanes)
+                vanished |= not tot[end].min(initial=np.inf) > 0.0
             np.maximum(tot, TINY, out=tot)
-            np.divide(f, tot, out=filt[:, 0, a + p:a + p + g])
-    return filt[:, 0], vanished
+            f /= tot
+            if g_next < g:
+                tails[end] = _draw3(f[:, end], u.take(flat[p + g_next:p + g]).ravel())
+            prev = f
+        # the backward weights of state m given next state n are pt[m, n],
+        # drawn with the uniform of the cell before the kernel cell
+        tables.append(_draw3(pt, u.take(flat.ravel()[cell] - 1)).T)
+        done += pt.shape[2]
+    return moves, np.concatenate(tables).ravel(), tails, vanished
 
 
-def _backward(filt, r, u, bwd, layout, drawn):
-    """Packed draws of every lane, each segment from its last step down."""
-    loci, pos, count, chunks, row_start = layout
-    n_sub = row_start.size
-    for k0, k1 in reversed(chunks):
-        a = pos[k0]
-        flat = loci[a:pos[k1 + 1], None] + row_start   # and the step after the chunk
-        succ = r.take(flat) * 3 + np.arange(0, 9 * n_sub, 9)
-        draws_u = u.take(flat[:pos[k1] - a])
-        for k in range(k1 - 1, k0 - 1, -1):
-            p, g, g_next = pos[k] - a, count[k], count[k + 1]
-            w = filt[:, a + p:a + p + g]
-            if g_next:
-                q = pos[k + 1] - a
-                col = bwd.take(succ[q:q + g_next] + nxt, axis=1)
-                if g_next == g:
-                    w = w * col
-                else:   # lanes past g_next end their segment here
-                    w = w.copy()
-                    w[:, :g_next] *= col
-            nxt = drawn[a + p:a + p + g] = _draw3(w, draws_u[p:p + g])
-    return drawn
+def _backward(moves, table, tails, layout, drawn):
+    """Write the packed draws of every lane, each segment from its last step down.
+
+    Where the next cell's kernel is the identity the draw is the next
+    cell's state; elsewhere it is read from that cell's row of the table.
+    """
+    _, pos, count, _, row_start = layout
+    cur = tails
+    step = cur.reshape(-1, row_start.size)
+    three = np.arange(0, 3 * cur.size, 3)
+    for k in range(len(count) - 2, -1, -1):
+        if moves[k + 1] is not None:
+            lanes, lo, hi = moves[k + 1]
+            s_next = cur[lanes]
+            cur[lanes] = table[3 * lo:3 * hi].take(three[:hi - lo] + s_next)
+        drawn[pos[k]:pos[k + 1]] = step[:count[k]]
 
 
 def ffbs_paths(x, r, p_a, p_b, rho, u):
@@ -191,22 +258,21 @@ def ffbs_paths(x, r, p_a, p_b, rho, u):
     # emission of state n, genotype g at locus j is emit[n, 3j + g]
     fwd = transition_kernels(rho).transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
     emit = observation_rows(p_a, p_b).transpose(0, 2, 1).reshape(3, 3 * n_loc)
-    filt, vanished = _forward(x, r, fwd, emit, layout)
-    if vanished:
-        row, lane = (~(filt[0] + filt[1] + filt[2] > 0.0)).nonzero()
-        locus = loci[row]
-        first = locus.min()
-        raise ForwardUnderflowError(lane[locus == first].min(), first)
-    # T(m, n) of subject i given c recombinations is bwd[m, 9i + 3c + n]
-    bwd = fwd.reshape(3, 3, n_sub, 3).transpose(0, 2, 3, 1).reshape(3, 9 * n_sub)
-    if pos[1] == 1:   # one segment: the packed rows are the loci in order
-        s = np.empty((n_sub, n_loc), dtype=np.int8)
-        _backward(filt, r, u, bwd, layout, s.T)
-        return s
-    drawn = _backward(filt, r, u, bwd, layout, np.empty((n_loc, n_sub), dtype=np.int8))
-    del filt
+    # the output first, below the forward pass's temporaries in the heap: made
+    # after them, a sweep's long-lived outputs land ever higher as glibc trims
+    # and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
     s = np.empty((n_sub, n_loc), dtype=np.int8)
-    s[:, loci] = drawn.T
+    # with one segment the packed rows are the loci in order: draw into s
+    drawn = s.T if pos[1] == 1 else np.empty((n_loc, n_sub), dtype=np.int8)
+    moves, table, tails, vanished = _forward(x, r, u, fwd, emit, layout)
+    if vanished:
+        lost = []
+        _forward(x, r, u, fwd, emit, layout, lost)
+        locus, subject = min(lost)
+        raise ForwardUnderflowError(subject, locus)
+    _backward(moves, table, tails, layout, drawn)
+    if pos[1] > 1:
+        s[:, loci] = drawn.T
     return s
 
 
@@ -217,6 +283,8 @@ def recombination_counts(s, gamma, rho, u):
     """
     s = np.asarray(s)
     n_sub = s.shape[0]
+    # the output first, below the temporaries in the heap (see ffbs_paths)
+    draw = np.empty(s.shape, dtype=np.int8)
     kern = transition_kernels(rho)
     # T(m, n) of subject i given one recombination is one[9i + 3m + n]; its
     # Hardy-Weinberg row, the kernel of two, is hwe[3i + n]
@@ -248,7 +316,7 @@ def recombination_counts(s, gamma, rho, u):
     w0 /= tot
     w1 /= tot
     w1 += w0
-    draw = (u >= w0).view(np.int8)
+    np.greater_equal(u, w0, out=draw.view(bool))
     draw += (u >= w1).view(np.int8)
     return draw
 

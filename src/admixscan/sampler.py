@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
+from datetime import timedelta
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .hmm import (
 log = logging.getLogger(__name__)
 
 _PROB_EPS = 1e-12          # keep sampled probabilities off exact 0/1
+PROGRESS_EVERY = 500       # sweeps between progress lines
 # the HmmState attributes recorded per retained draw, as AncestryDraws.traces
 TRACED = ("gamma", "rho", "p_a", "p_b", "tau_a", "tau_b")
 
@@ -327,6 +330,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
 
     kept = 0
     total = hyper.burn_in + hyper.n_draws
+    start = time.perf_counter()
     for t in range(total):
         try:
             impute_missing_genotypes(state, derived.missing_cells, rng)
@@ -351,8 +355,10 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
             for name in TRACED:
                 traces[name][kept] = getattr(state, name)
             kept += 1
-        if (t + 1) % 500 == 0:
-            log.debug("sweep %d/%d (%d draws kept)", t + 1, total, kept)
+        if (t + 1) % PROGRESS_EVERY == 0:
+            rate = (t + 1) / (time.perf_counter() - start)
+            log.info("sweep %d/%d, %.1f sweeps/s, ETA %s (%d draws kept)", t + 1, total,
+                     rate, timedelta(seconds=round((total - t - 1) / rate)), kept)
 
     return AncestryDraws(
         draws=draws,

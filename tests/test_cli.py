@@ -213,7 +213,7 @@ def test_non_finite_delta_refused(tmp_path, capsys, command, delta):
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record == {"error": "ValueError",
                       "message": f"delta must be finite, got {float(delta)!r}"}
-    assert not [p for p in out.glob("*") if p.suffix in (".tsv", ".adx")]
+    assert not out.exists()
 
 
 class TestCountTrait:
@@ -521,6 +521,18 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DataFormatError"
         assert "'7'" in record["message"]
+
+    @pytest.mark.parametrize("genotypes", ["missing", "malformed"])
+    def test_refused_impute_makes_no_out_dir(self, dataset, capsys, genotypes):
+        # the output directory is made only once the draws are in hand
+        tmp, paths = dataset
+        bad = tmp / "bad.tsv"
+        if genotypes == "malformed":
+            bad.write_text("subject_id\trs00\nS000\t7\n")
+        assert main(impute_args({**paths, "geno": bad}, tmp / "out")) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert str(bad) in record["message"]
+        assert not (tmp / "out").exists()
 
     def test_rerun_refuses_changed_input(self, dataset, capsys):
         tmp, paths = dataset

@@ -100,11 +100,15 @@ def per_locus_ffbs(x, r, p_a, p_b, rho, u):
     return s
 
 
-def segmented_chain(rng, n_sub, lengths):
-    """Inputs whose all-r = 2 columns cut the chain into segments of ``lengths``."""
+def segmented_chain(rng, n_sub, lengths, p_r=(0.6, 0.3, 0.1)):
+    """Inputs whose all-r = 2 columns cut the chain into segments of ``lengths``.
+
+    ``p_r`` is the law of r at the other cells: at the default, more than
+    ``kernels.DENSE_SHARE`` of the cells are kernel cells (r > 0).
+    """
     n_loc = sum(lengths)
     x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
-    r = rng.choice(3, p=[0.6, 0.3, 0.1], size=(n_sub, n_loc)).astype(np.int8)
+    r = rng.choice(3, p=p_r, size=(n_sub, n_loc)).astype(np.int8)
     heads = np.cumsum([0, *lengths[:-1]])
     r[:, heads] = 2
     if n_sub > 1:
@@ -264,12 +268,57 @@ def test_ffbs_inner_restart_is_not_a_chromosome_start(rng):
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
 
 
+@pytest.mark.parametrize("n_sub, lengths, case", [
+    (40, [12, 1, 20, 7], "identity between heads"),   # kernel cells only at the heads
+    (40, [12, 1, 20, 7], "every cell a kernel"),
+    (40, [1] * 12, "every locus a segment"),         # 2 in every column
+])
+def test_ffbs_matches_the_per_locus_loop_at_extreme_r(rng, n_sub, lengths, case):
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, n_sub, lengths)
+    inner = ~(r == 2).all(axis=0)
+    if case == "identity between heads":
+        r[:, inner] = 0
+    elif case == "every cell a kernel":
+        r[:, inner] = rng.integers(1, 3, size=(n_sub, inner.sum()))
+        r[0, inner] = 1   # no other column is all 2
+    assert np.array_equal(kernels.ffbs_paths(x, r, p_a, p_b, rho, u),
+                          per_locus_ffbs(x, r, p_a, p_b, rho, u))
+
+
+@pytest.mark.parametrize("share", [0.0, 1.0])   # every chunk dense; every chunk sparse
+def test_ffbs_dense_and_sparse_chunks_match_the_per_locus_loop(rng, monkeypatch, share):
+    monkeypatch.setattr(kernels, "DENSE_SHARE", share)
+    for p_r in ((0.6, 0.3, 0.1), (0.95, 0.04, 0.01)):
+        args = segmented_chain(rng, 40, [12, 1, 20, 7], p_r)
+        assert np.array_equal(kernels.ffbs_paths(*args), per_locus_ffbs(*args))
+
+
+@pytest.mark.parametrize("dense, p_r", [(True, (0.6, 0.3, 0.1)), (False, (0.95, 0.04, 0.01))])
+def test_ffbs_draw_before_an_identity_kernel_is_a_copy(rng, dense, p_r):
+    # where the next cell has r = 0 the kernel is the identity, so the draw
+    # is the next cell's state whatever the cell's own uniform
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 40, [12, 1, 20, 7], p_r)
+    assert ((r > 0).mean() > kernels.DENSE_SHARE) == dense
+    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    copied = np.zeros(r.shape, dtype=bool)
+    copied[:, :-1] = r[:, 1:] == 0
+    assert copied.mean() > 0.3
+    assert np.array_equal(s[:, :-1][copied[:, :-1]], s[:, 1:][copied[:, :-1]])
+    u[copied] = rng.random(copied.sum())
+    assert np.array_equal(kernels.ffbs_paths(x, r, p_a, p_b, rho, u), s)
+
+
 def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
     args = segmented_chain(rng, 50, [7, 2, 11, 11, 4])
-    whole = kernels.ffbs_paths(*args)
-    for cells in (1, 60, 130):   # one step a chunk; ragged chunk edges
+    sparse = segmented_chain(rng, 50, [7, 2, 11, 11, 4], (0.95, 0.04, 0.01))
+    assert (sparse[1] > 0).mean() < kernels.DENSE_SHARE < (args[1] > 0).mean()
+    whole = kernels.ffbs_paths(*args), kernels.ffbs_paths(*sparse)
+    # one step a chunk, so dense and sparse chunks mix; ragged chunk edges;
+    # several steps a chunk, as at the default size on a larger input
+    for cells in (1, 60, 130, 700, 4096):
         monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
-        assert np.array_equal(kernels.ffbs_paths(*args), whole)
+        assert np.array_equal(kernels.ffbs_paths(*args), whole[0])
+        assert np.array_equal(kernels.ffbs_paths(*sparse), whole[1])
 
 
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):

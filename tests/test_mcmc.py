@@ -1,4 +1,6 @@
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -148,3 +150,23 @@ def test_retention_schedule_counts():
     draws = run_mcmc(g, panel, hyper)
     assert draws.m == 2
     assert draws.sweep_index.tolist() == [19, 29]
+
+
+def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
+    rng = np.random.default_rng(11)
+    panel = chain_panel(3)
+    x = sample_ancestry_hwe(np.full(3, 0.8), 5, rng).astype(np.int8)
+    g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(5)])
+    hyper = HmmHyperparams(burn_in=10, n_draws=25, thin=10, seed=2)
+    quiet = run_mcmc(g, panel, hyper)
+    monkeypatch.setattr(sampler, "PROGRESS_EVERY", 10)
+    with caplog.at_level(logging.INFO, logger="admixscan.sampler"):
+        draws = run_mcmc(g, panel, hyper)
+    records = [r for r in caplog.records if r.name == "admixscan.sampler"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    pattern = r"sweep (\d+)/35, ([\d.]+) sweeps/s, ETA (\d+:\d\d:\d\d) \((\d+) draws kept\)"
+    fields = [re.fullmatch(pattern, r.getMessage()).groups() for r in records]
+    assert [(int(t), int(k)) for t, _, _, k in fields] == [(10, 0), (20, 1), (30, 2)]
+    assert all(float(rate) > 0 for _, rate, _, _ in fields)
+    # logging reads no random number: the draws are those of a run that logs nothing
+    assert np.array_equal(draws.draws, quiet.draws)
