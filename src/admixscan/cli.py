@@ -275,7 +275,11 @@ def cmd_simulate(args, inputs):
         res = null_study(args.n_subjects, args.n_loci, args.replicates,
                          args.trait_kind, args.alpha, args.delta, args.seed)
     elif args.scenario == "single_locus":
-        c_values = [float(c) for c in args.c_values.split(",")]
+        try:
+            c_values = [float(c) for c in args.c_values.split(",")]
+        except ValueError:
+            raise ValueError("--c-values must be comma-separated numbers, "
+                             f"got {args.c_values!r}") from None
         res = power_study(args.n_subjects, c_values, args.replicates,
                           args.trait_kind, args.alpha, args.delta, args.seed)
     else:

@@ -180,7 +180,7 @@ def stage2_joint(stage1_result: ScanResult, draws, trait: TraitData,
     return result
 
 
-def reported_subsets(result: ScanResult, delta=None):
+def reported_subsets(result: ScanResult):
     """Subsets above the threshold that beat every subset they overlap.
 
     A subset is reported when it clears the threshold and no higher-ranked
@@ -190,11 +190,10 @@ def reported_subsets(result: ScanResult, delta=None):
     """
     if result.stage2 is None:
         raise ValueError("run stage 2 before asking for reported subsets")
-    delta = result.delta if delta is None else delta
     dominated = set()
     out = []
     for entry in result.stage2:
-        if not dominated.intersection(entry.indices) and entry.log10_bf > delta:
+        if not dominated.intersection(entry.indices) and entry.log10_bf > result.delta:
             out.append(entry)
         dominated.update(entry.indices)
     return out

@@ -55,27 +55,22 @@ def sample_ancestry_hwe(paap, n_subjects, rng):
 
 
 def simulate_traits(s_causal, trait_kind, alpha, c, paap_causal, rng) -> TraitData:
-    """Trait vector given causal ancestry columns (or none, for the null).
+    """Trait vector given the (n, k) causal ancestry columns; k = 0 is the null.
 
     The causal effect is ``c * paap_causal`` per column.  The covariate and
     noise streams are drawn before the effect is added, so c = 0 reproduces
     the null generator draw-for-draw under the same seed.
     """
-    if s_causal is None:
-        s_causal = np.empty((0, 0))
     s_causal = np.asarray(s_causal, dtype=np.float64)
-    if s_causal.ndim == 1:
-        s_causal = s_causal[:, None]
-    n = s_causal.shape[0]
+    n, k = s_causal.shape
     if n == 0:
-        raise ValueError("need the subject count; pass an (n, 0) array for the null")
-    paap_causal = np.atleast_1d(np.asarray(paap_causal, dtype=np.float64))
-    if s_causal.shape[1] and paap_causal.shape[0] != s_causal.shape[1]:
+        raise ValueError("need at least one subject; pass an (n, 0) array for the null")
+    paap_causal = np.asarray(paap_causal, dtype=np.float64)
+    if paap_causal.shape != (k,):
         raise ValueError("one ancestry proportion per causal column")
-    beta = c * paap_causal if s_causal.shape[1] else np.empty(0)
 
     e = rng.standard_normal(n)
-    linear = alpha * e + (s_causal @ beta if s_causal.shape[1] else 0.0)
+    linear = alpha * e + s_causal @ (c * paap_causal)
     if trait_kind == "continuous":
         y = linear + rng.standard_normal(n)
     elif trait_kind == "binary":
@@ -142,67 +137,44 @@ def _threshold_to_counts(z, paap):
 
 
 def label_regions(s, causal, threshold=REGION_CORR_THRESHOLD):
-    """Recompute region labels from realised ancestry correlations."""
-    n_loci = s.shape[1]
-    sf = s.astype(np.float64)
-    labels = np.array(["REG3"] * n_loci, dtype=object)
-    labels[causal[0]] = "L1"
-    labels[causal[1]] = "L2"
-    corr = np.corrcoef(sf, rowvar=False)
+    """Recompute region labels from realised ancestry correlations.
+
+    A locus is REG1 when its |correlation| with L1 exceeds ``threshold`` and
+    is at least that with L2, else REG2 when its |correlation| with L2
+    exceeds ``threshold``, else REG3.  A constant column correlates as NaN
+    and so lands in REG3.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(s.astype(np.float64), rowvar=False)
     r1 = np.abs(corr[:, causal[0]])
     r2 = np.abs(corr[:, causal[1]])
-    for j in range(n_loci):
-        if j in causal:
-            continue
-        if r1[j] > threshold and r1[j] >= r2[j]:
-            labels[j] = "REG1"
-        elif r2[j] > threshold:
-            labels[j] = "REG2"
+    labels = np.where((r1 > threshold) & (r1 >= r2), "REG1",
+                      np.where(r2 > threshold, "REG2", "REG3")).astype(object)
+    labels[causal[0]] = "L1"
+    labels[causal[1]] = "L2"
     return labels
 
 
-def build_artificial_chromosome(n_subjects, rng, source=None) -> ArtificialChromosome:
-    """Assemble the two-segment benchmark chromosome.
-
-    ``source`` may supply user ancestry draws (n_subjects, >= 102) instead
-    of the built-in latent-Gaussian generator; its first 102 columns are
-    split into the two segments.
-    """
-    total = 2 * SEGMENT_N_LOCI
-    if source is not None:
-        source = np.asarray(source, dtype=np.int8)
-        if source.shape[0] < 2 or source.shape[1] < total:
-            raise ValueError(
-                f"ancestry source needs at least 2 rows and {total} columns"
-            )
-        s = source[:, :total].copy()
-        paap = (s.astype(np.float64).mean(axis=0) / 2.0).clip(0.05, 0.95)
-    else:
-        cols = []
-        paaps = []
-        for (phi, kappa) in _SEGMENT_DECAY:
-            paap = rng.uniform(0.78, 0.88, size=SEGMENT_N_LOCI)
-            paap[SEGMENT_N_LOCI // 2] = CAUSAL_PAAP
-            z = _segment_latents(n_subjects, SEGMENT_N_LOCI, phi, kappa, rng)
-            cols.append(_threshold_to_counts(z, paap))
-            paaps.append(paap)
-        s = np.concatenate(cols, axis=1)
-        paap = np.concatenate(paaps)
-
+def build_artificial_chromosome(n_subjects, rng) -> ArtificialChromosome:
+    """Assemble the two-segment benchmark chromosome from latent Gaussians."""
+    cols = []
+    paaps = []
+    for (phi, kappa) in _SEGMENT_DECAY:
+        paap = rng.uniform(0.78, 0.88, size=SEGMENT_N_LOCI)
+        paap[SEGMENT_N_LOCI // 2] = CAUSAL_PAAP
+        z = _segment_latents(n_subjects, SEGMENT_N_LOCI, phi, kappa, rng)
+        cols.append(_threshold_to_counts(z, paap))
+        paaps.append(paap)
+    s = np.concatenate(cols, axis=1)
     causal = (SEGMENT_N_LOCI // 2, SEGMENT_N_LOCI + SEGMENT_N_LOCI // 2)
     position = np.concatenate(
-        [
-            np.linspace(0.0, SEGMENT_LENGTH_MB[0], SEGMENT_N_LOCI),
-            np.linspace(0.0, SEGMENT_LENGTH_MB[1], SEGMENT_N_LOCI),
-        ]
+        [np.linspace(0.0, length, SEGMENT_N_LOCI) for length in SEGMENT_LENGTH_MB]
     )
-    chrom = np.repeat([1, 2], SEGMENT_N_LOCI)
-    labels = label_regions(s, causal)
     return ArtificialChromosome(
         s=s,
-        paap=paap,
+        paap=np.concatenate(paaps),
         position_mb=position,
-        chrom=chrom,
+        chrom=np.repeat([1, 2], SEGMENT_N_LOCI),
         causal=causal,
-        regions=labels,
+        regions=label_regions(s, causal),
     )

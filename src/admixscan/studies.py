@@ -1,16 +1,17 @@
 """Replicated simulation studies: type-I error, power, multilocus resolution.
 
-Each study wraps the same generator + scan path the command line uses, so
-the summary tables it produces exercise the full pipeline.  True local
-ancestries are taken as given (each replicate is scanned as a single
-imputation); the sampling noise under study is in the traits.  Every study
-also keeps its first replicate's data as ``dataset``, ``(AncestryDraws,
-TraitData)`` with subject ids ``S00000...`` and marker ids ``L000...``, the
-dataset ``admixscan simulate`` writes.
+Each study runs the generator and scan path the command line uses on true
+local ancestries (one imputation per replicate), so the sampling noise
+under study is in the traits.  Each returns a ``StudyResult``: ``rows``,
+one dict per replicate (``replicates.tsv``); ``summary``, the rate or power
+dicts (``summary.tsv``); and ``dataset``, replicate 0 as ``(AncestryDraws,
+TraitData)`` with subject ids ``S00000...`` and marker ids ``L000...``,
+which ``admixscan simulate`` writes as its dataset files.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +25,24 @@ from .simulate import (
 )
 
 
-def _check_study_args(counts, c_values):
-    """Counts must be at least 1 and effect multipliers nonnegative."""
+@dataclass
+class StudyResult:
+    rows: list
+    summary: list
+    dataset: tuple
+
+
+def _check_study_args(counts, c_values=(), alpha=0.0):
+    """Counts must be at least 1, alpha finite, effect multipliers finite and nonnegative."""
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"covariate effect alpha must be finite, got {alpha}")
     for c in c_values:
-        if not c >= 0.0:
+        if not math.isfinite(c):
+            raise ValueError(f"effect multiplier c must be finite, got {c}")
+        if c < 0.0:
             raise ValueError(f"effect multiplier c must be nonnegative, got {c}")
 
 
@@ -45,37 +57,12 @@ def _draws(s):
     )
 
 
-@dataclass
-class NullStudyResult:
-    rates: np.ndarray          # per-replicate fraction of loci above delta
-    n_loci: int
-    delta: float
-    rows: list = field(default_factory=list)
-    dataset: tuple | None = None
-
-    @property
-    def aggregate_rate(self):
-        return float(self.rates.mean())
-
-    @property
-    def median_rate(self):
-        return float(np.median(self.rates))
-
-    @property
-    def summary(self):
-        return [{"aggregate_rate": self.aggregate_rate,
-                 "median_rate": self.median_rate,
-                 "max_rate": float(self.rates.max()),
-                 "delta": self.delta}]
-
-
 def null_study(n_subjects, n_loci, n_replicates, trait_kind, alpha, delta,
-               seed) -> NullStudyResult:
+               seed) -> StudyResult:
     """Per-locus false-selection rates under the no-association model."""
     _check_study_args({"n_subjects": n_subjects, "n_loci": n_loci,
-                       "n_replicates": n_replicates}, ())
+                       "n_replicates": n_replicates}, alpha=alpha)
     rng = np.random.default_rng(seed)
-    rates = np.empty(n_replicates)
     rows = []
     for rep in range(n_replicates):
         paap = rng.uniform(0.5, 0.95, size=n_loci)
@@ -85,152 +72,88 @@ def null_study(n_subjects, n_loci, n_replicates, trait_kind, alpha, delta,
         )
         result = stage1_scan(draws, trait, delta=delta)
         hits = sum(r.selected for r in result.stage1)
-        rates[rep] = hits / n_loci
-        rows.append({"replicate": rep, "hits": hits, "rate": rates[rep]})
+        rows.append({"replicate": rep, "hits": hits, "rate": hits / n_loci})
         if rep == 0:
             dataset = (draws, trait)
-    return NullStudyResult(rates=rates, n_loci=n_loci, delta=delta, rows=rows,
-                           dataset=dataset)
-
-
-@dataclass
-class PowerStudyResult:
-    c_values: tuple
-    power: np.ndarray
-    delta: float
-    rows: list = field(default_factory=list)
-    dataset: tuple | None = None
-
-    @property
-    def summary(self):
-        return [{"c": c, "power": p, "delta": self.delta}
-                for c, p in zip(self.c_values, self.power)]
+    rates = np.array([row["rate"] for row in rows])
+    summary = [{"aggregate_rate": float(rates.mean()),
+                "median_rate": float(np.median(rates)),
+                "max_rate": float(rates.max()),
+                "delta": delta}]
+    return StudyResult(rows, summary, dataset)
 
 
 def power_study(n_subjects, c_values, n_replicates, trait_kind, alpha, delta,
-                seed) -> PowerStudyResult:
+                seed) -> StudyResult:
     """Detection frequency of a single causal locus across effect sizes.
 
     ``dataset`` is the first replicate at the first c value.
     """
     c_values = tuple(c_values)
     _check_study_args({"n_subjects": n_subjects, "n_replicates": n_replicates,
-                       "number of c values": len(c_values)}, c_values)
+                       "number of c values": len(c_values)}, c_values, alpha)
     rng = np.random.default_rng(seed)
-    power = np.empty(len(c_values))
     rows = []
+    summary = []
     for ci, c in enumerate(c_values):
         hits = 0
         for rep in range(n_replicates):
             s = sample_ancestry_hwe([CAUSAL_PAAP], n_subjects, rng)
             trait = simulate_traits(s, trait_kind, alpha, c, [CAUSAL_PAAP], rng)
             draws = _draws(s)
-            result = stage1_scan(draws, trait, delta=delta)
-            hits += int(result.stage1[0].selected)
-            rows.append(
-                {
-                    "c": c,
-                    "replicate": rep,
-                    "log10_bf": result.stage1[0].log10_bf,
-                    "selected": int(result.stage1[0].selected),
-                }
-            )
+            [locus] = stage1_scan(draws, trait, delta=delta).stage1
+            hits += int(locus.selected)
+            rows.append({"c": c, "replicate": rep, "log10_bf": locus.log10_bf,
+                         "selected": int(locus.selected)})
             if ci == rep == 0:
                 dataset = (draws, trait)
-        power[ci] = hits / n_replicates
-    return PowerStudyResult(c_values=c_values, power=power, delta=delta, rows=rows,
-                            dataset=dataset)
-
-
-@dataclass
-class MultilocusStudyResult:
-    stage1_region_rate: float      # REG1+REG2 selection rate, stage 1
-    stage2_region_rate: float      # REG1+REG2 reported rate, stage 2
-    stage1_reg3_rate: float
-    stage2_reg3_rate: float
-    pair_top_rate: float           # replicates where {L1, L2} ranks first
-    pair_covered_rate: float       # replicates whose top subset holds both
-    rows: list = field(default_factory=list)
-    dataset: tuple | None = None
-
-    @property
-    def summary(self):
-        return [{f.name: getattr(self, f.name) for f in fields(self) if f.name.endswith("_rate")}]
+        summary.append({"c": c, "power": hits / n_replicates, "delta": delta})
+    return StudyResult(rows, summary, dataset)
 
 
 def multilocus_study(n_subjects, n_replicates, trait_kind, c, delta, seed,
-                     max_cardinality) -> MultilocusStudyResult:
-    """Two-causal-locus benchmark scored by region, before and after stage 2."""
+                     max_cardinality) -> StudyResult:
+    """Two-causal-locus benchmark scored by region, before and after stage 2.
+
+    Per replicate, ``tally`` holds the REG1+REG2 and REG3 sizes, then the
+    loci of each that stage 1 selects, then those in a reported stage-2
+    subset.
+    """
     _check_study_args({"n_subjects": n_subjects, "n_replicates": n_replicates}, (c,))
     rng = np.random.default_rng(seed)
-    sel_region = rep_region = 0
-    sel_reg3 = rep_reg3 = 0
-    n_region = n_reg3 = 0
-    pair_top = pair_covered = 0
+    tally = np.zeros((n_replicates, 6), dtype=np.int64)
     rows = []
     for rep in range(n_replicates):
         chromo = build_artificial_chromosome(n_subjects, rng)
         causal = list(chromo.causal)
-        trait = simulate_traits(
-            chromo.s[:, causal], trait_kind, 1.0, c, chromo.paap[causal], rng
-        )
+        trait = simulate_traits(chromo.s[:, causal], trait_kind, 1.0, c,
+                                chromo.paap[causal], rng)
         draws = _draws(chromo.s)
         if rep == 0:
             dataset = (draws, trait)
-        result = stage2_joint(
-            stage1_scan(draws, trait, delta=delta),
-            draws,
-            trait,
-            max_cardinality=max_cardinality,
-        )
-        in_region = np.isin(chromo.regions, ("REG1", "REG2"))
-        in_reg3 = chromo.regions == "REG3"
-        n_region += int(in_region.sum())
-        n_reg3 += int(in_reg3.sum())
-
-        stage1_sel = np.zeros(chromo.n_loci, dtype=bool)
-        for r in result.stage1:
-            stage1_sel[r.index] = r.selected
-        sel_region += int((stage1_sel & in_region).sum())
-        sel_reg3 += int((stage1_sel & in_reg3).sum())
-
-        reported = reported_subsets(result)
-        reported_loci = np.zeros(chromo.n_loci, dtype=bool)
-        for entry in reported:
-            for j in entry.indices:
-                reported_loci[j] = True
-        rep_region += int((reported_loci & in_region).sum())
-        rep_reg3 += int((reported_loci & in_reg3).sum())
-
-        top = (
-            result.stage2[0].indices == tuple(causal)
-            if result.stage2
-            else False
-        )
-        covered = (
-            set(causal).issubset(result.stage2[0].indices)
-            if result.stage2
-            else False
-        )
-        pair_top += int(top)
-        pair_covered += int(covered)
-        rows.append(
-            {
-                "replicate": rep,
-                "n_selected": int(stage1_sel.sum()),
-                "pair_top": int(top),
-                "pair_covered": int(covered),
-                "stage1_region_hits": int((stage1_sel & in_region).sum()),
-                "stage2_region_hits": int((reported_loci & in_region).sum()),
-            }
-        )
-    return MultilocusStudyResult(
-        stage1_region_rate=sel_region / max(n_region, 1),
-        stage2_region_rate=rep_region / max(n_region, 1),
-        stage1_reg3_rate=sel_reg3 / max(n_reg3, 1),
-        stage2_reg3_rate=rep_reg3 / max(n_reg3, 1),
-        pair_top_rate=pair_top / n_replicates,
-        pair_covered_rate=pair_covered / n_replicates,
-        rows=rows,
-        dataset=dataset,
-    )
+        result = stage2_joint(stage1_scan(draws, trait, delta=delta), draws, trait,
+                              max_cardinality=max_cardinality)
+        loci = np.arange(chromo.n_loci)
+        selected = np.isin(loci, result.selected_indices)
+        reported = np.isin(loci, [j for entry in reported_subsets(result)
+                                  for j in entry.indices])
+        regions = np.array([np.isin(chromo.regions, ("REG1", "REG2")),
+                            chromo.regions == "REG3"])
+        tally[rep] = [(mask & region).sum() for mask in (True, selected, reported)
+                      for region in regions]
+        top = result.stage2[0].indices if result.stage2 else ()
+        rows.append({"replicate": rep, "n_selected": int(selected.sum()),
+                     "pair_top": int(top == chromo.causal),
+                     "pair_covered": int(set(causal).issubset(top)),
+                     "stage1_region_hits": int(tally[rep, 2]),
+                     "stage2_region_hits": int(tally[rep, 4])})
+    (n_region, n_reg3), stage1, stage2 = tally.sum(axis=0).reshape(3, 2).tolist()
+    summary = [{
+        "stage1_region_rate": stage1[0] / max(n_region, 1),
+        "stage2_region_rate": stage2[0] / max(n_region, 1),
+        "stage1_reg3_rate": stage1[1] / max(n_reg3, 1),
+        "stage2_reg3_rate": stage2[1] / max(n_reg3, 1),
+        "pair_top_rate": sum(row["pair_top"] for row in rows) / n_replicates,
+        "pair_covered_rate": sum(row["pair_covered"] for row in rows) / n_replicates,
+    }]
+    return StudyResult(rows, summary, dataset)

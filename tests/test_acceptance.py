@@ -201,17 +201,17 @@ def test_criterion_4_null_type_i_error():
                 delta=2.0,
                 seed=seeds[kind] + int(alpha),
             )
-            results[(kind, alpha)] = res
+            [results[(kind, alpha)]] = res.summary
     # at 200 loci a per-replicate rate has granularity 1/200, so the
     # headline bound applies to the median replicate and to the aggregate
     # rate rather than to every individual replicate
     ok = all(
-        r.median_rate < 0.005 and r.aggregate_rate < 0.005
+        r["median_rate"] < 0.005 and r["aggregate_rate"] < 0.005
         for r in results.values()
     )
     detail = ", ".join(
-        f"{kind[:4]}/a={int(alpha)}: agg {r.aggregate_rate:.4f} "
-        f"med {r.median_rate:.4f} max {r.rates.max():.3f}"
+        f"{kind[:4]}/a={int(alpha)}: agg {r['aggregate_rate']:.4f} "
+        f"med {r['median_rate']:.4f} max {r['max_rate']:.3f}"
         for (kind, alpha), r in results.items()
     )
     report(
@@ -248,17 +248,18 @@ def test_criterion_5_power_monotonicity():
         delta=1.0,
         seed=102,
     )
+    cont, binr = ([row["power"] for row in res.summary] for res in (cont, binr))
     ok = (
-        cont.power[0] <= cont.power[1] <= cont.power[2]
-        and binr.power[0] <= binr.power[1] <= binr.power[2]
-        and cont.power[2] >= 0.8
+        cont[0] <= cont[1] <= cont[2]
+        and binr[0] <= binr[1] <= binr[2]
+        and cont[2] >= 0.8
     )
     report(
         5,
         "power monotone in effect size",
         ok,
-        f"continuous {np.round(cont.power, 2).tolist()}, "
-        f"binary {np.round(binr.power, 2).tolist()}, threshold 1.0",
+        f"continuous {np.round(cont, 2).tolist()}, "
+        f"binary {np.round(binr, 2).tolist()}, threshold 1.0",
         time.time() - start_time,
         900.0,
     )
@@ -284,18 +285,19 @@ def test_criterion_6_two_stage_resolution_gain():
         seed=78,
         max_cardinality=2,
     )
+    [cont], [binr] = cont.summary, binr.summary
     ok = (
-        cont.stage2_region_rate <= cont.stage1_region_rate
-        and binr.stage2_region_rate <= binr.stage1_region_rate
-        and cont.pair_top_rate >= 0.85
+        cont["stage2_region_rate"] <= cont["stage1_region_rate"]
+        and binr["stage2_region_rate"] <= binr["stage1_region_rate"]
+        and cont["pair_top_rate"] >= 0.85
     )
     report(
         6,
         "two-stage resolution gain",
         ok,
-        f"continuous region rate {cont.stage1_region_rate:.4f} -> "
-        f"{cont.stage2_region_rate:.4f}, pair top {cont.pair_top_rate:.2f}; "
-        f"binary {binr.stage1_region_rate:.4f} -> {binr.stage2_region_rate:.4f}",
+        f"continuous region rate {cont['stage1_region_rate']:.4f} -> "
+        f"{cont['stage2_region_rate']:.4f}, pair top {cont['pair_top_rate']:.2f}; "
+        f"binary {binr['stage1_region_rate']:.4f} -> {binr['stage2_region_rate']:.4f}",
         time.time() - start_time,
         1200.0,
     )

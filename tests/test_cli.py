@@ -454,10 +454,19 @@ class TestSimulatedDataset:
     @pytest.mark.parametrize("option,value,message", [
         ("--replicates", "0", "n_replicates must be at least 1, got 0"),
         ("--c-values", "-0.1", "effect multiplier c must be nonnegative, got -0.1"),
-    ], ids=["replicates", "c_values"])
+        # a non-finite effect is refused before any replicate is drawn
+        ("--c-values", "0.2,inf", "effect multiplier c must be finite, got inf"),
+        ("--c-values", ",", "--c-values must be comma-separated numbers, got ','"),
+        ("--alpha", "inf", "covariate effect alpha must be finite, got inf"),
+        ("--alpha", "nan", "covariate effect alpha must be finite, got nan"),
+        ("--c", "inf", "effect multiplier c must be finite, got inf"),
+        ("--c", "nan", "effect multiplier c must be finite, got nan"),
+    ], ids=["replicates", "c_values", "c_values_inf", "c_values_empty", "alpha_inf",
+            "alpha_nan", "c_inf", "c_nan"])
     def test_out_of_range_option_rejected(self, tmp_path, capsys, option, value,
                                           message):
-        code = main(["simulate", "--scenario", "single_locus", option, value,
+        scenario = "multilocus" if option == "--c" else "single_locus"
+        code = main(["simulate", "--scenario", scenario, option, value,
                      "--n-subjects", "50", "--out-dir", str(tmp_path / "sim")])
         assert code == 1
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

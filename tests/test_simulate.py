@@ -165,20 +165,45 @@ class TestArtificialChromosome:
             else:
                 assert (r1 <= 0.12 or r2 > r1) and (r2 <= 0.12 or r1 >= r2)
 
-    def test_user_supplied_source_accepted(self, rng):
-        source = sample_ancestry_hwe(np.full(110, 0.8), 300, rng)
-        chromo = build_artificial_chromosome(300, rng, source=source)
-        assert np.array_equal(chromo.s, source[:, :102])
-
-    def test_small_source_rejected(self, rng):
-        with pytest.raises(ValueError, match="columns"):
-            build_artificial_chromosome(
-                100, rng, source=np.zeros((100, 50), dtype=np.int8)
-            )
-
     def test_labels_recomputed_from_data(self, rng):
         s = sample_ancestry_hwe(np.full(102, 0.8), 1500, rng)
         labels = label_regions(s, (25, 76))
         # independent loci: almost everything lands in the background region
         assert (labels == "REG3").sum() > 80
 
+
+def _label_regions_loop(s, causal, threshold):
+    """The region rule written out one locus at a time."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.corrcoef(s.astype(np.float64), rowvar=False)
+    labels = []
+    for j in range(s.shape[1]):
+        r1 = abs(corr[j, causal[0]])
+        r2 = abs(corr[j, causal[1]])
+        if j == causal[0]:
+            labels.append("L1")
+        elif j == causal[1]:
+            labels.append("L2")
+        elif r1 > threshold and r1 >= r2:
+            labels.append("REG1")
+        elif r2 > threshold:
+            labels.append("REG2")
+        else:
+            labels.append("REG3")
+    return labels
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.12, 0.3])
+def test_label_regions_matches_per_locus_rule(threshold):
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n_sub, n_loc = rng.integers(3, 9), rng.integers(4, 12)
+        s = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
+        causal = tuple(int(j) for j in rng.choice(n_loc, 2, replace=False))
+        # constant columns correlate as NaN; copies of a causal column tie
+        # r1 with r2 when both causal columns are copies of one another
+        s[:, rng.random(n_loc) < 0.15] = rng.integers(0, 3)
+        for src, dst in rng.integers(0, n_loc, size=(rng.integers(0, 4), 2)):
+            s[:, dst] = s[:, src]
+        labels = label_regions(s, causal, threshold)
+        assert labels.tolist() == _label_regions_loop(s, causal, threshold)
