@@ -302,10 +302,11 @@ def cmd_rerun(args, _inputs):
     config = dict(record["config"])
     if args.out_dir is not None:
         config["out_dir"] = args.out_dir
+    # --flag=value, since argparse takes a separate value that starts with "-"
+    # for an option
     argv = [command]
     for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
-        argv.extend([flag, str(value)])
+        argv.append(f"--{key.replace('_', '-')}={value}")
     try:
         replay = build_parser(_ManifestParser).parse_args(argv)
     except DataFormatError as exc:

@@ -61,8 +61,9 @@ class TraitData:
         if self.kind == "count":
             if np.any(self.y < 0) or np.any(self.y != np.round(self.y)):
                 raise ValueError("count trait must hold nonnegative integers")
-        # the fits start at logit(mean) or log(mean), which must be finite
-        if self.kind == "binary" and np.unique(self.y).size < 2:
+        # the fits start at logit(mean) or log(mean), which must be finite;
+        # min == max in place of np.unique, which imports numpy.ma
+        if self.kind == "binary" and (not self.y.size or self.y.min() == self.y.max()):
             raise ValueError("binary trait has a single class")
         if self.kind == "count" and not self.y.any():
             raise ValueError("count trait has no events")

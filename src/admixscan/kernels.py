@@ -3,7 +3,8 @@
 One numpy implementation per sweep step.  The emission rows, the
 transition kernels and the recombination-count prior all come from
 :func:`admixscan.hmm.two_lineages`, the only place a three-state law is
-written.
+written.  The kernels take the first two as tables that each sweep builds
+once, and each lays out its own flat copy of the entries it gathers.
 
 Every sampling kernel takes pre-drawn uniforms instead of a generator, so
 its output is a pure function of its inputs.  A categorical draw over
@@ -27,10 +28,7 @@ independent segments from r alone and runs them side by side:
   filtered vector times the emission.  Per chunk of steps the transition
   entries of the kernel cells, and the emissions of every cell's observed
   genotype, are gathered with ``np.take`` from flat tables, one indexed by
-  (subject, recombinations) and one by (locus, genotype).  A chunk in
-  which more than ``DENSE_SHARE`` of the cells are kernel cells treats
-  every cell as one; an identity product is exact, so only the cost
-  changes.
+  (subject, recombinations) and one by (locus, genotype).
 * The backward weights of state m before a kernel cell are
   ``filt[m] * T[m, s_next]``: the forward step's own products
   ``prev[m] * T[m, n]`` at n = s_next.  The forward pass therefore draws,
@@ -65,15 +63,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ForwardUnderflowError
-from .hmm import observation_rows, transition_kernels, two_lineages
+from .hmm import two_lineages
 
 # lane cells (one subject of one segment at one step) in a chunk of steps;
 # its emissions and gather indices take ~0.7 MiB
 CHUNK_CELLS = 16384
-# past this share of kernel cells in a chunk, gathering and scattering them
-# costs more than the identity products it skips: the two break even at
-# 25-35% with 2000 lanes a step, and from ~15% with a few lanes a step
-DENSE_SHARE = 0.25
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
 
 
@@ -134,8 +128,6 @@ def _chunks(pos, n_sub):
     """Runs ``[k0, k1)`` of steps of about ``CHUNK_CELLS`` lane cells each."""
     n_steps = len(pos) - 2
     rows = max(1, CHUNK_CELLS // max(n_sub, 1))
-    if pos[-1] <= rows:
-        return [(0, n_steps)]
     run = [p // rows for p in pos[:n_steps]]
     bounds = [k for k in range(n_steps) if k == 0 or run[k] != run[k - 1]]
     return list(zip(bounds, bounds[1:] + [n_steps]))
@@ -167,11 +159,7 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
         flat = rows + row_start
         rc = r.take(flat)
         cell = rc.ravel().nonzero()[0]   # kernel cells (r > 0), packed order
-        cuts = [(q - a) * n_sub for q in pos[k0:k1 + 1]]
-        if cell.size > DENSE_SHARE * rc.size:   # every cell a kernel cell, identities too
-            cell = slice(None)
-        else:
-            cuts = cell.searchsorted(cuts).tolist()
+        cuts = cell.searchsorted([(q - a) * n_sub for q in pos[k0:k1 + 1]]).tolist()
         # T(m, n) of each kernel cell, times the filtered vector before it below
         pt = fwd.take((rc + sub3).ravel()[cell], axis=2)
         obs = emit.take(x.take(flat) + 3 * rows, axis=1)
@@ -238,12 +226,13 @@ def _backward(moves, table, tails, layout, drawn):
         drawn[pos[k]:pos[k + 1]] = step[:count[k]]
 
 
-def ffbs_paths(x, r, p_a, p_b, rho, u):
+def ffbs_paths(x, r, rows, kern, u):
     """Sample one ancestry path per subject from its joint full conditional.
 
-    ``x`` must be fully imputed (no MISSING entries); ``u`` supplies one
-    uniform per (subject, locus) for the backward draws.  Raises
-    :class:`ForwardUnderflowError` naming the first locus, and the first
+    ``x`` must be fully imputed (no MISSING entries); ``rows`` is
+    ``observation_rows(p_a, p_b)`` and ``kern`` is ``transition_kernels(rho)``;
+    ``u`` supplies one uniform per (subject, locus) for the backward draws.
+    Raises :class:`ForwardUnderflowError` naming the first locus, and the first
     subject there, whose forward mass vanishes.
     """
     x = np.ascontiguousarray(x)
@@ -256,8 +245,8 @@ def ffbs_paths(x, r, p_a, p_b, rho, u):
     layout = (loci, pos, count, _chunks(pos, n_sub), row_start)
     # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c]; the
     # emission of state n, genotype g at locus j is emit[n, 3j + g]
-    fwd = transition_kernels(rho).transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    emit = observation_rows(p_a, p_b).transpose(0, 2, 1).reshape(3, 3 * n_loc)
+    fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
+    emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
     # the output first, below the forward pass's temporaries in the heap: made
     # after them, a sweep's long-lived outputs land ever higher as glibc trims
     # and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
@@ -276,16 +265,16 @@ def ffbs_paths(x, r, p_a, p_b, rho, u):
     return s
 
 
-def recombination_counts(s, gamma, rho, u):
+def recombination_counts(s, gamma, kern, u):
     """Sample per-interval recombination counts given the ancestry path.
 
-    Where ``gamma`` is 1, as at a chromosome start, the count is 2.
+    ``kern`` is ``transition_kernels(rho)``.  Where ``gamma`` is 1, as at a
+    chromosome start, the count is 2.
     """
     s = np.asarray(s)
     n_sub = s.shape[0]
     # the output first, below the temporaries in the heap (see ffbs_paths)
     draw = np.empty(s.shape, dtype=np.int8)
-    kern = transition_kernels(rho)
     # T(m, n) of subject i given one recombination is one[9i + 3m + n]; its
     # Hardy-Weinberg row, the kernel of two, is hwe[3i + n]
     one = kern[1].transpose(2, 0, 1).ravel()
@@ -321,14 +310,15 @@ def recombination_counts(s, gamma, rho, u):
     return draw
 
 
-def impute_genotypes(x, cells, s, p_a, p_b, u):
-    """Fill the cells ``(rows, cols)`` from the observation row of the state.
+def impute_genotypes(x, cells, s, rows, u):
+    """Fill the cells ``(subjects, loci)`` from the observation row of the state.
 
-    ``u`` holds one uniform per cell, in the order of ``cells``.
+    ``rows`` is ``observation_rows(p_a, p_b)``; ``u`` holds one uniform per
+    cell, in the order of ``cells``.
     """
     out = np.array(x, dtype=np.int8)
     ii, jj = cells
-    w = observation_rows(p_a, p_b)[np.asarray(s)[ii, jj], :, jj].T
+    w = rows[np.asarray(s)[ii, jj], :, jj].T
     out[ii, jj] = _draw3(w, np.asarray(u))
     return out
 

@@ -46,6 +46,8 @@ from .hmm import (
     AncestryDraws,
     GenotypeMatrix,
     hwe_rows,
+    observation_rows,
+    transition_kernels,
 )
 
 log = logging.getLogger(__name__)
@@ -76,6 +78,9 @@ class HmmHyperparams:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("lam", "mu0", "nu0", "rho0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.mu0 <= 0 or self.nu0 <= 0:
@@ -91,7 +96,7 @@ class HmmHyperparams:
             rho0 = np.full(n_subjects, float(rho0))
         if rho0.shape != (n_subjects,):
             raise ValueError("rho0 must be scalar or one value per subject")
-        if np.any((rho0 <= 0.0) | (rho0 >= 1.0)):
+        if not np.all((rho0 > 0.0) & (rho0 < 1.0)):   # NaN fails too
             raise ValueError("rho0 must lie strictly inside (0, 1)")
         return rho0
 
@@ -175,8 +180,8 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
 # --- individual sweep steps -------------------------------------------------
 
 
-def impute_missing_genotypes(state: HmmState, missing_cells, rng):
-    """Redraw the MISSING genotype cells from the current observation rows.
+def impute_missing_genotypes(state: HmmState, missing_cells, rows, rng):
+    """Redraw the MISSING genotype cells from the sweep's observation rows.
 
     ``missing_cells`` is ``np.nonzero`` of the missing mask; one uniform is
     drawn per cell.
@@ -185,23 +190,19 @@ def impute_missing_genotypes(state: HmmState, missing_cells, rng):
     if not n_missing:
         return
     u = rng.random(n_missing)
-    state.x_imp = kernels.impute_genotypes(
-        state.x_imp, missing_cells, state.s, state.p_a, state.p_b, u
-    )
+    state.x_imp = kernels.impute_genotypes(state.x_imp, missing_cells, state.s, rows, u)
 
 
-def sample_ancestry_paths(state: HmmState, rng):
-    """FFBS block update of every subject's ancestry path."""
+def sample_ancestry_paths(state: HmmState, rows, kern, rng):
+    """FFBS block update of every subject's ancestry path, on the sweep's tables."""
     u = rng.random(state.s.shape)
-    state.s = kernels.ffbs_paths(
-        state.x_imp, state.r, state.p_a, state.p_b, state.rho, u
-    )
+    state.s = kernels.ffbs_paths(state.x_imp, state.r, rows, kern, u)
 
 
-def sample_recombination_counts(state: HmmState, rng):
+def sample_recombination_counts(state: HmmState, kern, rng):
     """Per-interval recombination counts given the ancestry transitions."""
     u = rng.random(state.r.shape)
-    state.r = kernels.recombination_counts(state.s, state.gamma, state.rho, u)
+    state.r = kernels.recombination_counts(state.s, state.gamma, kern, u)
 
 
 def _off_bounds(probs):
@@ -332,9 +333,12 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     total = hyper.burn_in + hyper.n_draws
     start = time.perf_counter()
     for t in range(total):
+        # the tables of the first three steps, which change none of p_a, p_b, rho
+        rows = observation_rows(state.p_a, state.p_b)
+        kern = transition_kernels(state.rho)
         try:
-            impute_missing_genotypes(state, derived.missing_cells, rng)
-            sample_ancestry_paths(state, rng)
+            impute_missing_genotypes(state, derived.missing_cells, rows, rng)
+            sample_ancestry_paths(state, rows, kern, rng)
         except ForwardUnderflowError as exc:
             raise ForwardUnderflowError(
                 exc.subject,
@@ -342,7 +346,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
                 f"sweep {t}: zero forward mass at subject {exc.subject}, "
                 f"locus {exc.locus}",
             ) from exc
-        sample_recombination_counts(state, rng)
+        sample_recombination_counts(state, kern, rng)
         update_gamma(state, derived, n_sub, rng)
         update_rho(state, derived, rng)
         update_allele_freqs(state, panel, rng)

@@ -19,6 +19,7 @@ from admixscan.hmm import (
     GenotypeMatrix,
     MISSING,
     TAU_RANGE,
+    observation_rows,
     transition_kernels,
 )
 from admixscan.sampler import HmmHyperparams, run_mcmc
@@ -73,9 +74,8 @@ def test_criterion_1_ffbs_exactness():
         s = kernels.ffbs_paths(
             np.tile(x, (n_draws, 1)),
             np.tile(r, (n_draws, 1)),
-            p_a,
-            p_b,
-            np.full(n_draws, rho),
+            observation_rows(p_a, p_b),
+            transition_kernels(np.full(n_draws, rho)),
             u,
         )
         emp = empirical_state_freqs(s)

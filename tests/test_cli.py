@@ -216,6 +216,37 @@ def test_non_finite_delta_refused(tmp_path, capsys, command, delta):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["lam", "mu0", "nu0", "rho0"])
+def test_non_finite_hyperparameter_refused(dataset, capsys, option, value):
+    # --mu0 nan ended in an uncaught RuntimeError, --rho0 nan and --nu0 nan in
+    # a ForwardUnderflowError, --lam nan in numpy's "p contains NaNs"
+    tmp, paths = dataset
+    out = tmp / "out"
+    assert main([*impute_args(paths, out), f"--{option}={value}"]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError",
+                      "message": f"{option} must be finite, got {float(value)!r}"}
+    assert not out.exists()
+
+
+def test_rerun_replays_a_value_that_starts_with_a_dash(tmp_path):
+    # the replay passed "--covariates -bmi", and argparse took -bmi for an option
+    rng = np.random.default_rng(19)
+    draws = save_random_draws(tmp_path / "draws.adx", rng, 40)
+    y, bmi = rng.standard_normal((2, 40))
+    fileio.write_phenotypes(draws.subject_ids, TraitData(
+        y=y, kind="continuous", covariates=bmi[:, None], covariate_names=["-bmi"]),
+        tmp_path / "pheno.tsv")
+    assert main(["scan", "--draws", str(tmp_path / "draws.adx"),
+                 "--phenotype", str(tmp_path / "pheno.tsv"), "--covariates=-bmi",
+                 "--out-dir", str(tmp_path / "scan")]) == 0
+    assert main(["rerun", str(tmp_path / "scan" / "manifest.json"),
+                 "--out-dir", str(tmp_path / "replay")]) == 0
+    assert read_bytes(tmp_path / "replay" / "stage1.tsv") == read_bytes(
+        tmp_path / "scan" / "stage1.tsv")
+
+
 class TestCountTrait:
     @pytest.fixture
     def count_inputs(self, tmp_path):
@@ -758,3 +789,24 @@ def test_cli_import_loads_no_study_generators():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_binary_scan_and_map_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, 13-20 ms of a binary scan or map; the
+    # single-class check of a binary trait needs none of it
+    rng = np.random.default_rng(4)
+    draws = save_random_draws(tmp_path / "draws.adx", rng, 60)
+    fileio.write_phenotypes(draws.subject_ids,
+                            TraitData(y=rng.integers(0, 2, 60), kind="binary"),
+                            tmp_path / "pheno.tsv")
+    src = Path(admixscan.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "from admixscan.cli import main\n"
+            "for command in ('scan', 'map'):\n"
+            "    assert main([command, '--draws', 'draws.adx', '--phenotype', 'pheno.tsv',\n"
+            "                 '--trait-kind', 'binary', '--out-dir', command]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

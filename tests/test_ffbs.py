@@ -3,6 +3,7 @@ import pytest
 
 from admixscan import kernels
 from admixscan.errors import ForwardUnderflowError
+from admixscan.hmm import observation_rows, transition_kernels
 from conftest import (
     empirical_state_freqs,
     enumerate_path_marginals,
@@ -18,9 +19,8 @@ def sample_many(x, r, p_a, p_b, rho, n, seed=5):
     return kernels.ffbs_paths(
         np.tile(np.asarray(x, np.int8), (n, 1)),
         np.tile(np.asarray(r, np.int8), (n, 1)),
-        np.asarray(p_a, float),
-        np.asarray(p_b, float),
-        np.full(n, rho),
+        observation_rows(np.asarray(p_a, float), np.asarray(p_b, float)),
+        transition_kernels(np.full(n, rho)),
         u,
     )
 

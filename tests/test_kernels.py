@@ -100,11 +100,16 @@ def per_locus_ffbs(x, r, p_a, p_b, rho, u):
     return s
 
 
+def ffbs(x, r, p_a, p_b, rho, u):
+    """The kernel on the model tables of these parameters, as a sweep builds them."""
+    return kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+
+
 def segmented_chain(rng, n_sub, lengths, p_r=(0.6, 0.3, 0.1)):
     """Inputs whose all-r = 2 columns cut the chain into segments of ``lengths``.
 
-    ``p_r`` is the law of r at the other cells: at the default, more than
-    ``kernels.DENSE_SHARE`` of the cells are kernel cells (r > 0).
+    ``p_r`` is the law of r at the other cells: at the default, 40% of them
+    are kernel cells (r > 0).
     """
     n_loc = sum(lengths)
     x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
@@ -194,7 +199,8 @@ def test_impute_identical_across_backends(state, rng):
     p_a = rng.uniform(0.6, 0.95, x.shape[1])
     p_b = rng.uniform(0.05, 0.4, x.shape[1])
     u = rng.random(x.shape)
-    out = kernels.impute_genotypes(x, np.nonzero(missing), s, p_a, p_b, u[missing])
+    rows = observation_rows(p_a, p_b)
+    out = kernels.impute_genotypes(x, np.nonzero(missing), s, rows, u[missing])
     assert np.array_equal(out, ref_impute(x, missing, s, p_a, p_b, u))
     assert np.array_equal(out[~missing], x[~missing])
     assert (out[missing] != x[missing]).any()
@@ -204,7 +210,7 @@ def test_impute_with_no_missing_cell_returns_an_equal_copy(state, rng):
     s, x, _, _ = state
     none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
     p = rng.uniform(0.05, 0.95, (2, x.shape[1]))
-    out = kernels.impute_genotypes(x, none, s, p[0], p[1], np.empty(0))
+    out = kernels.impute_genotypes(x, none, s, observation_rows(p[0], p[1]), np.empty(0))
     assert out is not x
     assert out.dtype == np.int8
     assert np.array_equal(out, x)
@@ -216,7 +222,7 @@ def test_recombination_counts_identical_across_backends(state, rng):
     gamma[start] = 1.0
     rho = rng.uniform(0.5, 0.95, s.shape[0])
     u = rng.random(s.shape)
-    r = kernels.recombination_counts(s, gamma, rho, u)
+    r = kernels.recombination_counts(s, gamma, transition_kernels(rho), u)
     assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
     assert (r[:, start] == 2).all()
     assert set(np.unique(r[:, ~start])) == {0, 1, 2}
@@ -227,7 +233,8 @@ def test_recombination_counts_name_the_zero_mass_cell():
     # gamma = 0 forbids any change of state, so subject 0 fails at locus 1
     with pytest.raises(RuntimeError, match="subject 0, locus 1"):
         kernels.recombination_counts(
-            s, np.array([1.0, 0.0, 0.0]), np.full(2, 0.5), np.full((2, 3), 0.5)
+            s, np.array([1.0, 0.0, 0.0]), transition_kernels(np.full(2, 0.5)),
+            np.full((2, 3), 0.5)
         )
 
 
@@ -244,7 +251,7 @@ def test_ffbs_forward_normalisation_consistent(rng):
     p_b = rng.uniform(0.05, 0.4, n_loc)
     rho = rng.uniform(0.5, 0.95, n_sub)
     u = rng.random((n_sub, n_loc))
-    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    s = ffbs(x, r, p_a, p_b, rho, u)
     assert (s == ref_ffbs(x, r, start, p_a, p_b, rho, u)).mean() > 0.999
 
 
@@ -256,7 +263,7 @@ def test_ffbs_forward_normalisation_consistent(rng):
 ])
 def test_ffbs_matches_the_per_locus_loop(rng, n_sub, lengths):
     args = segmented_chain(rng, n_sub, lengths)
-    assert np.array_equal(kernels.ffbs_paths(*args), per_locus_ffbs(*args))
+    assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
 
 
 def test_ffbs_inner_restart_is_not_a_chromosome_start(rng):
@@ -264,7 +271,7 @@ def test_ffbs_inner_restart_is_not_a_chromosome_start(rng):
     # forgets its past there, and the kernel cuts it without reading starts
     x, r, p_a, p_b, rho, u = segmented_chain(rng, 30, [20])
     r[:, 6] = 2
-    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    s = ffbs(x, r, p_a, p_b, rho, u)
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
 
 
@@ -281,44 +288,45 @@ def test_ffbs_matches_the_per_locus_loop_at_extreme_r(rng, n_sub, lengths, case)
     elif case == "every cell a kernel":
         r[:, inner] = rng.integers(1, 3, size=(n_sub, inner.sum()))
         r[0, inner] = 1   # no other column is all 2
-    assert np.array_equal(kernels.ffbs_paths(x, r, p_a, p_b, rho, u),
+    assert np.array_equal(ffbs(x, r, p_a, p_b, rho, u),
                           per_locus_ffbs(x, r, p_a, p_b, rho, u))
 
 
-@pytest.mark.parametrize("share", [0.0, 1.0])   # every chunk dense; every chunk sparse
-def test_ffbs_dense_and_sparse_chunks_match_the_per_locus_loop(rng, monkeypatch, share):
-    monkeypatch.setattr(kernels, "DENSE_SHARE", share)
-    for p_r in ((0.6, 0.3, 0.1), (0.95, 0.04, 0.01)):
-        args = segmented_chain(rng, 40, [12, 1, 20, 7], p_r)
-        assert np.array_equal(kernels.ffbs_paths(*args), per_locus_ffbs(*args))
+@pytest.mark.parametrize("n_sub", [40, 2000])
+@pytest.mark.parametrize("share", [0.05, 0.15, 0.3, 0.5, 0.75, 1.0])
+def test_ffbs_matches_the_per_locus_loop_at_every_kernel_share(rng, n_sub, share):
+    # share: the law's fraction of kernel cells (r > 0) away from the heads;
+    # 40 lanes run as one chunk, 2000 as chunks of eight loci
+    args = segmented_chain(rng, n_sub, [12, 1, 20, 7], (1 - share, share / 2, share / 2))
+    assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
 
 
-@pytest.mark.parametrize("dense, p_r", [(True, (0.6, 0.3, 0.1)), (False, (0.95, 0.04, 0.01))])
-def test_ffbs_draw_before_an_identity_kernel_is_a_copy(rng, dense, p_r):
+@pytest.mark.parametrize("kernel_rich, p_r",
+                         [(True, (0.6, 0.3, 0.1)), (False, (0.95, 0.04, 0.01))])
+def test_ffbs_draw_before_an_identity_kernel_is_a_copy(rng, kernel_rich, p_r):
     # where the next cell has r = 0 the kernel is the identity, so the draw
     # is the next cell's state whatever the cell's own uniform
     x, r, p_a, p_b, rho, u = segmented_chain(rng, 40, [12, 1, 20, 7], p_r)
-    assert ((r > 0).mean() > kernels.DENSE_SHARE) == dense
-    s = kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+    assert ((r > 0).mean() > 0.2) == kernel_rich
+    s = ffbs(x, r, p_a, p_b, rho, u)
     copied = np.zeros(r.shape, dtype=bool)
     copied[:, :-1] = r[:, 1:] == 0
     assert copied.mean() > 0.3
     assert np.array_equal(s[:, :-1][copied[:, :-1]], s[:, 1:][copied[:, :-1]])
     u[copied] = rng.random(copied.sum())
-    assert np.array_equal(kernels.ffbs_paths(x, r, p_a, p_b, rho, u), s)
+    assert np.array_equal(ffbs(x, r, p_a, p_b, rho, u), s)
 
 
 def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
     args = segmented_chain(rng, 50, [7, 2, 11, 11, 4])
     sparse = segmented_chain(rng, 50, [7, 2, 11, 11, 4], (0.95, 0.04, 0.01))
-    assert (sparse[1] > 0).mean() < kernels.DENSE_SHARE < (args[1] > 0).mean()
-    whole = kernels.ffbs_paths(*args), kernels.ffbs_paths(*sparse)
-    # one step a chunk, so dense and sparse chunks mix; ragged chunk edges;
-    # several steps a chunk, as at the default size on a larger input
+    whole = ffbs(*args), ffbs(*sparse)
+    # one step a chunk; ragged chunk edges; several steps a chunk, as at the
+    # default size on a larger input
     for cells in (1, 60, 130, 700, 4096):
         monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
-        assert np.array_equal(kernels.ffbs_paths(*args), whole[0])
-        assert np.array_equal(kernels.ffbs_paths(*sparse), whole[1])
+        assert np.array_equal(ffbs(*args), whole[0])
+        assert np.array_equal(ffbs(*sparse), whole[1])
 
 
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
@@ -331,7 +339,7 @@ def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
         x[:, j] = 0
         x[bad_subjects, j] = 1
     with pytest.raises(ForwardUnderflowError) as info:
-        kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+        ffbs(x, r, p_a, p_b, rho, u)
     assert (info.value.locus, info.value.subject) == (2, 2)
     with pytest.raises(ForwardUnderflowError) as ref:
         per_locus_ffbs(x, r, p_a, p_b, rho, u)
@@ -354,7 +362,7 @@ def test_ffbs_peak_memory_is_the_filtered_vectors(rng):
     filtered_bytes = n_loc * 3 * n_sub * 8
     tracemalloc.start()
     try:
-        kernels.ffbs_paths(x, r, p_a, p_b, rho, u)
+        ffbs(x, r, p_a, p_b, rho, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,12 +378,12 @@ def test_recombination_counts_peak_memory(rng):
     start[::500] = True
     gamma = rng.uniform(1e-4, 0.05, n_loc)
     gamma[start] = 1.0
-    rho = rng.uniform(0.5, 0.95, n_sub)
+    kern = transition_kernels(rng.uniform(0.5, 0.95, n_sub))
     u = rng.random((n_sub, n_loc))
     one_array = n_sub * n_loc * 8
     tracemalloc.start()
     try:
-        kernels.recombination_counts(s, gamma, rho, u)
+        kernels.recombination_counts(s, gamma, kern, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

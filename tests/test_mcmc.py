@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from admixscan import sampler
-from admixscan.hmm import AimPanel, GenotypeMatrix
+from admixscan import kernels, sampler
+from admixscan.hmm import AimPanel, GenotypeMatrix, observation_rows, transition_kernels
 from admixscan.sampler import TRACED, HmmHyperparams, HmmState, run_mcmc
 from admixscan.simulate import sample_ancestry_hwe, sample_genotypes_from_ancestry
 from conftest import hwe_vector, obs_row, simulate_chain_ancestry
@@ -49,17 +49,14 @@ def test_generative_round_trip_recovers_ancestry():
 def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
     # one marker, no transitions: the path draw collapses to the initial
     # vector reweighted by the observation row
-    from admixscan import kernels
-
     n = 60000
     rng = np.random.default_rng(3)
     u = rng.random((n, 1))
     s = kernels.ffbs_paths(
         np.ones((n, 1), dtype=np.int8),
         np.zeros((n, 1), dtype=np.int8),
-        np.array([0.9]),
-        np.array([0.1]),
-        np.full(n, 0.8),
+        observation_rows(np.array([0.9]), np.array([0.1])),
+        transition_kernels(np.full(n, 0.8)),
         u,
     )
     expected = hwe_vector(0.8) * np.array(
@@ -132,6 +129,25 @@ def test_traces_record_the_state_after_each_retained_sweep(monkeypatch):
     for k, t in enumerate(draws.sweep_index):
         for name in TRACED:
             assert np.array_equal(draws.traces[name][k], after_sweep[t][name]), name
+
+
+def test_each_sweep_builds_its_model_tables_once(monkeypatch):
+    # the kernels read the tables the sweep hands them and build none
+    assert not {"observation_rows", "transition_kernels"} & set(vars(kernels))
+    calls = []
+    for name in ("observation_rows", "transition_kernels"):
+        def counting(*args, _build=getattr(sampler, name), _name=name):
+            calls.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(sampler, name, counting)
+    rng = np.random.default_rng(29)
+    panel = chain_panel(6, chrom=[1, 1, 1, 2, 2, 2])
+    s = sample_ancestry_hwe(np.full(6, 0.7), 8, rng)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate=0.1)
+    g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(8)])
+    run_mcmc(g, panel, HmmHyperparams(burn_in=5, n_draws=6, thin=2, seed=3))
+    assert calls.count("observation_rows") == calls.count("transition_kernels") == 11
 
 
 def test_dimension_mismatch_rejected():

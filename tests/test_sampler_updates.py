@@ -5,7 +5,14 @@ import pytest
 from scipy.stats import beta, binom
 
 from admixscan import kernels
-from admixscan.hmm import AimPanel, GenotypeMatrix, MISSING, TAU_RANGE
+from admixscan.hmm import (
+    AimPanel,
+    GenotypeMatrix,
+    MISSING,
+    TAU_RANGE,
+    observation_rows,
+    transition_kernels,
+)
 from admixscan.sampler import (
     DerivedPriors,
     HmmHyperparams,
@@ -23,6 +30,10 @@ from admixscan.sampler import (
     update_rho,
 )
 from conftest import trans_prob, validate_ranges
+
+
+def rows_of(state):
+    return observation_rows(state.p_a, state.p_b)
 
 
 def small_panel(n_loci=4, chrom=None):
@@ -58,13 +69,13 @@ class TestImputation:
         state.p_b[:] = 1e-12
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 0] = True
-        impute_missing_genotypes(state, np.nonzero(missing), rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
         assert (state.x_imp[:, 0] == 2).all()
         # state 0 with p_b ~ 0 always imputes genotype 0
         state.s[:, 1] = 0
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 1] = True
-        impute_missing_genotypes(state, np.nonzero(missing), rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
         assert (state.x_imp[:, 1] == 0).all()
 
     def test_heterozygous_state_empirical_row(self, rng):
@@ -72,7 +83,7 @@ class TestImputation:
         state = blank_state(n, 1)
         state.s[:, 0] = 1
         missing = np.ones((n, 1), dtype=bool)
-        impute_missing_genotypes(state, np.nonzero(missing), rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
         freqs = [(state.x_imp[:, 0] == k).mean() for k in range(3)]
         assert np.allclose(freqs, [0.16, 0.68, 0.16], atol=0.01)
 
@@ -80,7 +91,7 @@ class TestImputation:
         state = blank_state(10, 3)
         state.x_imp[:] = 2
         missing = np.zeros((10, 3), dtype=bool)
-        impute_missing_genotypes(state, np.nonzero(missing), rng)
+        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
         assert (state.x_imp == 2).all()
 
     def test_draws_one_uniform_per_missing_cell(self, rng):
@@ -89,7 +100,7 @@ class TestImputation:
         missing = rng.random(state.s.shape) < 0.2
         observed = state.x_imp[~missing].copy()
         gen, twin = np.random.default_rng(5), np.random.default_rng(5)
-        impute_missing_genotypes(state, np.nonzero(missing), gen)
+        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), gen)
         twin.random(int(missing.sum()))
         assert gen.random() == twin.random()
         assert np.array_equal(state.x_imp[~missing], observed)
@@ -100,7 +111,9 @@ class TestRecombinationCounts:
         # a 0 -> 2 transition has zero probability under 0 or 1 recombination
         s = np.array([[0, 2]], dtype=np.int8)
         u = rng.random((1, 2))
-        r = kernels.recombination_counts(s, np.array([1.0, 0.3]), np.array([0.5]), u)
+        r = kernels.recombination_counts(
+            s, np.array([1.0, 0.3]), transition_kernels(np.array([0.5])), u
+        )
         assert r[0, 1] == 2
 
     def test_gamma_near_one_forces_two_events(self, rng):
@@ -108,7 +121,7 @@ class TestRecombinationCounts:
         s = np.ones((n, 2), dtype=np.int8)
         u = rng.random((n, 2))
         r = kernels.recombination_counts(
-            s, np.array([1.0, 1.0 - 1e-12]), np.full(n, 0.5), u
+            s, np.array([1.0, 1.0 - 1e-12]), transition_kernels(np.full(n, 0.5)), u
         )
         assert (r[:, 1] == 2).all()
 
@@ -118,7 +131,9 @@ class TestRecombinationCounts:
         gamma, rho = 0.5, 0.5
         s = np.zeros((n, 2), dtype=np.int8)
         u = rng.random((n, 2))
-        r = kernels.recombination_counts(s, np.array([1.0, gamma]), np.full(n, rho), u)
+        r = kernels.recombination_counts(
+            s, np.array([1.0, gamma]), transition_kernels(np.full(n, rho)), u
+        )
         w = np.array(
             [
                 trans_prob(rho, k, m, sval) * binom.pmf(k, 2, gamma)
@@ -133,7 +148,7 @@ class TestRecombinationCounts:
         s = np.array([[1, 2, 0, 1]], dtype=np.int8)
         u = rng.random((1, 4))
         r = kernels.recombination_counts(
-            s, np.array([1.0, 0.9, 1.0, 0.9]), np.array([0.5]), u
+            s, np.array([1.0, 0.9, 1.0, 0.9]), transition_kernels(np.array([0.5])), u
         )
         assert r[0, 0] == 2 and r[0, 2] == 2
 
@@ -360,6 +375,15 @@ class TestDerivedPriors:
         with pytest.raises(ValueError, match="mu0"):
             derive_priors(g, panel, HmmHyperparams(mu0=0.9))
 
+    def test_non_finite_per_subject_rho0_refused(self):
+        with pytest.raises(ValueError, match="rho0 must be finite"):
+            HmmHyperparams(rho0=np.array([0.5, np.nan]))
+        # the range check fails NaN too: no comparison with NaN is true
+        hyper = HmmHyperparams()
+        hyper.rho0 = np.array([0.5, np.nan])
+        with pytest.raises(ValueError, match="strictly inside"):
+            hyper.rho0_vector(2)
+
     def test_tau_gamma_floor(self):
         panel = small_panel(3)
         g = GenotypeMatrix(x=np.zeros((2, 3), dtype=np.int8), subject_ids=["a", "b"])
@@ -391,9 +415,11 @@ class TestChromosomeStartInvariant:
         start = panel.chrom_start
         state = initial_state(g, panel, derived, rng)
         validate_ranges(state, start)
-        impute_missing_genotypes(state, derived.missing_cells, rng)
-        sample_ancestry_paths(state, rng)
-        sample_recombination_counts(state, rng)
+        rows = observation_rows(state.p_a, state.p_b)
+        kern = transition_kernels(state.rho)
+        impute_missing_genotypes(state, derived.missing_cells, rows, rng)
+        sample_ancestry_paths(state, rows, kern, rng)
+        sample_recombination_counts(state, kern, rng)
         update_gamma(state, derived, 30, rng)
         update_rho(state, derived, rng)
         update_allele_freqs(state, panel, rng)
