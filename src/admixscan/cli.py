@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -118,6 +119,11 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("manifest")
     p.add_argument("--out-dir", default=None,
                    help="override the recorded output directory")
+    # a token that starts with "-" and names no option of its command, such as
+    # -0.1,0.2 or -inf, is a value; argparse reads one as a value only if it
+    # is a plain negative number, and takes any other for an unknown option
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile("-")
     return parser
 
 
@@ -302,8 +308,7 @@ def cmd_rerun(args, _inputs):
     config = dict(record["config"])
     if args.out_dir is not None:
         config["out_dir"] = args.out_dir
-    # --flag=value, since argparse takes a separate value that starts with "-"
-    # for an option
+    # --flag=value, so that no recorded value is read as an option
     argv = [command]
     for key, value in config.items():
         argv.append(f"--{key.replace('_', '-')}={value}")

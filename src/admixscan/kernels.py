@@ -54,9 +54,23 @@ with a warning, and drew 0; here a kept cell stays ``s_next`` and a
 kernel cell draws 2.  It needs the next draw to have picked a state of
 weight 0, which only a uniform within rounding of 1 does.
 
-Recombination counts and the admixture-proportion counts gather from flat
-tables too: per-subject kernel entries indexed by (from, to), and lineage
-counts indexed by (recombinations, from, to).
+Recombination counts draw r at each cell, with previous state m and state
+n, over ``w0 = prior0 [m = n]``, ``w1 = prior1 T1(m, n)`` and
+``w2 = prior2 hwe(n)``, the prior being binomial(2, gamma).  Where m = n,
+w0 is prior0 and w1, w2 are at most prior1, prior2 (kernel entries are at
+most 1, and the prior terms sum to 1), so ``c0 = w0 / tot`` is at least
+prior0 (1 - O(eps)), and a uniform below the certificate prior0 (1 - 2**-30)
+draws 0.  Only the open cells, where m != n or u is not below the
+certificate (NaN is not), are weighed, with every cell's arithmetic
+``(w0 + w1) + w2``, ``w0 / tot`` and ``w1 / tot + c0``; they are found by
+flat index in row-major order and weighed in runs of at most
+``CHUNK_CELLS``.  The certificate is used only where it is proven: a locus
+whose prior terms are not all in [0, 1] or whose prior0 is 0 (gamma = 1, as
+at a start), and a subject whose kernel entries are not all in [0, 1], are
+open at every cell.
+
+The admixture-proportion counts gather from a flat table of lineage counts
+indexed by (recombinations, from, to).
 """
 from __future__ import annotations
 
@@ -65,8 +79,9 @@ import numpy as np
 from .errors import ForwardUnderflowError
 from .hmm import two_lineages
 
-# lane cells (one subject of one segment at one step) in a chunk of steps;
-# its emissions and gather indices take ~0.7 MiB
+# lane cells (one subject of one segment at one step) in a chunk of steps,
+# whose emissions and gather indices take ~0.7 MiB; also the open cells in a
+# run of recombination counts
 CHUNK_CELLS = 16384
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
 
@@ -136,11 +151,13 @@ def _chunks(pos, n_sub):
 def _forward(x, r, u, fwd, emit, layout, lost=None):
     """Filter every lane forward and draw what the backward pass will read.
 
-    Returns, per step, the lanes of its kernel cells and their rows in the
-    draw table (None where the step has none); the draw table, which holds
-    each kernel cell's draws of the cell before it given each state of its
-    own, flat by (kernel cell, state); the draw of every lane at its
-    segment's last locus; and whether some lane lost its mass.
+    Returns, per step past step 0, the lanes of its kernel cells and their
+    rows in the draw table (None where the step has none); the draw table,
+    which holds each such kernel cell's draws of the cell before it given
+    each state of its own, flat by (kernel cell, state); the draw of every
+    lane at its segment's last locus; and whether some lane lost its mass.
+    Step 0 starts every segment: no cell before it is drawn, so its kernel
+    cells have no rows.
     Given a list ``lost``, every step is checked and the list receives the
     smallest (locus, subject) whose mass vanished there.
     """
@@ -164,6 +181,7 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
         pt = fwd.take((rc + sub3).ravel()[cell], axis=2)
         obs = emit.take(x.take(flat) + 3 * rows, axis=1)
         cell_obs = obs.reshape(3, -1)[:, cell]
+        head = cuts[1] if k0 == 0 else 0   # step 0's kernel cells take no rows
         for k in range(k0, k1):
             p, g, g_next = pos[k] - a, count[k], count[k + 1]
             lo, hi = cuts[k - k0], cuts[k - k0 + 1]
@@ -176,7 +194,8 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
                 fk = kern[0] + kern[1]
                 fk += kern[2]
                 fk *= cell_obs[:, lo:hi]
-                moves[k] = lanes, done + lo, done + hi
+                if k:
+                    moves[k] = lanes, done + lo - head, done + hi - head
             if lo < hi and hi - lo == n_lanes:
                 f = fk
             else:   # r = 0 is the identity: (p0 1 + p1 0) + p2 0 is p0, bit for bit
@@ -203,8 +222,8 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
             prev = f
         # the backward weights of state m given next state n are pt[m, n],
         # drawn with the uniform of the cell before the kernel cell
-        tables.append(_draw3(pt, u.take(flat.ravel()[cell] - 1)).T)
-        done += pt.shape[2]
+        tables.append(_draw3(pt[:, :, head:], u.take(flat.ravel()[cell[head:]] - 1)).T)
+        done += pt.shape[2] - head
     return moves, np.concatenate(tables).ravel(), tails, vanished
 
 
@@ -269,44 +288,64 @@ def recombination_counts(s, gamma, kern, u):
     """Sample per-interval recombination counts given the ancestry path.
 
     ``kern`` is ``transition_kernels(rho)``.  Where ``gamma`` is 1, as at a
-    chromosome start, the count is 2.
+    chromosome start, the count is 2.  Weights are computed at the open
+    cells only; every other cell draws 0 (see the module docstring).
     """
     s = np.asarray(s)
-    n_sub = s.shape[0]
+    u = np.asarray(u)
+    gamma = np.asarray(gamma)
+    n_sub, n_loc = s.shape
     # the output first, below the temporaries in the heap (see ffbs_paths)
-    draw = np.empty(s.shape, dtype=np.int8)
-    # T(m, n) of subject i given one recombination is one[9i + 3m + n]; its
-    # Hardy-Weinberg row, the kernel of two, is hwe[3i + n]
-    one = kern[1].transpose(2, 0, 1).ravel()
+    draw = np.zeros(s.shape, dtype=np.int8)
+    # the Hardy-Weinberg row of subject i, the kernel of two recombinations,
+    # is hwe[3i + n], and T(m, n) given one is one[3(3i + n) + m]
     hwe = kern[2, 0].T.ravel()
-    lane = np.arange(n_sub)[:, None]
-    # locus 0 wraps round; it is a start, where gamma is 1 and only w2 counts
-    prev = _previous(s)
+    one = kern[1].transpose(2, 1, 0).ravel()
     prior = two_lineages(gamma, gamma)   # binomial(2, gamma): 0, 1, 2 recombinations
-    # in place: at most four subject x locus floats and indices live at once
-    cell = s + 3 * lane
-    w2 = hwe.take(cell)
-    w2 *= prior[2]
-    cell += 6 * lane
-    cell += 3 * prev
-    w1 = one.take(cell)
-    w1 *= prior[1]
-    del cell
-    w0 = (prev == s) * prior[0]
-    tot = w0 + w1
-    tot += w2
-    del w2
-    if not (tot.min() > 0.0 and tot.max() < np.inf):
-        i, j = np.argwhere(~((tot > 0.0) & np.isfinite(tot)))[0]
-        raise RuntimeError(
-            f"zero recombination mass at subject {i}, locus {j}; "
-            "gamma or rho left the open unit interval"
-        )
-    w0 /= tot
-    w1 /= tot
-    w1 += w0
-    np.greater_equal(u, w0, out=draw.view(bool))
-    draw += (u >= w1).view(np.int8)
+    # the certificate where it is proven: 0 <= gamma < 1 is where the prior
+    # terms are all in [0, 1] and prior0 > 0, and then prior0 >= 2**-106, a
+    # normal float; elsewhere -inf, which no uniform is below
+    cert = np.where((gamma >= 0.0) & (gamma < 1.0), prior[0] * (1.0 - 2.0 ** -30), -np.inf)
+    prev = _previous(s)
+    # a cell is closed where its state does not change, u is below the
+    # certificate (NaN is not) and the subject's kernel entries are in [0, 1]
+    closed = np.less(u, cert)
+    closed &= s == prev
+    entries = kern[1:].reshape(-1, n_sub)   # one and two recombinations
+    closed &= ((entries >= 0.0) & (entries <= 1.0)).all(axis=0)[:, None]
+    # the open cells in row-major order, so the first bad cell comes first
+    cells = np.flatnonzero(np.logical_not(closed, out=closed))
+    del closed
+    out = draw.reshape(-1)
+    for a in range(0, cells.size, CHUNK_CELLS):
+        c = cells[a:a + CHUNK_CELLS]
+        i = c // n_loc   # np.divmod takes four times as long
+        j = c - i * n_loc
+        n = s.take(c)
+        m = prev.take(c)
+        cell = 3 * i + n
+        w2 = hwe.take(cell)
+        w2 *= prior[2].take(j)
+        cell *= 3
+        cell += m
+        w1 = one.take(cell)
+        w1 *= prior[1].take(j)
+        w0 = (m == n) * prior[0].take(j)
+        tot = w0 + w1
+        tot += w2
+        if not (tot.min() > 0.0 and tot.max() < np.inf):
+            k = (~((tot > 0.0) & np.isfinite(tot))).argmax()
+            raise RuntimeError(
+                f"zero recombination mass at subject {i[k]}, locus {j[k]}; "
+                "gamma or rho left the open unit interval"
+            )
+        w0 /= tot
+        w1 /= tot
+        w1 += w0
+        uc = u.take(c)
+        d = (uc >= w0).view(np.int8)
+        d += uc >= w1
+        out[c] = d   # a third of the time of draw.put
     return draw
 
 

@@ -256,8 +256,9 @@ def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
     (a_a, b_a), (a_b, b_b) = allele_freq_posterior_params(
         counts, n_va, panel.p_a0, panel.p_b0, state.tau_a, state.tau_b
     )
-    state.p_a = _off_bounds(rng.beta(a_a, b_a))
-    state.p_b = _off_bounds(rng.beta(a_b, b_b))
+    # one call: Generator.beta draws element by element, so the stream is that
+    # of p_a's call then p_b's, with one set of argument checks
+    state.p_a, state.p_b = _off_bounds(rng.beta(np.stack((a_a, a_b)), np.stack((b_a, b_b))))
 
 
 def _beta_loglik(tau, freqs, means):

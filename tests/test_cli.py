@@ -247,6 +247,50 @@ def test_rerun_replays_a_value_that_starts_with_a_dash(tmp_path):
         tmp_path / "scan" / "stage1.tsv")
 
 
+def test_covariate_that_starts_with_a_dash_may_follow_its_option(tmp_path):
+    # "--covariates -bmi" written apart scans as "--covariates=-bmi" does
+    rng = np.random.default_rng(19)
+    draws = save_random_draws(tmp_path / "draws.adx", rng, 40)
+    y, bmi = rng.standard_normal((2, 40))
+    fileio.write_phenotypes(draws.subject_ids, TraitData(
+        y=y, kind="continuous", covariates=bmi[:, None], covariate_names=["-bmi"]),
+        tmp_path / "pheno.tsv")
+    argv = ["scan", "--draws", str(tmp_path / "draws.adx"),
+            "--phenotype", str(tmp_path / "pheno.tsv")]
+    assert main([*argv, "--covariates=-bmi", "--out-dir", str(tmp_path / "joined")]) == 0
+    assert main([*argv, "--covariates", "-bmi", "--out-dir", str(tmp_path / "apart")]) == 0
+    assert read_bytes(tmp_path / "apart" / "stage1.tsv") == read_bytes(
+        tmp_path / "joined" / "stage1.tsv")
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--c-values", "-0.1,0.2", "effect multiplier c must be nonnegative, got -0.1"),
+    ("--alpha", "-inf", "covariate effect alpha must be finite, got -inf"),
+], ids=["c_values", "alpha"])
+def test_value_that_starts_with_a_dash_reaches_the_checks(tmp_path, capsys, option,
+                                                          value, message):
+    # written apart from its option, argparse took the value for an option
+    # and exited 2 with a usage message
+    out = tmp_path / "sim"
+    code = main(["simulate", "--scenario", "single_locus", option, value,
+                 "--n-subjects", "50", "--out-dir", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_option_with_no_value_is_a_usage_error(tmp_path, capsys):
+    # the token after --c-values is an option of the command, not its value
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "--scenario", "single_locus", "--c-values", "--seed", "3",
+              "--out-dir", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --c-values: expected one argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestCountTrait:
     @pytest.fixture
     def count_inputs(self, tmp_path):

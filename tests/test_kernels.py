@@ -142,6 +142,35 @@ def ref_recombination_counts(s, chrom_start, gamma, rho, u):
     return out
 
 
+def recombination_inputs(rng, path_like, gamma_level, n_sub=16, n_loc=250):
+    """A path, its model and uniforms; chromosomes start at loci 0 and n_loc / 2.
+
+    A path-like ``s`` keeps each subject's state but at ~0.2% of cells; a
+    random one changes state at 2/3 of them.
+    """
+    if path_like:
+        s = np.repeat(rng.integers(0, 3, size=(n_sub, 1)), n_loc, axis=1)
+        flip = rng.random(s.shape) < 0.001
+        s[flip] = rng.integers(0, 3, size=flip.sum())
+    else:
+        s = rng.integers(0, 3, size=(n_sub, n_loc))
+    start = np.zeros(n_loc, dtype=bool)
+    start[[0, n_loc // 2]] = True
+    gamma = np.where(start, 1.0, gamma_level)
+    rho = rng.uniform(0.5, 0.95, n_sub)
+    return s.astype(np.int8), start, gamma, rho, rng.random((n_sub, n_loc))
+
+
+def certificate(gamma):
+    """Below it, a cell whose state does not change draws r = 0."""
+    return (1.0 - gamma) ** 2 * (1.0 - 2.0 ** -30)
+
+
+def open_share(s, gamma, u):
+    """The share of cells whose state changes or whose u is not below the certificate."""
+    return ((s != np.roll(s, 1, axis=1)) | ~(u < certificate(gamma))).mean()
+
+
 def ref_impute(x, missing, s, p_a, p_b, u):
     out = x.copy()
     for i, j in zip(*np.nonzero(missing)):
@@ -238,6 +267,106 @@ def test_recombination_counts_name_the_zero_mass_cell():
         )
 
 
+@pytest.mark.parametrize("path_like, gamma_level, share", [
+    (True, 1e-4, (0.0, 0.02)),
+    (True, 0.5, (0.6, 0.9)),
+    (False, 1e-4, (0.55, 0.8)),
+    (False, 0.5, (0.85, 0.97)),
+    (True, 1 - 1e-9, (1.0, 1.0)),
+    (False, 1 - 1e-9, (1.0, 1.0)),
+], ids=["path-gamma0", "path-gamma0.5", "random-gamma0", "random-gamma0.5",
+        "path-gamma1", "random-gamma1"])
+def test_recombination_counts_match_the_loop_at_every_open_share(
+        rng, path_like, gamma_level, share):
+    s, start, gamma, rho, u = recombination_inputs(rng, path_like, gamma_level)
+    assert share[0] <= open_share(s, gamma, u) <= share[1]
+    r = kernels.recombination_counts(s, gamma, transition_kernels(rho), u)
+    assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
+    assert (r[:, start] == 2).all()
+
+
+@pytest.mark.parametrize("side", [-1, 0, 1], ids=["below", "at", "above"])
+def test_recombination_counts_match_the_loop_at_the_certificate(rng, side):
+    # u one ulp below, at and one ulp above the certificate at every cell but
+    # the starts, where it is 0: a cell whose state does not change draws 0
+    s, start, gamma, rho, u = recombination_inputs(rng, False, 0.05)
+    gamma[~start] = rng.uniform(1e-4, 0.6, (~start).sum())
+    cert = np.broadcast_to(certificate(gamma)[~start], (s.shape[0], (~start).sum()))
+    u[:, ~start] = np.nextafter(cert, side * np.inf) if side else cert
+    r = kernels.recombination_counts(s, gamma, transition_kernels(rho), u)
+    assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
+    kept = (s == np.roll(s, 1, axis=1)) & ~start
+    assert (r[kept] == 0).all() and (r[~kept & ~start] > 0).any()
+
+
+def test_recombination_counts_certificate_is_tight():
+    # with rho = 0 every entry from state 0 to state 0 is 1, so the total
+    # weight is 1 up to rounding and c0 is prior0: a u just above prior0
+    # draws r = 1, and one just below the certificate draws 0
+    prior0 = (1.0 - 0.3) ** 2
+    u = np.array([[0.5, prior0 * (1.0 + 2.0 ** -31), prior0 * (1.0 - 2.0 ** -29)]])
+    r = kernels.recombination_counts(np.zeros((1, 3), dtype=np.int8),
+                                     np.array([1.0, 0.3, 0.3]), transition_kernels(np.zeros(1)), u)
+    assert r.tolist() == [[2, 1, 0]]
+
+
+def test_recombination_counts_never_close_a_start():
+    # gamma = 1 leaves no mass on r = 0, so no uniform certifies a start: a
+    # negative one still reaches the zero-mass check, which subject 1 fails
+    # (rho = 1 gives state 0 no mass after two recombinations)
+    u = np.full((2, 3), 0.5)
+    u[1, 0] = -0.5
+    with pytest.raises(RuntimeError, match="subject 1, locus 0"):
+        kernels.recombination_counts(np.zeros((2, 3), dtype=np.int8), np.array([1.0, 0.1, 0.1]),
+                                     transition_kernels(np.array([0.5, 1.0])), u)
+
+
+def test_recombination_counts_wrap_locus_0_round_to_the_last(rng):
+    # where gamma < 1 at locus 0, its previous state is the last locus's, as
+    # the loop's s[i, j - 1] reads it
+    s, start, gamma, rho, u = recombination_inputs(rng, False, 0.3)
+    start[0] = False
+    gamma[0] = 0.3
+    r = kernels.recombination_counts(s, gamma, transition_kernels(rho), u)
+    assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
+    assert (r[s[:, 0] != s[:, -1], 0] > 0).all()
+
+
+@pytest.mark.parametrize("cells", [1, 7, kernels.CHUNK_CELLS])
+def test_recombination_counts_chunking_changes_no_draw(rng, monkeypatch, cells):
+    s, start, gamma, rho, u = recombination_inputs(rng, False, 0.3)
+    monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+    r = kernels.recombination_counts(s, gamma, transition_kernels(rho), u)
+    assert np.array_equal(r, ref_recombination_counts(s, start, gamma, rho, u))
+
+
+@pytest.mark.parametrize("bad, cell", [
+    (("gamma", np.nan), (0, 2)),
+    (("gamma", np.inf), (0, 2)),
+    (("gamma", -np.inf), (0, 2)),
+    (("gamma", -0.1), (2, 2)),   # mass < 0 only where the state changes
+    (("gamma", 1.5), (2, 2)),
+    (("rho", np.nan), (1, 0)),
+], ids=["gamma-nan", "gamma-inf", "gamma-minus-inf", "gamma-below-0", "gamma-above-1",
+        "rho-nan"])
+def test_recombination_counts_name_the_first_cell_out_of_the_model(bad, cell):
+    # subjects 0 and 1 keep their state, subject 2 goes 0 -> 1 at locus 2, and
+    # every u = 0.5 is below a proper certificate: the cells that name the
+    # error would draw 0 unseen were the certificate applied where it fails
+    s = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1]], dtype=np.int8)
+    rho = np.full(3, 0.8)
+    what, value = bad
+    if what == "gamma":
+        gamma = np.array([1.0, 0.1, value, 0.1])
+    else:
+        gamma = np.full(4, 0.1)   # no start: locus 0 is weighed as any other
+        rho[1] = value
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError) as info:
+        kernels.recombination_counts(s, gamma, transition_kernels(rho), np.full((3, 4), 0.5))
+    assert str(info.value) == (f"zero recombination mass at subject {cell[0]}, "
+                               f"locus {cell[1]}; gamma or rho left the open unit interval")
+
+
 def test_ffbs_forward_normalisation_consistent(rng):
     # same inputs, same uniforms: the kernel and the scalar loop sample the
     # same paths except where rounding moves a cumulative weight across u
@@ -329,6 +458,27 @@ def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
         assert np.array_equal(ffbs(*sparse), whole[1])
 
 
+def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch):
+    # the backward pass reads a row before every kernel cell but a segment's
+    # first, so the forward pass draws none for those
+    tables = []
+
+    def backward(moves, table, *rest):
+        tables.append(table)
+        return real(moves, table, *rest)
+
+    real = kernels._backward
+    monkeypatch.setattr(kernels, "_backward", backward)
+    for cells in (60, kernels.CHUNK_CELLS):
+        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
+        args = segmented_chain(rng, 40, [12, 1, 20, 7])
+        r = args[1]
+        head = (r == 2).all(axis=0)
+        head[0] = True
+        assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
+        assert tables[-1].shape == (3 * (r[:, ~head] > 0).sum(),)
+
+
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
     # segments [0, 3) and [3, 10): locus 4 (step 1 of the longer segment)
     # fails before locus 2 (step 2 of the shorter) in lane order, but locus 2
@@ -388,3 +538,20 @@ def test_recombination_counts_peak_memory(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * one_array, f"peak {peak} B vs {one_array} B per array"
+
+
+@pytest.mark.parametrize("path_like", [True, False], ids=["path", "random"])
+def test_recombination_counts_peak_memory_per_cell(rng, path_like):
+    # weights only at open cells, in chunks: the output, the open mask and the
+    # open cells' indices, under 1.5 float64 arrays (12 B a cell) even where
+    # most cells are open
+    s, _, gamma, rho, u = recombination_inputs(rng, path_like, 0.01, 200, 2000)
+    kern = transition_kernels(rho)
+    one_array = s.size * 8
+    tracemalloc.start()
+    try:
+        kernels.recombination_counts(s, gamma, kern, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * one_array, f"peak {peak} B vs {one_array} B per array"
