@@ -47,6 +47,9 @@ _FMT = "%.10g"
 _PANEL_COLUMNS = ["marker_id", "chrom", "position", "p_a0", "p_b0"]
 _GENOTYPE_CODES = {"0": 0, "1": 1, "2": 2, "NA": MISSING}
 _GENOTYPE_TEXT = {code: text for text, code in _GENOTYPE_CODES.items()}
+# read_genotypes' one-byte cell codes, NA written as a newline
+_GENOTYPE_OF_BYTE = np.zeros(256, dtype=np.int8)
+_GENOTYPE_OF_BYTE[[ord(c) for c in "012\n"]] = [0, 1, 2, MISSING]
 _STAGE1_COLUMNS = ["locus_id", "chrom", "position", "index", "log10_bf", "selected",
                    "n_imputations", "flag"]
 
@@ -56,12 +59,13 @@ def _fmt(value):
 
 
 def _read_table(path, prefix, what):
-    """Yield a table's header cells, then ``(lineno, cells)`` per data row.
+    """Yield a table's header cells, then ``(lineno, row)`` per data row.
 
-    The checks every text format shares: a non-empty file, a header that
-    starts with ``prefix`` and names no column twice, blank lines skipped,
-    as many cells in each row as in the header, and no id repeated in the
-    first column.  Errors name the file and the line.
+    ``row`` is the line without its newline, for the reader to split.  The
+    checks every text format shares: a non-empty file, a header that starts
+    with ``prefix`` and names no column twice, blank lines skipped, as many
+    cells in each row as in the header, and no id repeated in the first
+    column.  Errors name the file and the line.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -83,17 +87,19 @@ def _read_table(path, prefix, what):
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                cells = line.rstrip("\n").split("\t")
-                if len(cells) != len(cols):
+                row = line.rstrip("\n")
+                width = row.count("\t") + 1
+                if width != len(cols):
                     raise DataFormatError(
-                        f"{path}:{lineno}: expected {len(cols)} columns, found {len(cells)}"
+                        f"{path}:{lineno}: expected {len(cols)} columns, found {width}"
                     )
-                if cells[0] in seen:
+                row_id = row.partition("\t")[0]
+                if row_id in seen:
                     raise DataFormatError(
-                        f"{path}:{lineno}: duplicate {prefix[0]} {cells[0]!r}"
+                        f"{path}:{lineno}: duplicate {prefix[0]} {row_id!r}"
                     )
-                seen.add(cells[0])
-                yield lineno, cells
+                seen.add(row_id)
+                yield lineno, row
         except UnicodeDecodeError as exc:
             raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -116,7 +122,8 @@ def read_panel(path, position_unit="morgans", cm_per_mb=1.0) -> AimPanel:
     table = _read_table(path, _PANEL_COLUMNS, "panel")
     next(table)
     marker_ids, columns = [], [[], [], [], []]
-    for lineno, cells in table:
+    for lineno, row in table:
+        cells = row.split("\t")
         marker_ids.append(cells[0])
         for name, value, column in zip(_PANEL_COLUMNS[1:], cells[1:], columns):
             try:
@@ -154,20 +161,26 @@ def read_genotypes(path):
     if not marker_ids:
         raise DataFormatError(f"{path}:1: no marker columns")
     subject_ids, rows = [], []
-    for lineno, cells in table:
-        subject_ids.append(cells[0])
-        try:
-            codes = map(_GENOTYPE_CODES.__getitem__, cells[1:])
-            rows.append(np.fromiter(codes, np.int8, len(marker_ids)))
-        except KeyError:
-            k = next(k for k, c in enumerate(cells[1:]) if c not in _GENOTYPE_CODES)
+    for lineno, row in table:
+        subject_id, _, text = row.partition("\t")
+        subject_ids.append(subject_id)
+        # a row holds no newline, so NA becomes one: the cells of a valid row
+        # are then one character of "012\n" each, at the even positions
+        text = text.replace("NA", "\n")
+        codes = text[::2].encode()
+        if len(text) != 2 * len(marker_ids) - 1 or codes.translate(None, b"012\n"):
+            cells = row.split("\t")[1:]
+            k = next(k for k, c in enumerate(cells) if c not in _GENOTYPE_CODES)
             raise DataFormatError(
                 f"{path}:{lineno}: marker {marker_ids[k]!r}, subject "
-                f"{cells[0]!r}: invalid genotype {cells[k + 1]!r}"
-            ) from None
+                f"{subject_id!r}: invalid genotype {cells[k]!r}"
+            )
+        rows.append(codes)
     if not rows:
         raise DataFormatError(f"{path}: no subject rows")
-    return GenotypeMatrix(x=np.vstack(rows), subject_ids=subject_ids), marker_ids
+    chars = np.frombuffer(b"".join(rows), np.uint8)
+    x = _GENOTYPE_OF_BYTE.take(chars).reshape(len(rows), len(marker_ids))
+    return GenotypeMatrix(x=x, subject_ids=subject_ids), marker_ids
 
 
 def write_genotypes(genotypes: GenotypeMatrix, marker_ids, path):
@@ -215,7 +228,8 @@ def read_phenotypes(path, trait_kind, covariates=None):
     take = [1] + [cols.index(c) for c in covariates]
     subject_ids, y, e = [], [], []
     dropped = 0
-    for lineno, cells in table:
+    for lineno, row in table:
+        cells = row.split("\t")
         wanted = [cells[k] for k in take]
         if "NA" in wanted:
             dropped += 1

@@ -24,8 +24,10 @@ independent segments from r alone and runs them side by side:
   has loci.
 * Kernel work is done only at kernel cells, where r > 0.  With r = 0 the
   kernel is the identity, and the loop's ``(p0 1 + p1 0) + p2 0`` is p0 bit
-  for bit, so every other cell's forward step is its predecessor's
-  filtered vector times the emission.  Per chunk of steps the transition
+  for bit, so every other cell's prediction is its predecessor's filtered
+  vector.  At a kernel cell the prediction replaces the lane's filtered
+  vector, which nothing reads again, so one multiply by the emissions, in
+  place, gives every lane's forward step.  Per chunk of steps the transition
   entries of the kernel cells, and the emissions of every cell's observed
   genotype, are gathered with ``np.take`` from flat tables, one indexed by
   (subject, recombinations) and one by (locus, genotype).
@@ -69,8 +71,9 @@ whose prior terms are not all in [0, 1] or whose prior0 is 0 (gamma = 1, as
 at a start), and a subject whose kernel entries are not all in [0, 1], are
 open at every cell.
 
-The admixture-proportion counts gather from a flat table of lineage counts
-indexed by (recombinations, from, to).
+The admixture-proportion counts gather, in one ``np.take``, from two flat
+tables of lineage counts (successes, failures) indexed by (recombinations,
+from, to), and sum them per subject in int32.
 """
 from __future__ import annotations
 
@@ -165,8 +168,9 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
     n_sub = row_start.size
     moves = [None] * len(count)
     tails = np.empty(count[0] * n_sub, dtype=np.int8)
-    # the Hardy-Weinberg row, which every kernel keeps
-    prev = np.concatenate([fwd[0, :, 2::3]] * count[0], axis=1)
+    # each lane's filtered vector, first the Hardy-Weinberg row, which every
+    # kernel keeps; each step filters it in place
+    f = np.concatenate([fwd[0, :, 2::3]] * count[0], axis=1)
     sub3 = np.arange(0, 3 * n_sub, 3)   # subject i's first column of fwd, 3i
     tables, done = [], 0
     vanished = False
@@ -175,33 +179,35 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
         rows = loci[a:pos[k1], None]
         flat = rows + row_start
         rc = r.take(flat)
-        cell = rc.ravel().nonzero()[0]   # kernel cells (r > 0), packed order
+        # kernel cells (r > 0), packed order; nonzero on a bool mask is ~5x
+        # faster than on int8
+        cell = (rc.ravel() != 0).nonzero()[0]
         cuts = cell.searchsorted([(q - a) * n_sub for q in pos[k0:k1 + 1]]).tolist()
         # T(m, n) of each kernel cell, times the filtered vector before it below
         pt = fwd.take((rc + sub3).ravel()[cell], axis=2)
         obs = emit.take(x.take(flat) + 3 * rows, axis=1)
-        cell_obs = obs.reshape(3, -1)[:, cell]
         head = cuts[1] if k0 == 0 else 0   # step 0's kernel cells take no rows
         for k in range(k0, k1):
             p, g, g_next = pos[k] - a, count[k], count[k + 1]
             lo, hi = cuts[k - k0], cuts[k - k0 + 1]
             n_lanes = g * n_sub
-            prev = prev[:, :n_lanes]
+            f = f[:, :n_lanes]
             if lo < hi:
-                lanes = cell[lo:hi] - p * n_sub if hi - lo < n_lanes else slice(n_lanes)
-                kern = pt[:, :, lo:hi]
-                kern *= prev[:, None, lanes]   # (from, to, kernel cell)
-                fk = kern[0] + kern[1]
-                fk += kern[2]
-                fk *= cell_obs[:, lo:hi]
+                kern = pt[:, :, lo:hi]   # (from, to, kernel cell)
+                if hi - lo < n_lanes:   # np.take gathers faster than [:, None, lanes]
+                    lanes = cell[lo:hi] - p * n_sub
+                    kern *= f.take(lanes, axis=1)[:, None]
+                else:
+                    lanes = slice(n_lanes)
+                    kern *= f[:, None]
+                pred = kern[0] + kern[1]
+                pred += kern[2]
+                # the prediction replaces the filtered vector, which nothing
+                # reads again; lanes with r = 0 keep theirs (the identity)
+                f[:, lanes] = pred
                 if k:
                     moves[k] = lanes, done + lo - head, done + hi - head
-            if lo < hi and hi - lo == n_lanes:
-                f = fk
-            else:   # r = 0 is the identity: (p0 1 + p1 0) + p2 0 is p0, bit for bit
-                f = prev * obs[:, p:p + g].reshape(3, n_lanes)
-                if lo < hi:
-                    f[:, lanes] = fk
+            f *= obs[:, p:p + g].reshape(3, n_lanes)
             tot = f[0] + f[1]
             tot += f[2]
             if lost is not None and not tot.min(initial=np.inf) > 0.0:
@@ -219,7 +225,6 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
             f /= tot
             if g_next < g:
                 tails[end] = _draw3(f[:, end], u.take(flat[p + g_next:p + g]).ravel())
-            prev = f
         # the backward weights of state m given next state n are pt[m, n],
         # drawn with the uniform of the cell before the kernel cell
         tables.append(_draw3(pt[:, :, head:], u.take(flat.ravel()[cell[head:]] - 1)).T)
@@ -364,10 +369,14 @@ def impute_genotypes(x, cells, s, rows, u):
 
 def genotype_state_counts(s, x):
     """Per-locus contingency counts n[j, ancestry, genotype]."""
-    s = np.asarray(s)
-    n_loc = s.shape[1]
-    flat = np.arange(n_loc) * 9 + s.astype(np.int64) * 3 + np.asarray(x)
-    return np.bincount(flat.ravel(), minlength=9 * n_loc).reshape(n_loc, 3, 3)
+    code = np.asarray(s, dtype=np.int8) * np.int8(3)   # 3 s + x, one byte a cell
+    code += np.asarray(x)
+    # one mask and one column sum per code: 2 B a cell, where np.bincount
+    # needs 8-byte bins and takes twice the time
+    counts = np.empty((code.shape[1], 9), dtype=np.int64)
+    for c in range(9):
+        counts[:, c] = (code == c).sum(axis=0, dtype=np.int32)
+    return counts.reshape(-1, 3, 3)
 
 
 def _lineage_count_table(informative, per_lineage):
@@ -382,8 +391,11 @@ def _lineage_count_table(informative, per_lineage):
 # One recombination redraws one lineage; the transition shows whether it came
 # from the high-risk population, except 1 -> 1, which either answer explains.
 # Two recombinations redraw both lineages: the to-state counts them.
-_SUCCESSES = _lineage_count_table(((0, 1), (1, 2), (2, 2)), [0, 1, 2])
-_FAILURES = _lineage_count_table(((0, 0), (1, 0), (2, 1)), [2, 1, 0])
+# Successes, then failures.
+_LINEAGE_COUNTS = np.stack([
+    _lineage_count_table(((0, 1), (1, 2), (2, 2)), [0, 1, 2]),
+    _lineage_count_table(((0, 0), (1, 0), (2, 1)), [2, 1, 0]),
+])
 
 
 def ancestry_count_stats(s, r):
@@ -397,5 +409,7 @@ def ancestry_count_stats(s, r):
     code = _previous(s) * 3   # locus 0 is a start, where r is 2
     code += s
     code += np.asarray(r) * 9
-    return (_SUCCESSES.take(code).sum(axis=1, dtype=np.float64),
-            _FAILURES.take(code).sum(axis=1, dtype=np.float64))
+    # one take casts the codes to indices once; the sums are integers, exact
+    # in int32 and in their float64 cast
+    successes, failures = _LINEAGE_COUNTS.take(code, axis=1).sum(axis=2, dtype=np.int32)
+    return successes.astype(np.float64), failures.astype(np.float64)

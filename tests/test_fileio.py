@@ -189,6 +189,53 @@ class TestGenotypeRoundTrip:
         g, _ = fileio.read_genotypes(path)
         assert g.x[0, 0] == MISSING
 
+    def test_na_at_either_end_and_a_whole_row(self, tmp_path):
+        path = tmp_path / "geno.tsv"
+        path.write_text("subject_id\trs0\trs1\trs2\nS0\tNA\t1\tNA\nS1\tNA\tNA\tNA\n"
+                        "S2\t2\tNA\t0\n")
+        g, _ = fileio.read_genotypes(path)
+        want = [[MISSING, 1, MISSING], [MISSING] * 3, [2, MISSING, 0]]
+        assert g.x.dtype == np.int8
+        assert np.array_equal(g.x, want)
+
+    @pytest.mark.parametrize("token", ["3", "-1", "N", "A", "", "NA ", "00", "\u00e9", "\uff12"])
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_invalid_cell_names_line_marker_and_subject(self, tmp_path, token, k):
+        # the bad cell sits among valid ones, NA next to it, on the second row
+        cells = ["1", "NA", "0", "NA", "2"]
+        cells[k] = token
+        path = tmp_path / "geno.tsv"
+        path.write_text("subject_id\trs0\trs1\trs2\trs3\trs4\n"
+                        "S0\t0\t1\t2\tNA\t0\n"
+                        "S1\t" + "\t".join(cells) + "\n", encoding="utf-8")
+        message = f"{path}:3: marker 'rs{k}', subject 'S1': invalid genotype {token!r}"
+        with pytest.raises(DataFormatError) as err:
+            fileio.read_genotypes(path)
+        assert str(err.value) == message
+
+    def test_first_invalid_cell_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "geno.tsv"
+        path.write_text("subject_id\trs0\trs1\trs2\nS0\tNA\tN\t3\n")
+        with pytest.raises(DataFormatError, match="marker 'rs1', subject 'S0': invalid genotype 'N'$"):
+            fileio.read_genotypes(path)
+
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path, rng):
+        x = rng.integers(0, 3, size=(6, 9)).astype(np.int8)
+        x[rng.random(x.shape) < 0.3] = MISSING
+        x[:, 0] = MISSING
+        x[2] = MISSING
+        g = GenotypeMatrix(x=x, subject_ids=[f"S{i}" for i in range(6)])
+        lf = tmp_path / "lf.tsv"
+        crlf = tmp_path / "crlf.tsv"
+        fileio.write_genotypes(g, [f"rs{j}" for j in range(9)], lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        (a, ids_a), (b, ids_b) = fileio.read_genotypes(lf), fileio.read_genotypes(crlf)
+        assert ids_a == ids_b == [f"rs{j}" for j in range(9)]
+        assert a.subject_ids == b.subject_ids == g.subject_ids
+        assert a.x.dtype == b.x.dtype == np.int8
+        assert np.array_equal(a.x, x) and np.array_equal(b.x, x)
+
     def test_column_reordering_by_marker_id(self, tmp_path, rng):
         panel = make_panel()
         x = rng.integers(0, 3, size=(3, 5)).astype(np.int8)

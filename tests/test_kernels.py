@@ -214,6 +214,34 @@ def test_genotype_state_counts_identical_across_backends(state):
     assert counts.sum() == s.size
 
 
+def test_genotype_state_counts_take_any_integer_layout(state):
+    # int64 states or genotypes, strided views and column-major copies count
+    # the same cells
+    s, x, _, _ = state
+    want = ref_genotype_counts(s, x)
+    strided = [np.repeat(a, 2, axis=1)[:, ::2] for a in (s, x)]
+    for a, b in [(s.astype(np.int64), x), (s, x.astype(np.int64)),
+                 (s.astype(np.int64), x.astype(np.int64)), strided,
+                 (np.asfortranarray(s), np.asfortranarray(x))]:
+        counts = kernels.genotype_state_counts(a, b)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want)
+
+
+def test_genotype_state_counts_peak_memory_per_cell(rng):
+    # the codes 3 s + x and one mask at a time, one byte a cell each, plus
+    # the (locus, code) table: under 3 B a cell, where int64 codes took 16
+    s = rng.integers(0, 3, size=(200, 2000)).astype(np.int8)
+    x = rng.integers(0, 3, size=(200, 2000)).astype(np.int8)
+    tracemalloc.start()
+    try:
+        kernels.genotype_state_counts(s, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * s.size, f"peak {peak / s.size:.2f} B a cell"
+
+
 def test_rho_count_stats_identical_across_backends(state):
     s, _, r, start = state
     a, b = kernels.ancestry_count_stats(s, r)
