@@ -358,7 +358,7 @@ class _Reader:
     def text(self, n):
         start = self.offset
         try:
-            return self.take(n).decode()
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise DrawsFileError(
                 f"{self.path}: text at byte {start + exc.start} is not UTF-8"
@@ -423,7 +423,8 @@ def load_draws(path) -> AncestryDraws:
         blob = fh.read()
     if len(blob) < len(DRAWS_MAGIC) + 6:
         raise DrawsFileError(f"{path}: file too short to be a draws file")
-    payload, crc_raw = blob[:-4], blob[-4:]
+    # a view: blob[:-4] would copy the whole payload
+    payload, crc_raw = memoryview(blob)[:-4], blob[-4:]
     (crc_stored,) = struct.unpack("<I", crc_raw)
     if zlib.crc32(payload) != crc_stored:
         raise DrawsFileError(f"{path}: checksum mismatch (corrupt or truncated)")

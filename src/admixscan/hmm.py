@@ -179,7 +179,8 @@ class AncestryDraws:
             raise ValueError("draws must have shape (m, n_subjects, n_loci)")
         if self.draws.shape[0] < 1:
             raise ValueError("at least one retained draw is required")
-        if np.any((self.draws < 0) | (self.draws > 2)):
+        # min and max make no full-size temporaries, as comparisons would
+        if self.draws.min(initial=0) < 0 or self.draws.max(initial=0) > 2:
             raise ValueError("ancestry draws must take values in {0, 1, 2}")
         self.sweep_index = np.asarray(self.sweep_index, dtype=np.int64)
         if self.sweep_index.shape != (self.draws.shape[0],):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -429,6 +430,26 @@ class TestDrawsFile:
         fileio.save_draws(draws, path)
         # packed section dominates: 2 bits per value plus bounded overhead
         assert path.stat().st_size < m * n_sub * n_loc / 4 + 300
+
+    def test_load_peak_memory_per_draw_cell(self, tmp_path, rng):
+        # the file's bytes (0.25 B a cell), the unpacked draws (1 B) and their
+        # unpacking temporaries (~0.5 B); a copy of the payload (0.25 B) and
+        # full-size range-check masks (1 B each) would take it to ~3.5 B
+        m, n_sub, n_loc = 10, 200, 1000
+        draws = AncestryDraws(
+            draws=rng.integers(0, 3, size=(m, n_sub, n_loc)).astype(np.int8),
+            sweep_index=np.arange(m, dtype=np.int64),
+        )
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(draws, path)
+        tracemalloc.start()
+        try:
+            back = fileio.load_draws(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.draws, draws.draws)
+        assert peak < 2.5 * draws.draws.size, f"peak {peak / draws.draws.size:.2f} B a cell"
 
 
 def rewrite_payload(path, edit):
