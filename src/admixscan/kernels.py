@@ -13,50 +13,74 @@ cumulative normalised weight exceeds u; ``_draw3`` is the only such draw,
 and FFBS, recombination counts and imputation all go through it.
 
 Ancestry paths are drawn by forward filtering, backward sampling (Scott
-2002, JASA).  Where every subject has r = 2 both lineages are redrawn from
-the Hardy-Weinberg row and the chain forgets its past.  Every chromosome
-start is such a column (gamma is 1 there), so the kernel finds the
-independent segments from r alone and runs them side by side:
+2002, JASA).  Where r = 0 the transition kernel is the identity, and where
+a subject has r = 2 its chain forgets its past (every chromosome start is
+such a cell, since gamma is 1 there).  Where at most ``RUN_SHARE`` of the
+cells in a call have r > 0, the kernel steps once per run of identity
+kernels:
 
-* Segments are ranked longest first.  A lane is one subject of one
-  segment, and step k holds the k-th locus of every segment longer than
-  k.  The lanes alive at a step are then a prefix of those alive at the
-  step before, and the loop takes as many steps as the longest segment
-  has loci.
-* Kernel work is done only at kernel cells, where r > 0.  With r = 0 the
-  kernel is the identity, and the loop's ``(p0 1 + p1 0) + p2 0`` is p0 bit
-  for bit, so every other cell's prediction is its predecessor's filtered
-  vector.  At a kernel cell the prediction replaces the lane's filtered
-  vector, which nothing reads again, so one multiply by the emissions, in
-  place, gives every lane's forward step.  Per chunk of steps the transition
-  entries of the kernel cells, and the emissions of every cell's observed
-  genotype, are gathered with ``np.take`` from flat tables, one indexed by
-  (subject, recombinations) and one by (locus, genotype).
-* The backward weights of state m before a kernel cell are
-  ``filt[m] * T[m, s_next]``: the forward step's own products
-  ``prev[m] * T[m, n]`` at n = s_next.  The forward pass therefore draws,
-  for each kernel cell and each of its three states, the state of the cell
-  before it, with that cell's uniform, and keeps those 3 bytes in place of
-  the 24 of a filtered vector.  At a segment's last locus it draws from
-  the filtered vector alone.  Besides the drawn path, nothing is kept per
-  cell.
-* The backward pass walks the steps down holding one state per lane.
-  Before a kernel cell it reads the drawn state from the table; before any
-  other cell T = I, so the weights are ``filt * e[s_next]`` and the draw is
-  ``s_next``, which the lane keeps.  A uniform is still drawn for every
-  cell, so the random stream does not depend on r.  Each step's states go
-  straight into their loci's columns of the output, with no packed copy.
+* A run starts at locus 0 and at every cell with r > 0.  A lane is one
+  subject from locus 0, or from a cell where it has r = 2, up to its next
+  such cell, whatever other subjects are in the call.  Lanes are ranked
+  by run count, most first, and step k holds run k of every lane with more
+  than k runs, so the lanes alive at a step are a prefix of those alive at
+  the step before (21-26 steps a sweep on the benchmark's
+  ``impute_cohort``, whose chromosomes have 200 loci).
+* Each run's log emissions are summed per state once, with
+  ``np.add.reduceat`` over chunks of ``CHUNK_CELLS`` cells in whole rows.
+  The forward step forms the prediction ``(p0 T0n + p1 T1n) + p2 T2n``
+  from the lane's filtered vector (the Hardy-Weinberg row at its first
+  run), adds its log to the run's sums, subtracts the largest,
+  exponentiates and divides by ``(f0 + f1) + f2``, so a run whose emission
+  product underflows keeps its mass.  A vanished mass leaves NaN in its
+  lane to the end; the pass then runs again checking every step, and
+  traces each lane's first loss cell by cell to the locus it names.
+* The backward weights of state m before a run past a lane's first (which
+  starts with r = 1) are ``filt[m] * T[m, s_next]``, the forward step's own
+  products, which sum to the prediction.  The forward pass draws from them,
+  for each of the run's three states, the state of the cell before it,
+  with that cell's uniform, and keeps those 3 bytes.  A lane's last cell
+  draws from its filtered vector alone: the row ends there, or the next
+  cell has r = 2, whose T[m, n] = hwe(n) does not depend on m.
+* The backward pass walks the steps down holding one state per lane.  In a
+  run T = I, so every cell takes the run's state; the cell before a run
+  reads its state from the table.  ``np.repeat`` fills the path, a chunk
+  of rows at a time.  A uniform is still drawn for every cell, so the
+  random stream does not depend on r.
 
-Each cell's arithmetic is that of a loop over loci:
-``(p0 T0n + p1 T1n) + p2 T2n``, times the emission, over ``(f0 + f1) + f2``.
-A segment starts from the Hardy-Weinberg row where that loop carried the
-previous segment's vector through the restart; the two differ in
-rounding only, which moves a draw only if its uniform falls within
-rounding of a cumulative weight.  One case is not bit-identical: weights
-``filt * T[:, s_next]`` that are all 0.  The loop divided 0 by 0 there,
-with a warning, and drew 0; here a kept cell stays ``s_next`` and a
-kernel cell draws 2.  It needs the next draw to have picked a state of
-weight 0, which only a uniform within rounding of 1 does.
+A run costs more than a locus: its log-space step, its log-emission sum
+(``np.add.reduceat`` pays per run) and 31 bytes kept.  So where more cells
+have r > 0, as on AIM panels 2-3 cM apart, the kernel steps once per locus:
+
+* A segment starts at locus 0 and at every column where all subjects in
+  the call have r = 2.  Segments are ranked longest first, a lane is one
+  subject of one segment, and step k holds the k-th locus of every segment
+  longer than k.
+* Kernel work is done only at kernel cells.  With r = 0 the loop's
+  ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit, so there the prediction is
+  the filtered vector before; at a kernel cell the prediction replaces it.
+  One multiply by the emissions, in place, and a division by
+  ``(f0 + f1) + f2`` then give every lane's forward step.  Per chunk of
+  steps of about ``CHUNK_CELLS`` lane cells, the kernel cells' transition
+  entries and every cell's emissions are gathered with ``np.take``.
+* As above, the forward pass draws, per kernel cell past a segment's first
+  locus and per state, the state of the cell before it (3 bytes), and a
+  segment's last locus draws from its filtered vector.  The backward pass
+  copies the next state before an identity kernel and reads the table
+  before a kernel cell.  A vanished mass divides as 0 / TINY = 0 and stays
+  so to its segment's end; the pass then runs again to name the cell.
+
+A loop over loci normalises at every cell and carries its vector through
+the r = 2 kernel; both passes differ from it, and from each other, in
+rounding only, which moves a draw only if its uniform falls within rounding
+of a cumulative weight.  A subset of the subjects gets the lanes of the
+whole call when it steps once per run, but a locus pass cuts only the
+columns where every subject in the call has r = 2.  One case is not
+bit-identical: weights ``filt * T[:, s_next]`` that are all 0.  The loop
+divided 0 by 0 there, with a warning, and drew 0; here a cell with an
+identity kernel after it stays ``s_next`` and any other draws 2.  It needs
+the next draw to have picked a state of weight 0, which only a uniform
+within rounding of 1 does.
 
 Recombination counts draw r at each cell, with previous state m and state
 n, over ``w0 = prior0 [m = n]``, ``w1 = prior1 T1(m, n)`` and
@@ -84,11 +108,16 @@ import numpy as np
 from .errors import ForwardUnderflowError
 from .hmm import two_lineages
 
-# lane cells (one subject of one segment at one step) in a chunk of steps,
-# whose emissions and gather indices take ~0.7 MiB; also the open cells in a
-# run of recombination counts
+# cells in a chunk of whole rows (at least one row), whose log emissions are
+# summed per run; lane cells in a chunk of steps of the locus pass, whose
+# emissions and gather indices take ~0.7 MiB; also the open cells in a run
+# of recombination counts
 CHUNK_CELLS = 16384
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
+# the largest share of kernel cells (r > 0) at which FFBS steps once per run:
+# above ~20% the locus pass is the faster (see the module docstring), and
+# above ~10% the smaller
+RUN_SHARE = 0.15
 
 
 def active_backend():
@@ -96,13 +125,15 @@ def active_backend():
     return "numpy"
 
 
-def _draw3(w, u):
+def _draw3(w, u, tot=None):
     """Categorical draws over the leading axis of ``w`` (3, ...), one per uniform.
 
-    Weights that are all 0 draw 2, with no 0 / 0.
+    ``tot``, if given, is the total ``(w0 + w1) + w2``, which the draw
+    overwrites.  Weights that are all 0 draw 2, with no 0 / 0.
     """
-    tot = w[0] + w[1]
-    tot += w[2]
+    if tot is None:
+        tot = w[0] + w[1]
+        tot += w[2]
     np.maximum(tot, TINY, out=tot)
     c0 = w[0] / tot
     c1 = np.divide(w[1], tot, out=tot)   # tot is not read again
@@ -116,6 +147,168 @@ def _previous(s):
     """Each locus's predecessor in ``s`` (subject, locus); locus 0 takes the last."""
     # np.roll does the same with several times the fixed cost
     return np.concatenate((s[:, -1:], s[:, :-1]), axis=1)
+
+
+def _runs(r):
+    """Packed layout of the chain's runs and lanes.
+
+    A run starts at locus 0 and at every cell with r > 0; a lane is one
+    subject from locus 0, or from a cell where it has r = 2, up to its next
+    such cell.  Lanes are ranked by run count, most first, ties in row-major
+    order; step k holds run k of every lane with more than k runs, so the
+    lanes alive at a step are a prefix of those alive at the step before.
+    Returns the flat cell where each run starts, in row-major order, then
+    ``r.size``; the first run of each row, then the number of runs; each
+    lane's first run, in rank order; the number of lanes alive at each step;
+    and each lane's last flat cell, in rank order.
+    """
+    n_loc = r.shape[1]
+    start = np.ones(r.size + 1, dtype=bool)
+    np.not_equal(r.reshape(-1), 0, out=start[:-1])
+    start[:-1:n_loc] = True
+    # int32 wherever the flat indices fit: 4 B a run, found in chunks of
+    # rows so that no 8-byte index of every run is made
+    index = np.int32 if r.size < 2 ** 31 else np.intp
+    rows = max(1, CHUNK_CELLS // n_loc) * n_loc
+    starts = np.concatenate([np.flatnonzero(start[a:a + rows]).astype(index) + index(a)
+                             for a in range(0, r.size + 1, rows)])
+    row_first = starts.searchsorted(np.arange(0, r.size + 1, n_loc))
+    # a row's first run heads a lane, and so does every run with r = 2
+    head = np.ones(starts.size, dtype=bool)
+    np.equal(r.take(starts[:-1]), 2, out=head[:-1])
+    head[row_first] = True
+    first = np.flatnonzero(head)
+    n_runs = first[1:] - first[:-1]
+    rank = (-n_runs).argsort(kind="stable")
+    count = np.bincount(n_runs)[:0:-1].cumsum()[::-1].tolist()
+    return starts, row_first, first.take(rank), count, starts.take(first[1:]).take(rank) - 1
+
+
+def _log_sums(x, rows, starts, row_first):
+    """Each run's sum of log emissions, per state: (3, runs).
+
+    Rows of ``x`` are summed in chunks of whole rows, so no run spans two.
+    """
+    n_sub, n_loc = x.shape
+    # the log emission of state n, genotype g at locus j is lemit[n, 3j + g];
+    # an impossible genotype's is -inf
+    with np.errstate(divide="ignore"):
+        lemit = np.log(rows.transpose(0, 2, 1).reshape(3, 3 * n_loc))
+    col = np.arange(0, 3 * n_loc, 3)
+    sums = np.empty((3, starts.size - 1))
+    step = max(1, CHUNK_CELLS // n_loc)
+    for i in range(0, n_sub, step):
+        a, b = row_first[i], row_first[min(i + step, n_sub)]
+        # one expression, so no chunk's logs outlive it
+        np.add.reduceat(lemit.take(x[i:i + step] + col, axis=1).reshape(3, -1),
+                        starts[a:b] - i * n_loc, axis=1, out=sums[:, a:b])
+    return sums
+
+
+def _first_lost(x, rows, starts, run, log_pred):
+    """(locus, subject) of the first cell of ``run`` where the forward mass vanishes."""
+    n_loc = x.shape[1]
+    a, b = int(starts[run]), int(starts[run + 1])
+    i, j = divmod(a, n_loc)
+    loci = np.arange(j, j + b - a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cum = np.log(rows[:, x[i, loci], loci]).cumsum(axis=1)
+        cum += log_pred[:, None]
+        # -inf in every state, or NaN or inf in any, as the per-locus total would see it
+        return j + int((~np.isfinite(cum.max(axis=0))).argmax()), i
+
+
+def _forward(u, r, layout, fwd, sums, lost=None):
+    """Filter every lane forward, one run a step, and draw the backward table.
+
+    Returns, per step past step 0, the table of its runs: for each lane and
+    each state of the run's first cell, the state of the cell before it,
+    flat by (lane, state); and every lane's filtered vector at its last
+    cell, which is NaN in a lane that lost its mass.  Given ``lost = (x,
+    rows, found)``, every step is checked and ``found`` receives the (locus,
+    subject) where each lane first lost its mass.
+    """
+    starts, _, first, count, _ = layout
+    lane = starts.take(first) // r.shape[1] * 3   # three times each lane's subject
+    tables = [None] * len(count)
+    # each lane's filtered vector, first the Hardy-Weinberg row, which every
+    # kernel keeps
+    f = fwd[0].take(lane + 2, axis=1)
+    for k, g in enumerate(count):
+        runs = first[:g] + k
+        # a lane's first run has its own kernel, every later one starts at
+        # r = 1: T(m, n) times the filtered vector before the run, (from, to, lane)
+        kern = fwd.take(lane[:g] + 1 if k else lane + r.take(starts.take(first)), axis=2)
+        kern *= f[:, None, :g]
+        pred = kern[0] + kern[1]
+        pred += kern[2]
+        # log 0 is -inf; a vanished mass makes top -inf or NaN, and logs - top
+        # NaN, in its lane to the end
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(pred)
+            if lost is not None:
+                x, rows, found = lost
+                log_pred = logs.copy()
+            logs += sums.take(runs, axis=1)
+            top = np.maximum(logs[0], logs[1])
+            np.maximum(top, logs[2], out=top)
+            logs -= top
+        if k:
+            # the backward weights of state m given the run's state n are
+            # kern[m, n], summing to pred[n], drawn with the uniform of the
+            # cell before the run
+            tables[k] = _draw3(kern, u.take(starts.take(runs) - 1), pred).T.ravel()
+        del kern, pred   # the step's largest temporaries, before the next are made
+        if lost is not None:
+            # a lane lost before keeps NaN to its end; only its first loss counts
+            new = ~np.isfinite(top)
+            if k:
+                new &= ~np.isnan(f[0, :g])
+            found += [_first_lost(x, rows, starts, runs[i], log_pred[:, i])
+                      for i in np.flatnonzero(new)]
+        np.exp(logs, out=logs)
+        tot = logs[0] + logs[1]
+        tot += logs[2]
+        np.divide(logs, tot, out=f[:, :g])
+    return tables, f
+
+
+def _backward(tables, tails, first, count, n_runs):
+    """The state of every run, in row-major order, each lane from its last run down.
+
+    Within a run the kernel is the identity, so every cell takes the run's
+    state; the cell before a run reads it from the run's table.
+    """
+    states = np.empty(n_runs, dtype=np.int8)
+    cur = tails
+    three = np.arange(0, 3 * cur.size, 3)
+    for k in range(len(count) - 1, -1, -1):
+        g = count[k]
+        states[first[:g] + k] = cur[:g]
+        if k:
+            cur[:g] = tables[k].take(three[:g] + cur[:g])
+    return states
+
+
+def _ffbs_runs(x, r, rows, fwd, u, s):
+    """FFBS one run a step, into ``s``."""
+    layout = _runs(r)
+    starts, row_first, first, count, last = layout
+    sums = _log_sums(x, rows, starts, row_first)
+    tables, f = _forward(u, r, layout, fwd, sums)
+    if np.isnan(f).any():
+        found = []
+        _forward(u, r, layout, fwd, sums, (x, rows, found))
+        locus, subject = min(found)
+        raise ForwardUnderflowError(subject, locus)
+    del sums   # 24 B a run: the path below must not stack on it
+    states = _backward(tables, _draw3(f, u.take(last)), first, count, starts.size - 1)
+    # every cell of a run takes its state, in chunks of rows: no temporary
+    # of a byte a cell
+    step = max(1, CHUNK_CELLS // x.shape[1])
+    for i in range(0, x.shape[0], step):
+        a, b = row_first[i], row_first[min(i + step, x.shape[0])]
+        s[i:i + step].reshape(-1)[:] = np.repeat(states[a:b], np.diff(starts[a:b + 1]))
 
 
 def _segments(r):
@@ -157,7 +350,7 @@ def _chunks(pos, n_sub):
     return list(zip(bounds, bounds[1:] + [n_steps]))
 
 
-def _forward(x, r, u, fwd, emit, layout, lost=None):
+def _locus_forward(x, r, u, fwd, emit, layout, lost=None):
     """Filter every lane forward and draw what the backward pass will read.
 
     Returns, per step past step 0, the lanes of its kernel cells and their
@@ -234,7 +427,7 @@ def _forward(x, r, u, fwd, emit, layout, lost=None):
     return moves, np.concatenate(tables).ravel(), tails, vanished
 
 
-def _backward(moves, table, tails, layout, s):
+def _locus_backward(moves, table, tails, layout, s):
     """Draw every lane into ``s``, each segment from its last step down.
 
     Where the next cell's kernel is the identity the draw is the next
@@ -253,6 +446,26 @@ def _backward(moves, table, tails, layout, s):
         s.T[loci[pos[k]:pos[k + 1]]] = step[:count[k]]
 
 
+
+
+def _ffbs_loci(x, r, rows, fwd, u, s):
+    """FFBS one locus a step, into ``s``."""
+    n_sub, n_loc = x.shape
+    loci, pos, count = _segments(r)
+    # the flat offset of (subject, locus 0) in x, r and u
+    row_start = np.arange(0, n_sub * n_loc, n_loc)
+    layout = (loci, pos, count, _chunks(pos, n_sub), row_start)
+    # the emission of state n, genotype g at locus j is emit[n, 3j + g]
+    emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
+    moves, table, tails, vanished = _locus_forward(x, r, u, fwd, emit, layout)
+    if vanished:
+        lost = []
+        _locus_forward(x, r, u, fwd, emit, layout, lost)
+        locus, subject = min(lost)
+        raise ForwardUnderflowError(subject, locus)
+    _locus_backward(moves, table, tails, layout, s)
+
+
 def ffbs_paths(x, r, rows, kern, u):
     """Sample one ancestry path per subject from its joint full conditional.
 
@@ -260,31 +473,23 @@ def ffbs_paths(x, r, rows, kern, u):
     ``observation_rows(p_a, p_b)`` and ``kern`` is ``transition_kernels(rho)``;
     ``u`` supplies one uniform per (subject, locus) for the backward draws.
     Raises :class:`ForwardUnderflowError` naming the first locus, and the first
-    subject there, whose forward mass vanishes.
+    subject there, whose forward mass vanishes.  Steps once per run where at
+    most ``RUN_SHARE`` of the cells have r > 0, else once per locus.
     """
     x = np.ascontiguousarray(x)
     r = np.ascontiguousarray(r)
     u = np.ascontiguousarray(u)
     n_sub, n_loc = x.shape
-    loci, pos, count = _segments(r)
-    # the flat offset of (subject, locus 0) in x, r and u
-    row_start = np.arange(0, n_sub * n_loc, n_loc)
-    layout = (loci, pos, count, _chunks(pos, n_sub), row_start)
-    # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c]; the
-    # emission of state n, genotype g at locus j is emit[n, 3j + g]
-    fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
     # the output first, below the forward pass's temporaries in the heap: made
     # after them, a sweep's long-lived outputs land ever higher as glibc trims
     # and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
     s = np.empty((n_sub, n_loc), dtype=np.int8)
-    moves, table, tails, vanished = _forward(x, r, u, fwd, emit, layout)
-    if vanished:
-        lost = []
-        _forward(x, r, u, fwd, emit, layout, lost)
-        locus, subject = min(lost)
-        raise ForwardUnderflowError(subject, locus)
-    _backward(moves, table, tails, layout, s)
+    # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c]
+    fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
+    if np.count_nonzero(r) <= RUN_SHARE * r.size:
+        _ffbs_runs(x, r, rows, fwd, u, s)
+    else:
+        _ffbs_loci(x, r, rows, fwd, u, s)
     return s
 
 
@@ -343,7 +548,7 @@ def recombination_counts(s, gamma, kern, u):
                 f"zero recombination mass at subject {i[k]}, locus {j[k]}; "
                 "gamma or rho left the open unit interval"
             )
-        out[c] = _draw3((w0, w1, w2), u.take(c))   # a third of the time of draw.put
+        out[c] = _draw3((w0, w1, w2), u.take(c), tot)   # a third of the time of draw.put
     return draw
 
 

@@ -73,10 +73,12 @@ def per_locus_draw3(w, u):
 
 
 def per_locus_ffbs(x, r, p_a, p_b, rho, u):
-    """FFBS one locus at a time for every subject, the loop the lanes replaced.
+    """FFBS one locus at a time for every subject, the loop the runs replaced.
 
-    Same tables and per-cell arithmetic as the kernel; only where a segment
-    starts or ends may rounding differ, which moves no draw here.
+    Same tables as the kernel, which combines a run's emissions once, in log
+    space, and starts a lane from the Hardy-Weinberg row where this loop
+    carries the previous vector through the r = 2 kernel; the two differ in
+    rounding only, which moves no draw here.
     """
     n_sub, n_loc = x.shape
     rows = np.arange(n_sub)
@@ -101,8 +103,28 @@ def per_locus_ffbs(x, r, p_a, p_b, rho, u):
 
 
 def ffbs(x, r, p_a, p_b, rho, u):
-    """The kernel on the model tables of these parameters, as a sweep builds them."""
-    return kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+    """The kernel on the model tables of these parameters, as a sweep builds them.
+
+    The kernel steps once per run where few cells have r > 0 and once per
+    locus elsewhere; every call here takes both passes, which must draw the
+    same path or name the same lost cell.
+    """
+    args = x, r, observation_rows(p_a, p_b), transition_kernels(rho), u
+    outcomes = []
+    for share in (1.0, -1.0):   # once per run at any share, then once per locus
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "RUN_SHARE", share)
+            try:
+                outcomes.append(kernels.ffbs_paths(*args))
+            except ForwardUnderflowError as err:
+                outcomes.append(err)
+    runs, loci = outcomes
+    if isinstance(runs, ForwardUnderflowError):
+        assert isinstance(loci, ForwardUnderflowError)
+        assert (loci.locus, loci.subject) == (runs.locus, runs.subject)
+        raise runs
+    assert np.array_equal(runs, loci)
+    return runs
 
 
 def segmented_chain(rng, n_sub, lengths, p_r=(0.6, 0.3, 0.1)):
@@ -413,10 +435,10 @@ def test_ffbs_forward_normalisation_consistent(rng):
 
 
 @pytest.mark.parametrize("n_sub, lengths", [
-    (40, [5, 1, 9, 3]),   # ragged segments, ranked 9, 5, 3, 1 in the lanes
+    (40, [5, 1, 9, 3]),   # ragged segments
     (40, [12]),           # one segment
     (1, [5, 1, 9, 3]),    # one subject
-    (40, [4, 4, 4]),      # equal lengths: every step holds all three
+    (40, [4, 4, 4]),      # equal lengths
 ])
 def test_ffbs_matches_the_per_locus_loop(rng, n_sub, lengths):
     args = segmented_chain(rng, n_sub, lengths)
@@ -453,7 +475,7 @@ def test_ffbs_matches_the_per_locus_loop_at_extreme_r(rng, n_sub, lengths, case)
 @pytest.mark.parametrize("share", [0.05, 0.15, 0.3, 0.5, 0.75, 1.0])
 def test_ffbs_matches_the_per_locus_loop_at_every_kernel_share(rng, n_sub, share):
     # share: the law's fraction of kernel cells (r > 0) away from the heads;
-    # 40 lanes run as one chunk, 2000 as chunks of eight loci
+    # 40 subjects sum their log emissions in one chunk, 2000 in five
     args = segmented_chain(rng, n_sub, [12, 1, 20, 7], (1 - share, share / 2, share / 2))
     assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
 
@@ -478,39 +500,41 @@ def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
     args = segmented_chain(rng, 50, [7, 2, 11, 11, 4])
     sparse = segmented_chain(rng, 50, [7, 2, 11, 11, 4], (0.95, 0.04, 0.01))
     whole = ffbs(*args), ffbs(*sparse)
-    # one step a chunk; ragged chunk edges; several steps a chunk, as at the
-    # default size on a larger input
-    for cells in (1, 60, 130, 700, 4096):
+    # once per run, the log emissions are summed in chunks of whole rows: one
+    # row a chunk (1 and 60 cells), 3 and 20 rows a chunk, and every row in
+    # one chunk at the default size; once per locus, the emissions and kernel
+    # entries are gathered per chunk of steps
+    for cells in (1, 60, 130, 700, kernels.CHUNK_CELLS):
         monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
         assert np.array_equal(ffbs(*args), whole[0])
         assert np.array_equal(ffbs(*sparse), whole[1])
 
 
 def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch):
-    # the backward pass reads a row before every kernel cell but a segment's
-    # first, so the forward pass draws none for those
+    # the backward pass reads a row before every run start but a lane's
+    # first (locus 0 or r = 2), so the forward pass draws rows only for the
+    # cells with r = 1 past locus 0
     tables = []
 
-    def backward(moves, table, *rest):
-        tables.append(table)
-        return real(moves, table, *rest)
+    def backward(step_tables, *rest):
+        tables.append(step_tables)
+        return real(step_tables, *rest)
 
     real = kernels._backward
     monkeypatch.setattr(kernels, "_backward", backward)
-    for cells in (60, kernels.CHUNK_CELLS):
-        monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
-        args = segmented_chain(rng, 40, [12, 1, 20, 7])
+    for lengths in ([12, 1, 20, 7], [40]):
+        args = segmented_chain(rng, 40, lengths)
         r = args[1]
-        head = (r == 2).all(axis=0)
-        head[0] = True
         assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
-        assert tables[-1].shape == (3 * (r[:, ~head] > 0).sum(),)
+        assert tables[-1][0] is None   # step 0 holds every lane's first run
+        rows = sum(t.size for t in tables[-1][1:]) // 3
+        assert rows == (r[:, 1:] == 1).sum()
 
 
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
-    # segments [0, 3) and [3, 10): locus 4 (step 1 of the longer segment)
-    # fails before locus 2 (step 2 of the shorter) in lane order, but locus 2
-    # comes first on the chromosome; subjects 2 and 3 fail there
+    # segments [0, 3) and [3, 10): subject 0 fails at locus 4, subjects 2 and
+    # 3 at locus 2; the error names the first locus on the chromosome, then
+    # its smallest subject, whatever order the lanes are stepped in
     x, r, p_a, p_b, rho, u = segmented_chain(rng, 6, [3, 7])
     for j, bad_subjects in ((2, [3, 2]), (4, [0])):
         p_a[j] = p_b[j] = 0.0   # genotype 0 is certain, genotype 1 impossible
@@ -524,28 +548,126 @@ def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
     assert (ref.value.locus, ref.value.subject) == (2, 2)
 
 
-def test_ffbs_peak_memory_per_cell(rng):
-    # FFBS keeps no filtered vectors: per cell, the output; per kernel cell,
-    # its lane and its three backward draws; per chunk of steps, its gathers.
-    # On 4 segments with 10% kernel cells that is ~6.7 B a cell; a packed copy
-    # of the path, scattered into the output at the end, adds 1 B a cell
+def identity_run(rng, n_sub, n_loc):
+    """One identity run per subject: r = 2 at locus 0 and 0 elsewhere."""
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, n_sub, [n_loc])
+    r[:, 1:] = 0
+    return x, r, p_a, p_b, rho, u
+
+
+def test_ffbs_run_whose_emission_product_underflows_does_not_raise(rng):
+    # 300 identity cells of genotype 1 at frequencies near 1e-3: every
+    # state's emission is ~2e-3, and their product over the run, ~1e-810,
+    # is 0 in float64; a few kernel cells follow the run
+    x, r, p_a, p_b, rho, u = identity_run(rng, 8, 310)
+    x[:, :300] = 1
+    p_a[:300] = rng.uniform(0.9e-3, 1.1e-3, 300)
+    p_b[:300] = rng.uniform(0.9e-3, 1.1e-3, 300)
+    rows = observation_rows(p_a, p_b)
+    assert (rows[:, 1, :300] < 2.3e-3).all()
+    assert np.prod(rows[:, 1, :300], axis=1).max() == 0.0
+    r[::2, 303] = 1
+    assert np.array_equal(ffbs(x, r, p_a, p_b, rho, u),
+                          per_locus_ffbs(x, r, p_a, p_b, rho, u))
+
+
+@pytest.mark.parametrize("case", ["impossible genotype", "NaN frequency"])
+def test_ffbs_loss_inside_a_long_identity_run_names_its_locus(rng, case):
+    # locus 150 lies deep inside every subject's one run; subject 5 also has
+    # a kernel cell before it, which splits its run there
+    x, r, p_a, p_b, rho, u = identity_run(rng, 6, 200)
+    r[5, 40] = 1
+    if case == "impossible genotype":
+        p_a[150] = p_b[150] = 0.0   # genotype 0 is certain
+        x[:, 150] = 0
+        x[[4, 2, 5], 150] = 1
+        x[0, 170] = 1               # later on the chromosome
+        p_a[170] = p_b[170] = 0.0
+        want = (150, 2)
+    else:
+        p_a[150] = np.nan
+        want = (150, 0)
+    with pytest.raises(ForwardUnderflowError) as info:
+        ffbs(x, r, p_a, p_b, rho, u)
+    assert (info.value.locus, info.value.subject) == want
+    with pytest.raises(ForwardUnderflowError) as ref:
+        per_locus_ffbs(x, r, p_a, p_b, rho, u)
+    assert (ref.value.locus, ref.value.subject) == want
+
+
+@pytest.mark.parametrize("pick", ["one subject", "every other subject", "reversed"])
+def test_ffbs_on_a_subset_of_subjects_draws_their_rows_of_the_whole(rng, pick):
+    # stepping once per run, a lane is cut where its own subject has r = 2,
+    # so no draw depends on which other subjects share the call; once per
+    # locus, a segment is cut where every subject in the call has r = 2, which
+    # moves no draw here but a rounding
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 30, [25, 15])
+    assert ((r == 2).any(axis=0) & ~(r == 2).all(axis=0)).sum() > 10
+    whole = ffbs(x, r, p_a, p_b, rho, u)
+    assert np.array_equal(whole, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+    idx = {"one subject": [7], "every other subject": np.arange(0, 30, 2),
+           "reversed": np.arange(30)[::-1]}[pick]
+    part = ffbs(x[idx], r[idx], p_a, p_b, rho[idx], u[idx])
+    assert np.array_equal(part, whole[idx])
+
+
+def ffbs_peak_per_cell(rng, p_r):
+    """tracemalloc's peak in ``ffbs_paths`` on 200 x 2000 cells, per cell.
+
+    r has the law ``p_r`` away from the chromosome starts; the uniforms and
+    the other inputs are made before tracing starts.
+    """
     n_sub, n_loc = 200, 2000
     x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
-    r = rng.choice(3, p=[0.9, 0.09, 0.01], size=(n_sub, n_loc)).astype(np.int8)
+    r = rng.choice(3, p=p_r, size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
     start[::500] = True
     r[:, start] = 2
-    p_a = rng.uniform(0.55, 0.95, n_loc)
-    p_b = rng.uniform(0.05, 0.45, n_loc)
-    rho = rng.uniform(0.5, 0.95, n_sub)
+    rows = observation_rows(rng.uniform(0.55, 0.95, n_loc), rng.uniform(0.05, 0.45, n_loc))
+    kern = transition_kernels(rng.uniform(0.5, 0.95, n_sub))
     u = rng.random((n_sub, n_loc))
     tracemalloc.start()
     try:
-        ffbs(x, r, p_a, p_b, rho, u)
-        peak = tracemalloc.get_traced_memory()[1]
+        kernels.ffbs_paths(x, r, rows, kern, u)
+        return tracemalloc.get_traced_memory()[1] / x.size
     finally:
         tracemalloc.stop()
-    assert peak < 7.2 * x.size, f"peak {peak / x.size:.2f} B a cell"
+
+
+def test_ffbs_peak_memory_per_cell(rng):
+    # FFBS keeps no filtered vector per cell. With 10% kernel cells it steps
+    # once per run and keeps, per cell, the output; per run, its start and
+    # its three log emission sums; per run past a lane's first, its three
+    # backward draws; per chunk of rows, its gathered logs: ~6.4 B a cell.
+    # The per-lane kernels kept for the whole pass, or a second copy of the
+    # sums, would break the bound
+    peak = ffbs_peak_per_cell(rng, [0.9, 0.09, 0.01])
+    assert peak < 7.2, f"peak {peak:.2f} B a cell"
+
+
+@pytest.mark.parametrize("p_r, bound", [([0.6, 0.36, 0.04], 12.0), ([0.0, 0.9, 0.1], 24.0)])
+def test_ffbs_peak_memory_per_cell_at_a_high_kernel_share(rng, p_r, bound):
+    # with 40% and 100% kernel cells FFBS steps once per locus: ~11.0 and
+    # ~22.1 B a cell. Stepping once per run there took ~20.9 and ~50.1, its
+    # 24 B of log sums and 7 B of start and draws a run outgrowing the 3 B
+    # of draws a kernel cell
+    peak = ffbs_peak_per_cell(rng, p_r)
+    assert peak < bound, f"peak {peak:.2f} B a cell"
+
+
+def test_ffbs_steps_once_per_run_only_at_a_low_kernel_share(rng, monkeypatch):
+    # the pass is chosen by the share of kernel cells in the call: once per
+    # run up to RUN_SHARE, once per locus above it
+    passes = []
+    for name in ("_ffbs_runs", "_ffbs_loci"):
+        monkeypatch.setattr(kernels, name, lambda *args, name=name: passes.append(name))
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 20, [50])
+    n_kernel = int(kernels.RUN_SHARE * r.size)
+    for extra, want in ((0, "_ffbs_runs"), (1, "_ffbs_loci")):
+        r[:] = 0
+        r.reshape(-1)[:n_kernel + extra] = 1
+        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+        assert passes[-1] == want
 
 
 def test_recombination_counts_peak_memory(rng):
