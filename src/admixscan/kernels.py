@@ -33,8 +33,9 @@ kernels:
   run), adds its log to the run's sums, subtracts the largest,
   exponentiates and divides by ``(f0 + f1) + f2``, so a run whose emission
   product underflows keeps its mass.  A vanished mass leaves NaN in its
-  lane to the end; the pass then runs again checking every step, and
-  traces each lane's first loss cell by cell to the locus it names.
+  lane to the end; the pass then frees what it holds and hands the call to
+  the locus pass below, which names the cell (or, if it keeps every lane's
+  mass, draws the path).
 * The backward weights of state m before a run past a lane's first (which
   starts with r = 1) are ``filt[m] * T[m, s_next]``, the forward step's own
   products, which sum to the prediction.  The forward pass draws from them,
@@ -205,28 +206,13 @@ def _log_sums(x, rows, starts, row_first):
     return sums
 
 
-def _first_lost(x, rows, starts, run, log_pred):
-    """(locus, subject) of the first cell of ``run`` where the forward mass vanishes."""
-    n_loc = x.shape[1]
-    a, b = int(starts[run]), int(starts[run + 1])
-    i, j = divmod(a, n_loc)
-    loci = np.arange(j, j + b - a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cum = np.log(rows[:, x[i, loci], loci]).cumsum(axis=1)
-        cum += log_pred[:, None]
-        # -inf in every state, or NaN or inf in any, as the per-locus total would see it
-        return j + int((~np.isfinite(cum.max(axis=0))).argmax()), i
-
-
-def _forward(u, r, layout, fwd, sums, lost=None):
+def _forward(u, r, layout, fwd, sums):
     """Filter every lane forward, one run a step, and draw the backward table.
 
     Returns, per step past step 0, the table of its runs: for each lane and
     each state of the run's first cell, the state of the cell before it,
     flat by (lane, state); and every lane's filtered vector at its last
-    cell, which is NaN in a lane that lost its mass.  Given ``lost = (x,
-    rows, found)``, every step is checked and ``found`` receives the (locus,
-    subject) where each lane first lost its mass.
+    cell, which is NaN in a lane that lost its mass.
     """
     starts, _, first, count, _ = layout
     lane = starts.take(first) // r.shape[1] * 3   # three times each lane's subject
@@ -246,9 +232,6 @@ def _forward(u, r, layout, fwd, sums, lost=None):
         # NaN, in its lane to the end
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(pred)
-            if lost is not None:
-                x, rows, found = lost
-                log_pred = logs.copy()
             logs += sums.take(runs, axis=1)
             top = np.maximum(logs[0], logs[1])
             np.maximum(top, logs[2], out=top)
@@ -259,13 +242,6 @@ def _forward(u, r, layout, fwd, sums, lost=None):
             # cell before the run
             tables[k] = _draw3(kern, u.take(starts.take(runs) - 1), pred).T.ravel()
         del kern, pred   # the step's largest temporaries, before the next are made
-        if lost is not None:
-            # a lane lost before keeps NaN to its end; only its first loss counts
-            new = ~np.isfinite(top)
-            if k:
-                new &= ~np.isnan(f[0, :g])
-            found += [_first_lost(x, rows, starts, runs[i], log_pred[:, i])
-                      for i in np.flatnonzero(new)]
         np.exp(logs, out=logs)
         tot = logs[0] + logs[1]
         tot += logs[2]
@@ -291,17 +267,14 @@ def _backward(tables, tails, first, count, n_runs):
 
 
 def _ffbs_runs(x, r, rows, fwd, u, s):
-    """FFBS one run a step, into ``s``."""
+    """FFBS one run a step, into ``s``; True, with ``s`` unwritten, if a lane lost its mass."""
     layout = _runs(r)
     starts, row_first, first, count, last = layout
     sums = _log_sums(x, rows, starts, row_first)
     tables, f = _forward(u, r, layout, fwd, sums)
-    if np.isnan(f).any():
-        found = []
-        _forward(u, r, layout, fwd, sums, (x, rows, found))
-        locus, subject = min(found)
-        raise ForwardUnderflowError(subject, locus)
     del sums   # 24 B a run: the path below must not stack on it
+    if np.isnan(f).any():
+        return True
     states = _backward(tables, _draw3(f, u.take(last)), first, count, starts.size - 1)
     # every cell of a run takes its state, in chunks of rows: no temporary
     # of a byte a cell
@@ -474,7 +447,9 @@ def ffbs_paths(x, r, rows, kern, u):
     ``u`` supplies one uniform per (subject, locus) for the backward draws.
     Raises :class:`ForwardUnderflowError` naming the first locus, and the first
     subject there, whose forward mass vanishes.  Steps once per run where at
-    most ``RUN_SHARE`` of the cells have r > 0, else once per locus.
+    most ``RUN_SHARE`` of the cells have r > 0, else once per locus; a run
+    pass that loses a mass hands the call to the locus pass, the one place
+    that names the cell.
     """
     x = np.ascontiguousarray(x)
     r = np.ascontiguousarray(r)
@@ -486,9 +461,9 @@ def ffbs_paths(x, r, rows, kern, u):
     s = np.empty((n_sub, n_loc), dtype=np.int8)
     # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c]
     fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    if np.count_nonzero(r) <= RUN_SHARE * r.size:
-        _ffbs_runs(x, r, rows, fwd, u, s)
-    else:
+    # the run pass returns having freed what it holds, so the locus pass
+    # does not stack on it
+    if np.count_nonzero(r) > RUN_SHARE * r.size or _ffbs_runs(x, r, rows, fwd, u, s):
         _ffbs_loci(x, r, rows, fwd, u, s)
     return s
 
