@@ -15,73 +15,72 @@ and FFBS, recombination counts and imputation all go through it.
 Ancestry paths are drawn by forward filtering, backward sampling (Scott
 2002, JASA).  Where r = 0 the transition kernel is the identity, and where
 a subject has r = 2 its chain forgets its past (every chromosome start is
-such a cell, since gamma is 1 there).  Where at most ``RUN_SHARE`` of the
-cells in a call have r > 0, the kernel steps once per run of identity
-kernels:
+such a cell, since gamma is 1 there).  One forward and one backward pass
+step over units: a run of identity kernels where at most ``RUN_SHARE`` of
+the cells in a call have r > 0, a locus above that share.
 
-* A run starts at locus 0 and at every cell with r > 0.  A lane is one
-  subject from locus 0, or from a cell where it has r = 2, up to its next
-  such cell, whatever other subjects are in the call.  Lanes are ranked
-  by run count, most first, and step k holds run k of every lane with more
-  than k runs, so the lanes alive at a step are a prefix of those alive at
-  the step before (21-26 steps a sweep on the benchmark's
-  ``impute_cohort``, whose chromosomes have 200 loci).
-* Each run's log emissions are summed per state once, with
-  ``np.add.reduceat`` over chunks of ``CHUNK_CELLS`` cells in whole rows.
-  The forward step forms the prediction ``(p0 T0n + p1 T1n) + p2 T2n``
-  from the lane's filtered vector (the Hardy-Weinberg row at its first
-  run), adds its log to the run's sums, subtracts the largest,
-  exponentiates and divides by ``(f0 + f1) + f2``, so a run whose emission
-  product underflows keeps its mass.  A vanished mass leaves NaN in its
-  lane to the end; the pass then frees what it holds and hands the call to
-  the locus pass below, which names the cell (or, if it keeps every lane's
-  mass, draws the path).
-* The backward weights of state m before a run past a lane's first (which
-  starts with r = 1) are ``filt[m] * T[m, s_next]``, the forward step's own
-  products, which sum to the prediction.  The forward pass draws from them,
-  for each of the run's three states, the state of the cell before it,
-  with that cell's uniform, and keeps those 3 bytes.  A lane's last cell
-  draws from its filtered vector alone: the row ends there, or the next
-  cell has r = 2, whose T[m, n] = hwe(n) does not depend on m.
-* The backward pass walks the steps down holding one state per lane.  In a
-  run T = I, so every cell takes the run's state; the cell before a run
-  reads its state from the table.  ``np.repeat`` fills the path, a chunk
-  of rows at a time.  A uniform is still drawn for every cell, so the
-  random stream does not depend on r.
+* A run starts at locus 0 and at every cell with r > 0; a lane of runs is
+  one subject from locus 0, or from a cell where it has r = 2, up to its
+  next such cell, whatever other subjects are in the call.  A segment
+  starts at locus 0 and at every column where every subject in the call
+  has r = 2; a lane of loci is one subject of one segment.  Lanes come in
+  groups (one lane of runs, or a segment of every subject) ranked longest
+  first, and step k holds unit k of every group longer than k, so the
+  lanes alive at a step are a prefix of those alive at the step before
+  (21-26 steps a sweep on the benchmark's ``impute_cohort``, whose
+  chromosomes have 200 loci).  A kernel unit is one whose first cell has
+  r > 0, as every run past a lane's first (r = 1).
+* A locus's emission factor is its emission row.  A run's is its emission
+  product over its largest state's: the log emissions are summed per state
+  with ``np.add.reduceat`` over chunks of ``CHUNK_CELLS`` cells in whole
+  rows, less their largest, and exponentiated in one call, so a run whose
+  product underflows keeps its mass.
+* The forward pass gathers, per chunk of steps (``CHUNK_CELLS`` lanes of
+  loci, a sixteenth as many runs), each unit's first cell and r, the kernel
+  entries of its kernel units and its emission factor.  At a kernel unit
+  the prediction ``(p0 T0n + p1 T1n) + p2 T2n`` replaces the lane's
+  filtered vector (the Hardy-Weinberg row at its first unit); elsewhere the
+  kernel is the identity, whose ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit.
+  Each lane then multiplies by its factor and divides by
+  ``(f0 + f1) + f2``, at least ``TINY``; where every lane of a step is a
+  kernel unit, as past a lane's first run, slices replace the gathers.
+* The backward weights of state m before a kernel unit past a lane's first
+  are ``filt[m] * T[m, s_next]``, the forward step's own products, which
+  sum to the prediction.  The forward pass draws from them, for each of the
+  unit's three states, the state of the cell before it, with that cell's
+  uniform, and keeps those 3 bytes.  A lane's last cell draws from its
+  filtered vector alone: the row ends there, or the next cell has r = 2,
+  whose T[m, n] = hwe(n) does not depend on m.
+* The backward pass walks the steps down holding one state per lane: the
+  cell before an identity kernel takes the unit's state, the cell before a
+  kernel unit reads it from the table, and ``np.repeat`` fills each run's
+  cells, a chunk of rows at a time.  A uniform is still drawn for every
+  cell, so the random stream does not depend on r.
+* A vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and stays
+  0 (NaN stays NaN) to its lane's end.  Stepping once per locus, the
+  forward pass then runs again, checking every step, to name the cell.
+  Stepping once per run, the call is redone once per locus, which names
+  the cell if it loses the mass too; if not, the subjects of the lanes that
+  lost it take their rows from the redo.  Runs lose a mass that loci keep
+  where a lane's vector is (1, 0, 0) exactly and the next run, which starts
+  with r = 1, makes state 2 so much the likeliest that the factors of the
+  two states it can reach underflow: T1(0, 2) is 0.
 
-A run costs more than a locus: its log-space step, its log-emission sum
-(``np.add.reduceat`` pays per run) and 31 bytes kept.  So where more cells
-have r > 0, as on AIM panels 2-3 cM apart, the kernel steps once per locus:
-
-* A segment starts at locus 0 and at every column where all subjects in
-  the call have r = 2.  Segments are ranked longest first, a lane is one
-  subject of one segment, and step k holds the k-th locus of every segment
-  longer than k.
-* Kernel work is done only at kernel cells.  With r = 0 the loop's
-  ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit, so there the prediction is
-  the filtered vector before; at a kernel cell the prediction replaces it.
-  One multiply by the emissions, in place, and a division by
-  ``(f0 + f1) + f2`` then give every lane's forward step.  Per chunk of
-  steps of about ``CHUNK_CELLS`` lane cells, the kernel cells' transition
-  entries and every cell's emissions are gathered with ``np.take``.
-* As above, the forward pass draws, per kernel cell past a segment's first
-  locus and per state, the state of the cell before it (3 bytes), and a
-  segment's last locus draws from its filtered vector.  The backward pass
-  copies the next state before an identity kernel and reads the table
-  before a kernel cell.  A vanished mass divides as 0 / TINY = 0 and stays
-  so to its segment's end; the pass then runs again to name the cell.
-
-A loop over loci normalises at every cell and carries its vector through
-the r = 2 kernel; both passes differ from it, and from each other, in
-rounding only, which moves a draw only if its uniform falls within rounding
-of a cumulative weight.  A subset of the subjects gets the lanes of the
-whole call when it steps once per run, but a locus pass cuts only the
-columns where every subject in the call has r = 2.  One case is not
-bit-identical: weights ``filt * T[:, s_next]`` that are all 0.  The loop
-divided 0 by 0 there, with a warning, and drew 0; here a cell with an
-identity kernel after it stays ``s_next`` and any other draws 2.  It needs
-the next draw to have picked a state of weight 0, which only a uniform
-within rounding of 1 does.
+A run costs more than a locus: its emission sum (``np.add.reduceat`` pays
+per run) and 33 bytes kept.  So where more cells have r > 0, as on AIM
+panels 2-3 cM apart, the unit is a locus.  A loop over loci normalises at
+every cell, as loci do here, and carries its vector through the r = 2
+kernel.  A run multiplies its emissions before it normalises, so a state
+whose mass relative to the others falls below the float range inside a run
+and rises back by its end is lost to loci and kept by runs; elsewhere the
+rounding differs, which moves a draw only if its uniform falls within
+rounding of a cumulative weight.  A subset of the subjects gets the lanes
+of the whole call once per run, but a segment cuts only the columns where
+every subject in the call has r = 2.  Weights ``filt * T[:, s_next]`` that
+are all 0 draw 2, where the loop divided 0 by 0, with a warning, and drew
+0; a cell with an identity kernel after it stays ``s_next``.  It needs the
+next draw to have picked a state of weight 0, which only a uniform within
+rounding of 1 does.
 
 Recombination counts draw r at each cell, with previous state m and state
 n, over ``w0 = prior0 [m = n]``, ``w1 = prior1 T1(m, n)`` and
@@ -104,20 +103,21 @@ from, to), and sum them per subject in int32.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import ForwardUnderflowError
 from .hmm import two_lineages
 
 # cells in a chunk of whole rows (at least one row), whose log emissions are
-# summed per run; lane cells in a chunk of steps of the locus pass, whose
-# emissions and gather indices take ~0.7 MiB; also the open cells in a run
-# of recombination counts
+# summed per run; lanes of loci in a chunk of steps, a sixteenth as many of
+# runs, whose kernel entries take 72 B each; also the open cells in a run of
+# recombination counts
 CHUNK_CELLS = 16384
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
 # the largest share of kernel cells (r > 0) at which FFBS steps once per run:
-# above ~20% the locus pass is the faster (see the module docstring), and
-# above ~10% the smaller
+# above ~20% a locus a step is the faster, and above ~10% the smaller
 RUN_SHARE = 0.15
 
 
@@ -150,293 +150,231 @@ def _previous(s):
     return np.concatenate((s[:, -1:], s[:, :-1]), axis=1)
 
 
-def _runs(r):
-    """Packed layout of the chain's runs and lanes.
+def _layout(r, runs):
+    """The lanes of one call, in groups: one lane of runs, or a segment of every subject.
 
-    A run starts at locus 0 and at every cell with r > 0; a lane is one
-    subject from locus 0, or from a cell where it has r = 2, up to its next
-    such cell.  Lanes are ranked by run count, most first, ties in row-major
-    order; step k holds run k of every lane with more than k runs, so the
-    lanes alive at a step are a prefix of those alive at the step before.
-    Returns the flat cell where each run starts, in row-major order, then
-    ``r.size``; the first run of each row, then the number of runs; each
-    lane's first run, in rank order; the number of lanes alive at each step;
-    and each lane's last flat cell, in rank order.
+    Returns the groups' first units (runs or loci), longest first, ties in
+    order; the number of groups alive at each step; each lane's last cell;
+    and, once per run, the flat cell where each run starts, then ``r.size``,
+    each row's first run, then the run count, and r where each run starts.
     """
-    n_loc = r.shape[1]
-    start = np.ones(r.size + 1, dtype=bool)
-    np.not_equal(r.reshape(-1), 0, out=start[:-1])
-    start[:-1:n_loc] = True
-    # int32 wherever the flat indices fit: 4 B a run, found in chunks of
-    # rows so that no 8-byte index of every run is made
-    index = np.int32 if r.size < 2 ** 31 else np.intp
-    rows = max(1, CHUNK_CELLS // n_loc) * n_loc
-    starts = np.concatenate([np.flatnonzero(start[a:a + rows]).astype(index) + index(a)
-                             for a in range(0, r.size + 1, rows)])
-    row_first = starts.searchsorted(np.arange(0, r.size + 1, n_loc))
-    # a row's first run heads a lane, and so does every run with r = 2
-    head = np.ones(starts.size, dtype=bool)
-    np.equal(r.take(starts[:-1]), 2, out=head[:-1])
-    head[row_first] = True
-    first = np.flatnonzero(head)
-    n_runs = first[1:] - first[:-1]
-    rank = (-n_runs).argsort(kind="stable")
-    count = np.bincount(n_runs)[:0:-1].cumsum()[::-1].tolist()
-    return starts, row_first, first.take(rank), count, starts.take(first[1:]).take(rank) - 1
+    n_sub, n_loc = r.shape
+    run = None
+    if runs:
+        start = np.ones(r.size + 1, dtype=bool)
+        np.not_equal(r.reshape(-1), 0, out=start[:-1])
+        start[:-1:n_loc] = True
+        # int32 wherever the flat indices fit: 4 B a run, found in chunks of
+        # rows so that no 8-byte index of every run is made
+        index = np.int32 if r.size < 2 ** 31 else np.intp
+        rows = max(1, CHUNK_CELLS // n_loc) * n_loc
+        starts = np.concatenate([np.flatnonzero(start[a:a + rows]).astype(index) + index(a)
+                                 for a in range(0, r.size + 1, rows)])
+        row_first = starts.searchsorted(np.arange(0, r.size + 1, n_loc))
+        run = starts, row_first, r.take(starts[:-1])
+        # a row's first run heads a lane, and so does every run with r = 2
+        head = np.ones(starts.size, dtype=bool)
+        np.equal(run[2], 2, out=head[:-1])
+        head[row_first] = True
+        first = np.flatnonzero(head)
+        last = starts.take(first[1:]) - 1
+    else:
+        head = np.logical_and.reduce(r == 2)   # over subjects
+        head[0] = True
+        first = head.nonzero()[0]
+        if first.size == 1:   # one segment, as on one chromosome: nothing to rank
+            return first, [1] * n_loc, np.arange(n_loc - 1, r.size, n_loc), None
+        first = np.append(first, n_loc)
+        last = first[1:, None] - 1 + np.arange(0, r.size, n_loc)
+    length = first[1:] - first[:-1]
+    rank = (-length).argsort(kind="stable")
+    count = np.bincount(length)[:0:-1].cumsum()[::-1].tolist()
+    return first[:-1].take(rank), count, last.take(rank, axis=0).ravel(), run
 
 
-def _log_sums(x, rows, starts, row_first):
-    """Each run's sum of log emissions, per state: (3, runs).
+def _run_factors(x, rows, starts, row_first):
+    """Each run's emission product, per state, over its largest state's: (3, runs).
 
-    Rows of ``x`` are summed in chunks of whole rows, so no run spans two.
+    Summed in logs per chunk of whole rows, so no run spans two, then scaled
+    and exponentiated at once; a run that no state can emit is NaN.
     """
     n_sub, n_loc = x.shape
-    # the log emission of state n, genotype g at locus j is lemit[n, 3j + g];
-    # an impossible genotype's is -inf
-    with np.errstate(divide="ignore"):
-        lemit = np.log(rows.transpose(0, 2, 1).reshape(3, 3 * n_loc))
-    col = np.arange(0, 3 * n_loc, 3)
-    sums = np.empty((3, starts.size - 1))
+    fac = np.empty((3, starts.size - 1))
     step = max(1, CHUNK_CELLS // n_loc)
-    for i in range(0, n_sub, step):
-        a, b = row_first[i], row_first[min(i + step, n_sub)]
-        # one expression, so no chunk's logs outlive it
-        np.add.reduceat(lemit.take(x[i:i + step] + col, axis=1).reshape(3, -1),
-                        starts[a:b] - i * n_loc, axis=1, out=sums[:, a:b])
-    return sums
+    # the log emission of state n, genotype g at locus j is lemit[n, 3j + g];
+    # an impossible genotype's is -inf, and -inf - -inf is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lemit = np.log(rows.transpose(0, 2, 1).reshape(3, 3 * n_loc))
+        col = np.arange(0, 3 * n_loc, 3)
+        for i in range(0, n_sub, step):
+            a, b = row_first[i], row_first[min(i + step, n_sub)]
+            # one expression, so no chunk's logs outlive it
+            np.add.reduceat(lemit.take(x[i:i + step] + col, axis=1).reshape(3, -1),
+                            starts[a:b] - i * n_loc, axis=1, out=fac[:, a:b])
+        top = np.maximum(fac[0], fac[1])
+        fac -= np.maximum(top, fac[2], out=top)
+    return np.exp(fac, out=fac)
 
 
-def _forward(u, r, layout, fwd, sums):
-    """Filter every lane forward, one run a step, and draw the backward table.
+def _filter_forward(gather, layout, fwd, u, f, lost=None):
+    """Filter every lane forward in ``f``, one unit a step, and draw the backward tables.
 
-    Returns, per step past step 0, the table of its runs: for each lane and
-    each state of the run's first cell, the state of the cell before it,
-    flat by (lane, state); and every lane's filtered vector at its last
-    cell, which is NaN in a lane that lost its mass.
+    ``gather(grp)`` gives each lane's first cell, r, kernel column of ``fwd``
+    and emission factor at the units ``grp``, packed step by step.  Returns,
+    per step past step 0 with kernel units, their lanes and their draws of
+    the cell before them, flat by (unit, state).  A list ``lost`` receives
+    each step's first (locus, subject) whose mass vanished.
     """
-    starts, _, first, count, _ = layout
-    lane = starts.take(first) // r.shape[1] * 3   # three times each lane's subject
-    tables = [None] * len(count)
-    # each lane's filtered vector, first the Hardy-Weinberg row, which every
-    # kernel keeps
-    f = fwd[0].take(lane + 2, axis=1)
-    for k, g in enumerate(count):
-        runs = first[:g] + k
-        # a lane's first run has its own kernel, every later one starts at
-        # r = 1: T(m, n) times the filtered vector before the run, (from, to, lane)
-        kern = fwd.take(lane[:g] + 1 if k else lane + r.take(starts.take(first)), axis=2)
-        kern *= f[:, None, :g]
-        pred = kern[0] + kern[1]
-        pred += kern[2]
-        # log 0 is -inf; a vanished mass makes top -inf or NaN, and logs - top
-        # NaN, in its lane to the end
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(pred)
-            logs += sums.take(runs, axis=1)
-            top = np.maximum(logs[0], logs[1])
-            np.maximum(top, logs[2], out=top)
-            logs -= top
-        if k:
-            # the backward weights of state m given the run's state n are
-            # kern[m, n], summing to pred[n], drawn with the uniform of the
-            # cell before the run
-            tables[k] = _draw3(kern, u.take(starts.take(runs) - 1), pred).T.ravel()
-        del kern, pred   # the step's largest temporaries, before the next are made
-        np.exp(logs, out=logs)
-        tot = logs[0] + logs[1]
-        tot += logs[2]
-        np.divide(logs, tot, out=f[:, :g])
-    return tables, f
+    heads, count, width, size = layout
+    moves = [None] * len(count)
+    pos = [q * width for q in accumulate(count, initial=0)]   # each step's first lane
+    bounds = [k for k in range(len(count)) if k == 0 or pos[k] // size != pos[k - 1] // size]
+    for k0, k1 in zip(bounds, bounds[1:] + [len(count)]):
+        g = count[k0]
+        if count[k1 - 1] == g:
+            grp = (np.arange(k0, k1)[:, None] + heads[:g]).ravel()
+        else:
+            grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
+        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves, lost)
+    return moves
 
 
-def _backward(tables, tails, first, count, n_runs):
-    """The state of every run, in row-major order, each lane from its last run down.
+def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, lost):
+    """Steps ``k0`` on, whose lanes start at ``pos``: its own frame frees their arrays."""
+    cells, rc, col, fac = gather(grp)
+    cuts, before = [q - pos[0] for q in pos], cells
+    if np.count_nonzero(rc) < rc.size:
+        # the kernel units (r > 0), packed order; nonzero on a bool mask is
+        # ~5x faster than on int8
+        unit = (rc != 0).nonzero()[0]
+        cuts = unit.searchsorted(cuts).tolist()
+        col, before = col.take(unit), cells.take(unit)
+    # T(m, n) of each kernel unit, times the filtered vector before it below,
+    # and their sums, the predictions
+    pt = fwd.take(col, axis=2)
+    pred = np.empty(pt.shape[1:])
+    head = cuts[1] if k0 == 0 else 0   # step 0's kernel units draw no rows
+    for i in range(len(pos) - 1):
+        p, n = pos[i] - pos[0], pos[i + 1] - pos[i]
+        f = f[:, :n]
+        lo, hi = cuts[i], cuts[i + 1]
+        every = 0 < hi - lo == n   # every lane a kernel unit: slices, not gathers
+        if lo < hi:
+            # the prediction (p0 T0n + p1 T1n) + p2 T2n replaces the filtered
+            # vector; other lanes keep theirs (the identity)
+            kern = pt[:, :, lo:hi]   # (from, to, kernel unit)
+            lanes = slice(None, n) if every else unit[lo:hi] - p
+            # f.take(lanes)[:, None] is faster than f[:, None, lanes]
+            kern *= (f if every else f.take(lanes, axis=1))[:, None]
+            prd = pred[:, lo:hi]
+            np.add(kern[0], kern[1], out=prd)
+            prd += kern[2]
+            if not every:
+                f[:, lanes] = prd
+            if k0 + i:
+                moves[k0 + i] = lanes, lo - head, hi - head
+        if every:
+            np.multiply(prd, fac[:, p:p + n], out=f)
+        else:
+            f *= fac[:, p:p + n]
+        tot = f[0] + f[1]
+        tot += f[2]
+        if lost is not None and not tot.min(initial=np.inf) > 0.0:
+            subject, locus = np.divmod(cells[p:p + n][~(tot > 0.0)], u.shape[1])
+            lost.append(min(zip(locus.tolist(), subject.tolist())))
+        # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and
+        # stays 0 (NaN stays NaN) to the end of its lane
+        np.maximum(tot, TINY, out=tot)
+        f /= tot
+    del col, fac   # before the draws' temporaries are made
+    # the backward weights of state m given the unit's state n are pt[m, n],
+    # summing to pred[n], drawn with the uniform of the cell before the unit
+    table = _draw3(pt[:, :, head:], u.take(before[head:] - 1), pred[:, head:]).T.ravel()
+    for k in range(max(k0, 1), k0 + len(pos) - 1):
+        if moves[k] is not None:
+            lanes, lo, hi = moves[k]
+            moves[k] = lanes, table[3 * lo:3 * hi]
 
-    Within a run the kernel is the identity, so every cell takes the run's
-    state; the cell before a run reads it from the run's table.
+
+def _sample_backward(moves, cur, layout, out):
+    """Every unit's state into ``out[unit]``, each lane down from its last unit's, ``cur``.
+
+    The cell before a unit takes its state, or before a kernel unit its draw.
     """
-    states = np.empty(n_runs, dtype=np.int8)
-    cur = tails
+    heads, count, _, _ = layout
     three = np.arange(0, 3 * cur.size, 3)
+    groups = cur.reshape((-1,) + out.shape[1:])   # a row a group: out[unit]'s shape
     for k in range(len(count) - 1, -1, -1):
         g = count[k]
-        states[first[:g] + k] = cur[:g]
-        if k:
-            cur[:g] = tables[k].take(three[:g] + cur[:g])
-    return states
+        if g == 1:   # basic indexing, several times cheaper
+            out[heads[0] + k] = groups[0]
+        else:
+            out[heads[:g] + k] = groups[:g]
+        if moves[k] is not None:
+            lanes, table = moves[k]
+            cur[lanes] = table.take(three[:table.size // 3] + cur[lanes])
 
 
-def _ffbs_runs(x, r, rows, fwd, u, s):
-    """FFBS one run a step, into ``s``; True, with ``s`` unwritten, if a lane lost its mass."""
-    layout = _runs(r)
-    starts, row_first, first, count, last = layout
-    sums = _log_sums(x, rows, starts, row_first)
-    tables, f = _forward(u, r, layout, fwd, sums)
-    del sums   # 24 B a run: the path below must not stack on it
-    if np.isnan(f).any():
-        return True
-    states = _backward(tables, _draw3(f, u.take(last)), first, count, starts.size - 1)
-    # every cell of a run takes its state, in chunks of rows: no temporary
-    # of a byte a cell
-    step = max(1, CHUNK_CELLS // x.shape[1])
-    for i in range(0, x.shape[0], step):
-        a, b = row_first[i], row_first[min(i + step, x.shape[0])]
-        s[i:i + step].reshape(-1)[:] = np.repeat(states[a:b], np.diff(starts[a:b + 1]))
+def _ffbs(x, r, rows, kern, u, s, runs):
+    """FFBS into ``s``, one run a step if ``runs``, else one locus a step.
 
-
-def _segments(r):
-    """Packed layout of the chain's independent segments.
-
-    A segment starts at locus 0 and at every column where all subjects have
-    r = 2.  Segments are ranked longest first, ties in locus order; step k
-    holds the k-th locus of every segment longer than k, so the segments
-    alive at a step are a prefix of those alive at the step before.  Returns
-    the loci in packed order (step-major, rank-minor); the packed row where
-    each step starts; and the number of segments alive at each step.  Both
-    lists end with one step past the last, which is empty.
+    Returns the subjects of the lanes of runs that lost their mass, whose
+    rows of ``s`` hold no path; a locus that loses one raises
+    :class:`ForwardUnderflowError`, naming the first cell.
     """
-    n_loc = r.shape[1]
-    head = np.logical_and.reduce(r == 2)   # over subjects
-    head[0] = True
-    first = head.nonzero()[0]
-    # one segment, the usual case on a single chromosome: the general layout
-    # below is the same, but costs ~20 us more a call, ~4% of a 3 x 4 sweep
-    if first.size == 1:
-        return np.arange(n_loc), [*range(n_loc + 1), n_loc], [1] * n_loc + [0]
-    length = np.append(first[1:], n_loc) - first
-    rank = np.empty_like(first)
-    rank[(-length).argsort(kind="stable")] = np.arange(first.size)
-    seg = np.repeat(np.arange(first.size), length)
-    step = np.arange(n_loc) - first[seg]
-    loci = (step * first.size + rank[seg]).argsort()
-    count = np.bincount(step).tolist() + [0]
-    pos = np.cumsum([0] + count).tolist()
-    return loci, pos, count
-
-
-def _chunks(pos, n_sub):
-    """Runs ``[k0, k1)`` of steps of about ``CHUNK_CELLS`` lane cells each."""
-    n_steps = len(pos) - 2
-    rows = max(1, CHUNK_CELLS // max(n_sub, 1))
-    run = [p // rows for p in pos[:n_steps]]
-    bounds = [k for k in range(n_steps) if k == 0 or run[k] != run[k - 1]]
-    return list(zip(bounds, bounds[1:] + [n_steps]))
-
-
-def _locus_forward(x, r, u, fwd, emit, layout, lost=None):
-    """Filter every lane forward and draw what the backward pass will read.
-
-    Returns, per step past step 0, the lanes of its kernel cells and their
-    rows in the draw table (None where the step has none); the draw table,
-    which holds each such kernel cell's draws of the cell before it given
-    each state of its own, flat by (kernel cell, state); the draw of every
-    lane at its segment's last locus; and whether some lane lost its mass.
-    Step 0 starts every segment: no cell before it is drawn, so its kernel
-    cells have no rows.
-    Given a list ``lost``, every step is checked and the list receives the
-    smallest (locus, subject) whose mass vanished there.
-    """
-    loci, pos, count, chunks, row_start = layout
-    n_sub = row_start.size
-    moves = [None] * len(count)
-    tails = np.empty(count[0] * n_sub, dtype=np.int8)
-    # each lane's filtered vector, first the Hardy-Weinberg row, which every
-    # kernel keeps; each step filters it in place
-    f = np.concatenate([fwd[0, :, 2::3]] * count[0], axis=1)
-    sub3 = np.arange(0, 3 * n_sub, 3)   # subject i's first column of fwd, 3i
-    tables, done = [], 0
-    vanished = False
-    for k0, k1 in chunks:
-        a = pos[k0]
-        rows = loci[a:pos[k1], None]
-        flat = rows + row_start
-        rc = r.take(flat)
-        # kernel cells (r > 0), packed order; nonzero on a bool mask is ~5x
-        # faster than on int8
-        cell = (rc.ravel() != 0).nonzero()[0]
-        cuts = cell.searchsorted([(q - a) * n_sub for q in pos[k0:k1 + 1]]).tolist()
-        # T(m, n) of each kernel cell, times the filtered vector before it below
-        pt = fwd.take((rc + sub3).ravel()[cell], axis=2)
-        obs = emit.take(x.take(flat) + 3 * rows, axis=1)
-        head = cuts[1] if k0 == 0 else 0   # step 0's kernel cells take no rows
-        for k in range(k0, k1):
-            p, g, g_next = pos[k] - a, count[k], count[k + 1]
-            lo, hi = cuts[k - k0], cuts[k - k0 + 1]
-            n_lanes = g * n_sub
-            f = f[:, :n_lanes]
-            if lo < hi:
-                kern = pt[:, :, lo:hi]   # (from, to, kernel cell)
-                lanes = cell[lo:hi] - p * n_sub
-                kern *= f.take(lanes, axis=1)[:, None]   # faster than f[:, None, lanes]
-                pred = kern[0] + kern[1]
-                pred += kern[2]
-                # the prediction replaces the filtered vector, which nothing
-                # reads again; lanes with r = 0 keep theirs (the identity)
-                f[:, lanes] = pred
-                if k:
-                    moves[k] = lanes, done + lo - head, done + hi - head
-            f *= obs[:, p:p + g].reshape(3, n_lanes)
-            tot = f[0] + f[1]
-            tot += f[2]
-            if lost is not None and not tot.min(initial=np.inf) > 0.0:
-                lane = np.flatnonzero(~(tot > 0.0))
-                locus = loci[pos[k] + lane // n_sub]
-                first = locus.min()
-                lost.append((first, (lane % n_sub)[locus == first].min()))
-            # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning,
-            # and stays 0 (NaN stays NaN) to the end of its segment, so the
-            # segment's last step shows it (with no subjects there is none)
-            if g_next < g:   # lanes past g_next end their segment here
-                end = slice(g_next * n_sub, n_lanes)
-                vanished |= not tot[end].min(initial=np.inf) > 0.0
-            np.maximum(tot, TINY, out=tot)
-            f /= tot
-            if g_next < g:
-                tails[end] = _draw3(f[:, end], u.take(flat[p + g_next:p + g]).ravel())
-        # the backward weights of state m given next state n are pt[m, n],
-        # drawn with the uniform of the cell before the kernel cell
-        tables.append(_draw3(pt[:, :, head:], u.take(flat.ravel()[cell[head:]] - 1)).T)
-        done += pt.shape[2] - head
-    return moves, np.concatenate(tables).ravel(), tails, vanished
-
-
-def _locus_backward(moves, table, tails, layout, s):
-    """Draw every lane into ``s``, each segment from its last step down.
-
-    Where the next cell's kernel is the identity the draw is the next
-    cell's state; elsewhere it is read from that cell's row of the table.
-    Each step's states go straight into their loci's columns of ``s``.
-    """
-    loci, pos, count, _, row_start = layout
-    cur = tails
-    step = cur.reshape(-1, row_start.size)
-    three = np.arange(0, 3 * cur.size, 3)
-    for k in range(len(count) - 2, -1, -1):
-        if moves[k + 1] is not None:
-            lanes, lo, hi = moves[k + 1]
-            s_next = cur[lanes]
-            cur[lanes] = table[3 * lo:3 * hi].take(three[:hi - lo] + s_next)
-        s.T[loci[pos[k]:pos[k + 1]]] = step[:count[k]]
-
-
-
-
-def _ffbs_loci(x, r, rows, fwd, u, s):
-    """FFBS one locus a step, into ``s``."""
     n_sub, n_loc = x.shape
-    loci, pos, count = _segments(r)
-    # the flat offset of (subject, locus 0) in x, r and u
-    row_start = np.arange(0, n_sub * n_loc, n_loc)
-    layout = (loci, pos, count, _chunks(pos, n_sub), row_start)
-    # the emission of state n, genotype g at locus j is emit[n, 3j + g]
-    emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
-    moves, table, tails, vanished = _locus_forward(x, r, u, fwd, emit, layout)
-    if vanished:
+    heads, count, last, run = _layout(r, runs)
+    if runs:
+        starts, row_first, rs = run
+        fac = _run_factors(x, rows, starts, row_first)
+
+        def gather(grp):
+            cells, rc = starts.take(grp), rs.take(grp)
+            return cells, rc, cells // n_loc * 3 + rc, fac.take(grp, axis=1)
+
+        layout = heads, count, 1, max(1, CHUNK_CELLS // 16)
+        out = np.empty(starts.size - 1, dtype=np.int8)   # each run's state
+    else:
+        row_start = np.arange(0, r.size, n_loc)   # the flat cell of (subject, locus 0)
+        # the emission of state n, genotype g at locus j is emit[n, 3j + g]
+        emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
+
+        def gather(loci):
+            flat = loci[:, None] + row_start
+            rc = r.take(flat)
+            obs = emit.take(x.take(flat) + 3 * loci[:, None], axis=1)
+            return flat.ravel(), rc.ravel(), (rc + sub3[:n_sub]).ravel(), obs.reshape(3, -1)
+
+        layout = heads, count, n_sub, CHUNK_CELLS
+        out = s.T   # each cell's state, by (locus, subject)
+    # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c], made
+    # past the factors' peak
+    fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
+    sub3 = last // n_loc * 3   # three times each lane's subject
+    # each lane's filtered vector, first the Hardy-Weinberg row, which every
+    # kernel keeps
+    f = fwd[0, :, 2:].take(sub3, axis=1)
+    moves = _filter_forward(gather, layout, fwd, u, f)
+    tot = f[0] + f[1]
+    tot += f[2]
+    lost = sub3[~(tot > 0.0)] // 3   # the subjects of the lanes that lost it
+    if lost.size and not runs:
         lost = []
-        _locus_forward(x, r, u, fwd, emit, layout, lost)
+        _filter_forward(gather, layout, fwd, u, fwd[0, :, 2:].take(sub3, axis=1), lost)
         locus, subject = min(lost)
         raise ForwardUnderflowError(subject, locus)
-    _locus_backward(moves, table, tails, layout, s)
+    # the run factors (24 B a run): the path below must not stack on them
+    gather = fac = None
+    # a lane's last cell draws from its filtered vector alone
+    _sample_backward(moves, _draw3(f, u.take(last), tot), layout, out)
+    if runs:
+        # every cell of a run takes its state, in chunks of rows: no
+        # temporary of a byte a cell
+        step = max(1, CHUNK_CELLS // n_loc)
+        for i in range(0, n_sub, step):
+            a, b = row_first[i], row_first[min(i + step, n_sub)]
+            s[i:i + step].reshape(-1)[:] = np.repeat(out[a:b], np.diff(starts[a:b + 1]))
+    return lost
 
 
 def ffbs_paths(x, r, rows, kern, u):
@@ -447,24 +385,22 @@ def ffbs_paths(x, r, rows, kern, u):
     ``u`` supplies one uniform per (subject, locus) for the backward draws.
     Raises :class:`ForwardUnderflowError` naming the first locus, and the first
     subject there, whose forward mass vanishes.  Steps once per run where at
-    most ``RUN_SHARE`` of the cells have r > 0, else once per locus; a run
-    pass that loses a mass hands the call to the locus pass, the one place
-    that names the cell.
+    most ``RUN_SHARE`` of the cells have r > 0, else once per locus; a call
+    whose runs lose a mass is redone once per locus, which names the cell,
+    and its subjects with a lane that lost the mass take their rows from it.
     """
     x = np.ascontiguousarray(x)
     r = np.ascontiguousarray(r)
     u = np.ascontiguousarray(u)
-    n_sub, n_loc = x.shape
     # the output first, below the forward pass's temporaries in the heap: made
     # after them, a sweep's long-lived outputs land ever higher as glibc trims
     # and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
-    s = np.empty((n_sub, n_loc), dtype=np.int8)
-    # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c]
-    fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    # the run pass returns having freed what it holds, so the locus pass
-    # does not stack on it
-    if np.count_nonzero(r) > RUN_SHARE * r.size or _ffbs_runs(x, r, rows, fwd, u, s):
-        _ffbs_loci(x, r, rows, fwd, u, s)
+    s = np.empty(x.shape, dtype=np.int8)
+    lost = _ffbs(x, r, rows, kern, u, s, np.count_nonzero(r) <= RUN_SHARE * r.size)
+    if lost.size:
+        loci = np.empty_like(s)
+        _ffbs(x, r, rows, kern, u, loci, False)
+        s[lost] = loci[lost]
     return s
 
 

@@ -7,6 +7,7 @@ imputation and recombination counts must match exactly; FFBS paths may
 differ only where a uniform falls within rounding of a cumulative weight.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -511,24 +512,29 @@ def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
 
 
 def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch):
-    # the backward pass reads a row before every run start but a lane's
-    # first (locus 0 or r = 2), so the forward pass draws rows only for the
-    # cells with r = 1 past locus 0
-    tables = []
+    # stepping once per run, the backward pass reads a row before every run
+    # start but a lane's first (locus 0 or r = 2), so the forward pass draws
+    # rows only for the cells with r = 1 past locus 0
+    calls = []
 
-    def backward(step_tables, *rest):
-        tables.append(step_tables)
-        return real(step_tables, *rest)
+    def backward(moves, cur, layout, out):
+        calls.append((moves, layout))
+        return real(moves, cur, layout, out)
 
-    real = kernels._backward
-    monkeypatch.setattr(kernels, "_backward", backward)
+    real = kernels._sample_backward
+    monkeypatch.setattr(kernels, "_sample_backward", backward)
     for lengths in ([12, 1, 20, 7], [40]):
         args = segmented_chain(rng, 40, lengths)
         r = args[1]
+        calls.clear()
         assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
-        assert tables[-1][0] is None   # step 0 holds every lane's first run
-        rows = sum(t.size for t in tables[-1][1:]) // 3
-        assert rows == (r[:, 1:] == 1).sum()
+        # the ffbs helper steps once per run, then once per locus (40 lanes a group)
+        (moves, layout), _ = calls
+        assert layout[2] == 1
+        assert moves[0] is None   # step 0 holds every lane's first run
+        # each step reads its rows of its chunk's table: count the tables drawn
+        drawn = {id(rows.base): rows.base for _, rows in moves[1:]}
+        assert sum(table.size for table in drawn.values()) // 3 == (r[:, 1:] == 1).sum()
 
 
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):
@@ -648,29 +654,59 @@ def test_ffbs_matches_the_per_locus_loop_when_mass_is_lost(rng):
     assert lost > 100 and inside_a_run > 30, (lost, inside_a_run)
 
 
+def spy_unit_kinds(monkeypatch):
+    """The unit kind of every FFBS pass from here on: True once per run, False once per locus."""
+    kinds = []
+
+    def ffbs(*args):
+        kinds.append(args[-1])
+        return real(*args)
+
+    real = kernels._ffbs
+    monkeypatch.setattr(kernels, "_ffbs", ffbs)
+    return kinds
+
+
 def test_ffbs_run_pass_hands_a_lost_mass_to_the_locus_pass(rng, monkeypatch):
-    # the run pass does not trace a lost mass itself: it calls the locus
-    # pass once, and that names the cell
+    # stepping once per run does not trace a lost mass itself: it hands the
+    # call, once, to locus units, and those name the cell
     x, r, p_a, p_b, rho, u = identity_run(rng, 6, 40)
     p_a[25] = p_b[25] = 0.0   # genotype 0 is certain
     x[:, 25] = 0
     x[3, 25] = 1
-    calls = []
-
-    def locus_pass(*args):
-        calls.append(args)
-        return real(*args)
-
-    real = kernels._ffbs_loci
-    monkeypatch.setattr(kernels, "_ffbs_loci", locus_pass)
+    kinds = spy_unit_kinds(monkeypatch)
     monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
     with pytest.raises(ForwardUnderflowError) as info:
         kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
-    assert len(calls) == 1
+    assert kinds == [True, False]
     with pytest.raises(ForwardUnderflowError) as ref:
         per_locus_ffbs(x, r, p_a, p_b, rho, u)
     named = info.value.locus, info.value.subject
     assert named == (ref.value.locus, ref.value.subject) == (25, 3)
+
+
+def test_ffbs_runs_hand_an_unreachable_best_state_to_loci(rng, monkeypatch):
+    # one subject at near-fixed frequencies: genotype 0 over loci 0-99 leaves
+    # the filtered vector at (1, 0, 0) exactly, and genotype 2 over loci
+    # 100-199 favours state 2, which one recombination (r = 1 at locus 100)
+    # cannot reach from state 0.  Scaled by state 2's, the run's emission
+    # product is 0 at both states it can reach, so the run loses the mass;
+    # the call is redone once per locus, which keeps it, and the subject's
+    # row comes from there
+    n_loc = 200
+    x = np.repeat(np.array([[0, 2]], dtype=np.int8), 100, axis=1)
+    r = np.zeros((1, n_loc), dtype=np.int8)
+    r[0, 0], r[0, 100] = 2, 1
+    p_a, p_b = np.full(n_loc, 0.9999), np.full(n_loc, 0.0001)
+    rho, u = np.array([0.5]), rng.random((1, n_loc))
+    kinds = spy_unit_kinds(monkeypatch)
+    monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+    assert kinds == [True, False]
+    assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+    assert np.array_equal(s[0], np.repeat([0, 1], 100))
 
 
 @pytest.mark.parametrize("pick",["one subject", "every other subject", "reversed"])
@@ -714,38 +750,44 @@ def ffbs_peak_per_cell(rng, p_r):
 
 def test_ffbs_peak_memory_per_cell(rng):
     # FFBS keeps no filtered vector per cell. With 10% kernel cells it steps
-    # once per run and keeps, per cell, the output; per run, its start and
-    # its three log emission sums; per run past a lane's first, its three
-    # backward draws; per chunk of rows, its gathered logs: ~6.4 B a cell.
+    # once per run and keeps, per cell, the output; per run, its start, r
+    # and state and its three emission factors; per run past a lane's first,
+    # its three backward draws; per chunk of rows, its gathered logs: ~6.5 B
+    # a cell.
     # The per-lane kernels kept for the whole pass, or a second copy of the
-    # sums, would break the bound
+    # factors, would break the bound
     peak = ffbs_peak_per_cell(rng, [0.9, 0.09, 0.01])
     assert peak < 7.2, f"peak {peak:.2f} B a cell"
 
 
 @pytest.mark.parametrize("p_r, bound", [([0.6, 0.36, 0.04], 12.0), ([0.0, 0.9, 0.1], 24.0)])
 def test_ffbs_peak_memory_per_cell_at_a_high_kernel_share(rng, p_r, bound):
-    # with 40% and 100% kernel cells FFBS steps once per locus: ~11.0 and
-    # ~22.1 B a cell. Stepping once per run there took ~20.9 and ~50.1, its
-    # 24 B of log sums and 7 B of start and draws a run outgrowing the 3 B
-    # of draws a kernel cell
+    # with 40% and 100% kernel cells FFBS steps once per locus: ~9.7 and
+    # ~10.8 B a cell. Stepping once per run there takes ~21.1 and ~50.1, its
+    # 24 B of emission factors and 9 B of start, r, state and draws a run
+    # outgrowing the 3 B of draws a kernel cell
     peak = ffbs_peak_per_cell(rng, p_r)
     assert peak < bound, f"peak {peak:.2f} B a cell"
 
 
 def test_ffbs_steps_once_per_run_only_at_a_low_kernel_share(rng, monkeypatch):
-    # the pass is chosen by the share of kernel cells in the call: once per
-    # run up to RUN_SHARE, once per locus above it
-    passes = []
-    for name in ("_ffbs_runs", "_ffbs_loci"):
-        monkeypatch.setattr(kernels, name, lambda *args, name=name: passes.append(name))
+    # the unit is chosen by the share of kernel cells in the call: a run up
+    # to RUN_SHARE, a locus above it
+    kinds = []
+
+    def ffbs(*args):
+        kinds.append(args[-1])
+        return np.empty(0, dtype=int)   # no subject lost its mass
+
+    monkeypatch.setattr(kernels, "_ffbs", ffbs)
     x, r, p_a, p_b, rho, u = segmented_chain(rng, 20, [50])
     n_kernel = int(kernels.RUN_SHARE * r.size)
-    for extra, want in ((0, "_ffbs_runs"), (1, "_ffbs_loci")):
+    for extra, want in ((0, [True]), (1, [False])):
         r[:] = 0
         r.reshape(-1)[:n_kernel + extra] = 1
+        kinds.clear()
         kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
-        assert passes[-1] == want
+        assert kinds == want
 
 
 def test_recombination_counts_peak_memory(rng):

@@ -67,6 +67,35 @@ def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
     assert np.abs(freqs - expected).max() < 0.01
 
 
+@pytest.mark.parametrize("spacing, shares", [(0.005, (0.03, 0.12)), (0.02, (0.18, 0.35))],
+                         ids=["dense", "sparse"])
+def test_ffbs_unit_kinds_draw_the_same_path_on_sampler_inputs(monkeypatch, spacing, shares):
+    # FFBS steps once per run or once per locus by the call's share of kernel
+    # cells; on the r, emissions and kernels a sweep makes, on AIMs 0.5 cM
+    # (~6% kernel cells) and 2 cM (~20-30%) apart, both draw the same path
+    rng = np.random.default_rng(8)
+    panel = chain_panel(120, chrom=[1] * 60 + [2] * 60, spacing=spacing)
+    s = simulate_chain_ancestry(rng, 40, panel.gamma0(6.0), 0.8, panel.chrom_start)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng)
+    genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(40)])
+    real, seen = kernels.ffbs_paths, []
+
+    def both_kinds(x, r, *tables):
+        paths = []
+        for share in (1.0, -1.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernels, "RUN_SHARE", share)
+                paths.append(real(x, r, *tables))
+        assert np.array_equal(*paths)
+        seen.append(np.count_nonzero(r) / r.size)
+        return paths[0]
+
+    monkeypatch.setattr(kernels, "ffbs_paths", both_kinds)
+    run_mcmc(genotypes, panel, HmmHyperparams(burn_in=8, n_draws=2, thin=1, seed=3))
+    assert len(seen) == 10
+    assert shares[0] < np.median(seen) < shares[1], seen
+
+
 def test_identical_seeds_give_byte_identical_draws():
     rng = np.random.default_rng(7)
     n_sub, n_loc = 12, 9
