@@ -29,6 +29,37 @@ def _vector(x, name, n=None):
     return arr
 
 
+@dataclass(frozen=True, eq=False)
+class MeanMoments:
+    """Sums over q = (m, 1 - m) for prior means m, fixed for a run.
+
+    With them ``sampler.slice_step_tau`` reads the Beta(tau m, tau (1 - m))
+    log density, and a bound on its error, in O(1) per proposed tau.  The
+    inverse powers give Stirling's series and its remainder.  A mean at or
+    within ~1e-28 of 0 or 1, or outside [0, 1], makes a sum inf or NaN,
+    which sends every comparison of the slice step to the exact density;
+    every finite set of sums has all q in (0, 1], so ln q <= 0.
+    """
+
+    n_loci: int
+    weights: np.ndarray  # rows q and ones, for the sums of q ln f and of ln f
+    q: float             # sum q
+    qlnq: float          # sum q ln q
+    lnq: float           # sum ln q
+    inv: tuple           # sum q**(1 - 2k), k = 1..6
+
+    @classmethod
+    def of(cls, means):
+        means = np.asarray(means, dtype=np.float64)
+        q = np.concatenate((means, 1.0 - means))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lnq = np.log(q)
+            inv = 1.0 / q
+            sums = [float(x.sum()) for x in (q, q * lnq, lnq)]
+            powers = tuple(float((inv * (inv * inv) ** k).sum()) for k in range(6))
+        return cls(means.size, np.stack((q, np.ones_like(q))), *sums, powers)
+
+
 @dataclass
 class AimPanel:
     """Ordered panel of ancestry-informative markers.
@@ -37,7 +68,8 @@ class AimPanel:
     frequencies in the high-risk (``p_a0``) and low-risk (``p_b0``)
     populations are clamped into ``[FREQ_CLAMP, 1 - FREQ_CLAMP]``: reference
     panels routinely contain fixed alleles and an exact 0 or 1 would lock
-    the likelihood.
+    the likelihood.  Both are copies, read-only once clamped: a run reads
+    moments derived from them once.
 
     Derived on construction:
 
@@ -48,6 +80,9 @@ class AimPanel:
     d
         genetic distance to the previous marker on the same chromosome
         (Morgans); 0.0 at chromosome starts, where it is unused.
+    moments_a, moments_b
+        :class:`MeanMoments` of ``p_a0`` and ``p_b0``, for the slice steps
+        of the dispersion parameters.
     """
 
     marker_ids: list
@@ -57,6 +92,8 @@ class AimPanel:
     p_b0: np.ndarray
     chrom_start: np.ndarray = field(init=False)
     d: np.ndarray = field(init=False)
+    moments_a: MeanMoments = field(init=False, repr=False, compare=False)
+    moments_b: MeanMoments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.marker_ids = list(self.marker_ids)
@@ -67,8 +104,8 @@ class AimPanel:
         if self.chrom.shape != (n,):
             raise ValueError("chrom length does not match marker_ids")
         self.position = _vector(self.position, "position", n)
-        self.p_a0 = _vector(self.p_a0, "p_a0", n)
-        self.p_b0 = _vector(self.p_b0, "p_b0", n)
+        self.p_a0 = _vector(self.p_a0, "p_a0", n).copy()
+        self.p_b0 = _vector(self.p_b0, "p_b0", n).copy()
         for name in ("position", "p_a0", "p_b0"):
             bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
             if bad.size:
@@ -80,6 +117,10 @@ class AimPanel:
                 raise ValueError(f"{name} has entries outside [0, 1]")
         np.clip(self.p_a0, FREQ_CLAMP, 1.0 - FREQ_CLAMP, out=self.p_a0)
         np.clip(self.p_b0, FREQ_CLAMP, 1.0 - FREQ_CLAMP, out=self.p_b0)
+        self.p_a0.flags.writeable = False
+        self.p_b0.flags.writeable = False
+        self.moments_a = MeanMoments.of(self.p_a0)
+        self.moments_b = MeanMoments.of(self.p_b0)
 
         start = np.empty(n, dtype=bool)
         start[0] = True

@@ -9,6 +9,17 @@ frequency-dispersion parameters by one exact slice step each (Neal 2003,
 Ann. Statist.) over their uniform-prior support (50, 1000), with no step
 size and no tuning.
 
+A slice step's output is the proposal it accepts, so only each comparison
+of a proposal's log density with the level must be the exact density's.
+The prior means are fixed for a run, so the panel carries their moments
+(``hmm.MeanMoments``), and Stirling's series turns the 2 L lgamma terms of
+the Beta log density into a few scalar operations per proposal, with a
+proven bound on the distance from the exact sum: the series' remainder
+plus the rounding of both evaluations (``_fast_loglik``).  A comparison
+that the bounds at tau and at the proposal cannot decide, or whose bound
+is inf or NaN (means near 0 or 1, as at FREQ_CLAMP), is recomputed with
+the exact density, so every draw is the exact density's, bit for bit.
+
 All randomness flows through one generator in a fixed order, and the
 kernels consume pre-drawn uniforms, so a run is reproducible from its seed.
 
@@ -45,6 +56,7 @@ from .hmm import (
     AimPanel,
     AncestryDraws,
     GenotypeMatrix,
+    MeanMoments,
     hwe_rows,
     observation_rows,
     transition_kernels,
@@ -274,19 +286,96 @@ def _beta_loglik(tau, freqs, means):
     )
 
 
-def slice_step_tau(tau, freqs, means, rng):
+_U = 2.0 ** -53                        # unit roundoff of float64
+_LN_2PI = math.log(2.0 * math.pi)
+# Stirling's series (DLMF 5.11.1): B_2k / (2k (2k - 1)) for k = 1..5, and
+# |B_12| / (12 * 11): for a positive argument z the remainder after five
+# terms is at most the first omitted term, c6 z**-11 (DLMF 5.11(ii))
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+_STIRLING_REMAINDER = 691.0 / 360360.0
+
+
+def _fast_loglik(tau, moments, a_sum, b_sum):
+    """``_beta_loglik`` from moments, and a bound on its distance from it.
+
+    With q running over the 2 L values (m, 1 - m), Stirling's series gives
+
+        sum_q lgamma(tau q) = tau ln tau sum q + tau sum q ln q - L ln tau
+                              - sum ln q / 2 - tau sum q + L ln 2 pi
+                              + sum_k c_k tau**(1 - 2k) sum q**(1 - 2k) + R,
+
+    |R| <= c6 tau**-11 sum q**-11, and the data part is tau a_sum - b_sum.
+
+    The bound adds the rounding of both evaluations.  With
+    s(z) = z |ln z| + z + |ln z| + 8 for an lgamma argument z, the exact
+    side errs by at most (16 + 1 + 1) u s(z) per lgamma term (math.lgamma
+    within 16 ulps of s(z), measured within 2.1; the rounded argument
+    tau * q; fsum), and each sum over L or 2 L terms, in either evaluation,
+    by gamma_N = N u / (1 - N u) times the sum of its absolute terms, with
+    N = 2 L + 2.  Every term is bounded by the scale S below, built from
+    |ln(tau q)| <= ln tau - ln q (q <= 1 < tau), |a - 1| <= a + 1 and the
+    moments, and the dozen scalar operations add a few u S.  The series
+    terms sum to under 0.09 per argument z >= 1, inside the 16 L of S; a
+    smaller z makes the remainder bound dwarf their rounding.  So
+    kappa = (4 N + 64) u gives kappa S at least twice the rounding, which
+    also covers the rounding of the level (|level| <= S + 37) and of the
+    gap it is compared with.  The remainder is inflated by 1 + kappa for
+    the rounding of its own moment and powers.  The bound is inf or NaN
+    when a moment is.
+    """
+    m = moments
+    n = m.n_loci
+    lx = math.log(tau)
+    y = 1.0 / tau
+    y2 = y * y
+    c1, c2, c3, c4, c5 = _STIRLING
+    s1, s3, s5, s7, s9, s11 = m.inv
+    series = y * (c1 * s1 + y2 * (c2 * s3 + y2 * (c3 * s5 + y2 * (c4 * s7 + y2 * c5 * s9))))
+    lg = n * math.lgamma(tau)
+    stirling = tau * (m.q * (lx - 1.0) + m.qlnq) - n * lx - 0.5 * m.lnq + n * _LN_2PI + series
+    value = lg - stirling + tau * a_sum - b_sum
+    scale = (tau * (m.q * (lx + 1.0) - m.qlnq) + 2 * n * lx - m.lnq + 16 * n
+             + lg + tau * abs(a_sum) + abs(b_sum))
+    kappa = (8 * n + 72) * _U
+    remainder = _STIRLING_REMAINDER * y * y2 ** 5 * s11
+    return value, (1.0 + kappa) * remainder + kappa * scale
+
+
+def slice_step_tau(tau, freqs, means, rng, moments=None):
     """One slice-sampling step for a dispersion parameter (Neal 2003).
 
     The bracket starts as the whole uniform-prior support and shrinks
     towards ``tau`` at each rejected proposal.  It always contains ``tau``,
     whose density clears the level, so the loop ends with probability 1 and
     needs no step size.
+
+    Each proposal is judged against the level by ``_fast_loglik`` when the
+    two differ by more than the sum of its bounds at ``tau`` and at the
+    proposal.  Otherwise, or where a bound is inf or NaN, both sides are
+    recomputed exactly by ``_beta_loglik``, so every decision, and every
+    draw, is the exact density's.  ``moments`` are those of ``means``
+    (:class:`MeanMoments`); a run passes its panel's, computed once.
     """
-    level = _beta_loglik(tau, freqs, means) + math.log1p(-rng.random())
+    if moments is None:
+        moments = MeanMoments.of(means)
+    # sum q ln f over (f, 1 - f) against q = (m, 1 - m), and sum ln f
+    a_sum, b_sum = (moments.weights @ np.concatenate((np.log(freqs), np.log1p(-freqs)))).tolist()
+    cur, cur_bound = _fast_loglik(tau, moments, a_sum, b_sum)
+    drop = math.log1p(-rng.random())
+    level = cur + drop
+    exact_level = None
     lo, hi = TAU_RANGE
     while True:
         prop = rng.uniform(lo, hi)
-        if _beta_loglik(prop, freqs, means) >= level:
+        value, bound = _fast_loglik(prop, moments, a_sum, b_sum)
+        gap = value - level
+        if abs(gap) > cur_bound + bound:     # False for an inf or NaN bound
+            clears = gap > 0.0
+        else:
+            if exact_level is None:
+                exact_level = _beta_loglik(tau, freqs, means) + drop
+            clears = _beta_loglik(prop, freqs, means) >= exact_level
+        if clears:
             return prop
         if prop < tau:
             lo = prop
@@ -300,8 +389,8 @@ def update_tau_mh(state: HmmState, panel: AimPanel, rng):
     The name predates the slice step; ``perfbench/spans.py`` wraps the step
     under it.
     """
-    state.tau_a = slice_step_tau(state.tau_a, state.p_a, panel.p_a0, rng)
-    state.tau_b = slice_step_tau(state.tau_b, state.p_b, panel.p_b0, rng)
+    state.tau_a = slice_step_tau(state.tau_a, state.p_a, panel.p_a0, rng, panel.moments_a)
+    state.tau_b = slice_step_tau(state.tau_b, state.p_b, panel.p_b0, rng, panel.moments_b)
 
 
 # --- the full sampler -------------------------------------------------------

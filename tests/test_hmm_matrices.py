@@ -171,6 +171,15 @@ class TestAimPanel:
         assert panel.p_a0[0] == pytest.approx(1.0 - FREQ_CLAMP)
         assert panel.p_b0[0] == pytest.approx(FREQ_CLAMP)
 
+    def test_prior_means_are_read_only_copies(self):
+        # the slice steps of a run read moments derived from them once
+        p_a0 = np.array([1.0, 0.7, 0.9, 0.6])
+        panel = self.make_panel(p_a0=p_a0)
+        assert p_a0[0] == 1.0
+        for means in (panel.p_a0, panel.p_b0):
+            with pytest.raises(ValueError, match="read-only"):
+                means[0] = 0.5
+
     def test_decreasing_position_rejected(self):
         with pytest.raises(ValueError, match="decreases"):
             self.make_panel(position=[0.0, 0.1, 0.2, 0.1], chrom=[1, 1, 1, 1])

@@ -114,6 +114,48 @@ def test_identical_seeds_give_byte_identical_draws():
         assert np.array_equal(a.traces[key], b.traces[key])
 
 
+def test_hotspot_interval_found_by_its_own_prior():
+    # one interval recombines at 0.3 where the map gives gamma0 = 0.0296:
+    # with the default mu0 its Beta(8.4, 277) prior, central 99%
+    # [0.010, 0.061], gives way to the data, and mu0 = 1e-8, a map-only
+    # model, pins it.  Floors from seeds 0-9: hotspot mean 0.075-0.108,
+    # its 2.5% quantile 0.046-0.085, no far interval outside its prior's
+    # central 99%, and the window accuracy lower at mu0 = 1e-8 on every seed
+    beta = pytest.importorskip("scipy.stats").beta
+    rng = np.random.default_rng(3)
+    n_sub, n_loc, hot = 300, 120, 60
+    panel = AimPanel(
+        marker_ids=[f"m{j}" for j in range(n_loc)],
+        chrom=[1] * n_loc,
+        position=np.arange(n_loc) * 0.005,
+        p_a0=rng.uniform(0.8, 0.95, n_loc),
+        p_b0=rng.uniform(0.05, 0.2, n_loc),
+    )
+    gamma0 = panel.gamma0(6.0)
+    gamma = gamma0.copy()
+    gamma[hot] = 0.3
+    s = simulate_chain_ancestry(rng, n_sub, gamma, 0.8)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate=0.0)
+    g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
+    window = slice(hot - 5, hot + 5)
+    accuracy = {}
+    for mu0 in (1e-4, 1e-8):
+        draws = run_mcmc(g, panel, HmmHyperparams(mu0=mu0, burn_in=200, n_draws=200, thin=2, seed=3))
+        mean = draws.draws.mean(axis=0)
+        accuracy[mu0] = (np.rint(mean[:, window]) == s[:, window]).mean()
+        if mu0 == 1e-8:
+            continue
+        trace = draws.traces["gamma"]
+        assert trace[:, hot].mean() > 0.07
+        assert np.quantile(trace[:, hot], 0.025) > gamma0[hot]
+        far = np.r_[1:hot - 5, hot + 6:n_loc]
+        conc = gamma0[far] * (1.0 - gamma0[far]) / mu0 - 1.0
+        lo, hi = beta.ppf([[0.005], [0.995]], conc * gamma0[far], conc * (1.0 - gamma0[far]))
+        far_mean = trace[:, far].mean(axis=0)
+        assert ((lo < far_mean) & (far_mean < hi)).all()
+    assert accuracy[1e-8] < accuracy[1e-4]
+
+
 def test_missing_genotypes_imputed_within_support():
     rng = np.random.default_rng(17)
     n_sub, n_loc = 10, 8

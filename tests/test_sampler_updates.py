@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import beta, binom
 
-from admixscan import kernels
+from admixscan import kernels, sampler
 from admixscan.hmm import (
+    FREQ_CLAMP,
     AimPanel,
     GenotypeMatrix,
     MISSING,
     TAU_RANGE,
+    MeanMoments,
     observation_rows,
     transition_kernels,
 )
@@ -18,10 +21,12 @@ from admixscan.sampler import (
     HmmHyperparams,
     HmmState,
     _beta_loglik,
+    _fast_loglik,
     allele_freq_posterior_params,
     derive_priors,
     impute_missing_genotypes,
     initial_state,
+    run_mcmc,
     sample_ancestry_paths,
     sample_recombination_counts,
     slice_step_tau,
@@ -29,7 +34,8 @@ from admixscan.sampler import (
     update_gamma,
     update_rho,
 )
-from conftest import trans_prob, validate_ranges
+from admixscan.simulate import sample_genotypes_from_ancestry
+from conftest import simulate_chain_ancestry, trans_prob, validate_ranges
 
 
 def rows_of(state):
@@ -364,6 +370,197 @@ class TestTauSlice:
         chain = chain[5000:]
         assert 100.0 <= grid_mode <= 400.0
         assert chain.mean() == pytest.approx(grid_mean, abs=0.05 * grid_mean)
+
+
+def force_exact(monkeypatch):
+    """Give every moment density an infinite bound: each comparison goes exact."""
+    fast = sampler._fast_loglik
+    monkeypatch.setattr(sampler, "_fast_loglik", lambda *args: (fast(*args)[0], math.inf))
+
+
+def count_exact(monkeypatch):
+    """Count the exact density evaluations of the slice steps."""
+    calls = []
+    exact = sampler._beta_loglik
+    monkeypatch.setattr(sampler, "_beta_loglik", lambda *args: calls.append(0) or exact(*args))
+    return calls
+
+
+def reference_slice_step(tau, freqs, means, rng):
+    """The slice step with every density exact, as written before moments."""
+    level = _beta_loglik(tau, freqs, means) + math.log1p(-rng.random())
+    lo, hi = TAU_RANGE
+    while True:
+        prop = rng.uniform(lo, hi)
+        if _beta_loglik(prop, freqs, means) >= level:
+            return prop
+        lo, hi = (prop, hi) if prop < tau else (lo, prop)
+
+
+def data_sums(freqs, moments):
+    logs = np.concatenate((np.log(freqs), np.log1p(-freqs)))
+    return (moments.weights @ logs).tolist()
+
+
+# taus at and next to both edges of the support, and inside it
+TAU_GRID = [TAU_RANGE[0], math.nextafter(TAU_RANGE[0], math.inf), 50.5, 61.7, 137.0,
+            300.0, 512.25, 999.0, math.nextafter(TAU_RANGE[1], 0.0), TAU_RANGE[1]]
+
+
+class TestTauMoments:
+    def chain(self, freqs, means, moments, seed, steps, step=slice_step_tau):
+        rng = np.random.default_rng(seed)
+        tau, taus = 500.0, []
+        for _ in range(steps):
+            tau = step(tau, freqs, means, rng, moments)
+            taus.append(tau)
+        return taus
+
+    def reference_chain(self, freqs, means, seed, steps):
+        return self.chain(freqs, means, None, seed, steps,
+                          lambda tau, freqs, means, rng, _: reference_slice_step(tau, freqs, means, rng))
+
+    def test_fast_chain_equals_the_exact_chain(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        means = rng.uniform(0.05, 0.95, 800)
+        freqs = rng.beta(300.0 * means, 300.0 * (1.0 - means))
+        moments = MeanMoments.of(means)
+        calls = count_exact(monkeypatch)
+        fast = self.chain(freqs, means, moments, 5, 200)
+        n_fast = len(calls)
+        force_exact(monkeypatch)
+        exact = self.chain(freqs, means, moments, 5, 200)
+        assert fast == exact == self.reference_chain(freqs, means, 5, 200)
+        # two exact evaluations at least per exact step, and no fast decision
+        assert len(calls) - n_fast >= 400
+        assert n_fast <= 10
+        # the chain moved over its posterior, not one value
+        assert len(set(fast)) == 200
+
+    def test_fast_run_equals_the_exact_run(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        n_sub, n_loc = 20, 30
+        panel = AimPanel(
+            marker_ids=[f"m{j}" for j in range(n_loc)],
+            chrom=[1] * n_loc,
+            position=np.arange(n_loc) * 0.01,
+            p_a0=rng.uniform(0.55, 0.95, n_loc),
+            p_b0=rng.uniform(0.05, 0.45, n_loc),
+        )
+        s = simulate_chain_ancestry(rng, n_sub, panel.gamma0(6.0), 0.8)
+        x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate=0.1)
+        g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
+        hyper = HmmHyperparams(burn_in=20, n_draws=20, thin=1, seed=4)
+        calls = count_exact(monkeypatch)
+        fast = run_mcmc(g, panel, hyper)
+        assert len(calls) <= 5
+        force_exact(monkeypatch)
+        exact = run_mcmc(g, panel, hyper)
+        assert len(calls) >= 4 * 40
+        assert fast.draws.tobytes() == exact.draws.tobytes()
+        for key in fast.traces:
+            assert fast.traces[key].tobytes() == exact.traces[key].tobytes(), key
+
+    def test_a_near_tie_goes_exact(self, monkeypatch):
+        # levels one step of the uniform either side of the exact density at
+        # the proposal: the moment density cannot tell them apart, the
+        # exact one can
+        rng = np.random.default_rng(47)
+        means = rng.uniform(0.05, 0.95, 800)
+        freqs = rng.beta(300.0 * means, 300.0 * (1.0 - means))
+        tau, prop = 300.0, 420.0
+        at_tau, at_prop = _beta_loglik(tau, freqs, means), _beta_loglik(prop, freqs, means)
+
+        def clears(u):
+            return at_prop >= at_tau + math.log1p(-u)
+
+        below = above = -math.expm1(at_prop - at_tau)
+        while clears(below):
+            below = math.nextafter(below, 0.0)
+        while not clears(above):
+            above = math.nextafter(above, 1.0)
+        while math.nextafter(below, 1.0) < above:
+            mid = 0.5 * (below + above)
+            below, above = (below, mid) if clears(mid) else (mid, above)
+
+        class Scripted:
+            def __init__(self, u):
+                self.u, self.proposals = u, iter([prop, tau])
+
+            def random(self):
+                return self.u
+
+            def uniform(self, lo, hi):
+                return next(self.proposals)
+
+        calls = count_exact(monkeypatch)
+        moments = MeanMoments.of(means)
+        assert slice_step_tau(tau, freqs, means, Scripted(above), moments) == prop
+        assert slice_step_tau(tau, freqs, means, Scripted(below), moments) == tau
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("kind", ["common", "near_0", "near_1", "clamped", "mixed"])
+    def test_bound_covers_the_exact_density(self, kind):
+        rng = np.random.default_rng(41)
+        common = rng.uniform(0.05, 0.95, 200)
+        means = {
+            "common": common,
+            "near_0": rng.uniform(0.0, 1e-6, 200) + 1e-9,
+            "near_1": 1.0 - rng.uniform(0.0, 1e-6, 200) - 1e-9,
+            "clamped": np.tile([FREQ_CLAMP, 1.0 - FREQ_CLAMP], 100),
+            "mixed": np.concatenate((common[:100], [1e-6, 1.0 - 1e-6, FREQ_CLAMP])),
+        }[kind]
+        n = means.size
+        moments = MeanMoments.of(means)
+        freqs = np.clip(rng.beta(200.0 * means + 0.5, 200.0 * (1.0 - means) + 0.5), 1e-12, 1 - 1e-12)
+        a_sum, b_sum = data_sums(freqs, moments)
+        for tau in TAU_GRID:
+            lgammas = (math.fsum(map(math.lgamma, (tau * means).tolist()))
+                       + math.fsum(map(math.lgamma, (tau * (1.0 - means)).tolist())))
+            value, bound = _fast_loglik(tau, moments, 0.0, 0.0)
+            assert abs(value - (n * math.lgamma(tau) - lgammas)) <= bound, tau
+            value, bound = _fast_loglik(tau, moments, a_sum, b_sum)
+            assert abs(value - _beta_loglik(tau, freqs, means)) <= bound, tau
+            if kind == "common":
+                # tight enough to decide nearly every comparison
+                assert bound < 1e-4
+            else:
+                # hopeless for Stirling's series: the exact path decides
+                assert bound > 1.0
+
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-200])
+    def test_inf_or_nan_bounds_fall_back_without_warnings(self, monkeypatch, tiny):
+        # q**-11 overflows at 1e-30 (an inf bound); at 1e-200 the series
+        # itself is inf - inf (a NaN density)
+        rng = np.random.default_rng(43)
+        means = np.concatenate(([tiny], rng.uniform(0.2, 0.8, 30)))
+        freqs = rng.uniform(0.2, 0.8, means.size)
+        calls = count_exact(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = MeanMoments.of(means)
+            value, bound = _fast_loglik(300.0, moments, *data_sums(freqs, moments))
+            assert bound == math.inf
+            assert math.isnan(value) == (tiny == 1e-200)
+            fast = self.chain(freqs, means, moments, 6, 20)
+            n_fast = len(calls)
+            force_exact(monkeypatch)
+            exact = self.chain(freqs, means, moments, 6, 20)
+        assert fast == exact == self.reference_chain(freqs, means, 6, 20)
+        assert n_fast == len(calls) - n_fast >= 40
+
+    def test_a_zero_mean_gives_nan_moments_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = MeanMoments.of(np.array([0.0, 0.5]))
+        assert math.isnan(moments.qlnq) and moments.inv[5] == math.inf
+
+    def test_a_run_reads_moments_of_its_panel(self):
+        panel = small_panel(5)
+        for got, means in ((panel.moments_a, panel.p_a0), (panel.moments_b, panel.p_b0)):
+            want = MeanMoments.of(means)
+            assert got.inv == want.inv and got.qlnq == want.qlnq
+            assert np.array_equal(got.weights, want.weights)
 
 
 class TestDerivedPriors:
