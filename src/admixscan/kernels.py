@@ -54,8 +54,14 @@ the cells in a call have r > 0, a locus above that share.
 * The backward pass walks the steps down holding one state per lane: the
   cell before an identity kernel takes the unit's state, the cell before a
   kernel unit reads it from the table, and ``np.repeat`` fills each run's
-  cells, a chunk of rows at a time.  A uniform is still drawn for every
-  cell, so the random stream does not depend on r.
+  cells, a chunk of rows at a time.
+* So a pass reads the uniforms of the cells ``read_cells`` marks, each
+  once: each row's last cell and every cell whose next has r > 0, the last
+  cells of the runs.  FFBS takes one uniform per read cell, in row-major
+  order, and finds a cell's by arithmetic: the last cell of run k reads
+  uniform k, and once per locus a lane's first slot is the running sum of
+  the read cells of the lanes before it in row-major order, from which each
+  lane counts on as it reads.
 * A vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and stays
   0 (NaN stays NaN) to its lane's end.  Stepping once per locus, the
   forward pass then runs again, checking every step, to name the cell.
@@ -97,9 +103,10 @@ whose prior terms are not all in [0, 1] or whose prior0 is 0 (gamma = 1, as
 at a start), and a subject whose kernel entries are not all in [0, 1], are
 open at every cell.
 
-The admixture-proportion counts gather, in one ``np.take``, from two flat
-tables of lineage counts (successes, failures) indexed by (recombinations,
-from, to), and sum them per subject in int32.
+The admixture-proportion counts write each cell's code (recombinations,
+from, to) as a byte, map the codes to lineage counts (successes, failures)
+through two 256-byte ``bytes.translate`` tables, and sum them per subject in
+int32: no index array is made.
 """
 from __future__ import annotations
 
@@ -150,16 +157,31 @@ def _previous(s):
     return np.concatenate((s[:, -1:], s[:, :-1]), axis=1)
 
 
+def read_cells(r):
+    """The cells whose uniforms :func:`ffbs_paths` reads, a bool mask of ``r``'s shape.
+
+    They are each row's last locus and every cell whose next locus has r > 0:
+    the last cell of every run, in the terms of the module docstring.
+    """
+    r = np.asarray(r)
+    read = np.empty(r.shape, dtype=bool)
+    np.not_equal(r[:, 1:], 0, out=read[:, :-1])
+    read[:, -1:] = True
+    return read
+
+
 def _layout(r, runs):
     """The lanes of one call, in groups: one lane of runs, or a segment of every subject.
 
     Returns the groups' first units (runs or loci), longest first, ties in
-    order; the number of groups alive at each step; each lane's last cell;
-    and, once per run, the flat cell where each run starts, then ``r.size``,
-    each row's first run, then the run count, and r where each run starts.
+    order; the number of groups alive at each step; each lane's subject; the
+    slot of each lane's last cell among the read cells, in row-major order;
+    once per locus each lane's first slot, else None; and once per run the
+    flat cell where each run starts, then ``r.size``, each row's first run,
+    then the run count, and r where each run starts, else None.  The last
+    cell of run k has slot k.
     """
     n_sub, n_loc = r.shape
-    run = None
     if runs:
         start = np.ones(r.size + 1, dtype=bool)
         np.not_equal(r.reshape(-1), 0, out=start[:-1])
@@ -177,19 +199,29 @@ def _layout(r, runs):
         np.equal(run[2], 2, out=head[:-1])
         head[row_first] = True
         first = np.flatnonzero(head)
-        last = starts.take(first[1:]) - 1
+        last = first[1:] - 1
+        subject = starts.take(last) // n_loc
+        slot = None
     else:
         head = np.logical_and.reduce(r == 2)   # over subjects
         head[0] = True
         first = head.nonzero()[0]
+        # the row-major running sum of each lane's read cells gives its slots
+        reads = np.add.reduceat(read_cells(r), first, axis=1, dtype=np.int32)
+        end = reads.cumsum().reshape(reads.shape).T   # (segment, subject)
+        slot, run = end - reads.T, None
         if first.size == 1:   # one segment, as on one chromosome: nothing to rank
-            return first, [1] * n_loc, np.arange(n_loc - 1, r.size, n_loc), None
+            return first, [1] * n_loc, np.arange(n_sub), end[0] - 1, slot[0], run
         first = np.append(first, n_loc)
-        last = first[1:, None] - 1 + np.arange(0, r.size, n_loc)
+        last = end - 1
+        subject = np.broadcast_to(np.arange(n_sub), last.shape)
     length = first[1:] - first[:-1]
     rank = (-length).argsort(kind="stable")
     count = np.bincount(length)[:0:-1].cumsum()[::-1].tolist()
-    return first[:-1].take(rank), count, last.take(rank, axis=0).ravel(), run
+    subject, last = (a.take(rank, axis=0).ravel() for a in (subject, last))
+    if slot is not None:
+        slot = slot.take(rank, axis=0).ravel()
+    return first[:-1].take(rank), count, subject, last, slot, run
 
 
 def _run_factors(x, rows, starts, row_first):
@@ -216,14 +248,17 @@ def _run_factors(x, rows, starts, row_first):
     return np.exp(fac, out=fac)
 
 
-def _filter_forward(gather, layout, fwd, u, f, lost=None):
+def _filter_forward(gather, layout, fwd, u, f, slot=None, lost=None):
     """Filter every lane forward in ``f``, one unit a step, and draw the backward tables.
 
     ``gather(grp)`` gives each lane's first cell, r, kernel column of ``fwd``
-    and emission factor at the units ``grp``, packed step by step.  Returns,
-    per step past step 0 with kernel units, their lanes and their draws of
-    the cell before them, flat by (unit, state).  A list ``lost`` receives
-    each step's first (locus, subject) whose mass vanished.
+    and emission factor at the units ``grp``, packed step by step.  Once per
+    run the first cell is the run's index k, and the cell before it reads
+    ``u[k - 1]``; once per locus it is the flat cell, and ``slot`` holds each
+    lane's first slot of ``u`` less 1, counting on as the lanes read.
+    Returns, per step past step 0 with kernel units, their lanes and their
+    draws of the cell before them, flat by (unit, state).  A list ``lost``
+    receives each step's flat cells whose mass vanished.
     """
     heads, count, width, size = layout
     moves = [None] * len(count)
@@ -235,25 +270,30 @@ def _filter_forward(gather, layout, fwd, u, f, lost=None):
             grp = (np.arange(k0, k1)[:, None] + heads[:g]).ravel()
         else:
             grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
-        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves, lost)
+        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves, slot, lost)
     return moves
 
 
-def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, lost):
+def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, slot, lost):
     """Steps ``k0`` on, whose lanes start at ``pos``: its own frame frees their arrays."""
     cells, rc, col, fac = gather(grp)
     cuts, before = [q - pos[0] for q in pos], cells
     if np.count_nonzero(rc) < rc.size:
         # the kernel units (r > 0), packed order; nonzero on a bool mask is
         # ~5x faster than on int8
-        unit = (rc != 0).nonzero()[0]
+        flag = rc != 0
+        unit = flag.nonzero()[0]
         cuts = unit.searchsorted(cuts).tolist()
-        col, before = col.take(unit), cells.take(unit)
+        col = col.take(unit)
+        if slot is None:
+            before = cells.take(unit)
     # T(m, n) of each kernel unit, times the filtered vector before it below,
     # and their sums, the predictions
     pt = fwd.take(col, axis=2)
     pred = np.empty(pt.shape[1:])
     head = cuts[1] if k0 == 0 else 0   # step 0's kernel units draw no rows
+    # the slot of u that the cell before each kernel unit reads
+    read = before[head:] - 1 if slot is None else np.empty(cuts[-1] - head, dtype=slot.dtype)
     for i in range(len(pos) - 1):
         p, n = pos[i] - pos[0], pos[i + 1] - pos[i]
         f = f[:, :n]
@@ -273,6 +313,9 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, lost):
                 f[:, lanes] = prd
             if k0 + i:
                 moves[k0 + i] = lanes, lo - head, hi - head
+                if slot is not None:   # a lane's last slot read, counted on
+                    slot[:n] += 1 if every else flag[p:p + n]
+                    read[lo - head:hi - head] = slot[lanes]
         if every:
             np.multiply(prd, fac[:, p:p + n], out=f)
         else:
@@ -280,8 +323,7 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, lost):
         tot = f[0] + f[1]
         tot += f[2]
         if lost is not None and not tot.min(initial=np.inf) > 0.0:
-            subject, locus = np.divmod(cells[p:p + n][~(tot > 0.0)], u.shape[1])
-            lost.append(min(zip(locus.tolist(), subject.tolist())))
+            lost.append(cells[p:p + n][~(tot > 0.0)])
         # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and
         # stays 0 (NaN stays NaN) to the end of its lane
         np.maximum(tot, TINY, out=tot)
@@ -289,7 +331,7 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, lost):
     del col, fac   # before the draws' temporaries are made
     # the backward weights of state m given the unit's state n are pt[m, n],
     # summing to pred[n], drawn with the uniform of the cell before the unit
-    table = _draw3(pt[:, :, head:], u.take(before[head:] - 1), pred[:, head:]).T.ravel()
+    table = _draw3(pt[:, :, head:], u.take(read), pred[:, head:]).T.ravel()
     for k in range(max(k0, 1), k0 + len(pos) - 1):
         if moves[k] is not None:
             lanes, lo, hi = moves[k]
@@ -323,14 +365,17 @@ def _ffbs(x, r, rows, kern, u, s, runs):
     :class:`ForwardUnderflowError`, naming the first cell.
     """
     n_sub, n_loc = x.shape
-    heads, count, last, run = _layout(r, runs)
+    heads, count, subject, last, slot, run = _layout(r, runs)
+    n_read = last.max(initial=-1) + 1   # the last row's last cell is read last
+    if u.shape != (n_read,):
+        raise ValueError(f"u has shape {u.shape}: FFBS reads {n_read} cells, a uniform each")
     if runs:
         starts, row_first, rs = run
         fac = _run_factors(x, rows, starts, row_first)
 
         def gather(grp):
-            cells, rc = starts.take(grp), rs.take(grp)
-            return cells, rc, cells // n_loc * 3 + rc, fac.take(grp, axis=1)
+            rc = rs.take(grp)
+            return grp, rc, starts.take(grp) // n_loc * 3 + rc, fac.take(grp, axis=1)
 
         layout = heads, count, 1, max(1, CHUNK_CELLS // 16)
         out = np.empty(starts.size - 1, dtype=np.int8)   # each run's state
@@ -350,18 +395,19 @@ def _ffbs(x, r, rows, kern, u, s, runs):
     # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c], made
     # past the factors' peak
     fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    sub3 = last // n_loc * 3   # three times each lane's subject
+    sub3 = subject * 3
     # each lane's filtered vector, first the Hardy-Weinberg row, which every
     # kernel keeps
     f = fwd[0, :, 2:].take(sub3, axis=1)
-    moves = _filter_forward(gather, layout, fwd, u, f)
+    moves = _filter_forward(gather, layout, fwd, u, f, None if slot is None else slot - 1)
     tot = f[0] + f[1]
     tot += f[2]
-    lost = sub3[~(tot > 0.0)] // 3   # the subjects of the lanes that lost it
+    lost = subject[~(tot > 0.0)]   # the subjects of the lanes that lost it
     if lost.size and not runs:
         lost = []
-        _filter_forward(gather, layout, fwd, u, fwd[0, :, 2:].take(sub3, axis=1), lost)
-        locus, subject = min(lost)
+        _filter_forward(gather, layout, fwd, u, fwd[0, :, 2:].take(sub3, axis=1), slot - 1, lost)
+        subject, locus = np.divmod(np.concatenate(lost), n_loc)
+        locus, subject = min(zip(locus.tolist(), subject.tolist()))
         raise ForwardUnderflowError(subject, locus)
     # the run factors (24 B a run): the path below must not stack on them
     gather = fac = None
@@ -382,7 +428,9 @@ def ffbs_paths(x, r, rows, kern, u):
 
     ``x`` must be fully imputed (no MISSING entries); ``rows`` is
     ``observation_rows(p_a, p_b)`` and ``kern`` is ``transition_kernels(rho)``;
-    ``u`` supplies one uniform per (subject, locus) for the backward draws.
+    ``u`` supplies one uniform per cell that :func:`read_cells` marks, in
+    row-major order, for the backward draws: ``u_full[read_cells(r)]`` of a
+    uniform per cell.
     Raises :class:`ForwardUnderflowError` naming the first locus, and the first
     subject there, whose forward mass vanishes.  Steps once per run where at
     most ``RUN_SHARE`` of the cells have r > 0, else once per locus; a call
@@ -404,12 +452,15 @@ def ffbs_paths(x, r, rows, kern, u):
     return s
 
 
-def recombination_counts(s, gamma, kern, u):
+def recombination_counts(s, gamma, kern, u, first_row=0):
     """Sample per-interval recombination counts given the ancestry path.
 
     ``kern`` is ``transition_kernels(rho)``.  Where ``gamma`` is 1, as at a
     chromosome start, the count is 2.  Weights are computed at the open
-    cells only; every other cell draws 0 (see the module docstring).
+    cells only; every other cell draws 0 (see the module docstring).  A cell
+    reads only its own row of ``s`` and ``u`` and its subject's kernels, so
+    a chunk of rows draws its rows of the whole; its error names subjects
+    from ``first_row``, the whole's row of ``s[0]``.
     """
     s = np.asarray(s)
     u = np.asarray(u)
@@ -456,7 +507,7 @@ def recombination_counts(s, gamma, kern, u):
         if not (tot.min() > 0.0 and tot.max() < np.inf):
             k = (~((tot > 0.0) & np.isfinite(tot))).argmax()
             raise RuntimeError(
-                f"zero recombination mass at subject {i[k]}, locus {j[k]}; "
+                f"zero recombination mass at subject {first_row + i[k]}, locus {j[k]}; "
                 "gamma or rho left the open unit interval"
             )
         out[c] = _draw3((w0, w1, w2), u.take(c), tot)   # a third of the time of draw.put
@@ -500,11 +551,12 @@ def _lineage_count_table(informative, per_lineage):
 # One recombination redraws one lineage; the transition shows whether it came
 # from the high-risk population, except 1 -> 1, which either answer explains.
 # Two recombinations redraw both lineages: the to-state counts them.
-# Successes, then failures.
-_LINEAGE_COUNTS = np.stack([
-    _lineage_count_table(((0, 1), (1, 2), (2, 2)), [0, 1, 2]),
-    _lineage_count_table(((0, 0), (1, 0), (2, 1)), [2, 1, 0]),
-])
+# Successes, then failures, as bytes.translate tables over the 27 codes.
+_LINEAGE_COUNTS = tuple(
+    _lineage_count_table(informative, per_lineage).tobytes().ljust(256, b"\0")
+    for informative, per_lineage in ((((0, 1), (1, 2), (2, 2)), [0, 1, 2]),
+                                     (((0, 0), (1, 0), (2, 1)), [2, 1, 0]))
+)
 
 
 def ancestry_count_stats(s, r):
@@ -515,10 +567,20 @@ def ancestry_count_stats(s, r):
     double-recombination arrivals, chromosome starts among them.
     """
     s = np.asarray(s)
-    code = _previous(s) * 3   # locus 0 is a start, where r is 2
-    code += s
-    code += np.asarray(r) * 9
-    # one take casts the codes to indices once; the sums are integers, exact
-    # in int32 and in their float64 cast
-    successes, failures = _LINEAGE_COUNTS.take(code, axis=1).sum(axis=2, dtype=np.int32)
-    return successes.astype(np.float64), failures.astype(np.float64)
+    # the code 9 r + 3 s_prev + s of every cell, a byte each in a bytearray,
+    # whose translate maps each to its lineage count a byte each: no index
+    # array, as np.take would cast the codes to
+    code = bytearray(s.size)
+    view = np.frombuffer(code, dtype=np.int8).reshape(s.shape)
+    np.multiply(r, 3, out=view, casting="unsafe")
+    view[:, 1:] += s[:, :-1]
+    view[:, :1] += s[:, -1:]   # locus 0 is a start, where r is 2
+    view *= 3
+    view += s
+    # the sums are integers, exact in int32 and in their float64 cast
+    successes, failures = (
+        np.frombuffer(code.translate(table), dtype=np.uint8).reshape(s.shape)
+        .sum(axis=1, dtype=np.int32).astype(np.float64)
+        for table in _LINEAGE_COUNTS
+    )
+    return successes, failures

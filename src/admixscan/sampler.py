@@ -66,6 +66,8 @@ log = logging.getLogger(__name__)
 
 _PROB_EPS = 1e-12          # keep sampled probabilities off exact 0/1
 PROGRESS_EVERY = 500       # sweeps between progress lines
+# cells in a chunk of whole rows whose uniforms are drawn at once
+ROW_CHUNK_CELLS = 65536
 # the HmmState attributes recorded per retained draw, as AncestryDraws.traces
 TRACED = ("gamma", "rho", "p_a", "p_b", "tau_a", "tau_b")
 
@@ -205,16 +207,40 @@ def impute_missing_genotypes(state: HmmState, missing_cells, rows, rng):
     state.x_imp = kernels.impute_genotypes(state.x_imp, missing_cells, state.s, rows, u)
 
 
+def _chunk_uniforms(shape, rng):
+    """Each chunk of ``ROW_CHUNK_CELLS`` cells in whole rows (at least one) with its uniforms.
+
+    Over the chunks, in order, ``rng`` draws what one ``rng.random(shape)``
+    draws.  Every chunk's uniforms overwrite the last chunk's.
+    """
+    n_sub, n_loc = shape
+    step = max(1, ROW_CHUNK_CELLS // n_loc)
+    buf = np.empty((min(step, n_sub), n_loc))
+    for a in range(0, n_sub, step):
+        u = buf[:n_sub - a]
+        rng.random(out=u)
+        yield slice(a, a + step), u
+
+
 def sample_ancestry_paths(state: HmmState, rows, kern, rng):
-    """FFBS block update of every subject's ancestry path, on the sweep's tables."""
-    u = rng.random(state.s.shape)
-    state.s = kernels.ffbs_paths(state.x_imp, state.r, rows, kern, u)
+    """FFBS block update of every subject's ancestry path, on the sweep's tables.
+
+    A uniform is drawn for every cell, and those of the cells FFBS reads are
+    kept.
+    """
+    r = state.r
+    u = np.concatenate([np.compress(kernels.read_cells(r[part]).ravel(), chunk)
+                        for part, chunk in _chunk_uniforms(r.shape, rng)])
+    state.s = kernels.ffbs_paths(state.x_imp, r, rows, kern, u)
 
 
 def sample_recombination_counts(state: HmmState, kern, rng):
-    """Per-interval recombination counts given the ancestry transitions."""
-    u = rng.random(state.r.shape)
-    state.r = kernels.recombination_counts(state.s, state.gamma, kern, u)
+    """Per-interval recombination counts given the ancestry transitions, by chunks of rows."""
+    r = np.empty(state.s.shape, dtype=np.int8)
+    for part, u in _chunk_uniforms(r.shape, rng):
+        r[part] = kernels.recombination_counts(state.s[part], state.gamma, kern[..., part], u,
+                                               part.start)
+    state.r = r
 
 
 def _off_bounds(probs):

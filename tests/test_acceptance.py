@@ -71,12 +71,13 @@ def test_criterion_1_ffbs_exactness():
         rho = 0.8
         exact = enumerate_path_marginals(x, r, starts, p_a, p_b, rho)
         u = rng.random((n_draws, n_loc))
+        r_all = np.tile(r, (n_draws, 1))
         s = kernels.ffbs_paths(
             np.tile(x, (n_draws, 1)),
-            np.tile(r, (n_draws, 1)),
+            r_all,
             observation_rows(p_a, p_b),
             transition_kernels(np.full(n_draws, rho)),
-            u,
+            u[kernels.read_cells(r_all)],
         )
         emp = empirical_state_freqs(s)
         for j in range(n_loc):

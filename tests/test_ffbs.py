@@ -16,12 +16,13 @@ from conftest import (
 def sample_many(x, r, p_a, p_b, rho, n, seed=5):
     rng = np.random.default_rng(seed)
     u = rng.random((n, len(x)))
+    r = np.tile(np.asarray(r, np.int8), (n, 1))
     return kernels.ffbs_paths(
         np.tile(np.asarray(x, np.int8), (n, 1)),
-        np.tile(np.asarray(r, np.int8), (n, 1)),
+        r,
         observation_rows(np.asarray(p_a, float), np.asarray(p_b, float)),
         transition_kernels(np.full(n, rho)),
-        u,
+        u[kernels.read_cells(r)],
     )
 
 

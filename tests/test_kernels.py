@@ -110,7 +110,7 @@ def ffbs(x, r, p_a, p_b, rho, u):
     locus elsewhere; every call here takes both passes, which must draw the
     same path or name the same lost cell.
     """
-    args = x, r, observation_rows(p_a, p_b), transition_kernels(rho), u
+    args = x, r, observation_rows(p_a, p_b), transition_kernels(rho), u[kernels.read_cells(r)]
     outcomes = []
     for share in (1.0, -1.0):   # once per run at any share, then once per locus
         with pytest.MonkeyPatch.context() as mp:
@@ -271,6 +271,26 @@ def test_rho_count_stats_identical_across_backends(state):
     ref_a, ref_b = ref_rho_counts(s, r, start)
     assert np.array_equal(a, ref_a)
     assert np.array_equal(b, ref_b)
+
+
+def take_counts(s, r):
+    """The admixture counts by np.take of int8 codes from the two lineage tables."""
+    table = np.stack([kernels._lineage_count_table(((0, 1), (1, 2), (2, 2)), [0, 1, 2]),
+                      kernels._lineage_count_table(((0, 0), (1, 0), (2, 1)), [2, 1, 0])])
+    code = kernels._previous(s) * 3 + s + r * 9
+    return table.take(code, axis=1).sum(axis=2)
+
+
+def test_rho_count_stats_translate_as_np_take_counts_at_every_code(rng):
+    # row c of the first block holds the code c = 9 r + 3 s_prev + s at
+    # locus 1, after a start; the random rows hold every code many times
+    code = np.arange(27)
+    s = np.stack([code // 3 % 3, code % 3], axis=1)
+    r = np.stack([np.full(27, 2), code // 9], axis=1)
+    for s, r in ((s, r), (rng.integers(0, 3, (50, 300)), rng.integers(0, 3, (50, 300)))):
+        s, r = s.astype(np.int8), r.astype(np.int8)
+        assert np.unique(kernels._previous(s) * 3 + s + r * 9).size == 27
+        assert np.array_equal(kernels.ancestry_count_stats(s, r), take_counts(s, r))
 
 
 def test_impute_identical_across_backends(state, rng):
@@ -677,7 +697,8 @@ def test_ffbs_run_pass_hands_a_lost_mass_to_the_locus_pass(rng, monkeypatch):
     kinds = spy_unit_kinds(monkeypatch)
     monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
     with pytest.raises(ForwardUnderflowError) as info:
-        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
+                           u[kernels.read_cells(r)])
     assert kinds == [True, False]
     with pytest.raises(ForwardUnderflowError) as ref:
         per_locus_ffbs(x, r, p_a, p_b, rho, u)
@@ -703,10 +724,86 @@ def test_ffbs_runs_hand_an_unreachable_best_state_to_loci(rng, monkeypatch):
     monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+        s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
+                               u[kernels.read_cells(r)])
     assert kinds == [True, False]
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
     assert np.array_equal(s[0], np.repeat([0, 1], 100))
+
+
+def spy_reads(monkeypatch):
+    """The uniforms that each FFBS pass from here on draws with, one list a pass."""
+    passes = []
+
+    def ffbs(*args):
+        passes.append([])
+        return real_ffbs(*args)
+
+    def draw3(w, u, tot=None):
+        passes[-1].append(np.array(u))
+        return real_draw3(w, u, tot)
+
+    real_ffbs, real_draw3 = kernels._ffbs, kernels._draw3
+    monkeypatch.setattr(kernels, "_ffbs", ffbs)
+    monkeypatch.setattr(kernels, "_draw3", draw3)
+    return passes
+
+
+def read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho):
+    """FFBS's passes on uniforms that name their cells; asserts each reads every read cell once."""
+    read = kernels.read_cells(r)
+    want = np.zeros(r.shape, dtype=bool)
+    want[:, -1] = True
+    want[:, :-1] = r[:, 1:] > 0
+    assert np.array_equal(read, want)
+    # the uniform of flat cell c is (c + 1/2) / r.size
+    u = (np.arange(r.size).reshape(r.shape) + 0.5) / r.size
+    passes = spy_reads(monkeypatch)
+    s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u[read])
+    for drawn in passes:
+        cells = (np.concatenate(drawn) * r.size).astype(np.intp)
+        assert np.array_equal(np.bincount(cells, minlength=r.size), read.ravel())
+    return s, u, len(passes)
+
+
+@pytest.mark.parametrize("lengths", [[12, 1, 20, 7], [40]], ids=["segments", "one segment"])
+@pytest.mark.parametrize("share, runs", [(1.0, True), (-1.0, False)], ids=["runs", "loci"])
+def test_ffbs_reads_each_read_cell_once_per_pass(rng, monkeypatch, lengths, share, runs):
+    # once per run and once per locus, on rows whose locus 0 has r = 2 and
+    # rows where it has r = 0; the path is the per-locus loop's on the
+    # uniforms of every cell
+    x, r, p_a, p_b, rho, _ = segmented_chain(rng, 30, lengths, (0.8, 0.15, 0.05))
+    r[1::3, 0] = 0
+    kinds = spy_unit_kinds(monkeypatch)
+    monkeypatch.setattr(kernels, "RUN_SHARE", share)
+    s, u, n_passes = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
+    assert kinds == [runs] and n_passes == 1
+    assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+
+
+def test_ffbs_hand_off_reads_each_read_cell_once_per_pass(monkeypatch):
+    # subject 0 loses its mass stepping once per run (see
+    # test_ffbs_runs_hand_an_unreachable_best_state_to_loci), and the call is
+    # redone once per locus; subjects 1 and 3 have r = 0 at locus 0
+    n_loc = 200
+    x = np.zeros((4, n_loc), dtype=np.int8)
+    x[0, 100:] = 2
+    r = np.zeros((4, n_loc), dtype=np.int8)
+    r[0, 0], r[0, 100], r[1:, 50], r[2, 0], r[3, 150] = 2, 1, 1, 2, 2
+    p_a, p_b = np.full(n_loc, 0.9999), np.full(n_loc, 0.0001)
+    rho = np.full(4, 0.5)
+    kinds = spy_unit_kinds(monkeypatch)
+    monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
+    s, u, n_passes = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
+    assert kinds == [True, False] and n_passes == 2
+    assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+    assert np.array_equal(s[0], np.repeat([0, 1], 100))
+
+
+def test_ffbs_refuses_a_uniform_per_cell(rng):
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 5, [6, 4], (0.8, 0.15, 0.05))
+    with pytest.raises(ValueError, match=f"FFBS reads {kernels.read_cells(r).sum()} cells"):
+        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
 
 
 @pytest.mark.parametrize("pick",["one subject", "every other subject", "reversed"])
@@ -739,7 +836,7 @@ def ffbs_peak_per_cell(rng, p_r):
     r[:, start] = 2
     rows = observation_rows(rng.uniform(0.55, 0.95, n_loc), rng.uniform(0.05, 0.45, n_loc))
     kern = transition_kernels(rng.uniform(0.5, 0.95, n_sub))
-    u = rng.random((n_sub, n_loc))
+    u = rng.random((n_sub, n_loc))[kernels.read_cells(r)]
     tracemalloc.start()
     try:
         kernels.ffbs_paths(x, r, rows, kern, u)
@@ -786,7 +883,8 @@ def test_ffbs_steps_once_per_run_only_at_a_low_kernel_share(rng, monkeypatch):
         r[:] = 0
         r.reshape(-1)[:n_kernel + extra] = 1
         kinds.clear()
-        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
+        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
+                           u[kernels.read_cells(r)])
         assert kinds == want
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,12 +53,13 @@ def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
     n = 60000
     rng = np.random.default_rng(3)
     u = rng.random((n, 1))
+    r = np.zeros((n, 1), dtype=np.int8)
     s = kernels.ffbs_paths(
         np.ones((n, 1), dtype=np.int8),
-        np.zeros((n, 1), dtype=np.int8),
+        r,
         observation_rows(np.array([0.9]), np.array([0.1])),
         transition_kernels(np.full(n, 0.8)),
-        u,
+        u[kernels.read_cells(r)],
     )
     expected = hwe_vector(0.8) * np.array(
         [obs_row(0.9, 0.1, state)[1] for state in range(3)]
@@ -257,3 +259,76 @@ def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
     assert all(float(rate) > 0 for _, rate, _, _ in fields)
     # logging reads no random number: the draws are those of a run that logs nothing
     assert np.array_equal(draws.draws, quiet.draws)
+
+
+def sweep_state(n_sub, n_loc=400, seed=4):
+    """A state two sweeps in, with its priors and generator, on AIMs 0.5 cM apart.
+
+    Two chromosomes; ~6% of the cells have r > 0, so FFBS steps once per run.
+    """
+    rng = np.random.default_rng(seed)
+    panel = chain_panel(n_loc, chrom=[1] * (n_loc // 2) + [2] * (n_loc - n_loc // 2),
+                        spacing=0.005)
+    s = simulate_chain_ancestry(rng, n_sub, panel.gamma0(6.0), 0.8, panel.chrom_start)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng)
+    genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
+    derived = sampler.derive_priors(genotypes, panel, HmmHyperparams())
+    state = sampler.initial_state(genotypes, panel, derived, rng)
+    for _ in range(2):
+        rows, kern = observation_rows(state.p_a, state.p_b), transition_kernels(state.rho)
+        sampler.sample_ancestry_paths(state, rows, kern, rng)
+        sampler.sample_recombination_counts(state, kern, rng)
+        sampler.update_gamma(state, derived, n_sub, rng)
+        sampler.update_rho(state, derived, rng)
+        sampler.update_allele_freqs(state, panel, rng)
+    return state, derived, rng
+
+
+def traced_peak(step, *args):
+    """tracemalloc's peak while ``step(*args)`` runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        step(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_steps_hold_no_full_size_input_beyond_ffbs_own_arrays():
+    # per cell the cohort adds, a step's peak may grow by FFBS's own arrays
+    # plus 1 B, so no step holds a uniform, code or index array of every
+    # cell: whole-array uniforms for FFBS or the recombination counts, or
+    # np.take's index cast of the admixture codes, take 8 B a cell each.
+    # FFBS's own arrays grow by 2.76 B here: the kernel's peak with its
+    # uniforms made before tracing, measured when it took one per cell
+    own = 2.76
+    n_loc, sizes = 400, (200, 600)   # past one chunk of rows at either size
+    assert sizes[0] * n_loc > sampler.ROW_CHUNK_CELLS
+    peaks = []
+    for n_sub in sizes:
+        state, derived, rng = sweep_state(n_sub, n_loc)
+        rows, kern = observation_rows(state.p_a, state.p_b), transition_kernels(state.rho)
+        assert 0.03 < np.count_nonzero(state.r) / state.r.size < kernels.RUN_SHARE
+        peaks.append([traced_peak(sampler.sample_ancestry_paths, state, rows, kern, rng),
+                      traced_peak(sampler.sample_recombination_counts, state, kern, rng),
+                      traced_peak(sampler.update_rho, state, derived, rng)])
+    growth = np.subtract(*peaks[::-1]) / ((sizes[1] - sizes[0]) * n_loc)
+    assert (growth < own + 1.0).all(), f"{growth} B a cell"
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40], ids=["one row", "a non-divisor", "the whole"])
+def test_recombination_counts_by_chunks_of_rows_draw_the_whole(monkeypatch, rows):
+    state, _, _ = sweep_state(40, 30)
+    kern = transition_kernels(state.rho)
+    whole = kernels.recombination_counts(state.s, state.gamma, kern,
+                                         np.random.default_rng(5).random(state.s.shape))
+    monkeypatch.setattr(sampler, "ROW_CHUNK_CELLS", rows * 30)
+    sampler.sample_recombination_counts(state, kern, np.random.default_rng(5))
+    assert np.array_equal(state.r, whole)
+    # gamma = 0 forbids any change of state: the error names the first cell
+    # that changes, subjects counted from the cohort's first row
+    state.gamma[1:] = 0.0
+    state.s[:, 1:] = state.s[:, :1]
+    state.s[[23, 37], 9] = (state.s[[23, 37], 8] + 1) % 3
+    with pytest.raises(RuntimeError, match="subject 23, locus 9;"):
+        sampler.sample_recombination_counts(state, kern, np.random.default_rng(5))
