@@ -7,6 +7,9 @@ through a mixture of three conditional kernels indexed by the number of
 recombination events on the connecting interval; at each chromosome start
 the chain restarts from the Hardy-Weinberg vector implied by the subject's
 genome-wide admixture proportion.
+
+What a sampler run derives from these inputs and holds fixed, such as the
+prior means' moments, is ``sampler.DerivedPriors``.
 """
 from __future__ import annotations
 
@@ -29,37 +32,6 @@ def _vector(x, name, n=None):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class MeanMoments:
-    """Sums over q = (m, 1 - m) for prior means m, fixed for a run.
-
-    With them ``sampler.slice_step_tau`` reads the Beta(tau m, tau (1 - m))
-    log density, and a bound on its error, in O(1) per proposed tau.  The
-    inverse powers give Stirling's series and its remainder.  A mean at or
-    within ~1e-28 of 0 or 1, or outside [0, 1], makes a sum inf or NaN,
-    which sends every comparison of the slice step to the exact density;
-    every finite set of sums has all q in (0, 1], so ln q <= 0.
-    """
-
-    n_loci: int
-    weights: np.ndarray  # rows q and ones, for the sums of q ln f and of ln f
-    q: float             # sum q
-    qlnq: float          # sum q ln q
-    lnq: float           # sum ln q
-    inv: tuple           # sum q**(1 - 2k), k = 1..6
-
-    @classmethod
-    def of(cls, means):
-        means = np.asarray(means, dtype=np.float64)
-        q = np.concatenate((means, 1.0 - means))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lnq = np.log(q)
-            inv = 1.0 / q
-            sums = [float(x.sum()) for x in (q, q * lnq, lnq)]
-            powers = tuple(float((inv * (inv * inv) ** k).sum()) for k in range(6))
-        return cls(means.size, np.stack((q, np.ones_like(q))), *sums, powers)
-
-
 @dataclass
 class AimPanel:
     """Ordered panel of ancestry-informative markers.
@@ -68,8 +40,9 @@ class AimPanel:
     frequencies in the high-risk (``p_a0``) and low-risk (``p_b0``)
     populations are clamped into ``[FREQ_CLAMP, 1 - FREQ_CLAMP]``: reference
     panels routinely contain fixed alleles and an exact 0 or 1 would lock
-    the likelihood.  Both are copies, read-only once clamped: a run reads
-    moments derived from them once.
+    the likelihood.  Both are copies, read-only once clamped, so the priors
+    a sampler run derives from them once (``sampler.derive_priors``) cannot
+    go stale.
 
     Derived on construction:
 
@@ -80,9 +53,6 @@ class AimPanel:
     d
         genetic distance to the previous marker on the same chromosome
         (Morgans); 0.0 at chromosome starts, where it is unused.
-    moments_a, moments_b
-        :class:`MeanMoments` of ``p_a0`` and ``p_b0``, for the slice steps
-        of the dispersion parameters.
     """
 
     marker_ids: list
@@ -92,8 +62,6 @@ class AimPanel:
     p_b0: np.ndarray
     chrom_start: np.ndarray = field(init=False)
     d: np.ndarray = field(init=False)
-    moments_a: MeanMoments = field(init=False, repr=False, compare=False)
-    moments_b: MeanMoments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.marker_ids = list(self.marker_ids)
@@ -119,8 +87,6 @@ class AimPanel:
         np.clip(self.p_b0, FREQ_CLAMP, 1.0 - FREQ_CLAMP, out=self.p_b0)
         self.p_a0.flags.writeable = False
         self.p_b0.flags.writeable = False
-        self.moments_a = MeanMoments.of(self.p_a0)
-        self.moments_b = MeanMoments.of(self.p_b0)
 
         start = np.empty(n, dtype=bool)
         start[0] = True
@@ -222,7 +188,8 @@ class AncestryDraws:
             raise ValueError("at least one retained draw is required")
         # min and max make no full-size temporaries, as comparisons would
         if self.draws.min(initial=0) < 0 or self.draws.max(initial=0) > 2:
-            raise ValueError("ancestry draws must take values in {0, 1, 2}")
+            k, i, j = np.argwhere((self.draws < 0) | (self.draws > 2))[0]
+            raise ValueError(f"ancestry value {self.draws[k, i, j]} in draw {k}, subject {i}, locus {j}")
         self.sweep_index = np.asarray(self.sweep_index, dtype=np.int64)
         if self.sweep_index.shape != (self.draws.shape[0],):
             raise ValueError("sweep_index length does not match draws")

@@ -1,18 +1,22 @@
 """Blocked Gibbs sampler for the admixture HMM.
 
-One sweep updates, in order: imputed genotypes, ancestry paths (forward
-filtering backward sampling, one block per subject),
-per-interval recombination counts, recombination probabilities, subject
-admixture proportions, reference allele frequencies (with a latent phase
-split at ancestry-heterozygous genotype-heterozygous cells), and the two
-frequency-dispersion parameters by one exact slice step each (Neal 2003,
-Ann. Statist.) over their uniform-prior support (50, 1000), with no step
-size and no tuning.
+``sweep(state, derived, rng)`` updates, in order: imputed genotypes,
+ancestry paths (forward filtering backward sampling, one block per
+subject), per-interval recombination counts, recombination probabilities,
+subject admixture proportions, reference allele frequencies (with a latent
+phase split at ancestry-heterozygous genotype-heterozygous cells), and the
+two frequency-dispersion parameters by one exact slice step each (Neal
+2003, Ann. Statist.) over their uniform-prior support (50, 1000), with no
+step size and no tuning.  ``run_mcmc`` repeats it and keeps the draws.
+
+Everything fixed for a run is one ``DerivedPriors``, built by
+``derive_priors``; each step reads only the state, those priors, the
+sweep's tables and the generator.
 
 A slice step's output is the proposal it accepts, so only each comparison
 of a proposal's log density with the level must be the exact density's.
-The prior means are fixed for a run, so the panel carries their moments
-(``hmm.MeanMoments``), and Stirling's series turns the 2 L lgamma terms of
+The prior means are fixed for a run, so each population's ``FreqPrior``
+carries their moments, and Stirling's series turns the 2 L lgamma terms of
 the Beta log density into a few scalar operations per proposal, with a
 proven bound on the distance from the exact sum: the series' remainder
 plus the rounding of both evaluations (``_fast_loglik``).  A comparison
@@ -51,12 +55,10 @@ import numpy as np
 from . import kernels
 from .errors import ForwardUnderflowError
 from .hmm import (
-    MISSING,
     TAU_RANGE,
     AimPanel,
     AncestryDraws,
     GenotypeMatrix,
-    MeanMoments,
     hwe_rows,
     observation_rows,
     transition_kernels,
@@ -79,12 +81,12 @@ class HmmHyperparams:
     ``mu0`` is the prior variance of each recombination probability, which
     fixes a per-interval concentration ``gamma0*(1-gamma0)/mu0 - 1``
     (floored at 1).  ``nu0`` plays the same role for the admixture
-    proportions.  ``rho0`` may be a scalar or a per-subject vector.
+    proportions, whose prior mean ``rho0`` every subject shares.
     """
 
     lam: float = 6.0
     mu0: float = 1e-4
-    rho0: float | np.ndarray = 0.8
+    rho0: float = 0.8
     nu0: float = 0.01
     burn_in: int = 500
     n_draws: int = 200
@@ -93,26 +95,20 @@ class HmmHyperparams:
 
     def __post_init__(self):
         for name in ("lam", "mu0", "nu0", "rho0"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
         if self.mu0 <= 0 or self.nu0 <= 0:
             raise ValueError("mu0 and nu0 must be positive")
+        if not 0.0 < self.rho0 < 1.0:
+            raise ValueError("rho0 must lie strictly inside (0, 1)")
+        if self.nu0 >= self.rho0 * (1.0 - self.rho0):
+            raise ValueError("nu0 must be smaller than rho0*(1-rho0)")
         if self.burn_in < 1 or self.n_draws < 1:
             raise ValueError("burn_in and n_draws must be at least 1")
         if self.thin < 1 or self.thin > self.n_draws:
             raise ValueError("thin must lie in [1, n_draws]")
-
-    def rho0_vector(self, n_subjects):
-        rho0 = np.asarray(self.rho0, dtype=np.float64)
-        if rho0.ndim == 0:
-            rho0 = np.full(n_subjects, float(rho0))
-        if rho0.shape != (n_subjects,):
-            raise ValueError("rho0 must be scalar or one value per subject")
-        if not np.all((rho0 > 0.0) & (rho0 < 1.0)):   # NaN fails too
-            raise ValueError("rho0 must lie strictly inside (0, 1)")
-        return rho0
 
 
 @dataclass
@@ -130,16 +126,50 @@ class HmmState:
     tau_b: float
 
 
+@dataclass(frozen=True, eq=False)
+class FreqPrior:
+    """One population's prior allele-frequency means m, with sums over q = (m, 1 - m).
+
+    The frequencies are Beta(tau m, tau (1 - m)).  With the sums
+    ``slice_step_tau`` reads that log density, and a bound on its error, in
+    O(1) per proposed tau.  The inverse powers give Stirling's series and
+    its remainder.  A mean at or within ~1e-28 of 0 or 1, or outside [0, 1],
+    makes a sum inf or NaN, which sends every comparison of the slice step
+    to the exact density; every finite set of sums has all q in (0, 1], so
+    ln q <= 0.
+    """
+
+    means: np.ndarray
+    weights: np.ndarray  # rows q and ones, for the sums of q ln f and of ln f
+    q: float             # sum q
+    qlnq: float          # sum q ln q
+    lnq: float           # sum ln q
+    inv: tuple           # sum q**(1 - 2k), k = 1..6
+
+    @classmethod
+    def of(cls, means):
+        means = np.asarray(means, dtype=np.float64)
+        q = np.concatenate((means, 1.0 - means))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lnq = np.log(q)
+            inv = 1.0 / q
+            sums = [float(x.sum()) for x in (q, q * lnq, lnq)]
+            powers = tuple(float((inv * (inv * inv) ** k).sum()) for k in range(6))
+        return cls(means, np.stack((q, np.ones_like(q))), *sums, powers)
+
+
 @dataclass
 class DerivedPriors:
-    """Panel- and hyperparameter-derived quantities fixed across sweeps."""
+    """Everything a run holds fixed, derived once by :func:`derive_priors`."""
 
     gamma0: np.ndarray
     tau_gamma: np.ndarray
     gamma_mask: np.ndarray   # loci whose recombination probability is updated
-    rho0: np.ndarray
+    rho0: np.ndarray         # (n_sub,) prior mean admixture proportions
     tau_rho: float
-    missing_cells: tuple   # np.nonzero of the missing-genotype mask
+    prior_a: FreqPrior       # allele frequencies, high-risk population
+    prior_b: FreqPrior       # allele frequencies, low-risk population
+    missing_cells: tuple     # np.nonzero of the missing-genotype mask
 
 
 def derive_priors(genotypes: GenotypeMatrix, panel: AimPanel, hyper: HmmHyperparams):
@@ -153,23 +183,22 @@ def derive_priors(genotypes: GenotypeMatrix, panel: AimPanel, hyper: HmmHyperpar
                 f"({spread.max():.3g}) for the concentration to be positive"
             )
     tau_gamma = np.maximum(gamma0 * (1.0 - gamma0) / hyper.mu0 - 1.0, 1.0)
-    rho0 = hyper.rho0_vector(genotypes.n_subjects)
-    spread = rho0 * (1.0 - rho0)
-    if hyper.nu0 >= spread.min():
-        raise ValueError("nu0 must be smaller than min rho0*(1-rho0)")
-    tau_rho = float((spread / hyper.nu0).mean() - 1.0)
+    rho0 = np.full(genotypes.n_subjects, hyper.rho0)
+    # averaged over subjects: the scalar formula can differ in the last bit
+    tau_rho = float((rho0 * (1.0 - rho0) / hyper.nu0).mean() - 1.0)
     return DerivedPriors(
         gamma0=gamma0,
         tau_gamma=tau_gamma,
         gamma_mask=mask,
         rho0=rho0,
         tau_rho=tau_rho,
+        prior_a=FreqPrior.of(panel.p_a0),
+        prior_b=FreqPrior.of(panel.p_b0),
         missing_cells=np.nonzero(genotypes.missing_mask),
     )
 
 
-def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
-                  derived: DerivedPriors, rng) -> HmmState:
+def initial_state(genotypes: GenotypeMatrix, derived: DerivedPriors, rng) -> HmmState:
     n_sub, n_loc = genotypes.x.shape
     u = rng.random((n_sub, n_loc))
     s = kernels._draw3(hwe_rows(derived.rho0)[:, :, None], u)
@@ -182,8 +211,8 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
         s=s,
         r=r,
         x_imp=x_imp,
-        p_a=panel.p_a0.copy(),
-        p_b=panel.p_b0.copy(),
+        p_a=derived.prior_a.means.copy(),
+        p_b=derived.prior_b.means.copy(),
         gamma=derived.gamma0.copy(),
         rho=derived.rho0.copy(),
         tau_a=float(np.mean(TAU_RANGE)),
@@ -194,17 +223,15 @@ def initial_state(genotypes: GenotypeMatrix, panel: AimPanel,
 # --- individual sweep steps -------------------------------------------------
 
 
-def impute_missing_genotypes(state: HmmState, missing_cells, rows, rng):
+def impute_missing_genotypes(state: HmmState, derived: DerivedPriors, rows, rng):
     """Redraw the MISSING genotype cells from the sweep's observation rows.
 
-    ``missing_cells`` is ``np.nonzero`` of the missing mask; one uniform is
-    drawn per cell.
+    One uniform is drawn per cell of ``derived.missing_cells``.
     """
-    n_missing = missing_cells[0].size
-    if not n_missing:
-        return
-    u = rng.random(n_missing)
-    state.x_imp = kernels.impute_genotypes(state.x_imp, missing_cells, state.s, rows, u)
+    cells = derived.missing_cells
+    if cells[0].size:
+        u = rng.random(cells[0].size)
+        state.x_imp = kernels.impute_genotypes(state.x_imp, cells, state.s, rows, u)
 
 
 def _chunk_uniforms(shape, rng):
@@ -248,12 +275,12 @@ def _off_bounds(probs):
     return np.minimum(np.maximum(probs, _PROB_EPS), 1.0 - _PROB_EPS)
 
 
-def update_gamma(state: HmmState, derived: DerivedPriors, n_subjects, rng):
+def update_gamma(state: HmmState, derived: DerivedPriors, rng):
     """Conjugate Beta update of recombination probabilities, per interval."""
     mask = derived.gamma_mask
     r_sum = state.r.sum(axis=0, dtype=np.float64)
     a = derived.tau_gamma * derived.gamma0 + r_sum
-    b = derived.tau_gamma * (1.0 - derived.gamma0) + 2.0 * n_subjects - r_sum
+    b = derived.tau_gamma * (1.0 - derived.gamma0) + 2.0 * state.r.shape[0] - r_sum
     draws = rng.beta(a[mask], b[mask])
     state.gamma[mask] = _off_bounds(draws)
 
@@ -284,7 +311,7 @@ def allele_freq_posterior_params(counts, n_va, p_a0, p_b0, tau_a, tau_b):
     return (a_a, b_a), (a_b, b_b)
 
 
-def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
+def update_allele_freqs(state: HmmState, derived: DerivedPriors, rng):
     """Impute the latent phase split, then Beta-update both frequencies."""
     counts = kernels.genotype_state_counts(state.s, state.x_imp)
     n11 = counts[:, 1, 1]
@@ -292,7 +319,7 @@ def update_allele_freqs(state: HmmState, panel: AimPanel, rng):
     w = w / (w + state.p_b * (1.0 - state.p_a))
     n_va = rng.binomial(n11, w)
     (a_a, b_a), (a_b, b_b) = allele_freq_posterior_params(
-        counts, n_va, panel.p_a0, panel.p_b0, state.tau_a, state.tau_b
+        counts, n_va, derived.prior_a.means, derived.prior_b.means, state.tau_a, state.tau_b
     )
     # one call: Generator.beta draws element by element, so the stream is that
     # of p_a's call then p_b's, with one set of argument checks
@@ -321,8 +348,8 @@ _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0
 _STIRLING_REMAINDER = 691.0 / 360360.0
 
 
-def _fast_loglik(tau, moments, a_sum, b_sum):
-    """``_beta_loglik`` from moments, and a bound on its distance from it.
+def _fast_loglik(tau, prior, a_sum, b_sum):
+    """``_beta_loglik`` from the moments of ``prior``, and a bound on its distance from it.
 
     With q running over the 2 L values (m, 1 - m), Stirling's series gives
 
@@ -349,8 +376,8 @@ def _fast_loglik(tau, moments, a_sum, b_sum):
     the rounding of its own moment and powers.  The bound is inf or NaN
     when a moment is.
     """
-    m = moments
-    n = m.n_loci
+    m = prior
+    n = m.means.size
     lx = math.log(tau)
     y = 1.0 / tau
     y2 = y * y
@@ -367,7 +394,7 @@ def _fast_loglik(tau, moments, a_sum, b_sum):
     return value, (1.0 + kappa) * remainder + kappa * scale
 
 
-def slice_step_tau(tau, freqs, means, rng, moments=None):
+def slice_step_tau(tau, freqs, prior: FreqPrior, rng):
     """One slice-sampling step for a dispersion parameter (Neal 2003).
 
     The bracket starts as the whole uniform-prior support and shrinks
@@ -379,28 +406,25 @@ def slice_step_tau(tau, freqs, means, rng, moments=None):
     two differ by more than the sum of its bounds at ``tau`` and at the
     proposal.  Otherwise, or where a bound is inf or NaN, both sides are
     recomputed exactly by ``_beta_loglik``, so every decision, and every
-    draw, is the exact density's.  ``moments`` are those of ``means``
-    (:class:`MeanMoments`); a run passes its panel's, computed once.
+    draw, is the exact density's.
     """
-    if moments is None:
-        moments = MeanMoments.of(means)
     # sum q ln f over (f, 1 - f) against q = (m, 1 - m), and sum ln f
-    a_sum, b_sum = (moments.weights @ np.concatenate((np.log(freqs), np.log1p(-freqs)))).tolist()
-    cur, cur_bound = _fast_loglik(tau, moments, a_sum, b_sum)
+    a_sum, b_sum = (prior.weights @ np.concatenate((np.log(freqs), np.log1p(-freqs)))).tolist()
+    cur, cur_bound = _fast_loglik(tau, prior, a_sum, b_sum)
     drop = math.log1p(-rng.random())
     level = cur + drop
     exact_level = None
     lo, hi = TAU_RANGE
     while True:
         prop = rng.uniform(lo, hi)
-        value, bound = _fast_loglik(prop, moments, a_sum, b_sum)
+        value, bound = _fast_loglik(prop, prior, a_sum, b_sum)
         gap = value - level
         if abs(gap) > cur_bound + bound:     # False for an inf or NaN bound
             clears = gap > 0.0
         else:
             if exact_level is None:
-                exact_level = _beta_loglik(tau, freqs, means) + drop
-            clears = _beta_loglik(prop, freqs, means) >= exact_level
+                exact_level = _beta_loglik(tau, freqs, prior.means) + drop
+            clears = _beta_loglik(prop, freqs, prior.means) >= exact_level
         if clears:
             return prop
         if prop < tau:
@@ -409,14 +433,32 @@ def slice_step_tau(tau, freqs, means, rng, moments=None):
             hi = prop
 
 
-def update_tau_mh(state: HmmState, panel: AimPanel, rng):
+def update_tau_mh(state: HmmState, derived: DerivedPriors, rng):
     """Slice update of both dispersion parameters.
 
     The name predates the slice step; ``perfbench/spans.py`` wraps the step
     under it.
     """
-    state.tau_a = slice_step_tau(state.tau_a, state.p_a, panel.p_a0, rng, panel.moments_a)
-    state.tau_b = slice_step_tau(state.tau_b, state.p_b, panel.p_b0, rng, panel.moments_b)
+    state.tau_a = slice_step_tau(state.tau_a, state.p_a, derived.prior_a, rng)
+    state.tau_b = slice_step_tau(state.tau_b, state.p_b, derived.prior_b, rng)
+
+
+def sweep(state: HmmState, derived: DerivedPriors, rng):
+    """One Gibbs sweep: every step once, in order, on ``state`` in place.
+
+    Each step is looked up on this module per call, so a wrapper set there
+    (``perfbench/spans.py``) sees it.
+    """
+    # the tables of the first three steps, which change none of p_a, p_b, rho
+    rows = observation_rows(state.p_a, state.p_b)
+    kern = transition_kernels(state.rho)
+    impute_missing_genotypes(state, derived, rows, rng)
+    sample_ancestry_paths(state, rows, kern, rng)
+    sample_recombination_counts(state, kern, rng)
+    update_gamma(state, derived, rng)
+    update_rho(state, derived, rng)
+    update_allele_freqs(state, derived, rng)
+    update_tau_mh(state, derived, rng)
 
 
 # --- the full sampler -------------------------------------------------------
@@ -437,11 +479,10 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
         )
     derived = derive_priors(genotypes, panel, hyper)
     rng = np.random.default_rng(hyper.seed)
-    state = initial_state(genotypes, panel, derived, rng)
+    state = initial_state(genotypes, derived, rng)
 
-    n_sub, n_loc = genotypes.x.shape
     m = hyper.n_draws // hyper.thin
-    draws = np.empty((m, n_sub, n_loc), dtype=np.int8)
+    draws = np.empty((m, *genotypes.x.shape), dtype=np.int8)
     sweep_index = np.empty(m, dtype=np.int64)
     traces = {name: np.empty((m, *np.shape(getattr(state, name)))) for name in TRACED}
 
@@ -449,12 +490,8 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     total = hyper.burn_in + hyper.n_draws
     start = time.perf_counter()
     for t in range(total):
-        # the tables of the first three steps, which change none of p_a, p_b, rho
-        rows = observation_rows(state.p_a, state.p_b)
-        kern = transition_kernels(state.rho)
         try:
-            impute_missing_genotypes(state, derived.missing_cells, rows, rng)
-            sample_ancestry_paths(state, rows, kern, rng)
+            sweep(state, derived, rng)
         except ForwardUnderflowError as exc:
             raise ForwardUnderflowError(
                 exc.subject,
@@ -462,11 +499,6 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
                 f"sweep {t}: zero forward mass at subject {exc.subject}, "
                 f"locus {exc.locus}",
             ) from exc
-        sample_recombination_counts(state, kern, rng)
-        update_gamma(state, derived, n_sub, rng)
-        update_rho(state, derived, rng)
-        update_allele_freqs(state, panel, rng)
-        update_tau_mh(state, panel, rng)
 
         post = t - hyper.burn_in + 1
         if post >= 1 and post % hyper.thin == 0 and kept < m:

@@ -510,6 +510,14 @@ class TestInconsistentDrawsFile:
         ):
             fileio.load_draws(path)
 
+    @pytest.mark.parametrize("value", [3, -1])
+    def test_constructor_names_the_first_value_outside_the_states(self, value):
+        draws = np.ones((2, 3, 4), dtype=np.int8)
+        draws[1, 2, 0] = value
+        draws[1, 2, 3] = 3
+        with pytest.raises(ValueError, match=rf"^ancestry value {value} in draw 1, subject 2, locus 0$"):
+            AncestryDraws(draws=draws, sweep_index=[0, 1])
+
     def test_undecodable_id_refused(self, tmp_path, rng):
         path = tmp_path / "draws.adx"
         fileio.save_draws(make_draws(rng), path)

@@ -186,8 +186,8 @@ def test_traces_record_the_state_after_each_retained_sweep(monkeypatch):
     after_sweep = []
     last_step = sampler.update_tau_mh
 
-    def recording_last_step(state, panel, rng):
-        last_step(state, panel, rng)
+    def recording_last_step(state, derived, rng):
+        last_step(state, derived, rng)
         after_sweep.append({name: np.copy(getattr(state, name)) for name in TRACED})
 
     monkeypatch.setattr(sampler, "update_tau_mh", recording_last_step)
@@ -273,14 +273,9 @@ def sweep_state(n_sub, n_loc=400, seed=4):
     x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng)
     genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
     derived = sampler.derive_priors(genotypes, panel, HmmHyperparams())
-    state = sampler.initial_state(genotypes, panel, derived, rng)
+    state = sampler.initial_state(genotypes, derived, rng)
     for _ in range(2):
-        rows, kern = observation_rows(state.p_a, state.p_b), transition_kernels(state.rho)
-        sampler.sample_ancestry_paths(state, rows, kern, rng)
-        sampler.sample_recombination_counts(state, kern, rng)
-        sampler.update_gamma(state, derived, n_sub, rng)
-        sampler.update_rho(state, derived, rng)
-        sampler.update_allele_freqs(state, panel, rng)
+        sampler.sweep(state, derived, rng)
     return state, derived, rng
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from admixscan.hmm import (
     GenotypeMatrix,
     MISSING,
     TAU_RANGE,
-    MeanMoments,
     observation_rows,
     transition_kernels,
 )
 from admixscan.sampler import (
     DerivedPriors,
+    FreqPrior,
     HmmHyperparams,
     HmmState,
     _beta_loglik,
@@ -27,9 +28,8 @@ from admixscan.sampler import (
     impute_missing_genotypes,
     initial_state,
     run_mcmc,
-    sample_ancestry_paths,
-    sample_recombination_counts,
     slice_step_tau,
+    sweep,
     update_allele_freqs,
     update_gamma,
     update_rho,
@@ -40,6 +40,17 @@ from conftest import simulate_chain_ancestry, trans_prob, validate_ranges
 
 def rows_of(state):
     return observation_rows(state.p_a, state.p_b)
+
+
+def missing_at(mask):
+    """The one prior the imputation step reads: the cells of ``mask``."""
+    return SimpleNamespace(missing_cells=np.nonzero(mask))
+
+
+def freq_priors(n_loc):
+    """``DerivedPriors`` fields for the frequency priors of ``blank_state``."""
+    return {"prior_a": FreqPrior.of(np.full(n_loc, 0.8)),
+            "prior_b": FreqPrior.of(np.full(n_loc, 0.2))}
 
 
 def small_panel(n_loci=4, chrom=None):
@@ -75,13 +86,13 @@ class TestImputation:
         state.p_b[:] = 1e-12
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 0] = True
-        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
+        impute_missing_genotypes(state, missing_at(missing), rows_of(state), rng)
         assert (state.x_imp[:, 0] == 2).all()
         # state 0 with p_b ~ 0 always imputes genotype 0
         state.s[:, 1] = 0
         missing = np.zeros((500, 2), dtype=bool)
         missing[:, 1] = True
-        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
+        impute_missing_genotypes(state, missing_at(missing), rows_of(state), rng)
         assert (state.x_imp[:, 1] == 0).all()
 
     def test_heterozygous_state_empirical_row(self, rng):
@@ -89,7 +100,7 @@ class TestImputation:
         state = blank_state(n, 1)
         state.s[:, 0] = 1
         missing = np.ones((n, 1), dtype=bool)
-        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
+        impute_missing_genotypes(state, missing_at(missing), rows_of(state), rng)
         freqs = [(state.x_imp[:, 0] == k).mean() for k in range(3)]
         assert np.allclose(freqs, [0.16, 0.68, 0.16], atol=0.01)
 
@@ -97,7 +108,7 @@ class TestImputation:
         state = blank_state(10, 3)
         state.x_imp[:] = 2
         missing = np.zeros((10, 3), dtype=bool)
-        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), rng)
+        impute_missing_genotypes(state, missing_at(missing), rows_of(state), rng)
         assert (state.x_imp == 2).all()
 
     def test_draws_one_uniform_per_missing_cell(self, rng):
@@ -106,7 +117,7 @@ class TestImputation:
         missing = rng.random(state.s.shape) < 0.2
         observed = state.x_imp[~missing].copy()
         gen, twin = np.random.default_rng(5), np.random.default_rng(5)
-        impute_missing_genotypes(state, np.nonzero(missing), rows_of(state), gen)
+        impute_missing_genotypes(state, missing_at(missing), rows_of(state), gen)
         twin.random(int(missing.sum()))
         assert gen.random() == twin.random()
         assert np.array_equal(state.x_imp[~missing], observed)
@@ -167,6 +178,7 @@ class TestGammaUpdate:
             gamma_mask=np.array([False] + [True] * (n_loc - 1)),
             rho0=np.full(n_sub, 0.8),
             tau_rho=15.0,
+            **freq_priors(n_loc),
             missing_cells=np.nonzero(np.zeros((n_sub, n_loc), dtype=bool)),
         )
 
@@ -176,7 +188,7 @@ class TestGammaUpdate:
         derived = self.make_derived(n_sub, n_loc, tau_gamma=9.0, gamma0=0.1)
         draws = []
         for _ in range(20000):
-            update_gamma(state, derived, n_sub, rng)
+            update_gamma(state, derived, rng)
             draws.append(state.gamma[1])
         expected = 0.9 / (9.0 + 2 * n_sub)
         assert np.mean(draws) == pytest.approx(expected, abs=0.002)
@@ -185,7 +197,7 @@ class TestGammaUpdate:
         n_sub, n_loc = 10, 2
         state = blank_state(n_sub, n_loc)
         derived = self.make_derived(n_sub, n_loc, tau_gamma=1e8, gamma0=0.1)
-        update_gamma(state, derived, n_sub, rng)
+        update_gamma(state, derived, rng)
         assert state.gamma[1] == pytest.approx(0.1, abs=0.005)
 
     def test_beta_mean_oracle(self, rng):
@@ -196,14 +208,14 @@ class TestGammaUpdate:
         derived = self.make_derived(n_sub, n_loc, tau_gamma=9.0, gamma0=0.1)
         draws = np.empty(100000)
         for k in range(draws.size):
-            update_gamma(state, derived, n_sub, rng)
+            update_gamma(state, derived, rng)
             draws[k] = state.gamma[1]
         assert draws.mean() == pytest.approx(40.9 / 209.0, abs=0.005)
 
     def test_chromosome_start_entry_untouched(self, rng):
         state = blank_state(5, 3, gamma=0.123)
         derived = self.make_derived(5, 3, tau_gamma=5.0, gamma0=0.2)
-        update_gamma(state, derived, 5, rng)
+        update_gamma(state, derived, rng)
         assert state.gamma[0] == 0.123
 
 
@@ -215,6 +227,7 @@ class TestRhoUpdate:
             gamma_mask=np.array([False] + [True] * (n_loc - 1)),
             rho0=np.full(n_sub, rho0),
             tau_rho=tau_rho,
+            **freq_priors(n_loc),
             missing_cells=np.nonzero(np.zeros((n_sub, n_loc), dtype=bool)),
         )
 
@@ -291,8 +304,7 @@ class TestAlleleFreqUpdate:
         state = blank_state(20, 2)
         state.s[:] = 2
         state.x_imp[:] = 1
-        panel = small_panel(2)
-        update_allele_freqs(state, panel, rng)
+        update_allele_freqs(state, SimpleNamespace(**freq_priors(2)), rng)
         assert 0.0 < state.p_a.min() and state.p_a.max() < 1.0
 
     def test_equal_frequencies_split_latent_half_half(self, rng):
@@ -336,7 +348,7 @@ class TestTauSlice:
                 return self.proposals[-1]
 
         stub = ScriptedStep()
-        out = slice_step_tau(tau, freqs, means, stub)
+        out = slice_step_tau(tau, freqs, FreqPrior.of(means), stub)
 
         level = _beta_loglik(tau, freqs, means) + math.log1p(-0.5)
         clears = [_beta_loglik(p, freqs, means) >= level for p in stub.proposals]
@@ -364,8 +376,9 @@ class TestTauSlice:
 
         tau = 500.0
         chain = np.empty(30000)
+        prior = FreqPrior.of(means)
         for k in range(chain.size):
-            tau = slice_step_tau(tau, freqs, means, rng)
+            tau = slice_step_tau(tau, freqs, prior, rng)
             chain[k] = tau
         chain = chain[5000:]
         assert 100.0 <= grid_mode <= 400.0
@@ -397,9 +410,9 @@ def reference_slice_step(tau, freqs, means, rng):
         lo, hi = (prop, hi) if prop < tau else (lo, prop)
 
 
-def data_sums(freqs, moments):
+def data_sums(freqs, prior):
     logs = np.concatenate((np.log(freqs), np.log1p(-freqs)))
-    return (moments.weights @ logs).tolist()
+    return (prior.weights @ logs).tolist()
 
 
 # taus at and next to both edges of the support, and inside it
@@ -408,28 +421,28 @@ TAU_GRID = [TAU_RANGE[0], math.nextafter(TAU_RANGE[0], math.inf), 50.5, 61.7, 13
 
 
 class TestTauMoments:
-    def chain(self, freqs, means, moments, seed, steps, step=slice_step_tau):
+    def chain(self, freqs, prior, seed, steps, step=slice_step_tau):
         rng = np.random.default_rng(seed)
         tau, taus = 500.0, []
         for _ in range(steps):
-            tau = step(tau, freqs, means, rng, moments)
+            tau = step(tau, freqs, prior, rng)
             taus.append(tau)
         return taus
 
     def reference_chain(self, freqs, means, seed, steps):
-        return self.chain(freqs, means, None, seed, steps,
-                          lambda tau, freqs, means, rng, _: reference_slice_step(tau, freqs, means, rng))
+        return self.chain(freqs, FreqPrior.of(means), seed, steps,
+                          lambda tau, freqs, prior, rng: reference_slice_step(tau, freqs, prior.means, rng))
 
     def test_fast_chain_equals_the_exact_chain(self, monkeypatch):
         rng = np.random.default_rng(31)
         means = rng.uniform(0.05, 0.95, 800)
         freqs = rng.beta(300.0 * means, 300.0 * (1.0 - means))
-        moments = MeanMoments.of(means)
+        prior = FreqPrior.of(means)
         calls = count_exact(monkeypatch)
-        fast = self.chain(freqs, means, moments, 5, 200)
+        fast = self.chain(freqs, prior, 5, 200)
         n_fast = len(calls)
         force_exact(monkeypatch)
-        exact = self.chain(freqs, means, moments, 5, 200)
+        exact = self.chain(freqs, prior, 5, 200)
         assert fast == exact == self.reference_chain(freqs, means, 5, 200)
         # two exact evaluations at least per exact step, and no fast decision
         assert len(calls) - n_fast >= 400
@@ -494,9 +507,9 @@ class TestTauMoments:
                 return next(self.proposals)
 
         calls = count_exact(monkeypatch)
-        moments = MeanMoments.of(means)
-        assert slice_step_tau(tau, freqs, means, Scripted(above), moments) == prop
-        assert slice_step_tau(tau, freqs, means, Scripted(below), moments) == tau
+        prior = FreqPrior.of(means)
+        assert slice_step_tau(tau, freqs, prior, Scripted(above)) == prop
+        assert slice_step_tau(tau, freqs, prior, Scripted(below)) == tau
         assert len(calls) == 4
 
     @pytest.mark.parametrize("kind", ["common", "near_0", "near_1", "clamped", "mixed"])
@@ -511,15 +524,15 @@ class TestTauMoments:
             "mixed": np.concatenate((common[:100], [1e-6, 1.0 - 1e-6, FREQ_CLAMP])),
         }[kind]
         n = means.size
-        moments = MeanMoments.of(means)
+        prior = FreqPrior.of(means)
         freqs = np.clip(rng.beta(200.0 * means + 0.5, 200.0 * (1.0 - means) + 0.5), 1e-12, 1 - 1e-12)
-        a_sum, b_sum = data_sums(freqs, moments)
+        a_sum, b_sum = data_sums(freqs, prior)
         for tau in TAU_GRID:
             lgammas = (math.fsum(map(math.lgamma, (tau * means).tolist()))
                        + math.fsum(map(math.lgamma, (tau * (1.0 - means)).tolist())))
-            value, bound = _fast_loglik(tau, moments, 0.0, 0.0)
+            value, bound = _fast_loglik(tau, prior, 0.0, 0.0)
             assert abs(value - (n * math.lgamma(tau) - lgammas)) <= bound, tau
-            value, bound = _fast_loglik(tau, moments, a_sum, b_sum)
+            value, bound = _fast_loglik(tau, prior, a_sum, b_sum)
             assert abs(value - _beta_loglik(tau, freqs, means)) <= bound, tau
             if kind == "common":
                 # tight enough to decide nearly every comparison
@@ -538,27 +551,30 @@ class TestTauMoments:
         calls = count_exact(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            moments = MeanMoments.of(means)
-            value, bound = _fast_loglik(300.0, moments, *data_sums(freqs, moments))
+            prior = FreqPrior.of(means)
+            value, bound = _fast_loglik(300.0, prior, *data_sums(freqs, prior))
             assert bound == math.inf
             assert math.isnan(value) == (tiny == 1e-200)
-            fast = self.chain(freqs, means, moments, 6, 20)
+            fast = self.chain(freqs, prior, 6, 20)
             n_fast = len(calls)
             force_exact(monkeypatch)
-            exact = self.chain(freqs, means, moments, 6, 20)
+            exact = self.chain(freqs, prior, 6, 20)
         assert fast == exact == self.reference_chain(freqs, means, 6, 20)
         assert n_fast == len(calls) - n_fast >= 40
 
     def test_a_zero_mean_gives_nan_moments_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            moments = MeanMoments.of(np.array([0.0, 0.5]))
-        assert math.isnan(moments.qlnq) and moments.inv[5] == math.inf
+            prior = FreqPrior.of(np.array([0.0, 0.5]))
+        assert math.isnan(prior.qlnq) and prior.inv[5] == math.inf
 
     def test_a_run_reads_moments_of_its_panel(self):
         panel = small_panel(5)
-        for got, means in ((panel.moments_a, panel.p_a0), (panel.moments_b, panel.p_b0)):
-            want = MeanMoments.of(means)
+        g = GenotypeMatrix(x=np.zeros((2, 5), dtype=np.int8), subject_ids=["a", "b"])
+        derived = derive_priors(g, panel, HmmHyperparams())
+        for got, means in ((derived.prior_a, panel.p_a0), (derived.prior_b, panel.p_b0)):
+            want = FreqPrior.of(means)
+            assert np.array_equal(got.means, means)
             assert got.inv == want.inv and got.qlnq == want.qlnq
             assert np.array_equal(got.weights, want.weights)
 
@@ -572,14 +588,14 @@ class TestDerivedPriors:
         with pytest.raises(ValueError, match="mu0"):
             derive_priors(g, panel, HmmHyperparams(mu0=0.9))
 
-    def test_non_finite_per_subject_rho0_refused(self):
-        with pytest.raises(ValueError, match="rho0 must be finite"):
-            HmmHyperparams(rho0=np.array([0.5, np.nan]))
-        # the range check fails NaN too: no comparison with NaN is true
-        hyper = HmmHyperparams()
-        hyper.rho0 = np.array([0.5, np.nan])
-        with pytest.raises(ValueError, match="strictly inside"):
-            hyper.rho0_vector(2)
+    @pytest.mark.parametrize("given, message", [
+        ({"rho0": 1.0}, "rho0 must lie strictly inside"),
+        ({"rho0": 0.0}, "rho0 must lie strictly inside"),
+        ({"rho0": 0.5, "nu0": 0.25}, r"nu0 must be smaller than rho0\*\(1-rho0\)"),
+    ])
+    def test_admixture_prior_refused_on_construction(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            HmmHyperparams(**given)
 
     def test_tau_gamma_floor(self):
         panel = small_panel(3)
@@ -593,7 +609,7 @@ class TestDerivedPriors:
         g = GenotypeMatrix(x=x, subject_ids=["a", "b", "c"])
         hyper = HmmHyperparams()
         derived = derive_priors(g, panel, hyper)
-        state = initial_state(g, panel, derived, rng)
+        state = initial_state(g, derived, rng)
         validate_ranges(state, panel.chrom_start)
 
 
@@ -610,16 +626,9 @@ class TestChromosomeStartInvariant:
     def test_initial_state_and_one_sweep_keep_two_recombinations_at_starts(self, rng):
         panel, g, derived = self.three_chromosomes(rng)
         start = panel.chrom_start
-        state = initial_state(g, panel, derived, rng)
+        state = initial_state(g, derived, rng)
         validate_ranges(state, start)
-        rows = observation_rows(state.p_a, state.p_b)
-        kern = transition_kernels(state.rho)
-        impute_missing_genotypes(state, derived.missing_cells, rows, rng)
-        sample_ancestry_paths(state, rows, kern, rng)
-        sample_recombination_counts(state, kern, rng)
-        update_gamma(state, derived, 30, rng)
-        update_rho(state, derived, rng)
-        update_allele_freqs(state, panel, rng)
+        sweep(state, derived, rng)
         validate_ranges(state, start)
         assert (state.gamma[start] == 1.0).all()
         assert (state.r[:, start] == 2).all()
