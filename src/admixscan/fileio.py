@@ -20,6 +20,8 @@ the run manifest).
 The draws file is binary: magic, version, dimensions and seed, subject and
 marker metadata, the ancestry draws packed two bits per value, parameter
 traces as raw float blocks, and a trailing CRC32 of everything before it.
+``AncestryDraws`` checks what a file's blocks must agree on.  Phenotype rows
+pair with draws rows by subject id alone, so a scan refuses draws without.
 """
 from __future__ import annotations
 
@@ -272,14 +274,9 @@ def write_phenotypes(subject_ids, trait: TraitData, path):
 
 
 def align_trait_to_draws(draws: AncestryDraws, subject_ids, trait: TraitData):
-    """Subset draws rows to the phenotyped subjects, in draws order."""
+    """Subset draws rows to the phenotyped subjects, in draws order, by subject id."""
     if draws.subject_ids is None:
-        if trait.n_subjects != draws.n_subjects:
-            raise AlignmentError(
-                "draws carry no subject ids and the phenotype row count "
-                f"({trait.n_subjects}) does not match ({draws.n_subjects})"
-            )
-        return draws, trait
+        raise AlignmentError("draws carry no subject ids to pair phenotype rows with")
     have = {s: k for k, s in enumerate(subject_ids)}
     in_draws = set(draws.subject_ids)
     extra = [s for s in subject_ids if s not in in_draws]
@@ -312,17 +309,9 @@ def align_trait_to_draws(draws: AncestryDraws, subject_ids, trait: TraitData):
 
 
 def _pack_counts(values):
-    flat = values.reshape(-1).astype(np.uint8)
-    pad = (-flat.size) % 4
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-    quads = flat.reshape(-1, 4)
-    return (
-        quads[:, 0]
-        | (quads[:, 1] << 2)
-        | (quads[:, 2] << 4)
-        | (quads[:, 3] << 6)
-    ).astype(np.uint8)
+    quads = np.zeros((-(-values.size // 4), 4), dtype=np.uint8)   # zero-padded
+    quads.reshape(-1)[:values.size] = values.reshape(-1)
+    return quads[:, 0] | quads[:, 1] << 2 | quads[:, 2] << 4 | quads[:, 3] << 6
 
 
 def _unpack_counts(packed, n_values):
@@ -370,11 +359,7 @@ class _Reader:
 
     def str_list(self):
         (count,) = self.unpack("<I")
-        items = []
-        for _ in range(count):
-            (length,) = self.unpack("<H")
-            items.append(self.text(length))
-        return items
+        return [self.text(*self.unpack("<H")) for _ in range(count)]
 
     def array(self, dtype, shape):
         """The next block as an array of 8-byte ``dtype`` values."""
@@ -386,20 +371,16 @@ class _Reader:
 
 
 def save_draws(draws: AncestryDraws, path):
-    draws.check_ids()
-    out = [DRAWS_MAGIC, struct.pack("<H", DRAWS_VERSION)]
+    draws.check_metadata(*draws.draws.shape[1:], draws.subject_ids, draws.marker_ids,
+                         draws.chrom, draws.position)
     seed = -1 if draws.seed is None else int(draws.seed)
-    out.append(
-        struct.pack(
-            "<QQQq", draws.m, draws.n_subjects, draws.n_loci, seed
-        )
-    )
-    out.append(struct.pack("<B", 1 if draws.traces else 0))
+    out = [DRAWS_MAGIC, struct.pack("<HQQQqB", DRAWS_VERSION, draws.m, draws.n_subjects,
+                                    draws.n_loci, seed, bool(draws.traces))]
     out.append(draws.sweep_index.astype("<i8").tobytes())
     _write_str_list(out, draws.subject_ids or [])
     _write_str_list(out, draws.marker_ids or [])
-    has_panel_meta = draws.chrom is not None and draws.position is not None
-    out.append(struct.pack("<B", 1 if has_panel_meta else 0))
+    has_panel_meta = draws.chrom is not None   # and so position, as checked
+    out.append(struct.pack("<B", has_panel_meta))
     if has_panel_meta:
         out.append(np.asarray(draws.chrom, dtype="<i8").tobytes())
         out.append(np.asarray(draws.position, dtype="<f8").tobytes())
@@ -441,14 +422,15 @@ def load_draws(path) -> AncestryDraws:
             f"{path}: unsupported draws version {version} "
             f"(this build reads {DRAWS_VERSION})"
         )
-    m, n_sub, n_loc, seed = r.unpack("<QQQq")
-    (has_traces,) = r.unpack("<B")
+    m, n_sub, n_loc, seed, has_traces = r.unpack("<QQQqB")
     sweep_index = r.array("<i8", (m,))
     subject_ids = r.str_list() or None
     marker_ids = r.str_list() or None
-    for ids, n, what in ((subject_ids, n_sub, "subject"), (marker_ids, n_loc, "marker")):
-        if ids is not None and len(ids) != n:
-            raise DrawsFileError(f"{path}: {len(ids)} {what} ids for {n} {what}s")
+    # the header's counts size every later block, so check the ids against them now
+    try:
+        AncestryDraws.check_metadata(n_sub, n_loc, subject_ids, marker_ids, None, None)
+    except ValueError as exc:
+        raise DrawsFileError(f"{path}: {exc}") from exc
     (has_panel_meta,) = r.unpack("<B")
     chrom = position = None
     if has_panel_meta:
@@ -467,8 +449,7 @@ def load_draws(path) -> AncestryDraws:
     if has_traces:
         (n_traces,) = r.unpack("<I")
         for _ in range(n_traces):
-            (name_len,) = r.unpack("<H")
-            name = r.text(name_len)
+            name = r.text(*r.unpack("<H"))
             (ndim,) = r.unpack("<B")
             traces[name] = r.array("<f8", r.unpack(f"<{ndim}Q"))
     if r.offset != len(payload):

@@ -140,9 +140,9 @@ class GenotypeMatrix:
         self.subject_ids = list(self.subject_ids)
         if len(self.subject_ids) != self.x.shape[0]:
             raise ValueError("subject_ids length does not match genotype rows")
-        ok = (self.x == MISSING) | ((self.x >= 0) & (self.x <= 2))
-        if not ok.all():
-            i, j = np.argwhere(~ok)[0]
+        # MISSING is -1, so the valid values are exactly the range [-1, 2]
+        if self.x.min(initial=0) < MISSING or self.x.max(initial=0) > 2:
+            i, j = np.argwhere((self.x < MISSING) | (self.x > 2))[0]
             raise ValueError(
                 f"genotype value {int(self.x[i, j])} at subject {i}, "
                 f"marker {j} is not in {{0, 1, 2, MISSING}}"
@@ -168,7 +168,8 @@ class AncestryDraws:
     ``draws`` has shape (m, n_subjects, n_loci) with entries in {0, 1, 2}.
     ``traces`` optionally carries per-draw parameter values (gamma, rho,
     p_a, p_b, tau_a, tau_b).  Marker/subject metadata ride along so scan
-    outputs can be labelled without re-reading the panel.
+    outputs can be labelled without re-reading the panel, and phenotype rows
+    paired by subject id; :meth:`check_metadata` states what they must fit.
     """
 
     draws: np.ndarray
@@ -193,16 +194,28 @@ class AncestryDraws:
         self.sweep_index = np.asarray(self.sweep_index, dtype=np.int64)
         if self.sweep_index.shape != (self.draws.shape[0],):
             raise ValueError("sweep_index length does not match draws")
-        self.check_ids()
+        self.check_metadata(*self.draws.shape[1:], self.subject_ids, self.marker_ids,
+                            self.chrom, self.position)
 
-    def check_ids(self):
-        """Refuse a subject or marker id that appears twice, naming it."""
-        for ids, what in ((self.subject_ids, "subject"), (self.marker_ids, "marker")):
+    @staticmethod
+    def check_metadata(n_subjects, n_loci, subject_ids, marker_ids, chrom, position):
+        """Refuse metadata unfit for ``n_subjects`` x ``n_loci`` draws, naming the counts.
+
+        One distinct id per subject or marker; chrom and position together, one per marker.
+        """
+        for ids, n, what in ((subject_ids, n_subjects, "subject"), (marker_ids, n_loci, "marker")):
+            if ids is not None and len(ids) != n:
+                raise ValueError(f"{len(ids)} {what} ids for {n} {what}s")
             seen = set()
             for name in ids or ():
                 if name in seen:
                     raise ValueError(f"duplicate {what} id {name!r}")
                 seen.add(name)
+        if (chrom is None) != (position is None):
+            raise ValueError("chrom and position must be given together")
+        for name, values in (("chrom", chrom), ("position", position)):
+            if values is not None and np.shape(values) != (n_loci,):
+                raise ValueError(f"{name} of shape {np.shape(values)} for {n_loci} markers")
 
     @property
     def m(self):

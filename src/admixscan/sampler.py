@@ -199,12 +199,17 @@ def derive_priors(genotypes: GenotypeMatrix, panel: AimPanel, hyper: HmmHyperpar
 
 
 def initial_state(genotypes: GenotypeMatrix, derived: DerivedPriors, rng) -> HmmState:
-    n_sub, n_loc = genotypes.x.shape
-    u = rng.random((n_sub, n_loc))
-    s = kernels._draw3(hwe_rows(derived.rho0)[:, :, None], u)
+    """Draw s, then r, by chunks of rows: the stream of one whole-matrix draw of each."""
+    s = np.empty(genotypes.x.shape, dtype=np.int8)
+    parts = []
+    for part, u in _chunk_uniforms(s.shape, rng):
+        s[part] = kernels._draw3(hwe_rows(derived.rho0[part])[:, :, None], u)
+        parts.append(part)
     # draw initial recombination counts from their prior: starting from
     # all-zero would force the first sampled paths constant per chromosome
-    r = rng.binomial(2, derived.gamma0[None, :], size=(n_sub, n_loc)).astype(np.int8)
+    r = np.empty(s.shape, dtype=np.int8)
+    for part in parts:
+        r[part] = rng.binomial(2, derived.gamma0, size=r[part].shape)
     x_imp = genotypes.x.copy()
     x_imp[derived.missing_cells] = 0  # replaced by the first imputation step
     return HmmState(

@@ -13,6 +13,8 @@ import tempfile
 import numpy as np
 import pytest
 
+from admixscan import kernels
+from admixscan.errors import ForwardUnderflowError
 from admixscan.hmm import TAU_RANGE, two_lineages
 from admixscan.simulate import _threshold_to_counts
 
@@ -111,6 +113,20 @@ def simulate_chain_ancestry(rng, n_sub, gamma0, rho, chrom_start=None):
         lin2 = np.where(r == 2, redraw[:, 1], lin2)
         s[:, j] = (lin1 + lin2).astype(np.int8)
     return s
+
+
+def fail_ffbs_at_sweep(monkeypatch, sweep):
+    """Make the FFBS call of sweep ``sweep`` (from 0) lose its mass at subject 4, locus 7."""
+    calls = []
+    ffbs_paths = kernels.ffbs_paths
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == sweep + 1:
+            raise ForwardUnderflowError(4, 7)
+        return ffbs_paths(*args)
+
+    monkeypatch.setattr(kernels, "ffbs_paths", failing)
 
 
 def empirical_state_freqs(samples):

@@ -20,7 +20,7 @@ from admixscan.simulate import (
     sample_genotypes_from_ancestry,
     simulate_traits,
 )
-from conftest import simulate_chain_ancestry
+from conftest import fail_ffbs_at_sweep, simulate_chain_ancestry
 
 
 @pytest.fixture
@@ -617,6 +617,33 @@ class TestErrorSurface:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert str(bad) in record["message"]
         assert not (tmp / "out").exists()
+
+    def test_lost_forward_mass_fails_naming_the_sweep(self, dataset, capsys, monkeypatch):
+        tmp, paths = dataset
+        fail_ffbs_at_sweep(monkeypatch, 3)
+        assert main(impute_args(paths, tmp / "out")) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ForwardUnderflowError",
+                          "message": "sweep 3: zero forward mass at subject 4, locus 7"}
+        assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "map"])
+    def test_draws_without_subject_ids_refused(self, tmp_path, capsys, command):
+        # phenotype rows are paired with draws rows by subject id alone; the
+        # row counts match here, which once paired them by position
+        rng = np.random.default_rng(17)
+        fileio.save_draws(AncestryDraws(draws=rng.integers(0, 3, size=(2, 30, 3)),
+                                        sweep_index=np.arange(2)), tmp_path / "draws.adx")
+        fileio.write_phenotypes([f"S{i:02d}" for i in range(30)],
+                                TraitData(y=rng.standard_normal(30), kind="continuous"),
+                                tmp_path / "pheno.tsv")
+        assert main([command, "--draws", str(tmp_path / "draws.adx"),
+                     "--phenotype", str(tmp_path / "pheno.tsv"),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "AlignmentError"
+        assert record["message"] == "draws carry no subject ids to pair phenotype rows with"
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_refuses_changed_input(self, dataset, capsys):
         tmp, paths = dataset

@@ -63,6 +63,24 @@ class TestPanelRoundTrip:
         assert np.allclose(back.position, panel.position)
         assert np.allclose(back.p_a0, panel.p_a0)
 
+    @pytest.mark.parametrize("unit", ["cM", "Morgans", ""])
+    def test_unknown_position_unit_refused(self, tmp_path, unit):
+        fileio.write_panel(make_panel(), tmp_path / "panel.tsv")
+        with pytest.raises(ValueError, match=r"^position_unit must be one of \('morgans', "):
+            fileio.read_panel(tmp_path / "panel.tsv", position_unit=unit)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        # a line of nothing but whitespace is blank too; line numbers still
+        # count it, so the error names the file's own line
+        path = tmp_path / "panel.tsv"
+        path.write_text("marker_id\tchrom\tposition\tp_a0\tp_b0\n\n"
+                        "a\t1\t0\t0.8\t0.2\n \t\n\n"
+                        "b\t1\t0.05\t0.7\t0.1\n\n")
+        assert fileio.read_panel(path).marker_ids == ["a", "b"]
+        path.write_text(path.read_text() + "c\t1\t0.1\t0.7\n")
+        with pytest.raises(DataFormatError, match=r"panel.tsv:8: expected 5 columns, found 4"):
+            fileio.read_panel(path)
+
     def test_centimorgan_unit(self, tmp_path):
         path = tmp_path / "panel.tsv"
         path.write_text(
@@ -565,6 +583,32 @@ class TestDuplicateDrawsIds:
         rewrite_payload(path, rename)
         with pytest.raises(DrawsFileError, match=f"draws.adx: {message}"):
             fileio.load_draws(path)
+
+
+class TestDrawsMetadata:
+    """A draws record is checked where it is built, and again when saved."""
+
+    @pytest.mark.parametrize("given, message", [
+        ({"subject_ids": ["S0", "S1"]}, "^2 subject ids for 6 subjects$"),
+        ({"marker_ids": [f"rs{j}" for j in range(7)]}, "^7 marker ids for 5 markers$"),
+        ({"position": None}, "^chrom and position must be given together$"),
+        ({"chrom": None}, "^chrom and position must be given together$"),
+        ({"chrom": np.ones(4, dtype=np.int64)}, r"^chrom of shape \(4,\) for 5 markers$"),
+        ({"position": np.zeros((1, 5))}, r"^position of shape \(1, 5\) for 5 markers$"),
+    ], ids=["short subject ids", "long marker ids", "chrom alone", "position alone",
+            "short chrom", "2-D position"])
+    def test_constructor_names_the_counts(self, rng, given, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(make_draws(rng), **given)
+
+    def test_save_refuses_short_marker_ids(self, tmp_path, rng):
+        # such a record once saved a file that load_draws refused, and a scan
+        # of it raised IndexError at its last locus
+        draws = make_draws(rng)
+        draws.marker_ids = draws.marker_ids[:4]
+        with pytest.raises(ValueError, match="^4 marker ids for 5 markers$"):
+            fileio.save_draws(draws, tmp_path / "draws.adx")
+        assert not (tmp_path / "draws.adx").exists()
 
 
 class TestManifest:

@@ -278,6 +278,26 @@ class TestTraitValidation:
         with pytest.raises(ValueError):
             TraitData(y=np.zeros(3), kind="ordinal")
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TraitData(y=np.zeros((3, 1)), kind="continuous"),
+         "^trait must be one-dimensional$"),
+        (lambda: TraitData(y=[0.0, np.nan, 1.0], kind="continuous"),
+         "^trait contains non-finite values$"),
+        (lambda: TraitData(y=np.zeros(3), kind="continuous", covariates=np.zeros((2, 1))),
+         r"^covariate matrix must be \(n_subjects, q\)$"),
+        (lambda: TraitData(y=np.zeros(3), kind="continuous", covariates=np.zeros(3)),
+         r"^covariate matrix must be \(n_subjects, q\)$"),
+        (lambda: TraitData(y=np.zeros(3), kind="continuous", covariates=[[0.0], [np.inf], [1.0]]),
+         "^covariates contain non-finite values$"),
+        (lambda: fit_glm(TraitData(y=np.arange(5.0), kind="continuous"),
+                         center_ancestries([[[0, 1, 2, 1]]], [["a"]])),
+         "^trait and ancestry design are not row-aligned$"),
+    ], ids=["2-D trait", "non-finite trait", "covariate rows", "1-D covariates",
+            "non-finite covariate", "design rows"])
+    def test_malformed_trait_or_design_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def batch_trait(rng, kind, causal):
     n = causal.shape[0]

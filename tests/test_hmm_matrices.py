@@ -4,6 +4,7 @@ from scipy.stats import binom
 
 from admixscan.hmm import (
     AimPanel,
+    AncestryDraws,
     FREQ_CLAMP,
     GenotypeMatrix,
     MISSING,
@@ -219,3 +220,36 @@ class TestGenotypeMatrix:
     def test_bad_value_rejected(self):
         with pytest.raises(ValueError, match="genotype value 3"):
             GenotypeMatrix(x=np.array([[0, 3]], dtype=np.int8), subject_ids=["s"])
+
+    @pytest.mark.parametrize("value", [3, -2])
+    def test_first_value_outside_the_range_named(self, value):
+        x = np.array([[0, 1, 2], [MISSING, value, 2], [value, 0, value]], dtype=np.int8)
+        with pytest.raises(ValueError, match=rf"^genotype value {value} at subject 1, marker 1 "
+                                             r"is not in \{0, 1, 2, MISSING\}$"):
+            GenotypeMatrix(x=x, subject_ids=["s", "t", "u"])
+
+
+PANEL = dict(marker_ids=["a", "b", "c", "d"], chrom=[1, 1, 2, 2], position=[0.0, 0.1, 0.0, 0.05],
+             p_a0=[0.8, 0.7, 0.9, 0.6], p_b0=[0.2, 0.1, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("record, given, message", [
+    (AimPanel, dict.fromkeys(PANEL, []), "^panel needs at least one marker$"),
+    (AimPanel, {**PANEL, "chrom": [1, 1, 2]}, "^chrom length does not match marker_ids$"),
+    (AimPanel, {**PANEL, "position": [PANEL["position"]]}, "^position must be one-dimensional$"),
+    (AimPanel, {**PANEL, "p_b0": [0.2, 0.1, 0.3]}, "^p_b0 has length 3, expected 4$"),
+    (GenotypeMatrix, {"x": [0, 1, 2], "subject_ids": ["s"]},
+     "^genotype matrix must be two-dimensional$"),
+    (GenotypeMatrix, {"x": [[0, 1, 2]], "subject_ids": ["s", "t"]},
+     "^subject_ids length does not match genotype rows$"),
+    (AncestryDraws, {"draws": [[0, 1]], "sweep_index": [0]},
+     r"^draws must have shape \(m, n_subjects, n_loci\)$"),
+    (AncestryDraws, {"draws": np.zeros((0, 2, 3)), "sweep_index": []},
+     "^at least one retained draw is required$"),
+    (AncestryDraws, {"draws": np.zeros((2, 2, 3)), "sweep_index": [0]},
+     "^sweep_index length does not match draws$"),
+], ids=["no markers", "short chrom", "2-D position", "short p_b0", "1-D genotypes",
+        "extra subject id", "2-D draws", "no draws", "short sweep_index"])
+def test_record_of_the_wrong_shape_refused(record, given, message):
+    with pytest.raises(ValueError, match=message):
+        record(**given)

@@ -36,6 +36,12 @@ def single_locus_dataset(rng, n=300, beta=0.8):
     return make_draws(s), trait
 
 
+def test_reported_subsets_need_stage_two(rng):
+    draws, trait = single_locus_dataset(rng)
+    with pytest.raises(ValueError, match="^run stage 2 before asking for reported subsets$"):
+        reported_subsets(stage1_scan(draws, trait))
+
+
 class TestStage1:
     @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
     def test_non_finite_threshold_refused(self, rng, monkeypatch, delta):

@@ -7,10 +7,17 @@ import numpy as np
 import pytest
 
 from admixscan import kernels, sampler
-from admixscan.hmm import AimPanel, GenotypeMatrix, observation_rows, transition_kernels
+from admixscan.errors import ForwardUnderflowError
+from admixscan.hmm import (
+    AimPanel,
+    GenotypeMatrix,
+    hwe_rows,
+    observation_rows,
+    transition_kernels,
+)
 from admixscan.sampler import TRACED, HmmHyperparams, HmmState, run_mcmc
 from admixscan.simulate import sample_ancestry_hwe, sample_genotypes_from_ancestry
-from conftest import hwe_vector, obs_row, simulate_chain_ancestry
+from conftest import fail_ffbs_at_sweep, hwe_vector, obs_row, simulate_chain_ancestry
 
 
 def chain_panel(n_loci, chrom=None, p_a0=0.8, p_b0=0.2, spacing=0.03):
@@ -223,6 +230,17 @@ def test_each_sweep_builds_its_model_tables_once(monkeypatch):
     assert calls.count("observation_rows") == calls.count("transition_kernels") == 11
 
 
+def test_lost_forward_mass_names_its_sweep(monkeypatch):
+    # a clamped panel cannot lose forward mass, so the kernel is made to lose it
+    panel = chain_panel(6, chrom=[1, 1, 1, 2, 2, 2])
+    g = GenotypeMatrix(x=np.ones((8, 6), dtype=np.int8), subject_ids=[f"s{i}" for i in range(8)])
+    fail_ffbs_at_sweep(monkeypatch, 3)
+    with pytest.raises(ForwardUnderflowError,
+                       match="^sweep 3: zero forward mass at subject 4, locus 7$") as info:
+        run_mcmc(g, panel, HmmHyperparams(burn_in=5, n_draws=6, thin=2, seed=3))
+    assert (info.value.subject, info.value.locus) == (4, 7)
+
+
 def test_dimension_mismatch_rejected():
     panel = chain_panel(4)
     g = GenotypeMatrix(x=np.zeros((3, 5), dtype=np.int8), subject_ids=list("abc"))
@@ -309,6 +327,42 @@ def test_sweep_steps_hold_no_full_size_input_beyond_ffbs_own_arrays():
                       traced_peak(sampler.update_rho, state, derived, rng)])
     growth = np.subtract(*peaks[::-1]) / ((sizes[1] - sizes[0]) * n_loc)
     assert (growth < own + 1.0).all(), f"{growth} B a cell"
+
+
+def test_initial_state_holds_no_full_size_draw_temporary():
+    # s and r take 1 B a cell each; a whole-matrix uniform or binomial array
+    # takes 8 B more (18 B a cell before they were drawn by chunks of rows).
+    # x_imp's 1 B is made after the chunks' buffers are freed, so at these
+    # sizes the peak is at r's draw
+    n_loc, sizes = 400, (200, 600)   # past one chunk of rows at either size
+    assert sizes[0] * n_loc > sampler.ROW_CHUNK_CELLS
+    peaks = []
+    for n_sub in sizes:
+        rng = np.random.default_rng(4)
+        x = sample_genotypes_from_ancestry(np.ones((n_sub, n_loc), dtype=np.int8),
+                                           np.full(n_loc, 0.8), np.full(n_loc, 0.2), rng,
+                                           missing_rate=0.05)
+        genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
+        derived = sampler.derive_priors(genotypes, chain_panel(n_loc), HmmHyperparams())
+        peaks.append(traced_peak(sampler.initial_state, genotypes, derived, rng))
+    growth = (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) * n_loc)
+    assert growth < 2.5, f"{growth} B a cell"
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40], ids=["one row", "a non-divisor", "the whole"])
+def test_initial_state_by_chunks_of_rows_draws_the_whole(monkeypatch, rows):
+    rng = np.random.default_rng(6)
+    x = sample_genotypes_from_ancestry(np.ones((40, 30), dtype=np.int8), np.full(30, 0.8),
+                                       np.full(30, 0.2), rng, missing_rate=0.1)
+    genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(40)])
+    derived = sampler.derive_priors(genotypes, chain_panel(30), HmmHyperparams())
+    whole = np.random.default_rng(5)
+    s = kernels._draw3(hwe_rows(derived.rho0)[:, :, None], whole.random(x.shape))
+    r = whole.binomial(2, derived.gamma0[None, :], size=x.shape)
+    monkeypatch.setattr(sampler, "ROW_CHUNK_CELLS", rows * 30)
+    state = sampler.initial_state(genotypes, derived, np.random.default_rng(5))
+    assert np.array_equal(state.s, s) and np.array_equal(state.r, r)
+    assert state.s.dtype == state.r.dtype == np.int8
 
 
 @pytest.mark.parametrize("rows", [1, 7, 40], ids=["one row", "a non-divisor", "the whole"])

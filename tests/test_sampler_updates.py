@@ -597,6 +597,19 @@ class TestDerivedPriors:
         with pytest.raises(ValueError, match=message):
             HmmHyperparams(**given)
 
+    @pytest.mark.parametrize("given, message", [
+        ({"lam": 0.0}, "^lam must be positive$"),
+        ({"mu0": -1e-4}, "^mu0 and nu0 must be positive$"),
+        ({"nu0": 0.0}, "^mu0 and nu0 must be positive$"),
+        ({"burn_in": 0}, "^burn_in and n_draws must be at least 1$"),
+        ({"n_draws": 0, "thin": 1}, "^burn_in and n_draws must be at least 1$"),
+        ({"thin": 0}, r"^thin must lie in \[1, n_draws\]$"),
+        ({"n_draws": 5, "thin": 6}, r"^thin must lie in \[1, n_draws\]$"),
+    ])
+    def test_schedule_and_rate_refused_on_construction(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            HmmHyperparams(**given)
+
     def test_tau_gamma_floor(self):
         panel = small_panel(3)
         g = GenotypeMatrix(x=np.zeros((2, 3), dtype=np.int8), subject_ids=["a", "b"])
