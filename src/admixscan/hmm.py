@@ -23,6 +23,22 @@ GAMMA_CLAMP = 1e-6    # prior means inside a chromosome kept off exact 0/1
 TAU_RANGE = (50.0, 1000.0)   # support of the dispersion parameters tau_a/tau_b
 
 
+def _int8_codes(values, lo, hi, message):
+    """``values`` as int8, once each is found an integer in [lo, hi] on its own dtype.
+
+    A cast first would wrap 257 to 1.  Integer input takes one min and one
+    max, which make no full-size temporary.  The first value that fails
+    raises ValueError with ``message.format(value, *index)``.
+    """
+    a = np.asarray(values)
+    if not (a.dtype.kind in "biu" and (a.size == 0 or (a.min() >= lo and a.max() <= hi))):
+        bad = (a < lo) | (a > hi) | (a != np.floor(a))   # a fraction, or NaN
+        if bad.any():
+            index = tuple(int(k) for k in np.argwhere(bad)[0])
+            raise ValueError(message.format(a[index], *index))
+    return a.astype(np.int8, copy=False)
+
+
 def _vector(x, name, n=None):
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -134,19 +150,15 @@ class GenotypeMatrix:
     subject_ids: list
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.int8)
+        self.x = np.asarray(self.x)
         if self.x.ndim != 2:
             raise ValueError("genotype matrix must be two-dimensional")
         self.subject_ids = list(self.subject_ids)
         if len(self.subject_ids) != self.x.shape[0]:
             raise ValueError("subject_ids length does not match genotype rows")
-        # MISSING is -1, so the valid values are exactly the range [-1, 2]
-        if self.x.min(initial=0) < MISSING or self.x.max(initial=0) > 2:
-            i, j = np.argwhere((self.x < MISSING) | (self.x > 2))[0]
-            raise ValueError(
-                f"genotype value {int(self.x[i, j])} at subject {i}, "
-                f"marker {j} is not in {{0, 1, 2, MISSING}}"
-            )
+        # MISSING is -1, so the valid values are exactly the integers in [-1, 2]
+        self.x = _int8_codes(self.x, MISSING, 2, "genotype value {} at subject {}, marker {} "
+                                                 "is not in {{0, 1, 2, MISSING}}")
 
     @property
     def n_subjects(self):
@@ -182,15 +194,13 @@ class AncestryDraws:
     seed: int | None = None
 
     def __post_init__(self):
-        self.draws = np.asarray(self.draws, dtype=np.int8)
+        self.draws = np.asarray(self.draws)
         if self.draws.ndim != 3:
             raise ValueError("draws must have shape (m, n_subjects, n_loci)")
         if self.draws.shape[0] < 1:
             raise ValueError("at least one retained draw is required")
-        # min and max make no full-size temporaries, as comparisons would
-        if self.draws.min(initial=0) < 0 or self.draws.max(initial=0) > 2:
-            k, i, j = np.argwhere((self.draws < 0) | (self.draws > 2))[0]
-            raise ValueError(f"ancestry value {self.draws[k, i, j]} in draw {k}, subject {i}, locus {j}")
+        self.draws = _int8_codes(self.draws, 0, 2,
+                                 "ancestry value {} in draw {}, subject {}, locus {}")
         self.sweep_index = np.asarray(self.sweep_index, dtype=np.int64)
         if self.sweep_index.shape != (self.draws.shape[0],):
             raise ValueError("sweep_index length does not match draws")

@@ -16,77 +16,63 @@ Ancestry paths are drawn by forward filtering, backward sampling (Scott
 2002, JASA).  Where r = 0 the transition kernel is the identity, and where
 a subject has r = 2 its chain forgets its past (every chromosome start is
 such a cell, since gamma is 1 there).  One forward and one backward pass
-step over units: a run of identity kernels where at most ``RUN_SHARE`` of
-the cells in a call have r > 0, a locus above that share.
+step once per run of identity kernels, over chunks of whole rows of at
+most ``CHUNK_RUNS`` runs (at least one row).
 
-* A run starts at locus 0 and at every cell with r > 0; a lane of runs is
-  one subject from locus 0, or from a cell where it has r = 2, up to its
-  next such cell, whatever other subjects are in the call.  A segment
-  starts at locus 0 and at every column where every subject in the call
-  has r = 2; a lane of loci is one subject of one segment.  Lanes come in
-  groups (one lane of runs, or a segment of every subject) ranked longest
-  first, and step k holds unit k of every group longer than k, so the
-  lanes alive at a step are a prefix of those alive at the step before
-  (21-26 steps a sweep on the benchmark's ``impute_cohort``, whose
-  chromosomes have 200 loci).  A kernel unit is one whose first cell has
-  r > 0, as every run past a lane's first (r = 1).
-* A locus's emission factor is its emission row.  A run's is its emission
-  product over its largest state's: the log emissions are summed per state
-  with ``np.add.reduceat`` over chunks of ``CHUNK_CELLS`` cells in whole
-  rows, less their largest, and exponentiated in one call, so a run whose
-  product underflows keeps its mass.
-* The forward pass gathers, per chunk of steps (``CHUNK_CELLS`` lanes of
-  loci, a sixteenth as many runs), each unit's first cell and r, the kernel
-  entries of its kernel units and its emission factor.  At a kernel unit
-  the prediction ``(p0 T0n + p1 T1n) + p2 T2n`` replaces the lane's
-  filtered vector (the Hardy-Weinberg row at its first unit); elsewhere the
-  kernel is the identity, whose ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit.
-  Each lane then multiplies by its factor and divides by
-  ``(f0 + f1) + f2``, at least ``TINY``; where every lane of a step is a
-  kernel unit, as past a lane's first run, slices replace the gathers.
-* The backward weights of state m before a kernel unit past a lane's first
+* A run starts at locus 0 and at every cell with r > 0, so a row has
+  ``1 + count_nonzero(r[i, 1:])`` runs.  A lane is one subject from locus
+  0, or from a cell where it has r = 2, up to its next such cell, whatever
+  other subjects are in the call, so a chunk draws its rows of the whole
+  call.  Lanes are ranked longest first, and step k holds run k of every
+  lane longer than k, so the lanes alive at a step are a prefix of those
+  alive at the step before (21-26 steps a sweep on the benchmark's
+  ``impute_cohort``, whose chromosomes have 200 loci).  A kernel run is one
+  whose first cell has r > 0, as every run past a lane's first (r = 1).
+* A run's emission factor is its emission product over its largest
+  state's: the log emissions are summed per state with ``np.add.reduceat``
+  over chunks of ``CHUNK_CELLS`` cells in whole rows, less their largest,
+  and exponentiated in one call, so a run whose product underflows keeps
+  its mass.
+* The forward pass gathers, per chunk of steps (a sixteenth of
+  ``CHUNK_CELLS`` runs), each run's r, the kernel entries of its kernel
+  runs and its emission factor.  At a kernel run the prediction
+  ``(p0 T0n + p1 T1n) + p2 T2n`` replaces the lane's filtered vector (the
+  Hardy-Weinberg row at its first run); elsewhere the kernel is the
+  identity, whose ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit.  Each lane
+  then multiplies by its factor and divides by ``(f0 + f1) + f2``, at least
+  ``TINY``; where every lane of a step is a kernel run, as past a lane's
+  first, slices replace the gathers.
+* The backward weights of state m before a kernel run past a lane's first
   are ``filt[m] * T[m, s_next]``, the forward step's own products, which
   sum to the prediction.  The forward pass draws from them, for each of the
-  unit's three states, the state of the cell before it, with that cell's
+  run's three states, the state of the cell before it, with that cell's
   uniform, and keeps those 3 bytes.  A lane's last cell draws from its
   filtered vector alone: the row ends there, or the next cell has r = 2,
   whose T[m, n] = hwe(n) does not depend on m.
 * The backward pass walks the steps down holding one state per lane: the
-  cell before an identity kernel takes the unit's state, the cell before a
-  kernel unit reads it from the table, and ``np.repeat`` fills each run's
+  cell before an identity kernel takes the run's state, the cell before a
+  kernel run reads it from the table, and ``np.repeat`` fills each run's
   cells, a chunk of rows at a time.
 * So a pass reads the uniforms of the cells ``read_cells`` marks, each
   once: each row's last cell and every cell whose next has r > 0, the last
   cells of the runs.  FFBS takes one uniform per read cell, in row-major
-  order, and finds a cell's by arithmetic: the last cell of run k reads
-  uniform k, and once per locus a lane's first slot is the running sum of
-  the read cells of the lanes before it in row-major order, from which each
-  lane counts on as it reads.
+  order, and the last cell of run k reads uniform k, so a chunk's uniforms
+  are the slice from its first run to its last.
 * A vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and stays
-  0 (NaN stays NaN) to its lane's end.  Stepping once per locus, the
-  forward pass then runs again, checking every step, to name the cell.
-  Stepping once per run, the call is redone once per locus, which names
-  the cell if it loses the mass too; if not, the subjects of the lanes that
-  lost it take their rows from the redo.  Runs lose a mass that loci keep
-  where a lane's vector is (1, 0, 0) exactly and the next run, which starts
-  with r = 1, makes state 2 so much the likeliest that the factors of the
-  two states it can reach underflow: T1(0, 2) is 0.
+  0 (NaN stays NaN) to its lane's end.  A normalised vector holds no mass
+  below the float range: at (1, 0, 0) exactly, a next run that starts with
+  r = 1 and makes state 2 the likeliest by far keeps no mass, as T1(0, 2)
+  is 0, where the exact recursion keeps state 1's ~1e-400, which reaches 2.
+  A lane that ends with no mass is filtered and drawn again alone, in logs,
+  on the same uniforms; one that loses it there too (every state the
+  prediction reaches has a running log sum of -inf, or a NaN appears)
+  raises :class:`ForwardUnderflowError` for the first locus and its first
+  subject, over every chunk.
 
-A run costs more than a locus: its emission sum (``np.add.reduceat`` pays
-per run) and 33 bytes kept.  So where more cells have r > 0, as on AIM
-panels 2-3 cM apart, the unit is a locus.  A loop over loci normalises at
-every cell, as loci do here, and carries its vector through the r = 2
-kernel.  A run multiplies its emissions before it normalises, so a state
-whose mass relative to the others falls below the float range inside a run
-and rises back by its end is lost to loci and kept by runs; elsewhere the
-rounding differs, which moves a draw only if its uniform falls within
-rounding of a cumulative weight.  A subset of the subjects gets the lanes
-of the whole call once per run, but a segment cuts only the columns where
-every subject in the call has r = 2.  Weights ``filt * T[:, s_next]`` that
-are all 0 draw 2, where the loop divided 0 by 0, with a warning, and drew
-0; a cell with an identity kernel after it stays ``s_next``.  It needs the
-next draw to have picked a state of weight 0, which only a uniform within
-rounding of 1 does.
+Weights ``filt * T[:, s_next]`` that are all 0 draw 2, where a loop over
+loci would divide 0 by 0, with a warning, and draw 0; a cell with an
+identity kernel after it stays ``s_next``.  It needs the next draw to have
+picked a state of weight 0, which only a uniform within rounding of 1 does.
 
 Recombination counts draw r at each cell, with previous state m and state
 n, over ``w0 = prior0 [m = n]``, ``w1 = prior1 T1(m, n)`` and
@@ -118,14 +104,12 @@ from .errors import ForwardUnderflowError
 from .hmm import two_lineages
 
 # cells in a chunk of whole rows (at least one row), whose log emissions are
-# summed per run; lanes of loci in a chunk of steps, a sixteenth as many of
-# runs, whose kernel entries take 72 B each; also the open cells in a run of
-# recombination counts
+# summed per run; a sixteenth as many runs in a chunk of steps, whose kernel
+# entries take 72 B each; also the open cells in a run of recombination counts
 CHUNK_CELLS = 16384
+# runs in a chunk of whole rows (at least one row) that FFBS filters at once
+CHUNK_RUNS = 65536
 TINY = np.nextafter(0.0, 1.0)   # the smallest positive float64
-# the largest share of kernel cells (r > 0) at which FFBS steps once per run:
-# above ~20% a locus a step is the faster, and above ~10% the smaller
-RUN_SHARE = 0.15
 
 
 def active_backend():
@@ -170,58 +154,54 @@ def read_cells(r):
     return read
 
 
-def _layout(r, runs):
-    """The lanes of one call, in groups: one lane of runs, or a segment of every subject.
+def _row_chunks(r):
+    """Cuts of ``r`` into chunks of whole rows of at most ``CHUNK_RUNS`` runs, at least a row each.
 
-    Returns the groups' first units (runs or loci), longest first, ties in
-    order; the number of groups alive at each step; each lane's subject; the
-    slot of each lane's last cell among the read cells, in row-major order;
-    once per locus each lane's first slot, else None; and once per run the
-    flat cell where each run starts, then ``r.size``, each row's first run,
-    then the run count, and r where each run starts, else None.  The last
-    cell of run k has slot k.
+    Returns (row, run) pairs: each chunk's first row and first run, then
+    ``r``'s row and run counts.
+    """
+    ends = np.cumsum(np.count_nonzero(r[:, 1:], axis=1) + 1)   # the runs to each row's end
+    cuts = [(0, 0)]
+    while cuts[-1][0] < r.shape[0]:
+        a, k = cuts[-1]
+        b = max(a + 1, int(ends.searchsorted(k + CHUNK_RUNS, "right")))
+        cuts.append((b, int(ends[b - 1])))
+    return cuts
+
+
+def _layout(r):
+    """The lanes of runs of whole rows.
+
+    Returns the lanes' first runs, longest lane first, ties in order; the
+    number of lanes alive at each step; each lane's subject and last run;
+    the flat cell where each run starts, then ``r.size``; each row's first
+    run, then the run count; and r where each run starts.  The last cell of
+    run k reads uniform k.
     """
     n_sub, n_loc = r.shape
-    if runs:
-        start = np.ones(r.size + 1, dtype=bool)
-        np.not_equal(r.reshape(-1), 0, out=start[:-1])
-        start[:-1:n_loc] = True
-        # int32 wherever the flat indices fit: 4 B a run, found in chunks of
-        # rows so that no 8-byte index of every run is made
-        index = np.int32 if r.size < 2 ** 31 else np.intp
-        rows = max(1, CHUNK_CELLS // n_loc) * n_loc
-        starts = np.concatenate([np.flatnonzero(start[a:a + rows]).astype(index) + index(a)
-                                 for a in range(0, r.size + 1, rows)])
-        row_first = starts.searchsorted(np.arange(0, r.size + 1, n_loc))
-        run = starts, row_first, r.take(starts[:-1])
-        # a row's first run heads a lane, and so does every run with r = 2
-        head = np.ones(starts.size, dtype=bool)
-        np.equal(run[2], 2, out=head[:-1])
-        head[row_first] = True
-        first = np.flatnonzero(head)
-        last = first[1:] - 1
-        subject = starts.take(last) // n_loc
-        slot = None
-    else:
-        head = np.logical_and.reduce(r == 2)   # over subjects
-        head[0] = True
-        first = head.nonzero()[0]
-        # the row-major running sum of each lane's read cells gives its slots
-        reads = np.add.reduceat(read_cells(r), first, axis=1, dtype=np.int32)
-        end = reads.cumsum().reshape(reads.shape).T   # (segment, subject)
-        slot, run = end - reads.T, None
-        if first.size == 1:   # one segment, as on one chromosome: nothing to rank
-            return first, [1] * n_loc, np.arange(n_sub), end[0] - 1, slot[0], run
-        first = np.append(first, n_loc)
-        last = end - 1
-        subject = np.broadcast_to(np.arange(n_sub), last.shape)
+    start = np.ones(r.size + 1, dtype=bool)
+    np.not_equal(r.reshape(-1), 0, out=start[:-1])
+    start[:-1:n_loc] = True
+    # int32 wherever the flat indices fit: 4 B a run, found in chunks of rows
+    # so that no 8-byte index of every run is made
+    index = np.int32 if r.size < 2 ** 31 else np.intp
+    rows = max(1, CHUNK_CELLS // n_loc) * n_loc
+    starts = np.concatenate([np.flatnonzero(start[a:a + rows]).astype(index) + index(a)
+                             for a in range(0, r.size + 1, rows)])
+    row_first = starts.searchsorted(np.arange(0, r.size + 1, n_loc))
+    rs = r.take(starts[:-1])
+    # a row's first run heads a lane, and so does every run with r = 2
+    head = np.ones(starts.size, dtype=bool)
+    np.equal(rs, 2, out=head[:-1])
+    head[row_first] = True
+    first = np.flatnonzero(head)
+    last = first[1:] - 1
+    subject = starts.take(last) // n_loc
     length = first[1:] - first[:-1]
     rank = (-length).argsort(kind="stable")
     count = np.bincount(length)[:0:-1].cumsum()[::-1].tolist()
-    subject, last = (a.take(rank, axis=0).ravel() for a in (subject, last))
-    if slot is not None:
-        slot = slot.take(rank, axis=0).ravel()
-    return first[:-1].take(rank), count, subject, last, slot, run
+    return (first[:-1].take(rank), count, subject.take(rank), last.take(rank),
+            starts, row_first, rs)
 
 
 def _run_factors(x, rows, starts, row_first):
@@ -248,21 +228,18 @@ def _run_factors(x, rows, starts, row_first):
     return np.exp(fac, out=fac)
 
 
-def _filter_forward(gather, layout, fwd, u, f, slot=None, lost=None):
-    """Filter every lane forward in ``f``, one unit a step, and draw the backward tables.
+def _filter_forward(gather, heads, count, fwd, u, f):
+    """Filter every lane forward in ``f``, one run a step, and draw the backward tables.
 
-    ``gather(grp)`` gives each lane's first cell, r, kernel column of ``fwd``
-    and emission factor at the units ``grp``, packed step by step.  Once per
-    run the first cell is the run's index k, and the cell before it reads
-    ``u[k - 1]``; once per locus it is the flat cell, and ``slot`` holds each
-    lane's first slot of ``u`` less 1, counting on as the lanes read.
-    Returns, per step past step 0 with kernel units, their lanes and their
-    draws of the cell before them, flat by (unit, state).  A list ``lost``
-    receives each step's flat cells whose mass vanished.
+    ``gather(grp)`` gives r, the kernel column of ``fwd`` and the emission
+    factor of the runs ``grp``, packed step by step.  The cell before run k
+    reads ``u[k - 1]``.  Returns, per step past step 0 with kernel runs,
+    their lanes and their draws of the cell before them, flat by (run,
+    state).
     """
-    heads, count, width, size = layout
     moves = [None] * len(count)
-    pos = [q * width for q in accumulate(count, initial=0)]   # each step's first lane
+    pos = list(accumulate(count, initial=0))   # each step's first lane
+    size = max(1, CHUNK_CELLS // 16)
     bounds = [k for k in range(len(count)) if k == 0 or pos[k] // size != pos[k - 1] // size]
     for k0, k1 in zip(bounds, bounds[1:] + [len(count)]):
         g = count[k0]
@@ -270,39 +247,36 @@ def _filter_forward(gather, layout, fwd, u, f, slot=None, lost=None):
             grp = (np.arange(k0, k1)[:, None] + heads[:g]).ravel()
         else:
             grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
-        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves, slot, lost)
+        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves)
     return moves
 
 
-def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, slot, lost):
+def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves):
     """Steps ``k0`` on, whose lanes start at ``pos``: its own frame frees their arrays."""
-    cells, rc, col, fac = gather(grp)
-    cuts, before = [q - pos[0] for q in pos], cells
+    rc, col, fac = gather(grp)
+    cuts, before = [q - pos[0] for q in pos], grp
     if np.count_nonzero(rc) < rc.size:
-        # the kernel units (r > 0), packed order; nonzero on a bool mask is
-        # ~5x faster than on int8
-        flag = rc != 0
-        unit = flag.nonzero()[0]
+        # the kernel runs (r > 0), packed order; nonzero on a bool mask is ~5x
+        # faster than on int8
+        unit = (rc != 0).nonzero()[0]
         cuts = unit.searchsorted(cuts).tolist()
         col = col.take(unit)
-        if slot is None:
-            before = cells.take(unit)
-    # T(m, n) of each kernel unit, times the filtered vector before it below,
+        before = grp.take(unit)
+    # T(m, n) of each kernel run, times the filtered vector before it below,
     # and their sums, the predictions
     pt = fwd.take(col, axis=2)
     pred = np.empty(pt.shape[1:])
-    head = cuts[1] if k0 == 0 else 0   # step 0's kernel units draw no rows
-    # the slot of u that the cell before each kernel unit reads
-    read = before[head:] - 1 if slot is None else np.empty(cuts[-1] - head, dtype=slot.dtype)
+    head = cuts[1] if k0 == 0 else 0   # step 0's kernel runs draw no rows
+    read = before[head:] - 1   # the uniform of the cell before each kernel run
     for i in range(len(pos) - 1):
         p, n = pos[i] - pos[0], pos[i + 1] - pos[i]
         f = f[:, :n]
         lo, hi = cuts[i], cuts[i + 1]
-        every = 0 < hi - lo == n   # every lane a kernel unit: slices, not gathers
+        every = 0 < hi - lo == n   # every lane a kernel run: slices, not gathers
         if lo < hi:
             # the prediction (p0 T0n + p1 T1n) + p2 T2n replaces the filtered
             # vector; other lanes keep theirs (the identity)
-            kern = pt[:, :, lo:hi]   # (from, to, kernel unit)
+            kern = pt[:, :, lo:hi]   # (from, to, kernel run)
             lanes = slice(None, n) if every else unit[lo:hi] - p
             # f.take(lanes)[:, None] is faster than f[:, None, lanes]
             kern *= (f if every else f.take(lanes, axis=1))[:, None]
@@ -313,24 +287,19 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, slot, lost):
                 f[:, lanes] = prd
             if k0 + i:
                 moves[k0 + i] = lanes, lo - head, hi - head
-                if slot is not None:   # a lane's last slot read, counted on
-                    slot[:n] += 1 if every else flag[p:p + n]
-                    read[lo - head:hi - head] = slot[lanes]
         if every:
             np.multiply(prd, fac[:, p:p + n], out=f)
         else:
             f *= fac[:, p:p + n]
         tot = f[0] + f[1]
         tot += f[2]
-        if lost is not None and not tot.min(initial=np.inf) > 0.0:
-            lost.append(cells[p:p + n][~(tot > 0.0)])
         # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and
         # stays 0 (NaN stays NaN) to the end of its lane
         np.maximum(tot, TINY, out=tot)
         f /= tot
     del col, fac   # before the draws' temporaries are made
-    # the backward weights of state m given the unit's state n are pt[m, n],
-    # summing to pred[n], drawn with the uniform of the cell before the unit
+    # the backward weights of state m given the run's state n are pt[m, n],
+    # summing to pred[n], drawn with the uniform of the cell before the run
     table = _draw3(pt[:, :, head:], u.take(read), pred[:, head:]).T.ravel()
     for k in range(max(k0, 1), k0 + len(pos) - 1):
         if moves[k] is not None:
@@ -338,89 +307,98 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves, slot, lost):
             moves[k] = lanes, table[3 * lo:3 * hi]
 
 
-def _sample_backward(moves, cur, layout, out):
-    """Every unit's state into ``out[unit]``, each lane down from its last unit's, ``cur``.
+def _sample_backward(moves, cur, heads, count, out):
+    """Every run's state into ``out[run]``, each lane down from its last run's, ``cur``.
 
-    The cell before a unit takes its state, or before a kernel unit its draw.
+    The cell before a run takes its state, or before a kernel run its draw.
     """
-    heads, count, _, _ = layout
     three = np.arange(0, 3 * cur.size, 3)
-    groups = cur.reshape((-1,) + out.shape[1:])   # a row a group: out[unit]'s shape
     for k in range(len(count) - 1, -1, -1):
         g = count[k]
         if g == 1:   # basic indexing, several times cheaper
-            out[heads[0] + k] = groups[0]
+            out[heads[0] + k] = cur[0]
         else:
-            out[heads[:g] + k] = groups[:g]
+            out[heads[:g] + k] = cur[:g]
         if moves[k] is not None:
             lanes, table = moves[k]
             cur[lanes] = table.take(three[:table.size // 3] + cur[lanes])
 
 
-def _ffbs(x, r, rows, kern, u, s, runs):
-    """FFBS into ``s``, one run a step if ``runs``, else one locus a step.
+def _log_lane(x, rows, fwd, starts, rs, u, a, b, out):
+    """Filter and draw the lane of runs ``a`` to ``b`` again alone, in logs, into ``out``.
 
-    Returns the subjects of the lanes of runs that lost their mass, whose
-    rows of ``s`` hold no path; a locus that loses one raises
-    :class:`ForwardUnderflowError`, naming the first cell.
+    Returns None, or the flat cell where every state the prediction reaches
+    has a running log sum of -inf, or a NaN appears; ``out`` then holds no
+    path for the lane.
+    """
+    n_loc = x.shape[1]
+    cells = np.arange(starts[a], starts[b + 1])
+    i = cells[0] // n_loc
+    bounds = starts[a:b + 2] - cells[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lemit = np.log(rows[:, x.take(cells), cells - i * n_loc])   # (state, cell)
+        # log T(m, n) of the lane's subject given c recombinations, [m, n, c]
+        lk = np.log(fwd[:, :, 3 * i:3 * i + 3])
+        filt = np.log(fwd[0, :, 3 * i + 2])   # the Hardy-Weinberg row
+        logs = []
+        for k in range(a, b + 1):
+            # the prediction: the log of the sum over m of exp(filt[m] + log T(m, n))
+            terms = filt[:, None] + lk[:, :, rs[k]]
+            top = terms.max(axis=0)
+            top[~(top > -np.inf)] = 0.0   # every term -inf, or one NaN
+            run = lemit[:, bounds[k - a]:bounds[k - a + 1]].cumsum(axis=1)
+            run += (top + np.log(np.exp(terms - top).sum(axis=0)))[:, None]
+            lost = ~(run.max(axis=0) > -np.inf)
+            if lost.any():
+                return cells[bounds[k - a] + lost.argmax()]
+            filt = run[:, -1]
+            logs.append(filt)
+        n = out[b] = _draw3(np.exp(filt - filt.max())[:, None], u[b:b + 1])[0]
+        for k in range(b - 1, a - 1, -1):
+            w = logs[k - a] + lk[:, n, rs[k + 1]]
+            n = out[k] = _draw3(np.exp(w - w.max())[:, None], u[k:k + 1])[0]
+    return None
+
+
+def _ffbs(x, r, rows, kern, u, s):
+    """FFBS of whole rows into ``s``, one run a step, reading ``u`` from their first run's.
+
+    Returns the first cell with no mass, as (locus, row), of each lane that
+    loses its mass in logs too; ``s`` then holds no path in its row.
     """
     n_sub, n_loc = x.shape
-    heads, count, subject, last, slot, run = _layout(r, runs)
-    n_read = last.max(initial=-1) + 1   # the last row's last cell is read last
-    if u.shape != (n_read,):
-        raise ValueError(f"u has shape {u.shape}: FFBS reads {n_read} cells, a uniform each")
-    if runs:
-        starts, row_first, rs = run
-        fac = _run_factors(x, rows, starts, row_first)
+    heads, count, subject, last, starts, row_first, rs = _layout(r)
+    fac = _run_factors(x, rows, starts, row_first)
+    # each run's state, below the forward pass's temporaries (see ffbs_paths):
+    # made after them, impute's peak RSS rose by ~0.8 MiB
+    out = np.empty(starts.size - 1, dtype=np.int8)
 
-        def gather(grp):
-            rc = rs.take(grp)
-            return grp, rc, starts.take(grp) // n_loc * 3 + rc, fac.take(grp, axis=1)
+    def gather(grp):
+        rc = rs.take(grp)
+        return rc, starts.take(grp) // n_loc * 3 + rc, fac.take(grp, axis=1)
 
-        layout = heads, count, 1, max(1, CHUNK_CELLS // 16)
-        out = np.empty(starts.size - 1, dtype=np.int8)   # each run's state
-    else:
-        row_start = np.arange(0, r.size, n_loc)   # the flat cell of (subject, locus 0)
-        # the emission of state n, genotype g at locus j is emit[n, 3j + g]
-        emit = rows.transpose(0, 2, 1).reshape(3, 3 * n_loc)
-
-        def gather(loci):
-            flat = loci[:, None] + row_start
-            rc = r.take(flat)
-            obs = emit.take(x.take(flat) + 3 * loci[:, None], axis=1)
-            return flat.ravel(), rc.ravel(), (rc + sub3[:n_sub]).ravel(), obs.reshape(3, -1)
-
-        layout = heads, count, n_sub, CHUNK_CELLS
-        out = s.T   # each cell's state, by (locus, subject)
     # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c], made
     # past the factors' peak
     fwd = kern.transpose(1, 2, 3, 0).reshape(3, 3, 3 * n_sub)
-    sub3 = subject * 3
     # each lane's filtered vector, first the Hardy-Weinberg row, which every
     # kernel keeps
-    f = fwd[0, :, 2:].take(sub3, axis=1)
-    moves = _filter_forward(gather, layout, fwd, u, f, None if slot is None else slot - 1)
+    f = fwd[0, :, 2:].take(subject * 3, axis=1)
+    moves = _filter_forward(gather, heads, count, fwd, u, f)
     tot = f[0] + f[1]
     tot += f[2]
-    lost = subject[~(tot > 0.0)]   # the subjects of the lanes that lost it
-    if lost.size and not runs:
-        lost = []
-        _filter_forward(gather, layout, fwd, u, fwd[0, :, 2:].take(sub3, axis=1), slot - 1, lost)
-        subject, locus = np.divmod(np.concatenate(lost), n_loc)
-        locus, subject = min(zip(locus.tolist(), subject.tolist()))
-        raise ForwardUnderflowError(subject, locus)
+    gone = (~(tot > 0.0)).nonzero()[0].tolist()   # the lanes that lost their mass
     # the run factors (24 B a run): the path below must not stack on them
     gather = fac = None
     # a lane's last cell draws from its filtered vector alone
-    _sample_backward(moves, _draw3(f, u.take(last), tot), layout, out)
-    if runs:
-        # every cell of a run takes its state, in chunks of rows: no
-        # temporary of a byte a cell
-        step = max(1, CHUNK_CELLS // n_loc)
-        for i in range(0, n_sub, step):
-            a, b = row_first[i], row_first[min(i + step, n_sub)]
-            s[i:i + step].reshape(-1)[:] = np.repeat(out[a:b], np.diff(starts[a:b + 1]))
-    return lost
+    _sample_backward(moves, _draw3(f, u.take(last), tot), heads, count, out)
+    cells = [_log_lane(x, rows, fwd, starts, rs, u, heads[q], last[q], out) for q in gone]
+    # every cell of a run takes its state, in chunks of rows: no temporary of
+    # a byte a cell
+    step = max(1, CHUNK_CELLS // n_loc)
+    for i in range(0, n_sub, step):
+        a, b = row_first[i], row_first[min(i + step, n_sub)]
+        s[i:i + step].reshape(-1)[:] = np.repeat(out[a:b], np.diff(starts[a:b + 1]))
+    return [(c % n_loc, c // n_loc) for c in cells if c is not None]
 
 
 def ffbs_paths(x, r, rows, kern, u):
@@ -431,24 +409,32 @@ def ffbs_paths(x, r, rows, kern, u):
     ``u`` supplies one uniform per cell that :func:`read_cells` marks, in
     row-major order, for the backward draws: ``u_full[read_cells(r)]`` of a
     uniform per cell.
-    Raises :class:`ForwardUnderflowError` naming the first locus, and the first
-    subject there, whose forward mass vanishes.  Steps once per run where at
-    most ``RUN_SHARE`` of the cells have r > 0, else once per locus; a call
-    whose runs lose a mass is redone once per locus, which names the cell,
-    and its subjects with a lane that lost the mass take their rows from it.
+    Steps once per run, over chunks of whole rows of at most ``CHUNK_RUNS``
+    runs, so a chunk draws its rows of the whole call.  A lane that loses
+    its mass is filtered and drawn again in logs; one that loses it there
+    too raises :class:`ForwardUnderflowError`, naming the first locus, and
+    the first subject there, whose mass vanishes.
     """
     x = np.ascontiguousarray(x)
     r = np.ascontiguousarray(r)
     u = np.ascontiguousarray(u)
-    # the output first, below the forward pass's temporaries in the heap: made
-    # after them, a sweep's long-lived outputs land ever higher as glibc trims
-    # and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
+    n_sub = x.shape[0]
+    # a row's runs, as its read cells, are 1 + its cells past locus 0 with r > 0
+    n_read = n_sub + np.count_nonzero(r[:, 1:])
+    if u.shape != (n_read,):
+        raise ValueError(f"u has shape {u.shape}: FFBS reads {n_read} cells, a uniform each")
+    cuts = _row_chunks(r) if n_read > CHUNK_RUNS else [(0, 0), (n_sub, n_read)]
+    # the output before the forward pass's temporaries, below them in the
+    # heap: made after them, a sweep's long-lived outputs land ever higher as
+    # glibc trims and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
     s = np.empty(x.shape, dtype=np.int8)
-    lost = _ffbs(x, r, rows, kern, u, s, np.count_nonzero(r) <= RUN_SHARE * r.size)
-    if lost.size:
-        loci = np.empty_like(s)
-        _ffbs(x, r, rows, kern, u, loci, False)
-        s[lost] = loci[lost]
+    lost = []
+    for (a, k0), (b, k1) in zip(cuts, cuts[1:]):
+        lost += [(j, a + i) for j, i in _ffbs(x[a:b], r[a:b], rows, kern[..., a:b], u[k0:k1],
+                                              s[a:b])]
+    if lost:
+        locus, subject = min(lost)
+        raise ForwardUnderflowError(subject, locus)
     return s
 
 

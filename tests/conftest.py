@@ -3,8 +3,9 @@
 The model-definition helpers here (observation rows, conditional transition
 probabilities, exhaustive path enumeration) are written independently of
 the package internals so they can serve as oracles for the sampling code.
-The marginal transition matrix, the correlated-pair generator and the
-sampler-state invariant check are references no command runs.
+The marginal transition matrix, the correlated-pair generator, the
+log-space FFBS loop and the sampler-state invariant check are references no
+command runs.
 """
 import itertools
 import shutil
@@ -127,6 +128,48 @@ def fail_ffbs_at_sweep(monkeypatch, sweep):
         return ffbs_paths(*args)
 
     monkeypatch.setattr(kernels, "ffbs_paths", failing)
+
+
+def _draw3(w, u):
+    tot = w[0] + w[1] + w[2]
+    c0 = w[0] / tot
+    c1 = c0 + w[1] / tot
+    return (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
+
+
+def log_space_ffbs(x, r, rows, kern, u):
+    """FFBS one locus at a time for every subject, in logs: the kernel's reference.
+
+    ``rows`` and ``kern`` are the kernel's tables, and ``u`` holds a uniform
+    per cell.  The filtered vectors are log masses carried through every
+    kernel, the r = 2 one too, so no state's mass is lost below the float
+    range.  A locus where every state's log mass is -inf, or one is NaN,
+    raises ForwardUnderflowError for its first subject.
+    """
+    n_sub, n_loc = x.shape
+    subjects = np.arange(n_sub)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lemit, lkern = np.log(rows), np.log(kern)
+        filt = np.empty((n_loc, 3, n_sub))
+        prev = lkern[2, 0]   # the Hardy-Weinberg row
+        for j in range(n_loc):
+            # log of sum over m of exp(prev[m] + log T(m, n)), by subject
+            terms = prev.T[:, :, None] + lkern[r[:, j], :, :, subjects]
+            top = terms.max(axis=1)
+            top = np.where(top > -np.inf, top, 0.0)
+            pred = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+            f = pred.T + lemit[:, x[:, j], j]
+            bad = ~(f.max(axis=0) > -np.inf)
+            if bad.any():
+                raise ForwardUnderflowError(int(np.flatnonzero(bad)[0]), j)
+            prev = filt[j] = f
+        s = np.empty((n_sub, n_loc), dtype=np.int8)
+        w = filt[-1]
+        s[:, -1] = _draw3(np.exp(w - w.max(axis=0)), u[:, -1])
+        for j in range(n_loc - 2, -1, -1):
+            w = filt[j] + lkern[r[:, j + 1], :, s[:, j + 1], subjects].T
+            s[:, j] = _draw3(np.exp(w - w.max(axis=0)), u[:, j])
+    return s
 
 
 def empirical_state_freqs(samples):

@@ -536,6 +536,18 @@ class TestInconsistentDrawsFile:
         with pytest.raises(ValueError, match=rf"^ancestry value {value} in draw 1, subject 2, locus 0$"):
             AncestryDraws(draws=draws, sweep_index=[0, 1])
 
+    @pytest.mark.parametrize("value, dtype, shown", [
+        (257, np.int64, "257"),     # an int8 cast wraps it to 1
+        (258, np.int32, "258"),     # and this to 2
+        (0.5, np.float64, "0.5"),   # and this to 0
+    ])
+    def test_constructor_names_a_value_an_int8_cast_would_wrap(self, value, dtype, shown):
+        draws = np.ones((2, 3, 4), dtype=dtype)
+        draws[1, 2, 0] = value
+        draws[1, 2, 3] = 3
+        with pytest.raises(ValueError, match=rf"^ancestry value {shown} in draw 1, subject 2, locus 0$"):
+            AncestryDraws(draws=draws, sweep_index=[0, 1])
+
     def test_undecodable_id_refused(self, tmp_path, rng):
         path = tmp_path / "draws.adx"
         fileio.save_draws(make_draws(rng), path)

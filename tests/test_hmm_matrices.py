@@ -228,6 +228,25 @@ class TestGenotypeMatrix:
                                              r"is not in \{0, 1, 2, MISSING\}$"):
             GenotypeMatrix(x=x, subject_ids=["s", "t", "u"])
 
+    @pytest.mark.parametrize("value, dtype, shown", [
+        (257, np.int64, "257"),      # an int8 cast wraps it to 1
+        (258, np.int16, "258"),      # and this to 2
+        (1.5, np.float64, "1.5"),    # and this to 1
+        (255, np.uint8, "255"),      # and this to MISSING
+        (np.nan, np.float64, "nan"),
+    ])
+    def test_value_an_int8_cast_would_wrap_named_before_the_cast(self, value, dtype, shown):
+        x = np.array([[0, 1, 2], [1, value, 2], [value, 0, 1]], dtype=dtype)
+        with pytest.raises(ValueError, match=rf"^genotype value {shown} at subject 1, marker 1 "
+                                             r"is not in \{0, 1, 2, MISSING\}$"):
+            GenotypeMatrix(x=x, subject_ids=["s", "t", "u"])
+
+    def test_integers_of_any_dtype_are_cast(self):
+        x = [[0, 1], [2, MISSING]]
+        for dtype in (np.int64, np.float64, np.int16):
+            g = GenotypeMatrix(x=np.array(x, dtype=dtype), subject_ids=["s", "t"])
+            assert g.x.dtype == np.int8 and g.x.tolist() == x
+
 
 PANEL = dict(marker_ids=["a", "b", "c", "d"], chrom=[1, 1, 2, 2], position=[0.0, 0.1, 0.0, 0.05],
              p_a0=[0.8, 0.7, 0.9, 0.6], p_b0=[0.2, 0.1, 0.3, 0.2])

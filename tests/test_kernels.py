@@ -15,7 +15,7 @@ import pytest
 from admixscan import kernels
 from admixscan.errors import ForwardUnderflowError
 from admixscan.hmm import observation_rows, transition_kernels
-from conftest import hwe_vector, obs_row, trans_prob
+from conftest import hwe_vector, log_space_ffbs, obs_row, trans_prob
 
 
 @pytest.fixture
@@ -66,66 +66,39 @@ def ref_ffbs(x, r, chrom_start, p_a, p_b, rho, u):
     return s
 
 
-def per_locus_draw3(w, u):
-    tot = w[0] + w[1] + w[2]
-    c0 = w[0] / tot
-    c1 = c0 + w[1] / tot
-    return (u >= c0).astype(np.int8) + (u >= c1).astype(np.int8)
-
-
 def per_locus_ffbs(x, r, p_a, p_b, rho, u):
-    """FFBS one locus at a time for every subject, the loop the runs replaced.
+    """FFBS one locus at a time, in logs, on the tables of these parameters.
 
-    Same tables as the kernel, which combines a run's emissions once, in log
-    space, and starts a lane from the Hardy-Weinberg row where this loop
-    carries the previous vector through the r = 2 kernel; the two differ in
-    rounding only, which moves no draw here.
+    The kernel steps once per run, combines a run's emissions once and
+    normalises its filtered vectors; it redraws in logs a lane whose mass
+    that loses.  The two differ in rounding only, which moves no draw here.
     """
-    n_sub, n_loc = x.shape
-    rows = np.arange(n_sub)
-    emit = observation_rows(p_a, p_b)
-    kern = transition_kernels(rho)
-    filt = np.empty((n_loc, 3, n_sub))
-    prev = kern[2, 0]
-    for j in range(n_loc):
-        t = kern[r[:, j], :, :, rows]
-        f = np.einsum("mi,imn->ni", prev, t) * emit[:, x[:, j], j]
-        tot = f[0] + f[1] + f[2]
-        bad = ~((tot > 0.0) & np.isfinite(tot))
-        if bad.any():
-            raise ForwardUnderflowError(int(np.flatnonzero(bad)[0]), j)
-        prev = np.divide(f, tot, out=filt[j])
-    s = np.empty((n_sub, n_loc), dtype=np.int8)
-    s[:, -1] = per_locus_draw3(filt[-1], u[:, -1])
-    for j in range(n_loc - 2, -1, -1):
-        w = filt[j] * kern[r[:, j + 1], :, s[:, j + 1], rows].T
-        s[:, j] = per_locus_draw3(w, u[:, j])
-    return s
+    return log_space_ffbs(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u)
 
 
 def ffbs(x, r, p_a, p_b, rho, u):
     """The kernel on the model tables of these parameters, as a sweep builds them.
 
-    The kernel steps once per run where few cells have r > 0 and once per
-    locus elsewhere; every call here takes both passes, which must draw the
-    same path or name the same lost cell.
+    The kernel filters chunks of whole rows of at most ``CHUNK_RUNS`` runs;
+    every call here runs the whole call in one chunk and again one row a
+    chunk, which must draw the same path or name the same lost cell.
     """
     args = x, r, observation_rows(p_a, p_b), transition_kernels(rho), u[kernels.read_cells(r)]
     outcomes = []
-    for share in (1.0, -1.0):   # once per run at any share, then once per locus
+    for runs in (kernels.CHUNK_RUNS, 1):   # the whole call, then one row a chunk
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "RUN_SHARE", share)
+            mp.setattr(kernels, "CHUNK_RUNS", runs)
             try:
                 outcomes.append(kernels.ffbs_paths(*args))
             except ForwardUnderflowError as err:
                 outcomes.append(err)
-    runs, loci = outcomes
-    if isinstance(runs, ForwardUnderflowError):
-        assert isinstance(loci, ForwardUnderflowError)
-        assert (loci.locus, loci.subject) == (runs.locus, runs.subject)
-        raise runs
-    assert np.array_equal(runs, loci)
-    return runs
+    whole, rows = outcomes
+    if isinstance(whole, ForwardUnderflowError):
+        assert isinstance(rows, ForwardUnderflowError)
+        assert (rows.locus, rows.subject) == (whole.locus, whole.subject)
+        raise whole
+    assert np.array_equal(whole, rows)
+    return whole
 
 
 def segmented_chain(rng, n_sub, lengths, p_r=(0.6, 0.3, 0.1)):
@@ -521,10 +494,10 @@ def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
     args = segmented_chain(rng, 50, [7, 2, 11, 11, 4])
     sparse = segmented_chain(rng, 50, [7, 2, 11, 11, 4], (0.95, 0.04, 0.01))
     whole = ffbs(*args), ffbs(*sparse)
-    # once per run, the log emissions are summed in chunks of whole rows: one
-    # row a chunk (1 and 60 cells), 3 and 20 rows a chunk, and every row in
-    # one chunk at the default size; once per locus, the emissions and kernel
-    # entries are gathered per chunk of steps
+    # the log emissions are summed in chunks of whole rows: one row a chunk
+    # (1 and 60 cells), 3 and 20 rows a chunk, and every row in one chunk at
+    # the default size; the kernel entries and emission factors are gathered
+    # per chunk of steps, a sixteenth as many runs
     for cells in (1, 60, 130, 700, kernels.CHUNK_CELLS):
         monkeypatch.setattr(kernels, "CHUNK_CELLS", cells)
         assert np.array_equal(ffbs(*args), whole[0])
@@ -532,25 +505,24 @@ def test_ffbs_chunking_changes_no_draw(rng, monkeypatch):
 
 
 def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch):
-    # stepping once per run, the backward pass reads a row before every run
-    # start but a lane's first (locus 0 or r = 2), so the forward pass draws
-    # rows only for the cells with r = 1 past locus 0
+    # the backward pass reads a row before every run start but a lane's
+    # first (locus 0 or r = 2), so the forward pass draws rows only for the
+    # cells with r = 1 past locus 0
     calls = []
 
-    def backward(moves, cur, layout, out):
-        calls.append((moves, layout))
-        return real(moves, cur, layout, out)
+    def backward(moves, cur, heads, count, out):
+        calls.append(moves)
+        return real(moves, cur, heads, count, out)
 
     real = kernels._sample_backward
     monkeypatch.setattr(kernels, "_sample_backward", backward)
     for lengths in ([12, 1, 20, 7], [40]):
-        args = segmented_chain(rng, 40, lengths)
-        r = args[1]
+        x, r, p_a, p_b, rho, u = segmented_chain(rng, 40, lengths)
         calls.clear()
-        assert np.array_equal(ffbs(*args), per_locus_ffbs(*args))
-        # the ffbs helper steps once per run, then once per locus (40 lanes a group)
-        (moves, layout), _ = calls
-        assert layout[2] == 1
+        s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
+                               u[kernels.read_cells(r)])
+        assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+        (moves,) = calls   # one chunk
         assert moves[0] is None   # step 0 holds every lane's first run
         # each step reads its rows of its chunk's table: count the tables drawn
         drawn = {id(rows.base): rows.base for _, rows in moves[1:]}
@@ -631,9 +603,9 @@ def path_or_lost_cell(sample, *args):
 
 def test_ffbs_matches_the_per_locus_loop_when_mass_is_lost(rng):
     # small random chains at kernel shares from 3% to 100%, each with one
-    # way to lose the forward mass at 1-3 loci, or none: both passes (the
-    # ffbs helper) and the per-locus loop draw the same path or name the
-    # same cell
+    # way to lose the forward mass at 1-3 loci, or none: the kernel, in one
+    # chunk and one row a chunk (the ffbs helper), and the per-locus loop
+    # draw the same path or name the same cell
     cases = ("impossible genotype", "NaN frequency", "fixed allele", "nothing")
     lost = inside_a_run = 0
     for k in range(300):
@@ -669,88 +641,153 @@ def test_ffbs_matches_the_per_locus_loop_when_mass_is_lost(rng):
             inside_a_run += r[want[1], want[0]] == 0
         else:
             assert isinstance(got, np.ndarray) and np.array_equal(got, want), (k, case)
-    # the losses are many, and some fall inside a run, where the run pass
+    # the losses are many, and some fall inside a run, where the float pass
     # sees them only in its final vectors
     assert lost > 100 and inside_a_run > 30, (lost, inside_a_run)
 
 
-def spy_unit_kinds(monkeypatch):
-    """The unit kind of every FFBS pass from here on: True once per run, False once per locus."""
-    kinds = []
+def spy_log_lanes(monkeypatch):
+    """The flat cells (first, past the last) of every lane redrawn in logs from here on."""
+    lanes = []
 
-    def ffbs(*args):
-        kinds.append(args[-1])
-        return real(*args)
+    def log_lane(x, rows, fwd, starts, rs, u, a, b, out):
+        lanes.append((int(starts[a]), int(starts[b + 1])))
+        return real(x, rows, fwd, starts, rs, u, a, b, out)
 
-    real = kernels._ffbs
-    monkeypatch.setattr(kernels, "_ffbs", ffbs)
-    return kinds
+    real = kernels._log_lane
+    monkeypatch.setattr(kernels, "_log_lane", log_lane)
+    return lanes
 
 
-def test_ffbs_run_pass_hands_a_lost_mass_to_the_locus_pass(rng, monkeypatch):
-    # stepping once per run does not trace a lost mass itself: it hands the
-    # call, once, to locus units, and those name the cell
+def test_ffbs_lane_that_loses_its_mass_is_redone_in_logs_which_names_the_cell(rng, monkeypatch):
+    # the run pass does not trace a lost mass itself: it filters the lane
+    # that lost it again, alone and in logs, and that names the cell
     x, r, p_a, p_b, rho, u = identity_run(rng, 6, 40)
     p_a[25] = p_b[25] = 0.0   # genotype 0 is certain
     x[:, 25] = 0
     x[3, 25] = 1
-    kinds = spy_unit_kinds(monkeypatch)
-    monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
+    lanes = spy_log_lanes(monkeypatch)
     with pytest.raises(ForwardUnderflowError) as info:
         kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
                            u[kernels.read_cells(r)])
-    assert kinds == [True, False]
+    assert lanes == [(3 * 40, 4 * 40)]   # subject 3's one lane
     with pytest.raises(ForwardUnderflowError) as ref:
         per_locus_ffbs(x, r, p_a, p_b, rho, u)
     named = info.value.locus, info.value.subject
     assert named == (ref.value.locus, ref.value.subject) == (25, 3)
 
 
-def test_ffbs_runs_hand_an_unreachable_best_state_to_loci(rng, monkeypatch):
-    # one subject at near-fixed frequencies: genotype 0 over loci 0-99 leaves
-    # the filtered vector at (1, 0, 0) exactly, and genotype 2 over loci
-    # 100-199 favours state 2, which one recombination (r = 1 at locus 100)
-    # cannot reach from state 0.  Scaled by state 2's, the run's emission
-    # product is 0 at both states it can reach, so the run loses the mass;
-    # the call is redone once per locus, which keeps it, and the subject's
-    # row comes from there
-    n_loc = 200
-    x = np.repeat(np.array([[0, 2]], dtype=np.int8), 100, axis=1)
-    r = np.zeros((1, n_loc), dtype=np.int8)
-    r[0, 0], r[0, 100] = 2, 1
+def test_ffbs_names_the_smallest_locus_when_a_later_chunk_loses_it_first(rng, monkeypatch):
+    # one row a chunk: subject 1 loses its mass at locus 30 and subjects 5
+    # and 4, in later chunks, at locus 12; the error names locus 12 and its
+    # smallest subject
+    x, r, p_a, p_b, rho, u = segmented_chain(rng, 8, [20, 25], (0.8, 0.15, 0.05))
+    for j, bad_subjects in ((30, [1]), (12, [5, 4])):
+        p_a[j] = p_b[j] = 0.0   # genotype 0 is certain, genotype 1 impossible
+        x[:, j] = 0
+        x[bad_subjects, j] = 1
+    monkeypatch.setattr(kernels, "CHUNK_RUNS", 1)
+    lanes = spy_log_lanes(monkeypatch)
+    with pytest.raises(ForwardUnderflowError) as info:
+        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
+                           u[kernels.read_cells(r)])
+    assert (info.value.locus, info.value.subject) == (12, 4)
+    assert len(lanes) == 3   # each chunk's lost lane is redrawn
+    with pytest.raises(ForwardUnderflowError) as ref:
+        per_locus_ffbs(x, r, p_a, p_b, rho, u)
+    assert (ref.value.locus, ref.value.subject) == (12, 4)
+
+
+def test_ffbs_keeps_a_state_whose_evidence_swings_inside_an_identity_run(rng):
+    # subject 0 has one run at near-fixed frequencies: genotype 1 over loci
+    # 0-99 and 2 over loci 100-199.  A constant path has likelihood 1e-1170,
+    # 1e-400 and 1e-370 in states 0, 1 and 2, so state 2 has posterior
+    # ~1 - 1e-30.  Its mass relative to state 1's falls to ~1e-400 by locus
+    # 99 and rises back by the end: a loop that normalises at every locus
+    # loses it there, and drew state 1 at every locus.  The other subjects
+    # have r in {0, 1}: 45% of the cells are kernel cells
+    n_sub, n_loc = 10, 200
+    x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
+    x[0] = np.repeat([1, 2], 100)
+    r = rng.integers(0, 2, size=(n_sub, n_loc)).astype(np.int8)
+    r[:, 0] = 2
+    r[0, 1:] = 0
     p_a, p_b = np.full(n_loc, 0.9999), np.full(n_loc, 0.0001)
-    rho, u = np.array([0.5]), rng.random((1, n_loc))
-    kinds = spy_unit_kinds(monkeypatch)
-    monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
+    rho, u = np.full(n_sub, 0.5), rng.random((n_sub, n_loc))
+    s = ffbs(x, r, p_a, p_b, rho, u)
+    assert (s[0] == 2).all()
+    assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
+
+
+def unreachable_best_state(n_sub):
+    """Subjects whose best state in their second run the float vector cannot reach.
+
+    Near-fixed frequencies.  Genotype 0 over loci 0-99 leaves the filtered
+    vector at (1, 0, 0) in floats, ~(1, 1e-400, 1e-800) exactly; genotype 2
+    over loci 100-199 favours state 2, which one recombination (r = 1 at
+    locus 100) cannot reach from state 0.  The paths 0 then 1 and 1 then 2
+    are equally likely.
+    """
+    n_loc = 200
+    x = np.zeros((n_sub, n_loc), dtype=np.int8)
+    x[:, 100:] = 2
+    r = np.zeros((n_sub, n_loc), dtype=np.int8)
+    r[:, 0], r[:, 100] = 2, 1
+    return x, r, np.full(n_loc, 0.9999), np.full(n_loc, 0.0001), np.full(n_sub, 0.5)
+
+
+def test_ffbs_draws_an_unreachable_best_state_from_the_exact_law(rng, monkeypatch):
+    # scaled by state 2's, the second run's emission product is 0 at both
+    # states it can reach, so every lane loses its mass in floats and is
+    # redrawn in logs, where state 1 keeps its mass over the first run.  A
+    # loop over loci, or a rescue from the float vector, draws 0 then 1 on
+    # every row
+    x, r, p_a, p_b, rho = unreachable_best_state(400)
+    u = rng.random(x.shape)
+    lanes = spy_log_lanes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
                                u[kernels.read_cells(r)])
-    assert kinds == [True, False]
+    assert len(lanes) == 400
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
-    assert np.array_equal(s[0], np.repeat([0, 1], 100))
+    low = (s == np.repeat([0, 1], 100)).all(axis=1)
+    high = (s == np.repeat([1, 2], 100)).all(axis=1)
+    assert (low | high).all()
+    assert 0.4 < low.mean() < 0.6, low.mean()
 
 
 def spy_reads(monkeypatch):
-    """The uniforms that each FFBS pass from here on draws with, one list a pass."""
+    """The uniforms each FFBS pass from here on draws with: (kind, list) a pass.
+
+    A pass is a chunk's ("chunk") or a lane's redrawn in logs ("lane").
+    """
     passes = []
 
-    def ffbs(*args):
-        passes.append([])
-        return real_ffbs(*args)
+    def wrap(kind, real):
+        def a_pass(*args):
+            passes.append((kind, []))
+            return real(*args)
+        return a_pass
 
     def draw3(w, u, tot=None):
-        passes[-1].append(np.array(u))
+        passes[-1][1].append(np.array(u))
         return real_draw3(w, u, tot)
 
-    real_ffbs, real_draw3 = kernels._ffbs, kernels._draw3
-    monkeypatch.setattr(kernels, "_ffbs", ffbs)
+    real_draw3 = kernels._draw3
+    monkeypatch.setattr(kernels, "_ffbs", wrap("chunk", kernels._ffbs))
+    monkeypatch.setattr(kernels, "_log_lane", wrap("lane", kernels._log_lane))
     monkeypatch.setattr(kernels, "_draw3", draw3)
     return passes
 
 
 def read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho):
-    """FFBS's passes on uniforms that name their cells; asserts each reads every read cell once."""
+    """FFBS on uniforms that name their cells; asserts which cells each pass reads.
+
+    The chunks read every read cell once between them, and a lane redrawn
+    in logs reads the read cells of its row between its first and last
+    once.  Returns the path, the uniforms and the kind of each pass.
+    """
     read = kernels.read_cells(r)
     want = np.zeros(r.shape, dtype=bool)
     want[:, -1] = True
@@ -760,44 +797,43 @@ def read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho):
     u = (np.arange(r.size).reshape(r.shape) + 0.5) / r.size
     passes = spy_reads(monkeypatch)
     s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho), u[read])
-    for drawn in passes:
-        cells = (np.concatenate(drawn) * r.size).astype(np.intp)
-        assert np.array_equal(np.bincount(cells, minlength=r.size), read.ravel())
-    return s, u, len(passes)
+    cells = {kind: [] for kind in ("chunk", "lane")}
+    for kind, drawn in passes:
+        cells[kind].append((np.concatenate(drawn) * r.size).astype(np.intp))
+    assert np.array_equal(np.bincount(np.concatenate(cells["chunk"]), minlength=r.size),
+                          read.ravel())
+    for lane in cells["lane"]:
+        lo, hi = lane.min(), lane.max()
+        assert lo // r.shape[1] == hi // r.shape[1]
+        assert np.array_equal(np.sort(lane), lo + np.flatnonzero(read.ravel()[lo:hi + 1]))
+    return s, u, [kind for kind, _ in passes]
 
 
 @pytest.mark.parametrize("lengths", [[12, 1, 20, 7], [40]], ids=["segments", "one segment"])
-@pytest.mark.parametrize("share, runs", [(1.0, True), (-1.0, False)], ids=["runs", "loci"])
-def test_ffbs_reads_each_read_cell_once_per_pass(rng, monkeypatch, lengths, share, runs):
-    # once per run and once per locus, on rows whose locus 0 has r = 2 and
-    # rows where it has r = 0; the path is the per-locus loop's on the
-    # uniforms of every cell
+@pytest.mark.parametrize("runs", [65536, 50], ids=["one chunk", "chunks"])
+def test_ffbs_reads_each_read_cell_once_per_pass(rng, monkeypatch, lengths, runs):
+    # in one chunk and in several, on rows whose locus 0 has r = 2 and rows
+    # where it has r = 0; the path is the per-locus loop's on the uniforms of
+    # every cell
     x, r, p_a, p_b, rho, _ = segmented_chain(rng, 30, lengths, (0.8, 0.15, 0.05))
     r[1::3, 0] = 0
-    kinds = spy_unit_kinds(monkeypatch)
-    monkeypatch.setattr(kernels, "RUN_SHARE", share)
-    s, u, n_passes = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
-    assert kinds == [runs] and n_passes == 1
+    monkeypatch.setattr(kernels, "CHUNK_RUNS", runs)
+    s, u, kinds = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
+    assert set(kinds) == {"chunk"} and (len(kinds) > 1) == (runs < r.size)
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
 
 
-def test_ffbs_hand_off_reads_each_read_cell_once_per_pass(monkeypatch):
-    # subject 0 loses its mass stepping once per run (see
-    # test_ffbs_runs_hand_an_unreachable_best_state_to_loci), and the call is
-    # redone once per locus; subjects 1 and 3 have r = 0 at locus 0
-    n_loc = 200
-    x = np.zeros((4, n_loc), dtype=np.int8)
-    x[0, 100:] = 2
-    r = np.zeros((4, n_loc), dtype=np.int8)
-    r[0, 0], r[0, 100], r[1:, 50], r[2, 0], r[3, 150] = 2, 1, 1, 2, 2
-    p_a, p_b = np.full(n_loc, 0.9999), np.full(n_loc, 0.0001)
-    rho = np.full(4, 0.5)
-    kinds = spy_unit_kinds(monkeypatch)
-    monkeypatch.setattr(kernels, "RUN_SHARE", 1.0)
-    s, u, n_passes = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
-    assert kinds == [True, False] and n_passes == 2
+def test_ffbs_lane_redrawn_in_logs_reads_each_read_cell_once(monkeypatch):
+    # subject 0 loses its mass in floats (see
+    # test_ffbs_draws_an_unreachable_best_state_from_the_exact_law), and its
+    # lane is redrawn in logs; subjects 1 and 3 have r = 0 at locus 0
+    x, r, p_a, p_b, rho = unreachable_best_state(4)
+    x[1:] = 0
+    r[1:] = 0
+    r[1:, 50], r[2, 0], r[3, 150] = 1, 2, 2
+    s, u, kinds = read_once_per_pass(monkeypatch, x, r, p_a, p_b, rho)
+    assert kinds == ["chunk", "lane"]
     assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
-    assert np.array_equal(s[0], np.repeat([0, 1], 100))
 
 
 def test_ffbs_refuses_a_uniform_per_cell(rng):
@@ -808,10 +844,9 @@ def test_ffbs_refuses_a_uniform_per_cell(rng):
 
 @pytest.mark.parametrize("pick",["one subject", "every other subject", "reversed"])
 def test_ffbs_on_a_subset_of_subjects_draws_their_rows_of_the_whole(rng, pick):
-    # stepping once per run, a lane is cut where its own subject has r = 2,
-    # so no draw depends on which other subjects share the call; once per
-    # locus, a segment is cut where every subject in the call has r = 2, which
-    # moves no draw here but a rounding
+    # a lane is cut where its own subject has r = 2, not where every subject
+    # in the call has, so no draw depends on which other subjects share the
+    # call or its chunk
     x, r, p_a, p_b, rho, u = segmented_chain(rng, 30, [25, 15])
     assert ((r == 2).any(axis=0) & ~(r == 2).all(axis=0)).sum() > 10
     whole = ffbs(x, r, p_a, p_b, rho, u)
@@ -822,13 +857,13 @@ def test_ffbs_on_a_subset_of_subjects_draws_their_rows_of_the_whole(rng, pick):
     assert np.array_equal(part, whole[idx])
 
 
-def ffbs_peak_per_cell(rng, p_r):
-    """tracemalloc's peak in ``ffbs_paths`` on 200 x 2000 cells, per cell.
+def ffbs_peak_per_cell(rng, p_r, n_sub=200):
+    """tracemalloc's peak in ``ffbs_paths`` on ``n_sub`` x 2000 cells, per cell.
 
     r has the law ``p_r`` away from the chromosome starts; the uniforms and
     the other inputs are made before tracing starts.
     """
-    n_sub, n_loc = 200, 2000
+    n_loc = 2000
     x = rng.integers(0, 3, size=(n_sub, n_loc)).astype(np.int8)
     r = rng.choice(3, p=p_r, size=(n_sub, n_loc)).astype(np.int8)
     start = np.zeros(n_loc, dtype=bool)
@@ -846,11 +881,11 @@ def ffbs_peak_per_cell(rng, p_r):
 
 
 def test_ffbs_peak_memory_per_cell(rng):
-    # FFBS keeps no filtered vector per cell. With 10% kernel cells it steps
-    # once per run and keeps, per cell, the output; per run, its start, r
-    # and state and its three emission factors; per run past a lane's first,
-    # its three backward draws; per chunk of rows, its gathered logs: ~6.5 B
-    # a cell.
+    # FFBS keeps no filtered vector per cell. With 10% kernel cells, 40,000
+    # runs in one chunk, it keeps, per cell, the output; per run, its start,
+    # r and state and its three emission factors; per run past a lane's
+    # first, its three backward draws; per chunk of rows, its gathered logs:
+    # ~6.4 B a cell.
     # The per-lane kernels kept for the whole pass, or a second copy of the
     # factors, would break the bound
     peak = ffbs_peak_per_cell(rng, [0.9, 0.09, 0.01])
@@ -859,33 +894,25 @@ def test_ffbs_peak_memory_per_cell(rng):
 
 @pytest.mark.parametrize("p_r, bound", [([0.6, 0.36, 0.04], 12.0), ([0.0, 0.9, 0.1], 24.0)])
 def test_ffbs_peak_memory_per_cell_at_a_high_kernel_share(rng, p_r, bound):
-    # with 40% and 100% kernel cells FFBS steps once per locus: ~9.7 and
-    # ~10.8 B a cell. Stepping once per run there takes ~21.1 and ~50.1, its
-    # 24 B of emission factors and 9 B of start, r, state and draws a run
-    # outgrowing the 3 B of draws a kernel cell
+    # with 40% and 100% kernel cells, 160,000 and 400,000 runs, FFBS filters
+    # chunks of at most CHUNK_RUNS runs: ~8.9 and ~8.8 B a cell. The whole
+    # call in one chunk took ~21 and ~50, its 24 B of emission factors and
+    # 9 B of start, r, state and draws a run outgrowing the 1 B of output a
+    # cell
     peak = ffbs_peak_per_cell(rng, p_r)
     assert peak < bound, f"peak {peak:.2f} B a cell"
 
 
-def test_ffbs_steps_once_per_run_only_at_a_low_kernel_share(rng, monkeypatch):
-    # the unit is chosen by the share of kernel cells in the call: a run up
-    # to RUN_SHARE, a locus above it
-    kinds = []
-
-    def ffbs(*args):
-        kinds.append(args[-1])
-        return np.empty(0, dtype=int)   # no subject lost its mass
-
-    monkeypatch.setattr(kernels, "_ffbs", ffbs)
-    x, r, p_a, p_b, rho, u = segmented_chain(rng, 20, [50])
-    n_kernel = int(kernels.RUN_SHARE * r.size)
-    for extra, want in ((0, [True]), (1, [False])):
-        r[:] = 0
-        r.reshape(-1)[:n_kernel + extra] = 1
-        kinds.clear()
-        kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
-                           u[kernels.read_cells(r)])
-        assert kinds == want
+@pytest.mark.parametrize("p_r", [[0.6, 0.36, 0.04], [0.0, 0.9, 0.1]], ids=["40%", "100%"])
+def test_ffbs_peak_memory_is_bounded_across_chunks(rng, p_r):
+    # 200 and 400 subjects, both past one chunk: per added cell the peak may
+    # grow by the output and the per-row run counts, not by any array of
+    # every run (the whole call in one chunk grew by 5.7 and 4.2 B)
+    sizes = (200, 400)
+    assert sizes[0] * 2000 * (1 - p_r[0]) > 2 * kernels.CHUNK_RUNS
+    peaks = [ffbs_peak_per_cell(rng, p_r, n_sub) * n_sub * 2000 for n_sub in sizes]
+    growth = (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) * 2000)
+    assert growth < 2.0, f"{growth:.2f} B a cell"
 
 
 def test_recombination_counts_peak_memory(rng):

@@ -17,7 +17,13 @@ from admixscan.hmm import (
 )
 from admixscan.sampler import TRACED, HmmHyperparams, HmmState, run_mcmc
 from admixscan.simulate import sample_ancestry_hwe, sample_genotypes_from_ancestry
-from conftest import fail_ffbs_at_sweep, hwe_vector, obs_row, simulate_chain_ancestry
+from conftest import (
+    fail_ffbs_at_sweep,
+    hwe_vector,
+    log_space_ffbs,
+    obs_row,
+    simulate_chain_ancestry,
+)
 
 
 def chain_panel(n_loci, chrom=None, p_a0=0.8, p_b0=0.2, spacing=0.03):
@@ -78,10 +84,11 @@ def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
 
 @pytest.mark.parametrize("spacing, shares", [(0.005, (0.03, 0.12)), (0.02, (0.18, 0.35))],
                          ids=["dense", "sparse"])
-def test_ffbs_unit_kinds_draw_the_same_path_on_sampler_inputs(monkeypatch, spacing, shares):
-    # FFBS steps once per run or once per locus by the call's share of kernel
-    # cells; on the r, emissions and kernels a sweep makes, on AIMs 0.5 cM
-    # (~6% kernel cells) and 2 cM (~20-30%) apart, both draw the same path
+def test_ffbs_draws_the_log_space_loops_path_on_sampler_inputs(monkeypatch, spacing, shares):
+    # on the r, emissions and kernels a sweep makes, on AIMs 0.5 cM (~6%
+    # kernel cells) and 2 cM (~20-30%) apart, FFBS draws the path of the
+    # per-locus loop in logs; a cell whose uniform FFBS does not read is
+    # before an identity kernel, where the loop copies the next state
     rng = np.random.default_rng(8)
     panel = chain_panel(120, chrom=[1] * 60 + [2] * 60, spacing=spacing)
     s = simulate_chain_ancestry(rng, 40, panel.gamma0(6.0), 0.8, panel.chrom_start)
@@ -89,17 +96,15 @@ def test_ffbs_unit_kinds_draw_the_same_path_on_sampler_inputs(monkeypatch, spaci
     genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(40)])
     real, seen = kernels.ffbs_paths, []
 
-    def both_kinds(x, r, *tables):
-        paths = []
-        for share in (1.0, -1.0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(kernels, "RUN_SHARE", share)
-                paths.append(real(x, r, *tables))
-        assert np.array_equal(*paths)
+    def checked(x, r, rows, kern, u):
+        path = real(x, r, rows, kern, u)
+        u_full = np.full(r.shape, 0.5)
+        u_full[kernels.read_cells(r)] = u
+        assert np.array_equal(path, log_space_ffbs(x, r, rows, kern, u_full))
         seen.append(np.count_nonzero(r) / r.size)
-        return paths[0]
+        return path
 
-    monkeypatch.setattr(kernels, "ffbs_paths", both_kinds)
+    monkeypatch.setattr(kernels, "ffbs_paths", checked)
     run_mcmc(genotypes, panel, HmmHyperparams(burn_in=8, n_draws=2, thin=1, seed=3))
     assert len(seen) == 10
     assert shares[0] < np.median(seen) < shares[1], seen
@@ -282,7 +287,7 @@ def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
 def sweep_state(n_sub, n_loc=400, seed=4):
     """A state two sweeps in, with its priors and generator, on AIMs 0.5 cM apart.
 
-    Two chromosomes; ~6% of the cells have r > 0, so FFBS steps once per run.
+    Two chromosomes; ~6% of the cells have r > 0.
     """
     rng = np.random.default_rng(seed)
     panel = chain_panel(n_loc, chrom=[1] * (n_loc // 2) + [2] * (n_loc - n_loc // 2),
@@ -321,7 +326,7 @@ def test_sweep_steps_hold_no_full_size_input_beyond_ffbs_own_arrays():
     for n_sub in sizes:
         state, derived, rng = sweep_state(n_sub, n_loc)
         rows, kern = observation_rows(state.p_a, state.p_b), transition_kernels(state.rho)
-        assert 0.03 < np.count_nonzero(state.r) / state.r.size < kernels.RUN_SHARE
+        assert 0.03 < np.count_nonzero(state.r) / state.r.size < 0.15
         peaks.append([traced_peak(sampler.sample_ancestry_paths, state, rows, kern, rng),
                       traced_peak(sampler.sample_recombination_counts, state, kern, rng),
                       traced_peak(sampler.update_rho, state, derived, rng)])
