@@ -7,10 +7,13 @@ written.  The kernels take the first two as tables that each sweep builds
 once, and each lays out its own flat copy of the entries it gathers.
 
 Every sampling kernel takes pre-drawn uniforms instead of a generator, so
-its output is a pure function of its inputs.  A categorical draw over
-weights (w0, w1, w2) with uniform u picks the first category whose
-cumulative normalised weight exceeds u; ``_draw3`` is the only such draw,
-and FFBS, recombination counts and imputation all go through it.
+its output is a pure function of its inputs.  Each writes its draws into an
+array the caller owns and returns it: FFBS fills ``s``, recombination
+counts zero and fill ``out``, and imputation redraws its cells of ``x``;
+none makes an output of its own.  A categorical draw over weights (w0, w1,
+w2) with uniform u picks the first category whose cumulative normalised
+weight exceeds u; ``_draw3`` is the only such draw, and FFBS, recombination
+counts and imputation all go through it.
 
 Ancestry paths are drawn by forward filtering, backward sampling (Scott
 2002, JASA).  Where r = 0 the transition kernel is the identity, and where
@@ -242,11 +245,7 @@ def _filter_forward(gather, heads, count, fwd, u, f):
     size = max(1, CHUNK_CELLS // 16)
     bounds = [k for k in range(len(count)) if k == 0 or pos[k] // size != pos[k - 1] // size]
     for k0, k1 in zip(bounds, bounds[1:] + [len(count)]):
-        g = count[k0]
-        if count[k1 - 1] == g:
-            grp = (np.arange(k0, k1)[:, None] + heads[:g]).ravel()
-        else:
-            grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
+        grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
         _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves)
     return moves
 
@@ -314,11 +313,7 @@ def _sample_backward(moves, cur, heads, count, out):
     """
     three = np.arange(0, 3 * cur.size, 3)
     for k in range(len(count) - 1, -1, -1):
-        g = count[k]
-        if g == 1:   # basic indexing, several times cheaper
-            out[heads[0] + k] = cur[0]
-        else:
-            out[heads[:g] + k] = cur[:g]
+        out[heads[:count[k]] + k] = cur[:count[k]]
         if moves[k] is not None:
             lanes, table = moves[k]
             cur[lanes] = table.take(three[:table.size // 3] + cur[lanes])
@@ -369,9 +364,7 @@ def _ffbs(x, r, rows, kern, u, s):
     n_sub, n_loc = x.shape
     heads, count, subject, last, starts, row_first, rs = _layout(r)
     fac = _run_factors(x, rows, starts, row_first)
-    # each run's state, below the forward pass's temporaries (see ffbs_paths):
-    # made after them, impute's peak RSS rose by ~0.8 MiB
-    out = np.empty(starts.size - 1, dtype=np.int8)
+    out = np.empty(starts.size - 1, dtype=np.int8)   # each run's state
 
     def gather(grp):
         rc = rs.take(grp)
@@ -397,23 +390,24 @@ def _ffbs(x, r, rows, kern, u, s):
     step = max(1, CHUNK_CELLS // n_loc)
     for i in range(0, n_sub, step):
         a, b = row_first[i], row_first[min(i + step, n_sub)]
-        s[i:i + step].reshape(-1)[:] = np.repeat(out[a:b], np.diff(starts[a:b + 1]))
+        s[i:i + step] = np.repeat(out[a:b], np.diff(starts[a:b + 1])).reshape(-1, n_loc)
     return [(c % n_loc, c // n_loc) for c in cells if c is not None]
 
 
-def ffbs_paths(x, r, rows, kern, u):
+def ffbs_paths(x, r, rows, kern, u, s):
     """Sample one ancestry path per subject from its joint full conditional.
 
     ``x`` must be fully imputed (no MISSING entries); ``rows`` is
     ``observation_rows(p_a, p_b)`` and ``kern`` is ``transition_kernels(rho)``;
     ``u`` supplies one uniform per cell that :func:`read_cells` marks, in
     row-major order, for the backward draws: ``u_full[read_cells(r)]`` of a
-    uniform per cell.
+    uniform per cell.  The paths fill ``s``, an array of ``x``'s shape in
+    any memory order, which is returned.
     Steps once per run, over chunks of whole rows of at most ``CHUNK_RUNS``
     runs, so a chunk draws its rows of the whole call.  A lane that loses
     its mass is filtered and drawn again in logs; one that loses it there
     too raises :class:`ForwardUnderflowError`, naming the first locus, and
-    the first subject there, whose mass vanishes.
+    the first subject there, whose mass vanishes; ``s`` then holds no path.
     """
     x = np.ascontiguousarray(x)
     r = np.ascontiguousarray(r)
@@ -424,10 +418,6 @@ def ffbs_paths(x, r, rows, kern, u):
     if u.shape != (n_read,):
         raise ValueError(f"u has shape {u.shape}: FFBS reads {n_read} cells, a uniform each")
     cuts = _row_chunks(r) if n_read > CHUNK_RUNS else [(0, 0), (n_sub, n_read)]
-    # the output before the forward pass's temporaries, below them in the
-    # heap: made after them, a sweep's long-lived outputs land ever higher as
-    # glibc trims and regrows the heap, and impute's peak RSS crept up by 1-3 MiB
-    s = np.empty(x.shape, dtype=np.int8)
     lost = []
     for (a, k0), (b, k1) in zip(cuts, cuts[1:]):
         lost += [(j, a + i) for j, i in _ffbs(x[a:b], r[a:b], rows, kern[..., a:b], u[k0:k1],
@@ -438,7 +428,7 @@ def ffbs_paths(x, r, rows, kern, u):
     return s
 
 
-def recombination_counts(s, gamma, kern, u, first_row=0):
+def recombination_counts(s, gamma, kern, u, out, first_row=0):
     """Sample per-interval recombination counts given the ancestry path.
 
     ``kern`` is ``transition_kernels(rho)``.  Where ``gamma`` is 1, as at a
@@ -446,14 +436,15 @@ def recombination_counts(s, gamma, kern, u, first_row=0):
     cells only; every other cell draws 0 (see the module docstring).  A cell
     reads only its own row of ``s`` and ``u`` and its subject's kernels, so
     a chunk of rows draws its rows of the whole; its error names subjects
-    from ``first_row``, the whole's row of ``s[0]``.
+    from ``first_row``, the whole's row of ``s[0]``.  The counts fill
+    ``out``, an array of ``s``'s shape in any memory order, which is zeroed
+    first and returned.
     """
     s = np.asarray(s)
     u = np.asarray(u)
     gamma = np.asarray(gamma)
     n_sub, n_loc = s.shape
-    # the output first, below the temporaries in the heap (see ffbs_paths)
-    draw = np.zeros(s.shape, dtype=np.int8)
+    out[...] = 0
     # the Hardy-Weinberg row of subject i, the kernel of two recombinations,
     # is hwe[3i + n], and T(m, n) given one is one[3(3i + n) + m]
     hwe = kern[2, 0].T.ravel()
@@ -473,7 +464,6 @@ def recombination_counts(s, gamma, kern, u, first_row=0):
     # the open cells in row-major order, so the first bad cell comes first
     cells = np.flatnonzero(np.logical_not(closed, out=closed))
     del closed
-    out = draw.reshape(-1)
     for a in range(0, cells.size, CHUNK_CELLS):
         c = cells[a:a + CHUNK_CELLS]
         i = c // n_loc   # np.divmod takes four times as long
@@ -496,21 +486,20 @@ def recombination_counts(s, gamma, kern, u, first_row=0):
                 f"zero recombination mass at subject {first_row + i[k]}, locus {j[k]}; "
                 "gamma or rho left the open unit interval"
             )
-        out[c] = _draw3((w0, w1, w2), u.take(c), tot)   # a third of the time of draw.put
-    return draw
+        out[i, j] = _draw3((w0, w1, w2), u.take(c), tot)
+    return out
 
 
 def impute_genotypes(x, cells, s, rows, u):
-    """Fill the cells ``(subjects, loci)`` from the observation row of the state.
+    """Redraw the cells ``(subjects, loci)`` of ``x``, in place, from the state's observation row.
 
     ``rows`` is ``observation_rows(p_a, p_b)``; ``u`` holds one uniform per
-    cell, in the order of ``cells``.
+    cell, in the order of ``cells``.  Returns ``x``.
     """
-    out = np.array(x, dtype=np.int8)
     ii, jj = cells
     w = rows[np.asarray(s)[ii, jj], :, jj].T
-    out[ii, jj] = _draw3(w, np.asarray(u))
-    return out
+    x[ii, jj] = _draw3(w, np.asarray(u))
+    return x
 
 
 def genotype_state_counts(s, x):

@@ -9,6 +9,10 @@ two frequency-dispersion parameters by one exact slice step each (Neal
 2003, Ann. Statist.) over their uniform-prior support (50, 1000), with no
 step size and no tuning.  ``run_mcmc`` repeats it and keeps the draws.
 
+Each block's kernel writes its draws into the state's own ``x_imp`` and
+``s``; the recombination counts fill a new ``r`` each sweep, for the reason
+``sample_recombination_counts`` gives.
+
 Everything fixed for a run is one ``DerivedPriors``, built by
 ``derive_priors``; each step reads only the state, those priors, the
 sweep's tables and the generator.
@@ -234,9 +238,7 @@ def impute_missing_genotypes(state: HmmState, derived: DerivedPriors, rows, rng)
     One uniform is drawn per cell of ``derived.missing_cells``.
     """
     cells = derived.missing_cells
-    if cells[0].size:
-        u = rng.random(cells[0].size)
-        state.x_imp = kernels.impute_genotypes(state.x_imp, cells, state.s, rows, u)
+    kernels.impute_genotypes(state.x_imp, cells, state.s, rows, rng.random(cells[0].size))
 
 
 def _chunk_uniforms(shape, rng):
@@ -263,15 +265,20 @@ def sample_ancestry_paths(state: HmmState, rows, kern, rng):
     r = state.r
     u = np.concatenate([np.compress(kernels.read_cells(r[part]).ravel(), chunk)
                         for part, chunk in _chunk_uniforms(r.shape, rng)])
-    state.s = kernels.ffbs_paths(state.x_imp, r, rows, kern, u)
+    kernels.ffbs_paths(state.x_imp, r, rows, kern, u, state.s)
 
 
 def sample_recombination_counts(state: HmmState, kern, rng):
-    """Per-interval recombination counts given the ancestry transitions, by chunks of rows."""
+    """Per-interval recombination counts given the ancestry transitions, by chunks of rows.
+
+    They fill a new ``state.r``: the ``r`` that the sweep's FFBS call read
+    stays as it was, so that call can be replayed after the run with its
+    uniforms, as ``perfbench/run.py`` does to measure its memory.
+    """
     r = np.empty(state.s.shape, dtype=np.int8)
     for part, u in _chunk_uniforms(r.shape, rng):
-        r[part] = kernels.recombination_counts(state.s[part], state.gamma, kern[..., part], u,
-                                               part.start)
+        kernels.recombination_counts(state.s[part], state.gamma, kern[..., part], u, r[part],
+                                     part.start)
     state.r = r
 
 

@@ -78,6 +78,7 @@ def test_criterion_1_ffbs_exactness():
             observation_rows(p_a, p_b),
             transition_kernels(np.full(n_draws, rho)),
             u[kernels.read_cells(r_all)],
+            np.empty(r_all.shape, dtype=np.int8),
         )
         emp = empirical_state_freqs(s)
         for j in range(n_loc):

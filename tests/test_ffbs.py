@@ -23,6 +23,7 @@ def sample_many(x, r, p_a, p_b, rho, n, seed=5):
         observation_rows(np.asarray(p_a, float), np.asarray(p_b, float)),
         transition_kernels(np.full(n, rho)),
         u[kernels.read_cells(r)],
+        np.empty(r.shape, dtype=np.int8),
     )
 
 

@@ -73,6 +73,7 @@ def test_single_locus_chain_reduces_to_initial_vector_times_likelihood():
         observation_rows(np.array([0.9]), np.array([0.1])),
         transition_kernels(np.full(n, 0.8)),
         u[kernels.read_cells(r)],
+        np.empty((n, 1), dtype=np.int8),
     )
     expected = hwe_vector(0.8) * np.array(
         [obs_row(0.9, 0.1, state)[1] for state in range(3)]
@@ -96,8 +97,8 @@ def test_ffbs_draws_the_log_space_loops_path_on_sampler_inputs(monkeypatch, spac
     genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(40)])
     real, seen = kernels.ffbs_paths, []
 
-    def checked(x, r, rows, kern, u):
-        path = real(x, r, rows, kern, u)
+    def checked(x, r, rows, kern, u, s):
+        path = real(x, r, rows, kern, u, s)
         u_full = np.full(r.shape, 0.5)
         u_full[kernels.read_cells(r)] = u
         assert np.array_equal(path, log_space_ffbs(x, r, rows, kern, u_full))
@@ -108,6 +109,33 @@ def test_ffbs_draws_the_log_space_loops_path_on_sampler_inputs(monkeypatch, spac
     run_mcmc(genotypes, panel, HmmHyperparams(burn_in=8, n_draws=2, thin=1, seed=3))
     assert len(seen) == 10
     assert shares[0] < np.median(seen) < shares[1], seen
+
+
+def test_a_runs_first_ffbs_call_replays_after_the_run(monkeypatch):
+    # perfbench's traced run keeps the arguments of the first FFBS call and
+    # replays it after the run to measure its memory. The recombination
+    # counts fill a new r each sweep, so that call's r is still the one it
+    # read: filled in place, r would have the last sweep's kernel cells, and
+    # the replay would refuse the first sweep's uniforms
+    rng = np.random.default_rng(9)
+    panel = chain_panel(120, chrom=[1] * 60 + [2] * 60, spacing=0.02)
+    s = simulate_chain_ancestry(rng, 30, panel.gamma0(6.0), 0.8, panel.chrom_start)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate=0.05)
+    genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(30)])
+    real, calls = kernels.ffbs_paths, []
+
+    def recorded(*args):
+        calls.append((args, args[1].copy()))
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "ffbs_paths", recorded)
+    run_mcmc(genotypes, panel, HmmHyperparams(burn_in=4, n_draws=2, thin=1, seed=3))
+    assert len(calls) == 6
+    # each sweep's state.r, which its FFBS call reads, is a new object
+    assert len({id(args[1]) for args, _ in calls}) == len(calls)
+    args, r_then = calls[0]
+    assert np.array_equal(args[1], r_then)
+    assert real(*args).shape == x.shape   # the replay raises nothing
 
 
 def test_identical_seeds_give_byte_identical_draws():
@@ -284,16 +312,17 @@ def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
     assert np.array_equal(draws.draws, quiet.draws)
 
 
-def sweep_state(n_sub, n_loc=400, seed=4):
+def sweep_state(n_sub, n_loc=400, seed=4, missing_rate=0.0):
     """A state two sweeps in, with its priors and generator, on AIMs 0.5 cM apart.
 
-    Two chromosomes; ~6% of the cells have r > 0.
+    Two chromosomes; ~6% of the cells have r > 0, and ``missing_rate`` of
+    the genotypes are missing.
     """
     rng = np.random.default_rng(seed)
     panel = chain_panel(n_loc, chrom=[1] * (n_loc // 2) + [2] * (n_loc - n_loc // 2),
                         spacing=0.005)
     s = simulate_chain_ancestry(rng, n_sub, panel.gamma0(6.0), 0.8, panel.chrom_start)
-    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng)
+    x = sample_genotypes_from_ancestry(s, panel.p_a0, panel.p_b0, rng, missing_rate)
     genotypes = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(n_sub)])
     derived = sampler.derive_priors(genotypes, panel, HmmHyperparams())
     state = sampler.initial_state(genotypes, derived, rng)
@@ -317,21 +346,30 @@ def test_sweep_steps_hold_no_full_size_input_beyond_ffbs_own_arrays():
     # plus 1 B, so no step holds a uniform, code or index array of every
     # cell: whole-array uniforms for FFBS or the recombination counts, or
     # np.take's index cast of the admixture codes, take 8 B a cell each.
-    # FFBS's own arrays grow by 2.76 B here: the kernel's peak with its
-    # uniforms made before tracing, measured when it took one per cell
-    own = 2.76
+    # FFBS's own arrays grow by 1.75 B here: the kernel's peak with its
+    # uniforms and output made before tracing. The paths' step grows by 2.2
+    # B, the counts' by 1.0 (the new r) and the proportions' by 2.0; a path
+    # array of FFBS's own added 1 B to the paths' step
+    own = 1.75
     n_loc, sizes = 400, (200, 600)   # past one chunk of rows at either size
     assert sizes[0] * n_loc > sampler.ROW_CHUNK_CELLS
-    peaks = []
+    peaks, missing = [], []
     for n_sub in sizes:
-        state, derived, rng = sweep_state(n_sub, n_loc)
+        state, derived, rng = sweep_state(n_sub, n_loc, missing_rate=0.05)
         rows, kern = observation_rows(state.p_a, state.p_b), transition_kernels(state.rho)
         assert 0.03 < np.count_nonzero(state.r) / state.r.size < 0.15
+        missing.append(derived.missing_cells[0].size)
         peaks.append([traced_peak(sampler.sample_ancestry_paths, state, rows, kern, rng),
                       traced_peak(sampler.sample_recombination_counts, state, kern, rng),
-                      traced_peak(sampler.update_rho, state, derived, rng)])
+                      traced_peak(sampler.update_rho, state, derived, rng),
+                      traced_peak(sampler.impute_missing_genotypes, state, derived, rows, rng)])
     growth = np.subtract(*peaks[::-1]) / ((sizes[1] - sizes[0]) * n_loc)
-    assert (growth < own + 1.0).all(), f"{growth} B a cell"
+    assert (growth[:3] < own + 1.0).all(), f"{growth[:3]} B a cell"
+    # imputation holds, per missing cell, its uniform, its three weights and
+    # the draw's temporaries: ~50 B. A copy of x, 1 B a cell, added ~20 B a
+    # missing cell at 5% missing
+    per_missing = (peaks[1][3] - peaks[0][3]) / (missing[1] - missing[0])
+    assert per_missing < 56, f"{per_missing:.1f} B a missing cell"
 
 
 def test_initial_state_holds_no_full_size_draw_temporary():
@@ -375,7 +413,8 @@ def test_recombination_counts_by_chunks_of_rows_draw_the_whole(monkeypatch, rows
     state, _, _ = sweep_state(40, 30)
     kern = transition_kernels(state.rho)
     whole = kernels.recombination_counts(state.s, state.gamma, kern,
-                                         np.random.default_rng(5).random(state.s.shape))
+                                         np.random.default_rng(5).random(state.s.shape),
+                                         np.empty(state.s.shape, dtype=np.int8))
     monkeypatch.setattr(sampler, "ROW_CHUNK_CELLS", rows * 30)
     sampler.sample_recombination_counts(state, kern, np.random.default_rng(5))
     assert np.array_equal(state.r, whole)

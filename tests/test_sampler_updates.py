@@ -129,7 +129,8 @@ class TestRecombinationCounts:
         s = np.array([[0, 2]], dtype=np.int8)
         u = rng.random((1, 2))
         r = kernels.recombination_counts(
-            s, np.array([1.0, 0.3]), transition_kernels(np.array([0.5])), u
+            s, np.array([1.0, 0.3]), transition_kernels(np.array([0.5])), u,
+            np.empty(s.shape, dtype=np.int8)
         )
         assert r[0, 1] == 2
 
@@ -138,7 +139,8 @@ class TestRecombinationCounts:
         s = np.ones((n, 2), dtype=np.int8)
         u = rng.random((n, 2))
         r = kernels.recombination_counts(
-            s, np.array([1.0, 1.0 - 1e-12]), transition_kernels(np.full(n, 0.5)), u
+            s, np.array([1.0, 1.0 - 1e-12]), transition_kernels(np.full(n, 0.5)), u,
+            np.empty(s.shape, dtype=np.int8)
         )
         assert (r[:, 1] == 2).all()
 
@@ -149,7 +151,8 @@ class TestRecombinationCounts:
         s = np.zeros((n, 2), dtype=np.int8)
         u = rng.random((n, 2))
         r = kernels.recombination_counts(
-            s, np.array([1.0, gamma]), transition_kernels(np.full(n, rho)), u
+            s, np.array([1.0, gamma]), transition_kernels(np.full(n, rho)), u,
+            np.empty(s.shape, dtype=np.int8)
         )
         w = np.array(
             [
@@ -165,7 +168,8 @@ class TestRecombinationCounts:
         s = np.array([[1, 2, 0, 1]], dtype=np.int8)
         u = rng.random((1, 4))
         r = kernels.recombination_counts(
-            s, np.array([1.0, 0.9, 1.0, 0.9]), transition_kernels(np.array([0.5])), u
+            s, np.array([1.0, 0.9, 1.0, 0.9]), transition_kernels(np.array([0.5])), u,
+            np.empty(s.shape, dtype=np.int8)
         )
         assert r[0, 0] == 2 and r[0, 2] == 2
 
