@@ -211,7 +211,9 @@ class AncestryDraws:
     def check_metadata(n_subjects, n_loci, subject_ids, marker_ids, chrom, position):
         """Refuse metadata unfit for ``n_subjects`` x ``n_loci`` draws, naming the counts.
 
-        One distinct id per subject or marker; chrom and position together, one per marker.
+        One distinct id per subject or marker, with no tab, CR or LF, which
+        would break the rows of the tables written from the draws; chrom and
+        position together, one per marker.
         """
         for ids, n, what in ((subject_ids, n_subjects, "subject"), (marker_ids, n_loci, "marker")):
             if ids is not None and len(ids) != n:
@@ -220,6 +222,8 @@ class AncestryDraws:
             for name in ids or ():
                 if name in seen:
                     raise ValueError(f"duplicate {what} id {name!r}")
+                if "\t" in name or "\r" in name or "\n" in name:
+                    raise ValueError(f"{what} id {name!r} holds a tab or line break")
                 seen.add(name)
         if (chrom is None) != (position is None):
             raise ValueError("chrom and position must be given together")

@@ -29,33 +29,32 @@ most ``CHUNK_RUNS`` runs (at least one row).
   call.  Lanes are ranked longest first, and step k holds run k of every
   lane longer than k, so the lanes alive at a step are a prefix of those
   alive at the step before (21-26 steps a sweep on the benchmark's
-  ``impute_cohort``, whose chromosomes have 200 loci).  A kernel run is one
-  whose first cell has r > 0, as every run past a lane's first (r = 1).
+  ``impute_cohort``, whose chromosomes have 200 loci).  Every run past a
+  lane's first starts with r = 1; only a row's first can start with r = 0.
 * A run's emission factor is its emission product over its largest
   state's: the log emissions are summed per state with ``np.add.reduceat``
   over chunks of ``CHUNK_CELLS`` cells in whole rows, less their largest,
   and exponentiated in one call, so a run whose product underflows keeps
   its mass.
 * The forward pass gathers, per chunk of steps (a sixteenth of
-  ``CHUNK_CELLS`` runs), each run's r, the kernel entries of its kernel
-  runs and its emission factor.  At a kernel run the prediction
+  ``CHUNK_CELLS`` runs), the kernel entries of each run's first cell and
+  its emission factor.  At every run the prediction
   ``(p0 T0n + p1 T1n) + p2 T2n`` replaces the lane's filtered vector (the
-  Hardy-Weinberg row at its first run); elsewhere the kernel is the
-  identity, whose ``(p0 1 + p1 0) + p2 0`` is p0 bit for bit.  Each lane
-  then multiplies by its factor and divides by ``(f0 + f1) + f2``, at least
-  ``TINY``; where every lane of a step is a kernel run, as past a lane's
-  first, slices replace the gathers.
-* The backward weights of state m before a kernel run past a lane's first
-  are ``filt[m] * T[m, s_next]``, the forward step's own products, which
-  sum to the prediction.  The forward pass draws from them, for each of the
-  run's three states, the state of the cell before it, with that cell's
-  uniform, and keeps those 3 bytes.  A lane's last cell draws from its
-  filtered vector alone: the row ends there, or the next cell has r = 2,
-  whose T[m, n] = hwe(n) does not depend on m.
-* The backward pass walks the steps down holding one state per lane: the
-  cell before an identity kernel takes the run's state, the cell before a
-  kernel run reads it from the table, and ``np.repeat`` fills each run's
-  cells, a chunk of rows at a time.
+  Hardy-Weinberg row at its first run); at a row's first run with r = 0 the
+  kernel is the identity, whose ``(p0 1 + p1 0) + p2 0`` is p0 bit for
+  bit.  Each lane then multiplies by its factor and divides by
+  ``(f0 + f1) + f2``, at least ``TINY``.
+* The backward weights of state m before a run past a lane's first are
+  ``filt[m] * T[m, s_next]``, the forward step's own products, which sum to
+  the prediction.  The forward pass draws from them, for each of the run's
+  three states, the state of the cell before it, with that cell's uniform,
+  into one int8 table of 3 bytes a run, in packed order.  A lane's last
+  cell draws from its filtered vector alone: the row ends there, or the
+  next cell has r = 2, whose T[m, n] = hwe(n) does not depend on m.
+* The backward pass walks the steps, and the table, down holding one state
+  per lane: the cell before each run past a lane's first reads it from the
+  table, and ``np.repeat`` fills each run's cells, a chunk of rows at a
+  time.
 * So a pass reads the uniforms of the cells ``read_cells`` marks, each
   once: each row's last cell and every cell whose next has r > 0, the last
   cells of the runs.  FFBS takes one uniform per read cell, in row-major
@@ -232,64 +231,43 @@ def _run_factors(x, rows, starts, row_first):
 
 
 def _filter_forward(gather, heads, count, fwd, u, f):
-    """Filter every lane forward in ``f``, one run a step, and draw the backward tables.
+    """Filter every lane forward in ``f``, one run a step, and draw the backward table.
 
-    ``gather(grp)`` gives r, the kernel column of ``fwd`` and the emission
+    ``gather(grp)`` gives the kernel column of ``fwd`` and the emission
     factor of the runs ``grp``, packed step by step.  The cell before run k
-    reads ``u[k - 1]``.  Returns, per step past step 0 with kernel runs,
-    their lanes and their draws of the cell before them, flat by (run,
-    state).
+    reads ``u[k - 1]``.  Returns the table: for each run past step 0, in
+    packed order, its three draws of the cell before it, one per state of
+    the run.
     """
-    moves = [None] * len(count)
     pos = list(accumulate(count, initial=0))   # each step's first lane
+    table = np.empty(3 * (pos[-1] - count[0]), dtype=np.int8)
     size = max(1, CHUNK_CELLS // 16)
     bounds = [k for k in range(len(count)) if k == 0 or pos[k] // size != pos[k - 1] // size]
     for k0, k1 in zip(bounds, bounds[1:] + [len(count)]):
         grp = np.concatenate([heads[:c] + k for k, c in zip(range(k0, k1), count[k0:k1])])
-        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], k0, fwd, u, moves)
-    return moves
+        # step 0 draws no rows
+        rows = table[3 * (pos[max(k0, 1)] - pos[1]):3 * (pos[k1] - pos[1])]
+        _filter_chunk(f, gather, grp, pos[k0:k1 + 1], fwd, u, rows)
+    return table
 
 
-def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves):
-    """Steps ``k0`` on, whose lanes start at ``pos``: its own frame frees their arrays."""
-    rc, col, fac = gather(grp)
-    cuts, before = [q - pos[0] for q in pos], grp
-    if np.count_nonzero(rc) < rc.size:
-        # the kernel runs (r > 0), packed order; nonzero on a bool mask is ~5x
-        # faster than on int8
-        unit = (rc != 0).nonzero()[0]
-        cuts = unit.searchsorted(cuts).tolist()
-        col = col.take(unit)
-        before = grp.take(unit)
-    # T(m, n) of each kernel run, times the filtered vector before it below,
-    # and their sums, the predictions
+def _filter_chunk(f, gather, grp, pos, fwd, u, rows):
+    """The steps whose lanes start at ``pos``: its own frame frees their arrays."""
+    col, fac = gather(grp)
+    # T(m, n) of each run, times the filtered vector before it below, and
+    # their sums, the predictions
     pt = fwd.take(col, axis=2)
     pred = np.empty(pt.shape[1:])
-    head = cuts[1] if k0 == 0 else 0   # step 0's kernel runs draw no rows
-    read = before[head:] - 1   # the uniform of the cell before each kernel run
     for i in range(len(pos) - 1):
-        p, n = pos[i] - pos[0], pos[i + 1] - pos[i]
-        f = f[:, :n]
-        lo, hi = cuts[i], cuts[i + 1]
-        every = 0 < hi - lo == n   # every lane a kernel run: slices, not gathers
-        if lo < hi:
-            # the prediction (p0 T0n + p1 T1n) + p2 T2n replaces the filtered
-            # vector; other lanes keep theirs (the identity)
-            kern = pt[:, :, lo:hi]   # (from, to, kernel run)
-            lanes = slice(None, n) if every else unit[lo:hi] - p
-            # f.take(lanes)[:, None] is faster than f[:, None, lanes]
-            kern *= (f if every else f.take(lanes, axis=1))[:, None]
-            prd = pred[:, lo:hi]
-            np.add(kern[0], kern[1], out=prd)
-            prd += kern[2]
-            if not every:
-                f[:, lanes] = prd
-            if k0 + i:
-                moves[k0 + i] = lanes, lo - head, hi - head
-        if every:
-            np.multiply(prd, fac[:, p:p + n], out=f)
-        else:
-            f *= fac[:, p:p + n]
+        p, q = pos[i] - pos[0], pos[i + 1] - pos[0]
+        f = f[:, :q - p]
+        # the prediction (p0 T0n + p1 T1n) + p2 T2n, then the factor
+        kern = pt[:, :, p:q]   # (from, to, lane)
+        kern *= f[:, None]
+        prd = pred[:, p:q]
+        np.add(kern[0], kern[1], out=prd)
+        prd += kern[2]
+        np.multiply(prd, fac[:, p:q], out=f)
         tot = f[0] + f[1]
         tot += f[2]
         # a vanished mass divides as 0 / TINY = 0, with no 0 / 0 warning, and
@@ -299,24 +277,24 @@ def _filter_chunk(f, gather, grp, pos, k0, fwd, u, moves):
     del col, fac   # before the draws' temporaries are made
     # the backward weights of state m given the run's state n are pt[m, n],
     # summing to pred[n], drawn with the uniform of the cell before the run
-    table = _draw3(pt[:, :, head:], u.take(read), pred[:, head:]).T.ravel()
-    for k in range(max(k0, 1), k0 + len(pos) - 1):
-        if moves[k] is not None:
-            lanes, lo, hi = moves[k]
-            moves[k] = lanes, table[3 * lo:3 * hi]
+    head = grp.size - rows.size // 3
+    rows.reshape(-1, 3).T[...] = _draw3(pt[:, :, head:], u.take(grp[head:] - 1), pred[:, head:])
 
 
-def _sample_backward(moves, cur, heads, count, out):
+def _sample_backward(table, cur, heads, count, out):
     """Every run's state into ``out[run]``, each lane down from its last run's, ``cur``.
 
-    The cell before a run takes its state, or before a kernel run its draw.
+    The cell before each run past step 0 reads its state from ``table``,
+    walked down from its end ``count[k]`` rows a step.
     """
     three = np.arange(0, 3 * cur.size, 3)
+    end = table.size
     for k in range(len(count) - 1, -1, -1):
-        out[heads[:count[k]] + k] = cur[:count[k]]
-        if moves[k] is not None:
-            lanes, table = moves[k]
-            cur[lanes] = table.take(three[:table.size // 3] + cur[lanes])
+        n = count[k]
+        out[heads[:n] + k] = cur[:n]
+        if k:
+            end -= 3 * n
+            cur[:n] = table[end:end + 3 * n].take(three[:n] + cur[:n])
 
 
 def _log_lane(x, rows, fwd, starts, rs, u, a, b, out):
@@ -367,8 +345,7 @@ def _ffbs(x, r, rows, kern, u, s):
     out = np.empty(starts.size - 1, dtype=np.int8)   # each run's state
 
     def gather(grp):
-        rc = rs.take(grp)
-        return rc, starts.take(grp) // n_loc * 3 + rc, fac.take(grp, axis=1)
+        return starts.take(grp) // n_loc * 3 + rs.take(grp), fac.take(grp, axis=1)
 
     # T(m, n) of subject i given c recombinations is fwd[m, n, 3i + c], made
     # past the factors' peak
@@ -376,14 +353,14 @@ def _ffbs(x, r, rows, kern, u, s):
     # each lane's filtered vector, first the Hardy-Weinberg row, which every
     # kernel keeps
     f = fwd[0, :, 2:].take(subject * 3, axis=1)
-    moves = _filter_forward(gather, heads, count, fwd, u, f)
+    table = _filter_forward(gather, heads, count, fwd, u, f)
     tot = f[0] + f[1]
     tot += f[2]
     gone = (~(tot > 0.0)).nonzero()[0].tolist()   # the lanes that lost their mass
     # the run factors (24 B a run): the path below must not stack on them
     gather = fac = None
     # a lane's last cell draws from its filtered vector alone
-    _sample_backward(moves, _draw3(f, u.take(last), tot), heads, count, out)
+    _sample_backward(table, _draw3(f, u.take(last), tot), heads, count, out)
     cells = [_log_lane(x, rows, fwd, starts, rs, u, heads[q], last[q], out) for q in gone]
     # every cell of a run takes its state, in chunks of rows: no temporary of
     # a byte a cell

@@ -481,8 +481,8 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     """Run the Gibbs sweep schedule and return the retained ancestry draws.
 
     ``burn_in`` sweeps are discarded, then every ``thin``-th of the next
-    ``n_draws`` sweeps is retained, giving ``n_draws // thin`` imputations.
-    Deterministic given ``hyper.seed``.
+    ``n_draws`` sweeps is retained, giving ``n_draws // thin`` imputations;
+    the run stops at the last of them.  Deterministic given ``hyper.seed``.
     """
     if genotypes.n_loci != panel.n_loci:
         raise ValueError(
@@ -499,7 +499,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
     traces = {name: np.empty((m, *np.shape(getattr(state, name)))) for name in TRACED}
 
     kept = 0
-    total = hyper.burn_in + hyper.n_draws
+    total = hyper.burn_in + m * hyper.thin
     start = time.perf_counter()
     for t in range(total):
         try:
@@ -513,7 +513,7 @@ def run_mcmc(genotypes: GenotypeMatrix, panel: AimPanel,
             ) from exc
 
         post = t - hyper.burn_in + 1
-        if post >= 1 and post % hyper.thin == 0 and kept < m:
+        if post >= 1 and post % hyper.thin == 0:
             draws[kept] = state.s
             sweep_index[kept] = t
             for name in TRACED:

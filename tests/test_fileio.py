@@ -597,6 +597,46 @@ class TestDuplicateDrawsIds:
             fileio.load_draws(path)
 
 
+class TestDrawsIdsThatBreakRows:
+    """Draws ids head the rows of tab-separated tables, so none may hold a tab or line break."""
+
+    @pytest.mark.parametrize("what, name", [("subject", "S\t0"), ("subject", "S\r0"),
+                                            ("marker", "m2\nx")])
+    def test_constructor_names_the_id(self, what, name):
+        ids = {"subject_ids": ["S1", "S2"], "marker_ids": ["m1", "m2"]}
+        ids[f"{what}_ids"][0] = name
+        message = f"{what} id {name!r} holds a tab or line break"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AncestryDraws(draws=np.zeros((1, 2, 2), dtype=np.int8), sweep_index=[0], **ids)
+
+    def test_save_refuses_and_writes_nothing(self, tmp_path, rng):
+        draws = make_draws(rng)
+        draws.marker_ids[1] = "m\t1"
+        with pytest.raises(ValueError, match=re.escape("marker id 'm\\t1' holds a tab or line")):
+            fileio.save_draws(draws, tmp_path / "draws.adx")
+        assert not (tmp_path / "draws.adx").exists()
+
+    @pytest.mark.parametrize("old, new, what", [
+        (b"S3", b"S\t3", "subject"),
+        (b"rs2", b"m2\nx", "marker"),
+        (b"rs4", b"r\r4", "marker"),
+    ])
+    def test_load_refuses_the_id(self, tmp_path, rng, old, new, what):
+        # such ids used to load and scan with exit 0, writing stage-1 rows of
+        # 9 columns and rows split across two lines
+        path = tmp_path / "draws.adx"
+        fileio.save_draws(make_draws(rng), path)
+
+        def rename(payload):   # the id and its u16 length before it
+            at = payload.index(old)
+            payload[at - 2:at + len(old)] = struct.pack("<H", len(new)) + new
+
+        rewrite_payload(path, rename)
+        message = f"draws.adx: {what} id {new.decode()!r} holds a tab or line break"
+        with pytest.raises(DrawsFileError, match=re.escape(message)):
+            fileio.load_draws(path)
+
+
 class TestDrawsMetadata:
     """A draws record is checked where it is built, and again when saved."""
 

@@ -461,6 +461,7 @@ def test_ffbs_inner_restart_is_not_a_chromosome_start(rng):
     (40, [12, 1, 20, 7], "identity between heads"),   # kernel cells only at the heads
     (40, [12, 1, 20, 7], "every cell a kernel"),
     (40, [1] * 12, "every locus a segment"),         # 2 in every column
+    (40, [12, 1, 20, 7], "r = 0, 1 and 2 at locus 0"),  # a row's first run of each kind
 ])
 def test_ffbs_matches_the_per_locus_loop_at_extreme_r(rng, n_sub, lengths, case):
     x, r, p_a, p_b, rho, u = segmented_chain(rng, n_sub, lengths)
@@ -470,6 +471,10 @@ def test_ffbs_matches_the_per_locus_loop_at_extreme_r(rng, n_sub, lengths, case)
     elif case == "every cell a kernel":
         r[:, inner] = rng.integers(1, 3, size=(n_sub, inner.sum()))
         r[0, inner] = 1   # no other column is all 2
+    elif case == "r = 0, 1 and 2 at locus 0":
+        # the identity, one recombination and the Hardy-Weinberg row from the
+        # Hardy-Weinberg start vector
+        r[:, 0] = np.arange(n_sub) % 3
     assert np.array_equal(ffbs(x, r, p_a, p_b, rho, u),
                           per_locus_ffbs(x, r, p_a, p_b, rho, u))
 
@@ -519,9 +524,9 @@ def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch
     # cells with r = 1 past locus 0
     calls = []
 
-    def backward(moves, cur, heads, count, out):
-        calls.append(moves)
-        return real(moves, cur, heads, count, out)
+    def backward(table, cur, heads, count, out):
+        calls.append(table)
+        return real(table, cur, heads, count, out)
 
     real = kernels._sample_backward
     monkeypatch.setattr(kernels, "_sample_backward", backward)
@@ -531,11 +536,9 @@ def test_ffbs_draw_table_holds_one_row_per_non_head_kernel_cell(rng, monkeypatch
         s = kernels.ffbs_paths(x, r, observation_rows(p_a, p_b), transition_kernels(rho),
                                u[kernels.read_cells(r)], np.empty(x.shape, dtype=np.int8))
         assert np.array_equal(s, per_locus_ffbs(x, r, p_a, p_b, rho, u))
-        (moves,) = calls   # one chunk
-        assert moves[0] is None   # step 0 holds every lane's first run
-        # each step reads its rows of its chunk's table: count the tables drawn
-        drawn = {id(rows.base): rows.base for _, rows in moves[1:]}
-        assert sum(table.size for table in drawn.values()) // 3 == (r[:, 1:] == 1).sum()
+        (table,) = calls   # one chunk, one table of int8 draws, 3 a row
+        assert table.dtype == np.int8 and table.base is None
+        assert table.size // 3 == (r[:, 1:] == 1).sum()
 
 
 def test_ffbs_underflow_in_two_segments_names_the_smaller_locus(rng):

@@ -292,6 +292,27 @@ def test_retention_schedule_counts():
     assert draws.sweep_index.tolist() == [19, 29]
 
 
+def test_run_stops_at_the_last_retained_draw(monkeypatch):
+    # 25 draws thinned by 10 keep sweeps 19 and 29: the 5 sweeps after the
+    # last would draw states that nothing reads
+    rng = np.random.default_rng(11)
+    panel = chain_panel(3)
+    x = sample_ancestry_hwe(np.full(3, 0.8), 5, rng).astype(np.int8)
+    g = GenotypeMatrix(x=x, subject_ids=[f"s{i}" for i in range(5)])
+    hyper = HmmHyperparams(burn_in=10, n_draws=25, thin=10, seed=2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = sampler.sweep
+    monkeypatch.setattr(sampler, "sweep", counted)
+    draws = run_mcmc(g, panel, hyper)
+    assert len(calls) == 30
+    assert draws.sweep_index.tolist() == [19, 29]
+
+
 def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
     rng = np.random.default_rng(11)
     panel = chain_panel(3)
@@ -304,7 +325,7 @@ def test_progress_logged_at_info_with_rate_and_eta(monkeypatch, caplog):
         draws = run_mcmc(g, panel, hyper)
     records = [r for r in caplog.records if r.name == "admixscan.sampler"]
     assert [r.levelno for r in records] == [logging.INFO] * 3
-    pattern = r"sweep (\d+)/35, ([\d.]+) sweeps/s, ETA (\d+:\d\d:\d\d) \((\d+) draws kept\)"
+    pattern = r"sweep (\d+)/30, ([\d.]+) sweeps/s, ETA (\d+:\d\d:\d\d) \((\d+) draws kept\)"
     fields = [re.fullmatch(pattern, r.getMessage()).groups() for r in records]
     assert [(int(t), int(k)) for t, _, _, k in fields] == [(10, 0), (20, 1), (30, 2)]
     assert all(float(rate) > 0 for _, rate, _, _ in fields)
